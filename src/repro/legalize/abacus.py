@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -113,21 +113,35 @@ def _assign_to_segments(
     n, k = len(cells), len(segs)
     supplies = np.array([netlist.cells[i].width for i in cells])
     caps = np.array([s.width for s in segs])
+    x, y = netlist.x[cells], netlist.y[cells]
+    seg_lo = np.array([s.x_lo for s in segs])
+    seg_hi = np.array([s.x_hi for s in segs])
+    seg_y = np.array([s.y_center for s in segs])
 
-    def lower_bound(i: int, j: int) -> float:
-        s = segs[j]
-        x, y = netlist.x[cells[i]], netlist.y[cells[i]]
-        w = netlist.cells[cells[i]].width
-        dx = max(s.x_lo + w / 2 - x, 0.0, x - (s.x_hi - w / 2))
-        return abs(s.y_center - y) + max(dx, 0.0)
+    def lower_bounds(rows) -> np.ndarray:
+        """(rows x segments) displacement lower bound — vertical
+        distance plus horizontal overhang — in two buffers."""
+        half = supplies[rows, None] / 2
+        cx, cy = x[rows, None], y[rows, None]
+        dx = seg_lo + half
+        dx -= cx
+        np.maximum(dx, 0.0, out=dx)
+        out = seg_hi - half
+        np.subtract(cx, out, out=out)
+        np.maximum(dx, out, out=dx)
+        np.subtract(seg_y, cy, out=out)
+        np.abs(out, out=out)
+        out += dx
+        return out
 
     limit = min(max(candidates, 4), k)
     while True:
-        costs = np.full((n, k), np.inf)
-        for i in range(n):
-            ranked = sorted(range(k), key=lambda j: lower_bound(i, j))
-            for j in ranked[:limit]:
-                costs[i, j] = lower_bound(i, j)
+        # the bound matrix becomes the cost matrix in place: nothing
+        # else of its size is alive during the solve
+        costs = lower_bounds(slice(None))
+        order = np.argsort(costs, axis=1, kind="stable")
+        np.put_along_axis(costs, order[:, limit:], np.inf, axis=1)
+        del order
         tr = solve_transportation(supplies, caps, costs)
         if tr.feasible:
             break
@@ -138,50 +152,42 @@ def _assign_to_segments(
         limit = min(limit * 4, k)
 
     assignment, _overflow = round_almost_integral(tr, supplies, caps, costs)
+    load = np.bincount(assignment, weights=supplies, minlength=k)
+
+    def first_fit(i: int, skip: int = -1) -> Optional[int]:
+        """Nearest segment (ties: lowest index) with room for cell i."""
+        for t in np.argsort(lower_bounds([i])[0], kind="stable").tolist():
+            if t != skip and load[t] + supplies[i] <= caps[t] + 1e-9:
+                return t
+        return None
+
     # repair: shift whole-cell overflow to segments with slack
-    load = np.zeros(k)
-    for i, j in enumerate(assignment):
-        load[j] += supplies[i]
     repaired = True
     for j in range(k):
-        while load[j] > caps[j] + 1e-9:
-            movers = [i for i in range(n) if assignment[i] == j]
-            movers.sort(key=lambda i: supplies[i])
-            moved = False
-            for i in movers:
-                targets = sorted(
-                    range(k), key=lambda t: lower_bound(i, t)
-                )
-                for t in targets:
-                    if t != j and load[t] + supplies[i] <= caps[t] + 1e-9:
-                        assignment[i] = t
-                        load[j] -= supplies[i]
-                        load[t] += supplies[i]
-                        moved = True
-                        break
-                if moved:
-                    break
-            if not moved:
-                repaired = False
-                break
-        if not repaired:
-            break
-    if not repaired:
-        # first-fit decreasing over all cells: the bin-packing fallback
-        order = sorted(range(n), key=lambda i: -supplies[i])
-        assignment = np.full(n, -1, dtype=np.int64)
-        load = np.zeros(k)
-        for i in order:
-            for t in sorted(range(k), key=lambda t: lower_bound(i, t)):
-                if load[t] + supplies[i] <= caps[t] + 1e-9:
+        while repaired and load[j] > caps[j] + 1e-9:
+            movers = np.flatnonzero(assignment == j).tolist()
+            for i in sorted(movers, key=lambda i: supplies[i]):
+                t = first_fit(i, skip=j)
+                if t is not None:
                     assignment[i] = t
+                    load[j] -= supplies[i]
                     load[t] += supplies[i]
                     break
-            if assignment[i] < 0:
+            else:
+                repaired = False
+    if not repaired:
+        # first-fit decreasing over all cells: the bin-packing fallback
+        assignment = np.full(n, -1, dtype=np.int64)
+        load[:] = 0.0
+        for i in sorted(range(n), key=lambda i: -supplies[i]):
+            t = first_fit(i)
+            if t is None:
                 raise ValueError(
                     "segment packing failed even with first-fit "
                     f"decreasing (cell width {supplies[i]:.2f})"
                 )
+            assignment[i] = t
+            load[t] += supplies[i]
 
     seg_cells: Dict[int, List[int]] = {}
     for i, j in enumerate(assignment):

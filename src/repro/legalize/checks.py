@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.movebounds import MoveBoundSet
 from repro.netlist import Netlist
+from repro.obs import span
 
 TOL = 1e-6
 
@@ -59,82 +60,83 @@ def check_legality(
     max_overlap_pairs: int = 50,
 ) -> LegalityReport:
     """Full legality audit of the current placement."""
-    report = LegalityReport()
-    report.out_of_die = len(netlist.check_in_die(TOL))
+    with span("legalize.check"):
+        report = LegalityReport()
+        report.out_of_die = len(netlist.check_in_die(TOL))
 
-    movable, hw, hh = netlist._dim_arrays()
-    die = netlist.die
-    h = netlist.row_height
-    site = netlist.site_width
+        movable, hw, hh = netlist._dim_arrays()
+        die = netlist.die
+        h = netlist.row_height
+        site = netlist.site_width
 
-    xl = netlist.x - hw
-    xh = netlist.x + hw
-    yl = netlist.y - hh
-    yh = netlist.y + hh
+        xl = netlist.x - hw
+        xh = netlist.x + hw
+        yl = netlist.y - hh
+        yh = netlist.y + hh
 
-    std = movable & (2.0 * hh <= h + TOL)
-    k = (yl[std] - die.y_lo) / h
-    report.off_row = int(np.count_nonzero(np.abs(k - np.round(k)) > 1e-4))
-    if check_sites and site > 0:
-        s = (xl[movable] - die.x_lo) / site
-        report.off_site = int(
-            np.count_nonzero(np.abs(s - np.round(s)) > 1e-4)
-        )
-    if len(netlist.blockages):
-        # accumulate blockage coverage per cell, one vector op per rect
-        cov = np.zeros(netlist.num_cells)
-        for r in netlist.blockages:
-            w = np.minimum(xh, r.x_hi) - np.maximum(xl, r.x_lo)
-            d = np.minimum(yh, r.y_hi) - np.maximum(yl, r.y_lo)
-            cov += np.where((w > 0) & (d > 0), w * d, 0.0)
-        areas = (xh - xl) * (yh - yl)
-        report.on_blockage = int(
-            np.count_nonzero(
-                movable & (cov > TOL * np.maximum(areas, 1.0))
+        std = movable & (2.0 * hh <= h + TOL)
+        k = (yl[std] - die.y_lo) / h
+        report.off_row = int(np.count_nonzero(np.abs(k - np.round(k)) > 1e-4))
+        if check_sites and site > 0:
+            s = (xl[movable] - die.x_lo) / site
+            report.off_site = int(
+                np.count_nonzero(np.abs(s - np.round(s)) > 1e-4)
             )
+        if len(netlist.blockages):
+            # accumulate blockage coverage per cell, one vector op per rect
+            cov = np.zeros(netlist.num_cells)
+            for r in netlist.blockages:
+                w = np.minimum(xh, r.x_hi) - np.maximum(xl, r.x_lo)
+                d = np.minimum(yh, r.y_hi) - np.maximum(yl, r.y_lo)
+                cov += np.where((w > 0) & (d > 0), w * d, 0.0)
+            areas = (xh - xl) * (yh - yl)
+            report.on_blockage = int(
+                np.count_nonzero(
+                    movable & (cov > TOL * np.maximum(areas, 1.0))
+                )
+            )
+
+        # overlap sweep: sort by x_lo; a cell's partners are the contiguous
+        # run of later cells whose x_lo is left of its x_hi - TOL
+        order = np.argsort(xl, kind="stable")
+        sxl, sxh = xl[order], xh[order]
+        syl, syh = yl[order], yh[order]
+        sfix = ~movable[order]
+        n = len(order)
+        starts = np.arange(n) + 1
+        ends = np.maximum(
+            np.searchsorted(sxl, sxh - TOL, side="left"), starts
         )
+        counts = ends - starts
+        a_idx = np.repeat(np.arange(n), counts)
+        offs = np.arange(counts.sum()) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        b_idx = np.repeat(starts, counts) + offs
+        live = ~(sfix[a_idx] & sfix[b_idx])
+        ow = np.minimum(sxh[a_idx], sxh[b_idx]) - np.maximum(
+            sxl[a_idx], sxl[b_idx]
+        )
+        oh = np.minimum(syh[a_idx], syh[b_idx]) - np.maximum(
+            syl[a_idx], syl[b_idx]
+        )
+        hit = (
+            live
+            & (sxl[a_idx] < sxh[b_idx])
+            & (sxl[b_idx] < sxh[a_idx])
+            & (syl[a_idx] < syh[b_idx])
+            & (syl[b_idx] < syh[a_idx])
+            & (ow > 0)
+            & (oh > 0)
+            & (ow * oh > TOL)
+        )
+        report.overlaps = int(np.count_nonzero(hit))
+        if report.overlaps:
+            where = np.nonzero(hit)[0][:max_overlap_pairs]
+            report.overlap_pairs = [
+                (int(order[a_idx[i]]), int(order[b_idx[i]])) for i in where
+            ]
 
-    # overlap sweep: sort by x_lo; a cell's partners are the contiguous
-    # run of later cells whose x_lo is left of its x_hi - TOL
-    order = np.argsort(xl, kind="stable")
-    sxl, sxh = xl[order], xh[order]
-    syl, syh = yl[order], yh[order]
-    sfix = ~movable[order]
-    n = len(order)
-    starts = np.arange(n) + 1
-    ends = np.maximum(
-        np.searchsorted(sxl, sxh - TOL, side="left"), starts
-    )
-    counts = ends - starts
-    a_idx = np.repeat(np.arange(n), counts)
-    offs = np.arange(counts.sum()) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    b_idx = np.repeat(starts, counts) + offs
-    live = ~(sfix[a_idx] & sfix[b_idx])
-    ow = np.minimum(sxh[a_idx], sxh[b_idx]) - np.maximum(
-        sxl[a_idx], sxl[b_idx]
-    )
-    oh = np.minimum(syh[a_idx], syh[b_idx]) - np.maximum(
-        syl[a_idx], syl[b_idx]
-    )
-    hit = (
-        live
-        & (sxl[a_idx] < sxh[b_idx])
-        & (sxl[b_idx] < sxh[a_idx])
-        & (syl[a_idx] < syh[b_idx])
-        & (syl[b_idx] < syh[a_idx])
-        & (ow > 0)
-        & (oh > 0)
-        & (ow * oh > TOL)
-    )
-    report.overlaps = int(np.count_nonzero(hit))
-    if report.overlaps:
-        where = np.nonzero(hit)[0][:max_overlap_pairs]
-        report.overlap_pairs = [
-            (int(order[a_idx[i]]), int(order[b_idx[i]])) for i in where
-        ]
-
-    if bounds is not None:
-        report.movebound_violations = len(bounds.violations(netlist))
-    return report
+        if bounds is not None:
+            report.movebound_violations = len(bounds.violations(netlist))
+        return report

@@ -57,9 +57,10 @@ def build_segments(
     netlist: Netlist,
     area: Iterable[Rect] = (),
     min_width: float = 0.0,
+    obstacles: Iterable[Rect] = (),
 ) -> List[RowSegment]:
     """Row segments inside the given rectangles (default: whole die),
-    minus blockages and fixed cells.
+    minus blockages, fixed cells and the extra ``obstacles``.
 
     Rows are aligned to the global row grid ``die.y_lo + k * row_height``
     so segments from different regions always stack compatibly.  Only
@@ -70,7 +71,7 @@ def build_segments(
     rects = list(area) or [die]
     min_width = max(min_width, netlist.site_width)
 
-    obstacles: List[Rect] = list(netlist.blockages)
+    obstacles = list(netlist.blockages) + list(obstacles)
     for cell in netlist.cells:
         if cell.fixed:
             obstacles.append(netlist.cell_rect(cell.index))

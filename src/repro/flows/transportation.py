@@ -5,11 +5,17 @@ windows (sinks, capacity = capa) minimizing total movement cost, with
 ``cost = +inf`` on cell→region arcs forbidden by movebounds.  Total
 capacity may exceed total supply (unbalanced).
 
-The default backend formulates the problem as an LP over the
-finite-cost arcs and solves it with scipy's HiGHS — a network LP that
-HiGHS handles essentially as fast as a dedicated transportation code at
-our instance sizes.  A pure-Python min-cost-flow backend is retained as
-a cross-check oracle.
+The default backend first asks whether the answer is *forced*
+(:func:`_solve_forced`): if every source's strictly cheapest sink has
+room the cheapest-sink assignment is the unique optimum, and if some
+set of sinks cannot hold the sources confined to it (condition (1) of
+the paper restricted to the window) the instance is infeasible — both
+decided with a handful of array operations.  Everything else — ties,
+split optima, borderline capacities — is formulated as an LP over the
+finite-cost arcs and solved with scipy's HiGHS; on instances this small
+``linprog``'s own input handling costs several times HiGHS' run, so
+the model is handed over as ready-made CSC matrices.  A pure-Python
+min-cost-flow backend is retained as a cross-check oracle.
 
 A basic optimal solution of the transportation LP has at most
 ``n + k - 1`` positive variables, hence at most ``k - 1`` fractionally
@@ -21,6 +27,7 @@ one cell.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -129,6 +136,11 @@ def solve_transportation(
     Returns an infeasible result (zero flow) when the supplies cannot
     be routed, e.g. when movebound-admissible sinks lack capacity.
 
+    On the default LP path an instance whose answer is forced is
+    answered by :func:`_solve_forced` without calling the solver;
+    ``result.stats.method`` says who answered (``closed_form``,
+    ``precheck`` or ``lp``).
+
     ``method="ns"`` runs the pure-Python network simplex, the only
     backend that supports warm starts: pass a
     :class:`~repro.flows.warmstart.WarmStartSlot` as ``warm_slot`` and
@@ -139,37 +151,51 @@ def solve_transportation(
     capacities = np.asarray(capacities, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
     _validate(supplies, capacities, costs)
-    n, k = costs.shape
-
-    if n == 0:
-        return TransportResult(True, np.zeros((0, k)), 0.0)
-
-    # quick necessary check: every source needs an admissible sink
-    finite = np.isfinite(costs)
-    if not np.all(finite.any(axis=1) | (supplies <= 0)):
-        return TransportResult(False, np.zeros((n, k)), INF)
-
-    if budget is None:
-        budget = get_default_budget()
     if method == "auto":
         method = "lp"
-    if method == "lp":
-        result = _solve_lp(supplies, capacities, costs, finite, budget)
+    if method not in ("lp", "mcf", "ns"):
+        raise ValueError(f"unknown method {method!r}")
+    n, k = costs.shape
+    finite = np.isfinite(costs)
+    if budget is None:
+        budget = get_default_budget()
+
+    if n == 0:
+        result = TransportResult(
+            True, np.zeros((0, k)), 0.0, TransportStats(method="empty")
+        )
+    elif not np.all(finite.any(axis=1) | (supplies <= 0)):
+        # quick necessary check: every source needs an admissible sink
+        result = TransportResult(
+            False,
+            np.zeros((n, k)),
+            INF,
+            TransportStats(method="no_admissible_sink"),
+        )
+    elif method == "lp":
+        result = _solve_forced(supplies, capacities, costs, finite)
+        if result is None:
+            result = _solve_lp(supplies, capacities, costs, finite, budget)
     elif method == "mcf":
         result = _solve_mcf(supplies, capacities, costs, finite, budget)
-    elif method == "ns":
+    else:
         result = _solve_ns(
             supplies, capacities, costs, finite, budget, warm_slot
         )
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     stats = result.stats
-    stats.method = method
+    # the exits above name themselves; a backend goes by its method
+    stats.method = stats.method or method
     stats.nodes = n + k
     stats.arcs = int(finite.sum())
+    if stats.method in ("empty", "no_admissible_sink"):
+        # never reached a backend: counted apart, so ``transport.solves``
+        # and ``transport.infeasible`` keep counting what a backend, or
+        # the front end standing in for it, answered
+        incr(f"transport.{stats.method}")
+        return result
     incr("transport.solves")
-    incr(f"transport.solves.{method}")
+    incr(f"transport.solves.{stats.method}")
     incr("transport.nodes", stats.nodes)
     incr("transport.arcs", stats.arcs)
     incr("transport.pivots", stats.pivots)
@@ -179,6 +205,101 @@ def solve_transportation(
     return result
 
 
+#: HiGHS' primal and dual feasibility tolerances (absolute, per row and
+#: per variable)
+_HIGHS_TOL = 1e-7
+#: :func:`_solve_forced` answers only what sits this many tolerances
+#: away from anything HiGHS could decide differently
+_FORCED_FACTOR = 100.0
+#: condition (1) is tested over all 2^k sink subsets up to this k
+_PRECHECK_MAX_SINKS = 12
+
+
+def _solve_forced(
+    supplies: np.ndarray,
+    capacities: np.ndarray,
+    costs: np.ndarray,
+    finite: np.ndarray,
+) -> Optional[TransportResult]:
+    """Answer an instance whose answer is forced; ``None`` otherwise.
+
+    *Cheapest-sink closed form.*  When every source with supply has a
+    strictly cheapest sink and those choices fit the capacities, that
+    assignment is the unique optimum: moving any flow elsewhere costs
+    at least the runner-up gap per unit, and an LP basis carrying such
+    flow would break dual feasibility by that gap.
+
+    *Exact infeasibility.*  The instance is feasible iff for every set
+    ``T`` of sinks the supply of the sources admissible only inside
+    ``T`` fits ``cap(T)`` — condition (1) of the paper on the window's
+    regions.  Both sides are subset sums over the ``2^k`` sink sets,
+    computed for all sets at once by one doubling pass per sink.
+
+    The runner-up gap must clear ``_FORCED_FACTOR`` dual tolerances
+    (scaled by the largest cost) and the worst deficit as many primal
+    tolerances for *every* row and variable HiGHS could bend (scaled
+    by the largest supply); ties, near-ties and borderline deficits
+    are left to the LP, so the verdict and the rounded assignment are
+    the ones HiGHS gives.
+    """
+    n, k = costs.shape
+    rows = np.nonzero(supplies > 0)[0]
+    if not len(rows):
+        return TransportResult(
+            True, np.zeros((n, k)), 0.0, TransportStats(method="closed_form")
+        )
+    base = _FORCED_FACTOR * _HIGHS_TOL
+    amount = supplies[rows]
+    sub = costs[rows]
+    at = np.arange(len(rows))
+    best = np.argmin(sub, axis=1)
+    cheapest = sub[at, best]
+    load = np.bincount(best, weights=amount, minlength=k)
+    if np.all(load <= capacities):
+        sub[at, best] = INF
+        gap = sub.min(axis=1) - cheapest
+        cost_scale = float(np.max(np.abs(costs), where=finite, initial=0.0))
+        if np.all(gap > scale_eps(cost_scale, base=base)):
+            flow = np.zeros((n, k))
+            flow[rows, best] = amount
+            return TransportResult(
+                True,
+                flow,
+                float(np.dot(cheapest, amount)),
+                TransportStats(method="closed_form"),
+            )
+
+    if k > _PRECHECK_MAX_SINKS:
+        return None
+    # sums[0, T] = supply confined to sink set T, sums[1, T] = cap(T),
+    # T a bit mask over the sinks: seed the exact masks, then let every
+    # set collect its subsets bit by bit
+    bit = 1 << np.arange(k)
+    sums = np.zeros((2, 1 << k))
+    sums[0] = np.bincount(finite[rows] @ bit, weights=amount, minlength=1 << k)
+    sums[1, bit] = capacities
+    for j in range(k):
+        halves = sums.reshape(2, -1, 2, 1 << j)
+        halves[:, :, 1] += halves[:, :, 0]
+    deficit = float(np.max(sums[0] - sums[1]))
+    bendable = n + k + int(finite.sum())
+    if deficit > bendable * scale_eps(float(amount.max()), base=base):
+        return TransportResult(
+            False, np.zeros((n, k)), INF, TransportStats(method="precheck")
+        )
+    return None
+
+
+@functools.cache
+def _scipy_lp():
+    """``(linprog, csc_matrix)``, imported on first use so that a run
+    the front end answers entirely never loads ``scipy.optimize``."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_matrix
+
+    return linprog, csc_matrix
+
+
 def _solve_lp(
     supplies: np.ndarray,
     capacities: np.ndarray,
@@ -186,24 +307,20 @@ def _solve_lp(
     finite: np.ndarray,
     budget: Optional[SolverBudget] = None,
 ) -> TransportResult:
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_matrix
+    linprog, csc_matrix = _scipy_lp()
 
     n, k = costs.shape
     src_idx, snk_idx = np.nonzero(finite)
     n_vars = len(src_idx)
     var_costs = costs[src_idx, snk_idx]
 
-    # equality rows: one per source
-    eq_rows = src_idx
-    eq_cols = np.arange(n_vars)
-    a_eq = coo_matrix(
-        (np.ones(n_vars), (eq_rows, eq_cols)), shape=(n, n_vars)
-    ).tocsc()
-    # inequality rows: one per sink
-    a_ub = coo_matrix(
-        (np.ones(n_vars), (snk_idx, eq_cols)), shape=(k, n_vars)
-    ).tocsc()
+    # one variable per admissible arc: its column holds a single 1 in
+    # its source's equality row and a single 1 in its sink's capacity
+    # row, which *is* the CSC layout
+    ones = np.ones(n_vars)
+    indptr = np.arange(n_vars + 1)
+    a_eq = csc_matrix((ones, src_idx, indptr), shape=(n, n_vars))
+    a_ub = csc_matrix((ones, snk_idx, indptr), shape=(k, n_vars))
 
     options = {}
     if budget is not None and budget.max_iters is not None:

@@ -19,6 +19,9 @@ from repro.obs import span
 
 TOL = 1e-6
 
+#: candidate pairs of the overlap sweep alive at once
+_SWEEP_BLOCK = 1 << 17
+
 
 @dataclass
 class LegalityReport:
@@ -97,7 +100,10 @@ def check_legality(
             )
 
         # overlap sweep: sort by x_lo; a cell's partners are the contiguous
-        # run of later cells whose x_lo is left of its x_hi - TOL
+        # run of later cells whose x_lo is left of its x_hi - TOL.  The
+        # candidate pairs (first cell ascending, then partner) are
+        # numbered and tested a block at a time — an unlegalized
+        # placement has millions of them
         order = np.argsort(xl, kind="stable")
         sxl, sxh = xl[order], xh[order]
         syl, syh = yl[order], yh[order]
@@ -107,35 +113,31 @@ def check_legality(
         ends = np.maximum(
             np.searchsorted(sxl, sxh - TOL, side="left"), starts
         )
-        counts = ends - starts
-        a_idx = np.repeat(np.arange(n), counts)
-        offs = np.arange(counts.sum()) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        b_idx = np.repeat(starts, counts) + offs
-        live = ~(sfix[a_idx] & sfix[b_idx])
-        ow = np.minimum(sxh[a_idx], sxh[b_idx]) - np.maximum(
-            sxl[a_idx], sxl[b_idx]
-        )
-        oh = np.minimum(syh[a_idx], syh[b_idx]) - np.maximum(
-            syl[a_idx], syl[b_idx]
-        )
-        hit = (
-            live
-            & (sxl[a_idx] < sxh[b_idx])
-            & (sxl[b_idx] < sxh[a_idx])
-            & (syl[a_idx] < syh[b_idx])
-            & (syl[b_idx] < syh[a_idx])
-            & (ow > 0)
-            & (oh > 0)
-            & (ow * oh > TOL)
-        )
-        report.overlaps = int(np.count_nonzero(hit))
-        if report.overlaps:
-            where = np.nonzero(hit)[0][:max_overlap_pairs]
-            report.overlap_pairs = [
-                (int(order[a_idx[i]]), int(order[b_idx[i]])) for i in where
-            ]
+        upto = np.cumsum(ends - starts)
+        total = int(upto[-1]) if n else 0
+        for lo in range(0, total, _SWEEP_BLOCK):
+            pair = np.arange(lo, min(lo + _SWEEP_BLOCK, total))
+            a_idx = np.searchsorted(upto, pair, side="right")
+            b_idx = ends[a_idx] - (upto[a_idx] - pair)
+            # most x-neighbours sit in other rows: drop them before
+            # touching x
+            oh = np.minimum(syh[a_idx], syh[b_idx]) - np.maximum(
+                syl[a_idx], syl[b_idx]
+            )
+            stacked = np.nonzero(oh > 0)[0]
+            a_idx, b_idx, oh = a_idx[stacked], b_idx[stacked], oh[stacked]
+            ow = np.minimum(sxh[a_idx], sxh[b_idx]) - np.maximum(
+                sxl[a_idx], sxl[b_idx]
+            )
+            hit = np.nonzero(
+                ~(sfix[a_idx] & sfix[b_idx]) & (ow > 0) & (ow * oh > TOL)
+            )[0]
+            report.overlaps += len(hit)
+            room = max_overlap_pairs - len(report.overlap_pairs)
+            report.overlap_pairs.extend(
+                (int(order[a_idx[i]]), int(order[b_idx[i]]))
+                for i in hit[: max(room, 0)]
+            )
 
         if bounds is not None:
             report.movebound_violations = len(bounds.violations(netlist))

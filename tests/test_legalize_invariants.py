@@ -5,8 +5,9 @@ that its internal state can be trusted while it decides: the cached
 per-segment arrays always equal a from-scratch rebuild, every pass
 leaves a legal placement with non-increasing HPWL, macros become
 obstacles without the netlist being mutated, the Abacus bound matrix is
-not alive twice during the solve, and the program's own tracer sees the
-layer.
+not alive twice during the solve, the legality audit's overlap sweep
+reports the same whatever its block size, and the program's own tracer
+sees the layer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.legalize import (
     check_legality,
     legalize_with_movebounds,
 )
-from repro.legalize import detailed
+from repro.legalize import checks, detailed
 from repro.legalize.detailed import detailed_place
 from repro.movebounds import decompose_regions
 from repro.netlist import Netlist, Pin
@@ -230,6 +231,64 @@ def test_abacus_holds_one_bound_matrix_during_the_solve(monkeypatch):
         tracemalloc.stop()
     assert alive and max(alive) - base < 1.25 * matrix
     assert check_legality(nl).is_legal
+
+
+def unchunked_overlaps(netlist, max_pairs):
+    """The overlap sweep over all candidate pairs at once: the
+    reference arithmetic of ``check_legality``'s blocked sweep."""
+    movable, hw, hh = netlist._dim_arrays()
+    xl, xh = netlist.x - hw, netlist.x + hw
+    yl, yh = netlist.y - hh, netlist.y + hh
+    order = np.argsort(xl, kind="stable")
+    sxl, sxh, syl, syh = xl[order], xh[order], yl[order], yh[order]
+    sfix = ~movable[order]
+    n = len(order)
+    starts = np.arange(n) + 1
+    ends = np.maximum(
+        np.searchsorted(sxl, sxh - checks.TOL, side="left"), starts
+    )
+    counts = ends - starts
+    a = np.repeat(np.arange(n), counts)
+    b = np.repeat(starts, counts) + (
+        np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    )
+    ow = np.minimum(sxh[a], sxh[b]) - np.maximum(sxl[a], sxl[b])
+    oh = np.minimum(syh[a], syh[b]) - np.maximum(syl[a], syl[b])
+    hit = (
+        ~(sfix[a] & sfix[b])
+        & (sxl[a] < sxh[b])
+        & (sxl[b] < sxh[a])
+        & (syl[a] < syh[b])
+        & (syl[b] < syh[a])
+        & (ow > 0)
+        & (oh > 0)
+        & (ow * oh > checks.TOL)
+    )
+    where = np.nonzero(hit)[0]
+    pairs = [(int(order[a[i]]), int(order[b[i]])) for i in where[:max_pairs]]
+    return len(where), pairs
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, 1 << 17])
+def test_overlap_sweep_is_the_same_in_any_block_size(block, monkeypatch):
+    rng = np.random.default_rng(4)
+    nl = Netlist(Rect(0, 0, 40, 12), row_height=1.0, site_width=0.5)
+    for i in range(300):  # ~1.3x the die area, abutting and stacked cells
+        nl.add_cell(
+            f"c{i}",
+            float(rng.choice([1.0, 2.0, 3.5])),
+            1.0 if i % 20 else 3.0,
+            x=float(rng.integers(2, 76)) / 2,
+            y=float(rng.integers(1, 12)) - 0.5,
+            fixed=i % 7 == 0,
+        )
+    nl.finalize()
+    monkeypatch.setattr(checks, "_SWEEP_BLOCK", block)
+    for max_pairs in (0, 5, 50, 10**6):
+        want = unchunked_overlaps(nl, max_pairs)
+        report = check_legality(nl, max_overlap_pairs=max_pairs)
+        assert (report.overlaps, report.overlap_pairs) == want
+        assert report.overlaps > 300
 
 
 def test_program_tracer_sees_the_layer():

@@ -139,21 +139,37 @@ def load_instance(
             if len(parts) == 3:
                 positions[parts[0]] = (float(parts[1]), float(parts[2]))
 
+    # (name, width, height, x, y, fixed, movebound) per cell, added in
+    # one call: growing the netlist a cell at a time copies the
+    # coordinate arrays once per cell
+    nodes = []
     with open(base + ".nodes") as f:
         for line in f:
             parts = line.split()
             if not parts or parts[0] == "NumNodes":
                 continue
-            cname, width, height = parts[0], float(parts[1]), float(parts[2])
-            fixed = "terminal" in parts[3:]
             movebound = None
             for token in parts[3:]:
                 if token.startswith("movebound="):
                     movebound = token.split("=", 1)[1]
-            x, y = positions.get(cname, die.center)
-            netlist.add_cell(
-                cname, width, height, x=x, y=y, fixed=fixed, movebound=movebound
+            x, y = positions.get(parts[0], die.center)
+            nodes.append(
+                (
+                    parts[0],
+                    float(parts[1]),
+                    float(parts[2]),
+                    x,
+                    y,
+                    "terminal" in parts[3:],
+                    movebound,
+                )
             )
+    names, widths, heights, xs, ys, fixed, movebounds = (
+        zip(*nodes) if nodes else [()] * 7
+    )
+    netlist.add_cells(
+        names, widths, heights, x=xs, y=ys, fixed=fixed, movebound=movebounds
+    )
     netlist.finalize()
 
     with open(base + ".nets") as f:

@@ -57,6 +57,7 @@ class RealizationResult:
     #: cell -> (window index, region index) after final partitioning
     assignment: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     local_qp_calls: int = 0
+    shipped_cells: int = 0
     seconds: float = 0.0
     #: capacity overflow of the final assignment (whole-cell rounding
     #: debt; the paper's "almost integral" guarantee bounds max by one
@@ -172,21 +173,79 @@ def _crossing_point(grid: Grid, arc: ExternalArc) -> Tuple[float, float]:
     return grid.windows[arc.src_window].boundary_center(arc.direction)
 
 
-def _entry_position(
-    grid: Grid, arc: ExternalArc, cell_y: float, cell_x: float
-) -> Tuple[float, float]:
-    """Landing position just inside the destination window, preserving
-    the coordinate parallel to the crossed boundary."""
-    dst = grid.windows[arc.dst_window].rect
-    pad_x = min(dst.width * 0.05, 1.0)
-    pad_y = min(dst.height * 0.05, 1.0)
-    if arc.direction == "E":
-        return (dst.x_lo + pad_x, min(max(cell_y, dst.y_lo), dst.y_hi))
-    if arc.direction == "W":
-        return (dst.x_hi - pad_x, min(max(cell_y, dst.y_lo), dst.y_hi))
-    if arc.direction == "N":
-        return (min(max(cell_x, dst.x_lo), dst.x_hi), dst.y_lo + pad_y)
-    return (min(max(cell_x, dst.x_lo), dst.x_hi), dst.y_hi - pad_y)
+def _mutable(members: Dict[Tuple[str, int], object], key) -> Set[int]:
+    """The member set of ``key``; the model's (immutable) list is copied
+    into a set only when an arc first moves a cell out of or into it."""
+    cur = members.get(key)
+    if not isinstance(cur, set):
+        cur = set(cur) if cur is not None else set()
+        members[key] = cur
+    return cur
+
+
+def _ship_arc(
+    netlist: Netlist,
+    grid: Grid,
+    arc: ExternalArc,
+    f: float,
+    members: Dict[Tuple[str, int], object],
+    cell_window: np.ndarray,
+    sizes: np.ndarray,
+    out: RealizationResult,
+) -> None:
+    """Ship the cells of ``arc.bound`` closest to the crossing point
+    from the source into the destination window until ``f`` is covered;
+    they land just inside it, keeping the coordinate parallel to the
+    crossed boundary."""
+    key_src = (arc.bound, arc.src_window)
+    candidates = sorted(members.get(key_src, ()))
+    if not candidates:
+        out.rounding_error += f
+        return
+    # stable argsort over ascending ids: nearest first, ties by id
+    cx, cy = _crossing_point(grid, arc)
+    cand = np.asarray(candidates, dtype=np.int64)
+    dist = np.abs(netlist.x[cand] - cx) + np.abs(netlist.y[cand] - cy)
+    cand = cand[np.argsort(dist, kind="stable")]
+    # cumsum adds left to right, so cum[k] is the area shipped after
+    # cell k bit for bit and done[k] the area shipped before it
+    cum = np.cumsum(sizes[cand])
+    done = np.concatenate(([0.0], cum[:-1]))
+    # stop once f is covered, or where overshooting would hurt more
+    # than stopping short
+    stop = (done >= f) | (cum - f > f - done)
+    count = int(np.argmax(stop)) if stop.any() else len(cand)
+    shipped = 0.0
+    if count:
+        moved = cand[:count]
+        shipped = float(cum[count - 1])
+        dst = grid.windows[arc.dst_window].rect
+        if arc.direction in ("E", "W"):
+            pad = min(dst.width * 0.05, 1.0)
+            netlist.x[moved] = (
+                dst.x_lo + pad if arc.direction == "E" else dst.x_hi - pad
+            )
+            netlist.y[moved] = np.minimum(
+                np.maximum(netlist.y[moved], dst.y_lo), dst.y_hi
+            )
+        else:
+            pad = min(dst.height * 0.05, 1.0)
+            netlist.y[moved] = (
+                dst.y_lo + pad if arc.direction == "N" else dst.y_hi - pad
+            )
+            netlist.x[moved] = np.minimum(
+                np.maximum(netlist.x[moved], dst.x_lo), dst.x_hi
+            )
+        cell_window[moved] = arc.dst_window
+        # in shipped order: the sets are iterated later, so their
+        # insertion history is part of the result
+        ids = moved.tolist()
+        _mutable(members, key_src).difference_update(ids)
+        _mutable(members, (arc.bound, arc.dst_window)).update(ids)
+        out.shipped_cells += count
+    out.moved_area += shipped
+    out.rounding_error += abs(shipped - f)
+    out.arcs_realized += 1
 
 
 def _spread_into_rects(
@@ -283,6 +342,7 @@ def realize_flow(
     out.seconds = sp.wall_s
     incr("realize.arcs_realized", out.arcs_realized)
     incr("realize.local_qp_calls", out.local_qp_calls)
+    incr("realize.shipped_cells", out.shipped_cells)
     incr("realize.moved_area", out.moved_area)
     return out
 
@@ -302,31 +362,13 @@ def _realize_flow_impl(
     qp_opts = qp_options or QPOptions()
 
     cell_window = model.cell_windows.copy()
-    # (bound, window) -> member cells, kept current while moving.
-    # Values start as the model's (immutable) lists and are copied into
-    # sets only when an arc actually moves a cell out of or into the
-    # group — the common zero-external-flow pass never pays the copy.
+    # (bound, window) -> member cells, kept current while moving (the
+    # common zero-external-flow pass never pays a copy, see _mutable)
     members: Dict[Tuple[str, int], object] = dict(model.group_cells)
 
-    def _mutable(key: Tuple[str, int]) -> Set[int]:
-        cur = members.get(key)
-        if not isinstance(cur, set):
-            cur = set(cur) if cur is not None else set()
-            members[key] = cur
-        return cur
-
-    # nets incident to each cell, for cheap local QPs — derived lazily:
-    # it is expensive at scale and only needed when a QP actually runs
-    nets_of_cell = None
-    # per-cell areas; the shipping loop wants plain floats (identical
-    # Cell.size bits) but only pays the list conversion when there is
-    # flow to ship
     sizes = netlist.cell_sizes()
-    cell_size: Optional[List[float]] = None
 
     flows = cancel_external_cycles(model.external_flows(result))
-    if flows:
-        cell_size = sizes.tolist()
 
     # Group arcs into rounds of independent realizations (disjoint
     # coarse windows, dependencies respected) — the paper's parallel
@@ -349,17 +391,14 @@ def _realize_flow_impl(
                 ):
                     block_ids.add(w.index)
             for key, cells in members.items():
-                if key[1] in block_ids:
-                    for c in cells:
-                        in_block[c] = True
+                if key[1] in block_ids and len(cells):
+                    in_block[
+                        np.fromiter(cells, np.int64, count=len(cells))
+                    ] = True
             n_in_block = int(in_block.sum())
             if 0 < n_in_block <= local_qp_cell_limit:
-                if nets_of_cell is None:
-                    nets_of_cell = netlist.nets_of_cell()
-                net_ids: Set[int] = set()
-                for c in np.nonzero(in_block)[0]:
-                    net_ids.update(nets_of_cell[int(c)])
-                local_nets = [netlist.nets[i] for i in sorted(net_ids)]
+                net_ids = netlist.nets_of_cells(np.nonzero(in_block)[0])
+                local_nets = [netlist.nets[i] for i in net_ids.tolist()]
                 with span("realize.local_qp"):
                     solve_qp(
                         netlist,
@@ -370,42 +409,16 @@ def _realize_flow_impl(
                 out.local_qp_calls += 1
 
         for arc in round_arcs:
-            f = flow_of[arc.arc_id]
-            key_src = (arc.bound, arc.src_window)
-            candidates = sorted(members.get(key_src, ()))
-            if not candidates:
-                out.rounding_error += f
-                continue
-            # ship cells closest to the crossing point until f covered
-            # (vectorized distance keys + stable argsort: same floats,
-            # same tie-break as the scalar key sort over ascending ids)
-            cx, cy = _crossing_point(grid, arc)
-            cand = np.asarray(candidates, dtype=np.int64)
-            dist = np.abs(netlist.x[cand] - cx) + np.abs(
-                netlist.y[cand] - cy
+            _ship_arc(
+                netlist,
+                grid,
+                arc,
+                flow_of[arc.arc_id],
+                members,
+                cell_window,
+                sizes,
+                out,
             )
-            candidates = cand[np.argsort(dist, kind="stable")].tolist()
-            shipped = 0.0
-            for i in candidates:
-                size = cell_size[i]
-                if shipped >= f:
-                    break
-                if shipped + size - f > f - shipped:
-                    # overshooting hurts more than stopping short
-                    break
-                _mutable(key_src).discard(i)
-                key_dst = (arc.bound, arc.dst_window)
-                _mutable(key_dst).add(i)
-                cell_window[i] = arc.dst_window
-                nx_, ny_ = _entry_position(
-                    grid, arc, netlist.y[i], netlist.x[i]
-                )
-                netlist.x[i] = nx_
-                netlist.y[i] = ny_
-                shipped += size
-            out.moved_area += shipped
-            out.rounding_error += abs(shipped - f)
-            out.arcs_realized += 1
 
     # ------------------------------------------------------------------
     # final intra-window partitioning (§III, with movebound costs)

@@ -28,6 +28,15 @@ class PlacementSnapshot:
         return PlacementSnapshot(self.x.copy(), self.y.copy())
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple:
+    """``(first, idx)``: ``idx`` lists the index ranges
+    ``starts[i] : starts[i] + counts[i]`` one after the other, range
+    ``i`` beginning at ``idx[first[i]]``."""
+    first = np.cumsum(counts) - counts
+    idx = np.repeat(starts - first, counts) + np.arange(int(counts.sum()))
+    return first, idx
+
+
 class Netlist:
     """Cells + nets + die + placement state.
 
@@ -82,24 +91,9 @@ class Netlist:
         movebound: Optional[str] = None,
     ) -> Cell:
         """Create a cell; position defaults to the die center."""
-        if name in self._cell_by_name:
-            raise ValueError(f"duplicate cell name {name!r}")
-        if width <= 0 or height <= 0:
-            raise ValueError(f"cell {name!r} must have positive dimensions")
-        cell = Cell(name, width, height, fixed=fixed, movebound=movebound)
-        cell.index = len(self.cells)
-        self._hpwl_cache = None
-        self._dim_cache = None
-        self._size_cache = None
-        self._nets_cache = None
-        self._cell_nets_csr_cache = None
-        self._net_row_cache = None
-        self.cells.append(cell)
-        self._cell_by_name[name] = cell.index
-        cx, cy = self.die.center
-        self.x = np.append(self.x, cx if x is None else x)
-        self.y = np.append(self.y, cy if y is None else y)
-        return cell
+        return self.add_cells(
+            [name], width, height, x=x, y=y, fixed=fixed, movebound=movebound
+        )[0]
 
     def add_cells(
         self,
@@ -109,16 +103,18 @@ class Netlist:
         *,
         x=None,
         y=None,
-        fixed: bool = False,
-        movebound: Optional[str] = None,
+        fixed=False,
+        movebound=None,
     ) -> List[Cell]:
         """Bulk :meth:`add_cell`: append many cells in one call.
 
         ``widths``/``heights`` broadcast against ``names``; positions
-        default to the die center.  Validation and coordinate growth
-        are vectorized — one array concatenation instead of one
+        default to the die center; ``fixed`` and ``movebound`` are one
+        value for all cells or one per cell.  Validation and coordinate
+        growth are vectorized — one array concatenation instead of one
         ``np.append`` per cell, which is what makes million-cell
-        construction linear instead of quadratic.
+        construction linear instead of quadratic.  Nothing is added
+        when a cell is rejected.
         """
         n = len(names)
         widths = np.broadcast_to(
@@ -127,13 +123,22 @@ class Netlist:
         heights = np.broadcast_to(
             np.asarray(heights, dtype=np.float64), (n,)
         )
-        if np.any(widths <= 0) or np.any(heights <= 0):
-            bad = int(
-                np.nonzero((widths <= 0) | (heights <= 0))[0][0]
-            )
-            raise ValueError(
-                f"cell {names[bad]!r} must have positive dimensions"
-            )
+        bad = (widths <= 0) | (heights <= 0)
+        if (
+            bad.any()
+            or len(set(names)) != n
+            or not self._cell_by_name.keys().isdisjoint(names)
+        ):
+            # report the first offender, as a loop of add_cell would
+            seen = set(self._cell_by_name)
+            for nm, bad_dims in zip(names, bad.tolist()):
+                if nm in seen:
+                    raise ValueError(f"duplicate cell name {nm!r}")
+                if bad_dims:
+                    raise ValueError(
+                        f"cell {nm!r} must have positive dimensions"
+                    )
+                seen.add(nm)
         cx, cy = self.die.center
         xs = (
             np.full(n, cx)
@@ -145,18 +150,25 @@ class Netlist:
             if y is None
             else np.broadcast_to(np.asarray(y, dtype=np.float64), (n,))
         )
+        fixed = np.broadcast_to(np.asarray(fixed, dtype=bool), (n,))
+        if movebound is None or isinstance(movebound, str):
+            movebound = [movebound] * n
         base = len(self.cells)
         new_cells = [
-            Cell(nm, w, h, fixed=fixed, movebound=movebound, index=base + i)
-            for i, (nm, w, h) in enumerate(
-                zip(names, widths.tolist(), heights.tolist())
+            Cell(nm, w, h, fixed=f, movebound=mb, index=base + i)
+            for i, (nm, w, h, f, mb) in enumerate(
+                zip(
+                    names,
+                    widths.tolist(),
+                    heights.tolist(),
+                    fixed.tolist(),
+                    movebound,
+                )
             )
         ]
         self._cell_by_name.update(
             (c.name, c.index) for c in new_cells
         )
-        if len(self._cell_by_name) != base + n:
-            raise ValueError("duplicate cell name in bulk add_cells")
         self.cells.extend(new_cells)
         self.x = np.concatenate([self.x, xs])
         self.y = np.concatenate([self.y, ys])
@@ -350,17 +362,36 @@ class Netlist:
             )
         return self._hpwl_cache
 
-    def hpwl(self) -> float:
-        """Weighted half-perimeter wirelength of the current placement."""
-        ptr, pin_cell, off_x, off_y, weights = self._hpwl_arrays()
-        if len(weights) == 0:
-            return 0.0
+    def net_spans(self, rows=None) -> np.ndarray:
+        """Half-perimeter ``dx + dy`` of each net with two or more pins
+        (the ``_hpwl_arrays`` layout), or of the given rows of it only —
+        the same floats either way, so a span vector patched row-wise
+        dots to the bits :meth:`hpwl` returns."""
+        ptr, pin_cell, off_x, off_y, _weights = self._hpwl_arrays()
+        if rows is not None:
+            ptr, idx = self._row_pins(rows)
+            pin_cell, off_x, off_y = pin_cell[idx], off_x[idx], off_y[idx]
+        if len(ptr) == 0:
+            return np.zeros(0)
         on_cell = pin_cell >= 0
         px = np.where(on_cell, self.x[pin_cell] + off_x, off_x)
         py = np.where(on_cell, self.y[pin_cell] + off_y, off_y)
         dx = np.maximum.reduceat(px, ptr) - np.minimum.reduceat(px, ptr)
         dy = np.maximum.reduceat(py, ptr) - np.minimum.reduceat(py, ptr)
-        return float(np.dot(weights, dx + dy))
+        return dx + dy
+
+    def span_layout(self) -> tuple:
+        """``(weights, row_of_net)`` of the :meth:`net_spans` vector:
+        the weight of each row, and each net's row (-1 for the nets
+        with fewer than two pins, which have none)."""
+        return self._hpwl_arrays()[4], self._net_rows()
+
+    def hpwl(self) -> float:
+        """Weighted half-perimeter wirelength of the current placement."""
+        weights = self._hpwl_arrays()[4]
+        if len(weights) == 0:
+            return 0.0
+        return float(np.dot(weights, self.net_spans()))
 
     def nets_of_cell(self) -> list:
         """Cached net indices incident to each cell (topological)."""
@@ -394,6 +425,13 @@ class Netlist:
             self._cell_nets_csr_cache = (start, ids)
         return self._cell_nets_csr_cache
 
+    def nets_of_cells(self, cells) -> np.ndarray:
+        """Ascending indices of the nets incident to any of ``cells``."""
+        start, ids = self.cell_nets_csr()
+        ci = np.asarray(cells, dtype=np.int64)
+        _first, gather = _ranges(start[ci], start[ci + 1] - start[ci])
+        return np.unique(ids[gather])
+
     def _net_rows(self) -> np.ndarray:
         """Net index -> row in the ``_hpwl_arrays`` layout (degree < 2
         nets, which that layout drops, map to -1)."""
@@ -407,34 +445,27 @@ class Netlist:
             self._net_row_cache = rows
         return self._net_row_cache
 
+    def _row_pins(self, rows: np.ndarray) -> tuple:
+        """``(ptr, idx)``: the pins of the given ``_hpwl_arrays`` rows,
+        ``idx`` gathering them out of the flat pin arrays and ``ptr``
+        marking where each row starts in the gathered order."""
+        ptr, pin_cell = self._hpwl_arrays()[:2]
+        last = len(ptr) - 1
+        ends = np.where(
+            rows < last, ptr[np.minimum(rows + 1, last)], len(pin_cell)
+        )
+        return _ranges(ptr[rows], ends - ptr[rows])
+
     def net_subset_arrays(self, net_indices) -> tuple:
         """``_hpwl_arrays``-layout flat pin arrays restricted to the
         given (ascending) net indices, extracted by pure array gathers
         from the cached global arrays — value-identical to rebuilding
         the subset net by net."""
-        ptr, pin_cell, off_x, off_y, weights = self._hpwl_arrays()
+        _ptr, pin_cell, off_x, off_y, weights = self._hpwl_arrays()
         rows = self._net_rows()[np.asarray(net_indices, dtype=np.int64)]
         rows = rows[rows >= 0]
-        n_rows = len(ptr)
-        starts = ptr[rows]
-        ends = np.where(
-            rows + 1 < n_rows,
-            ptr[np.minimum(rows + 1, n_rows - 1)],
-            len(pin_cell),
-        )
-        counts = ends - starts
-        total = int(counts.sum())
-        idx = np.repeat(
-            starts - (np.cumsum(counts) - counts), counts
-        ) + np.arange(total)
-        sub_ptr = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        return (
-            sub_ptr.astype(np.int64, copy=False),
-            pin_cell[idx],
-            off_x[idx],
-            off_y[idx],
-            weights[rows],
-        )
+        sub_ptr, idx = self._row_pins(rows)
+        return sub_ptr, pin_cell[idx], off_x[idx], off_y[idx], weights[rows]
 
     def total_cell_area(self) -> float:
         return sum(c.size for c in self.cells)

@@ -17,6 +17,7 @@ from repro.obs.invariants import (
     ENV_VAR,
     InvariantViolation,
     check_flow_conservation,
+    check_hpwl_threaded,
     check_movebound_containment,
     check_region_capacity,
     checking,
@@ -60,6 +61,7 @@ __all__ = [
     "check_flow_conservation",
     "check_region_capacity",
     "check_movebound_containment",
+    "check_hpwl_threaded",
     # reporting
     "STATS_SCHEMA",
     "stats_payload",

@@ -14,6 +14,10 @@ supposed to maintain; this module turns each into an executable check:
   assigned to a region must sit geometrically inside its movebound's
   area.
 
+A fourth check guards an optimisation rather than the paper: the
+reflow's **threaded HPWL** must equal a whole-netlist recomputation
+after every block.
+
 All checks are *disabled by default* and cost one dict lookup + one
 ``os.environ`` read per call site when off.  Enable them with the
 ``REPRO_CHECK_INVARIANTS=1`` environment variable (any of ``1``,
@@ -51,6 +55,7 @@ __all__ = [
     "check_flow_conservation",
     "check_region_capacity",
     "check_movebound_containment",
+    "check_hpwl_threaded",
 ]
 
 #: Environment variable gating all invariant checks.
@@ -248,4 +253,17 @@ def check_movebound_containment(
             "movebound.containment",
             f"cell {cell.name!r} at ({x:.4g}, {y:.4g}) lies outside "
             f"movebound {cell.movebound!r}",
+        )
+
+
+@register("reflow.hpwl_threaded")
+def check_hpwl_threaded(netlist, threaded: float) -> None:
+    """The HPWL a reflow pass threads through its blocks (per-net spans
+    patched for the nets on moved cells) equals the whole-netlist
+    recomputation bit for bit — the pass gates on it."""
+    fresh = netlist.hpwl()
+    if fresh != threaded:
+        _fail(
+            "reflow.hpwl_threaded",
+            f"threaded HPWL {threaded!r} != recomputed {fresh!r}",
         )

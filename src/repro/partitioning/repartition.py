@@ -5,26 +5,41 @@ blocks of neighboring windows (2x2 or 3x3): run a local QP with outside
 cells fixed, then re-run the movebound-aware transportation over the
 block's regions.  The paper calls these steps "time-consuming" and
 positions FBP as removing the *need* for them — this module exists for
-the ablation benchmark quantifying exactly that trade-off.
+the ablation benchmark quantifying exactly that trade-off.  Measured
+(docs/performance.md, "Global placement's scalar tail"): one pass over
+the 229 blocks of a 12.5k-cell placement takes 1.2 s — 1.8 s before
+its HPWL gate and the transportation's overflow repair went onto
+arrays — against 0.8 s for all five MinCostFlow solves of that
+``place``.
+
+The HPWL gate of a pass is threaded: it keeps the per-net span vector
+of :meth:`Netlist.net_spans`, recomputes only the rows of nets on cells
+a block moved and takes the same weighted dot product over the same
+floats as :meth:`Netlist.hpwl` — no decision can differ from gating on
+a whole-netlist recomputation.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.fbp.model import fixed_cell_usage
 from repro.fbp.realization import _spread_into_rects
 from repro.flows.warmstart import WarmStartSlot
-from repro.obs import incr
+from repro.obs import incr, maybe_check
 from repro.geometry import RectSet
 from repro.grid import Grid
 from repro.movebounds import MoveBoundSet
 from repro.netlist import Netlist
-from repro.partitioning.transport import TransportTargets, partition_cells
+from repro.partitioning.transport import (
+    PartitionOutcome,
+    TransportTargets,
+    partition_cells,
+)
 from repro.qp import QPOptions, solve_qp
 
 
@@ -34,6 +49,114 @@ class RepartitionReport:
     blocks_improved: int = 0
     hpwl_before: float = 0.0
     hpwl_after: float = 0.0
+
+
+def _cells_by_window(
+    netlist: Netlist, grid: Grid
+) -> Tuple[np.ndarray, Dict[int, List[int]]]:
+    """``(cell_window, window_cells)``: the window of every cell, and
+    per window its movable cells — grouped with one stable argsort, so
+    ascending cell index within each window, exactly the order a scan
+    over ``netlist.cells`` would append them in."""
+    cell_window = grid.assign_cells(netlist)
+    window_cells: Dict[int, List[int]] = {}
+    movable = np.nonzero(~netlist.fixed_mask)[0]
+    if len(movable):
+        wins = cell_window[movable]
+        order = np.argsort(wins, kind="stable")
+        sw = wins[order]
+        sc = movable[order]
+        starts = np.nonzero(np.r_[True, sw[1:] != sw[:-1]])[0]
+        ends = np.r_[starts[1:], len(sw)]
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            window_cells[int(sw[s])] = sc[s:e].tolist()
+    return cell_window, window_cells
+
+
+def _block(grid: Grid, window_cells, bx: int, by: int, block_size: int):
+    """The windows of the block at origin ``(bx, by)`` and their cells."""
+    block = [
+        grid.window(ix, iy)
+        for iy in range(by, min(by + block_size, grid.ny))
+        for ix in range(bx, min(bx + block_size, grid.nx))
+    ]
+    cells: List[int] = []
+    for w in block:
+        cells.extend(window_cells.get(w.index, ()))
+    return block, cells
+
+
+def _local_qp(netlist: Netlist, cells: List[int]) -> dict:
+    """``solve_qp`` keywords of a block's local QP: only the block's
+    cells movable, only the nets incident to them."""
+    mask = np.zeros(netlist.num_cells, dtype=bool)
+    mask[cells] = True
+    net_ids = netlist.nets_of_cells(cells)
+    return {
+        "movable_mask": mask,
+        "nets": [netlist.nets[i] for i in net_ids.tolist()],
+        "flat": netlist.net_subset_arrays(net_ids),
+    }
+
+
+def _partition_block(
+    netlist: Netlist,
+    grid: Grid,
+    block,
+    cells: List[int],
+    origin: Tuple[int, int],
+    usage: Dict,
+    density_target: float,
+    transport_method: str,
+    warm_slots: Optional[Dict],
+) -> Optional[PartitionOutcome]:
+    """Re-run the movebound-aware transportation of ``cells`` over the
+    block's regions and spread each region's cells into its area.
+    None when the block has no free capacity or the transportation is
+    infeasible (positions are then as the caller left them)."""
+    keys: List[object] = []
+    caps: List[float] = []
+    areas: List[RectSet] = []
+    admits = []
+    for w in block:
+        for wr in w.regions:
+            cap = wr.capacity(density_target) - usage.get(
+                (w.index, wr.region.index), 0.0
+            )
+            if cap <= 0:
+                continue
+            keys.append((w.index, wr))
+            caps.append(cap)
+            areas.append(
+                wr.free_area if not wr.free_area.is_empty else wr.area
+            )
+            admits.append(wr.admits)
+    if not keys:
+        return None
+    slot = None
+    if warm_slots is not None:
+        slot = warm_slots.setdefault(
+            (grid.nx, grid.ny) + origin, WarmStartSlot()
+        )
+    outcome = partition_cells(
+        netlist,
+        cells,
+        TransportTargets(keys, np.array(caps), areas, admits),
+        method=transport_method,
+        warm_slot=slot,
+    )
+    if not outcome.feasible:
+        return None
+    groups: Dict[int, List[int]] = {}
+    key_of: Dict[int, tuple] = {}
+    for cell, key in outcome.assignment.items():
+        groups.setdefault(id(key), []).append(cell)
+        key_of[id(key)] = key
+    for gid, group in groups.items():
+        _w, wr = key_of[gid]
+        rects = list(wr.free_area if not wr.free_area.is_empty else wr.area)
+        _spread_into_rects(netlist, group, rects)
+    return outcome
 
 
 def repartition_pass(
@@ -57,60 +180,27 @@ def repartition_pass(
     warm-start each block's transportation solve from the previous
     pass's basis (reverted blocks re-solve an identical instance, so
     the warm basis is already optimal)."""
-    report = RepartitionReport(hpwl_before=netlist.hpwl())
     # threaded HPWL: a block either keeps its improved placement (its
-    # ``after`` is the new current value) or restores the byte-equal
-    # snapshot (the value is unchanged), so each block's ``before`` is
-    # the running value — recomputing it would yield identical bits
-    current_hpwl = report.hpwl_before
+    # span vector and ``after`` become the current ones) or restores
+    # the byte-equal snapshot (both are unchanged)
+    weights, row_of_net = netlist.span_layout()
+    spans = netlist.net_spans()
+    current_hpwl = float(np.dot(weights, spans))
+    report = RepartitionReport(hpwl_before=current_hpwl)
     usage = fixed_cell_usage(netlist, grid)
     qp_opts = qp_options or QPOptions()
-
-    cn_start, cn_ids = netlist.cell_nets_csr()
-
-    cell_window = grid.assign_cells(netlist)
-    # grouped with one stable argsort over the movable cells: ascending
-    # cell index within each window, exactly the order a scan over
-    # netlist.cells would append them in
-    window_cells: Dict[int, List[int]] = {}
-    movable = np.nonzero(~netlist.fixed_mask)[0]
-    if len(movable):
-        wins = cell_window[movable]
-        order = np.argsort(wins, kind="stable")
-        sw = wins[order]
-        sc = movable[order]
-        starts = np.nonzero(np.r_[True, sw[1:] != sw[:-1]])[0]
-        ends = np.r_[starts[1:], len(sw)]
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            window_cells[int(sw[s])] = sc[s:e].tolist()
+    cell_window, window_cells = _cells_by_window(netlist, grid)
 
     for by in range(0, grid.ny, block_size):
         for bx in range(0, grid.nx, block_size):
-            block = [
-                grid.window(ix, iy)
-                for iy in range(by, min(by + block_size, grid.ny))
-                for ix in range(bx, min(bx + block_size, grid.nx))
-            ]
-            cells: List[int] = []
-            for w in block:
-                cells.extend(window_cells.get(w.index, ()))
+            block, cells = _block(grid, window_cells, bx, by, block_size)
             if not cells or len(cells) > cell_limit:
                 continue
             report.blocks_processed += 1
             snapshot = netlist.snapshot()
-            before = current_hpwl
 
             if run_local_qp:
-                mask = np.zeros(netlist.num_cells, dtype=bool)
-                mask[cells] = True
-                ci = np.asarray(cells, dtype=np.int64)
-                counts = cn_start[ci + 1] - cn_start[ci]
-                gather = np.repeat(
-                    cn_start[ci] - (np.cumsum(counts) - counts), counts
-                ) + np.arange(int(counts.sum()))
-                net_ids = np.unique(cn_ids[gather])
-                local_nets = [netlist.nets[i] for i in net_ids.tolist()]
-                flat = netlist.net_subset_arrays(net_ids)
+                local = _local_qp(netlist, cells)
                 # exact-instance memo for the local QP: its output is a
                 # pure function of the block cells and the positions of
                 # every cell on their nets, so a block whose
@@ -121,10 +211,11 @@ def repartition_pass(
                 if warm_slots is not None:
                     # cells on the block's degree>=2 nets; pins of the
                     # block's degree<2 nets sit on block cells already
-                    pc = flat[1]
+                    ci = np.asarray(cells, dtype=np.int64)
+                    pc = local["flat"][1]
                     inv = np.unique(np.concatenate([ci, pc[pc >= 0]]))
                     h = hashlib.sha256()
-                    h.update(np.asarray(cells, dtype=np.int64).tobytes())
+                    h.update(ci.tobytes())
                     h.update(inv.tobytes())
                     h.update(np.ascontiguousarray(netlist.x[inv]).tobytes())
                     h.update(np.ascontiguousarray(netlist.y[inv]).tobytes())
@@ -138,13 +229,7 @@ def repartition_pass(
                     netlist.y[cells] = memo[2]
                     incr("warmstart.block_qp_hits")
                 else:
-                    solve_qp(
-                        netlist,
-                        qp_opts,
-                        movable_mask=mask,
-                        nets=local_nets,
-                        flat=flat,
-                    )
+                    solve_qp(netlist, qp_opts, **local)
                     if digest is not None:
                         warm_slots[qp_key] = (
                             digest,
@@ -152,56 +237,25 @@ def repartition_pass(
                             netlist.y[cells].copy(),
                         )
 
-            keys: List[object] = []
-            caps: List[float] = []
-            areas: List[RectSet] = []
-            admits = []
-            for w in block:
-                for wr in w.regions:
-                    cap = wr.capacity(density_target) - usage.get(
-                        (w.index, wr.region.index), 0.0
-                    )
-                    if cap <= 0:
-                        continue
-                    keys.append((w.index, wr))
-                    caps.append(cap)
-                    areas.append(
-                        wr.free_area if not wr.free_area.is_empty else wr.area
-                    )
-                    admits.append(wr.admits)
-            if not keys:
-                netlist.restore(snapshot)
-                continue
-            slot = None
-            if warm_slots is not None:
-                slot = warm_slots.setdefault(
-                    (grid.nx, grid.ny, bx, by), WarmStartSlot()
-                )
-            outcome = partition_cells(
-                netlist,
-                cells,
-                TransportTargets(keys, np.array(caps), areas, admits),
-                method=transport_method,
-                warm_slot=slot,
+            outcome = _partition_block(
+                netlist, grid, block, cells, (bx, by), usage,
+                density_target, transport_method, warm_slots,
             )
-            if not outcome.feasible:
+            if outcome is None:
                 netlist.restore(snapshot)
                 continue
-            groups: Dict[int, List[int]] = {}
-            key_of: Dict[int, tuple] = {}
-            for cell, key in outcome.assignment.items():
-                groups.setdefault(id(key), []).append(cell)
-                key_of[id(key)] = key
-            for gid, group in groups.items():
-                _w, wr = key_of[gid]
-                rects = list(
-                    wr.free_area if not wr.free_area.is_empty else wr.area
-                )
-                _spread_into_rects(netlist, group, rects)
             netlist.clamp_into_die()
-            after = netlist.hpwl()
-            if after < before:
-                current_hpwl = after
+            moved = np.nonzero(
+                (netlist.x != snapshot.x) | (netlist.y != snapshot.y)
+            )[0]
+            rows = row_of_net[netlist.nets_of_cells(moved)]
+            rows = rows[rows >= 0]
+            trial = spans.copy()
+            trial[rows] = netlist.net_spans(rows)
+            after = float(np.dot(weights, trial))
+            maybe_check("reflow.hpwl_threaded", netlist, after)
+            if after < current_hpwl:
+                spans, current_hpwl = trial, after
                 report.blocks_improved += 1
                 for cell, key in outcome.assignment.items():
                     widx, _wr = key
@@ -212,7 +266,9 @@ def repartition_pass(
             else:
                 netlist.restore(snapshot)
 
-    report.hpwl_after = netlist.hpwl()
+    report.hpwl_after = current_hpwl
+    incr("repartition.blocks_processed", report.blocks_processed)
+    incr("repartition.blocks_improved", report.blocks_improved)
     return report
 
 
@@ -241,98 +297,22 @@ def enforce_blocks(
     """
     usage = fixed_cell_usage(netlist, grid)
     qp_opts = qp_options or QPOptions()
-    cn_start, cn_ids = netlist.cell_nets_csr()
-
-    cell_window = grid.assign_cells(netlist)
-    window_cells: Dict[int, List[int]] = {}
-    movable = np.nonzero(~netlist.fixed_mask)[0]
-    if len(movable):
-        wins = cell_window[movable]
-        order = np.argsort(wins, kind="stable")
-        sw = wins[order]
-        sc = movable[order]
-        starts = np.nonzero(np.r_[True, sw[1:] != sw[:-1]])[0]
-        ends = np.r_[starts[1:], len(sw)]
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            window_cells[int(sw[s])] = sc[s:e].tolist()
+    _cell_window, window_cells = _cells_by_window(netlist, grid)
 
     processed = 0
     for bx, by in sorted(blocks):
-        block = [
-            grid.window(ix, iy)
-            for iy in range(by, min(by + block_size, grid.ny))
-            for ix in range(bx, min(bx + block_size, grid.nx))
-        ]
-        cells: List[int] = []
-        for w in block:
-            cells.extend(window_cells.get(w.index, ()))
+        block, cells = _block(grid, window_cells, bx, by, block_size)
         if not cells:
             continue
         processed += 1
-
         if run_local_qp and len(cells) <= cell_limit:
-            mask = np.zeros(netlist.num_cells, dtype=bool)
-            mask[cells] = True
-            ci = np.asarray(cells, dtype=np.int64)
-            counts = cn_start[ci + 1] - cn_start[ci]
-            gather = np.repeat(
-                cn_start[ci] - (np.cumsum(counts) - counts), counts
-            ) + np.arange(int(counts.sum()))
-            net_ids = np.unique(cn_ids[gather])
-            local_nets = [netlist.nets[i] for i in net_ids.tolist()]
-            flat = netlist.net_subset_arrays(net_ids)
-            solve_qp(
-                netlist,
-                qp_opts,
-                movable_mask=mask,
-                nets=local_nets,
-                flat=flat,
-            )
-
-        keys: List[object] = []
-        caps: List[float] = []
-        areas: List[RectSet] = []
-        admits = []
-        for w in block:
-            for wr in w.regions:
-                cap = wr.capacity(density_target) - usage.get(
-                    (w.index, wr.region.index), 0.0
-                )
-                if cap <= 0:
-                    continue
-                keys.append((w.index, wr))
-                caps.append(cap)
-                areas.append(
-                    wr.free_area if not wr.free_area.is_empty else wr.area
-                )
-                admits.append(wr.admits)
-        if not keys:
-            return False
-        slot = None
-        if warm_slots is not None:
-            slot = warm_slots.setdefault(
-                (grid.nx, grid.ny, bx, by), WarmStartSlot()
-            )
-        outcome = partition_cells(
-            netlist,
-            cells,
-            TransportTargets(keys, np.array(caps), areas, admits),
-            method=transport_method,
-            warm_slot=slot,
+            solve_qp(netlist, qp_opts, **_local_qp(netlist, cells))
+        outcome = _partition_block(
+            netlist, grid, block, cells, (bx, by), usage,
+            density_target, transport_method, warm_slots,
         )
-        if not outcome.feasible:
+        if outcome is None:
             return False
-        groups: Dict[int, List[int]] = {}
-        key_of: Dict[int, tuple] = {}
-        for cell, key in outcome.assignment.items():
-            groups.setdefault(id(key), []).append(cell)
-            key_of[id(key)] = key
-        for gid, group in groups.items():
-            _w, wr = key_of[gid]
-            rects = list(
-                wr.free_area if not wr.free_area.is_empty else wr.area
-            )
-            _spread_into_rects(netlist, group, rects)
 
     netlist.clamp_into_die()
     incr("repartition.blocks_enforced", processed)

@@ -11,7 +11,9 @@ movebound admissibility:
 solved as an unbalanced transportation problem and rounded to an
 almost-integral assignment (at most |targets| - 1 split cells in the
 fractional optimum; whole-cell rounding may overflow a target by at
-most one cell).
+most one cell).  The overflow is then repaired by relocating whole
+cells (:func:`_repair_overflow`): an array pass per eviction that takes
+the decisions of a scan over every (member, target) pair, in its order.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.flows import (
 from repro.geometry import RectSet
 from repro.movebounds import DEFAULT_BOUND
 from repro.netlist import Netlist
+from repro.obs import incr
 from repro.resilience.errors import InfeasibleInputError
 
 
@@ -199,79 +202,103 @@ def _repair_overflow(
 ) -> float:
     """Relocate whole cells out of overfull targets into admissible
     targets with slack, cheapest extra cost first.  Returns the
-    remaining maximum overflow (0 when fully repaired)."""
+    remaining maximum overflow (0 when fully repaired).
+
+    Array form of a scan over (member of j) x (target): ``bincount``
+    adds the supplies in cell order, and the first minimum of the
+    row-major masked extra-cost matrix is the pair a strict ``<`` scan
+    in member-list order keeps — so member lists keep their append
+    order, it is the tie-break."""
     k = len(caps)
-    load = np.zeros(k)
-    for a, j in enumerate(assignment):
-        load[j] += supplies[a]
-    members: Dict[int, List[int]] = {}
-    for a, j in enumerate(assignment):
-        members.setdefault(int(j), []).append(a)
+    load = np.bincount(assignment, weights=supplies, minlength=k)
+    limit = caps + 1e-9
+    admissible = np.isfinite(costs)
+    by_target = np.argsort(assignment, kind="stable")
+    cuts = np.searchsorted(assignment[by_target], np.arange(1, k))
+    members = [m.tolist() for m in np.split(by_target, cuts)]
+    evictions = cascades = 0
+
+    def move(a: int, src: int, dst: int) -> None:
+        assignment[a] = dst
+        members[src].remove(a)
+        members[dst].append(a)
+        load[src] -= supplies[a]
+        load[dst] += supplies[a]
+
     for j in range(k):
         guard = 0
-        while load[j] > caps[j] + 1e-9 and guard < 10000:
+        while load[j] > limit[j] and guard < 10000:
             guard += 1
-            best: Optional[Tuple[float, int, int]] = None
-            for a in members.get(j, ()):  # candidates to evict
-                for t in range(k):
-                    if t == j or not np.isfinite(costs[a, t]):
-                        continue
-                    if load[t] + supplies[a] > caps[t] + 1e-9:
-                        continue
-                    extra = costs[a, t] - costs[a, j]
-                    if best is None or extra < best[0]:
-                        best = (extra, a, t)
-            if best is None:
+            own = np.asarray(members[j], dtype=np.int64)
+            room = admissible[own] & ~(
+                load + supplies[own][:, None] > limit
+            )
+            room[:, j] = False
+            if room.any():
+                extra = np.full(room.shape, np.inf)
+                np.subtract(
+                    costs[own], costs[own, j][:, None], out=extra, where=room
+                )
+                pick, t = divmod(int(np.argmin(extra)), k)
+                a = int(own[pick])
+            else:
                 # cascade: make room in some admissible target t by
                 # first moving one of t's members elsewhere (default
                 # cells crowding a movebound region are the usual case)
                 cascade = _find_cascade(
-                    j, members, assignment, supplies, caps, costs, load
+                    j, members, supplies, caps, limit, admissible, load
                 )
                 if cascade is None:
                     break  # genuinely stuck; leave the overflow
-                (m, t_of_m, u), (a, t) = cascade
-                assignment[m] = u
-                members[t_of_m].remove(m)
-                members.setdefault(u, []).append(m)
-                load[t_of_m] -= supplies[m]
-                load[u] += supplies[m]
-                best = (0.0, a, t)
-            _extra, a, t = best
-            assignment[a] = t
-            members[j].remove(a)
-            members.setdefault(t, []).append(a)
-            load[j] -= supplies[a]
-            load[t] += supplies[a]
-    return float(np.max(np.maximum(load - caps, 0.0), initial=0.0))
+                (m, t, u), a = cascade
+                move(m, t, u)
+                cascades += 1
+            move(a, j, t)
+            evictions += 1
+    overflow = float(np.max(np.maximum(load - caps, 0.0), initial=0.0))
+    incr("partition.repair.calls")
+    incr("partition.repair.moves", evictions + cascades)
+    incr("partition.repair.cascades", cascades)
+    incr("partition.repair.stuck", int(overflow > 0))
+    return overflow
 
 
 def _find_cascade(
     j: int,
-    members: Dict[int, List[int]],
-    assignment: np.ndarray,
+    members: List[List[int]],
     supplies: np.ndarray,
     caps: np.ndarray,
-    costs: np.ndarray,
+    limit: np.ndarray,
+    admissible: np.ndarray,
     load: np.ndarray,
 ):
     """Find a two-step repair: member m of target t moves to u (which
     has slack), freeing room in t for a cell a of the overfull j.
-    Returns ``((m, t, u), (a, t))`` or None."""
-    k = len(caps)
-    for a in sorted(members.get(j, ()), key=lambda a: supplies[a]):
-        for t in range(k):
-            if t == j or not np.isfinite(costs[a, t]):
+    Returns ``((m, t, u), a)`` or None.
+
+    Cells of j and members of t are tried smallest supply first (stable,
+    so equal supplies keep list order), targets ascending; per t the
+    sorted members and their slack targets are worked out once."""
+    prepared: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    own = np.asarray(members[j], dtype=np.int64)
+    for a in own[np.argsort(supplies[own], kind="stable")].tolist():
+        for t in np.nonzero(admissible[a])[0].tolist():
+            if t == j:
                 continue
             deficit = load[t] + supplies[a] - caps[t]
             if deficit <= 1e-9:
                 continue  # direct move possible; handled by caller
-            for m in sorted(members.get(t, ()), key=lambda m: supplies[m]):
-                if supplies[m] + 1e-9 < deficit:
-                    continue
-                for u in range(k):
-                    if u in (t, j) or not np.isfinite(costs[m, u]):
-                        continue
-                    if load[u] + supplies[m] <= caps[u] + 1e-9:
-                        return ((m, t, u), (a, t))
+            if t not in prepared:
+                ms = np.asarray(members[t], dtype=np.int64)
+                ms = ms[np.argsort(supplies[ms], kind="stable")]
+                room = admissible[ms] & (
+                    load + supplies[ms][:, None] <= limit
+                )
+                room[:, [t, j]] = False
+                prepared[t] = (ms, room, room.any(axis=1))
+            ms, room, has_room = prepared[t]
+            big_enough = has_room & ~(supplies[ms] + 1e-9 < deficit)
+            if big_enough.any():
+                pick = int(np.argmax(big_enough))
+                return (int(ms[pick]), t, int(np.argmax(room[pick]))), a
     return None

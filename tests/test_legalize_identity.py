@@ -297,15 +297,25 @@ CLI_CASES = {
 }
 
 
-def run_cli_case(name: str, tmp: str) -> dict:
-    """`python -m repro place` on a generated Bookshelf fixture; the
-    written ``.pl`` is what users see."""
+def _pinned_env() -> dict:
     env = dict(os.environ)
     import repro
 
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    return env
+
+
+def _pl_sha(out: str, design: str) -> str:
+    with open(os.path.join(out, f"{design}.pl"), "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def run_cli_case(name: str, tmp: str) -> dict:
+    """`python -m repro place` on a generated Bookshelf fixture; the
+    written ``.pl`` is what users see."""
+    env = _pinned_env()
     design = CLI_CASES[name][1]
     base = [sys.executable, "-m", "repro"]
     subprocess.run(
@@ -317,8 +327,47 @@ def run_cli_case(name: str, tmp: str) -> dict:
         base + ["place", design, "--dir", tmp, "--out", out],
         check=True, env=env, capture_output=True,
     )
-    with open(os.path.join(out, f"{design}.pl"), "rb") as f:
-        return {"pl_sha": hashlib.sha256(f.read()).hexdigest()}
+    return {"pl_sha": _pl_sha(out, design)}
+
+
+# global placement only (``legalize=False``): what the benchmark's
+# ``global12k`` op runs — FBP realization with external flow, the
+# rounded-transportation repair and the final reflow, no legalizer
+GLOBAL_CASES = {
+    "global_flat": ["generate", "Dagmar", "--seed", "2"],
+    "global_movebounds": ["generate", "Rabe", "--movebounds", "--seed", "1"],
+}
+
+_GLOBAL_PLACE = """
+import sys
+from repro.bookshelf import load_instance, save_instance
+from repro.obs import get_tracer
+from repro.place.bonnplace import BonnPlaceFBP, BonnPlaceOptions
+
+directory, design, out = sys.argv[1:]
+netlist, bounds = load_instance(directory, design)
+BonnPlaceFBP(BonnPlaceOptions(legalize=False)).place(netlist, bounds)
+save_instance(out, netlist, bounds)
+print(int(get_tracer().counters.get("realize.arcs_realized", 0)))
+"""
+
+
+def run_global_case(name: str, tmp: str) -> dict:
+    env = _pinned_env()
+    design = GLOBAL_CASES[name][1]
+    subprocess.run(
+        [sys.executable, "-m", "repro"] + GLOBAL_CASES[name] + ["--out", tmp],
+        check=True, env=env, capture_output=True,
+    )
+    out = os.path.join(tmp, "out")
+    done = subprocess.run(
+        [sys.executable, "-c", _GLOBAL_PLACE, tmp, design, out],
+        check=True, env=env, capture_output=True, text=True,
+    )
+    return {
+        "pl_sha": _pl_sha(out, design),
+        "arcs_realized": int(done.stdout.split()[-1]),
+    }
 
 
 def _golden() -> dict:
@@ -364,6 +413,11 @@ def test_cli_place_pl_reproduces_golden(name, tmp_path):
     assert_golden(run_cli_case(name, str(tmp_path)), "cli", name)
 
 
+@pytest.mark.parametrize("name", sorted(GLOBAL_CASES))
+def test_global_place_pl_reproduces_golden(name, tmp_path):
+    assert_golden(run_global_case(name, str(tmp_path)), "global", name)
+
+
 def test_golden_cases_are_not_vacuous():
     """Every kind of decision is actually taken somewhere."""
     golden = _golden()["detailed"]
@@ -381,6 +435,8 @@ def test_golden_cases_are_not_vacuous():
     assert abacus["fragmented_radius4"]["sha"] != (
         abacus["fragmented_radius24"]["sha"]
     )
+    # both global fixtures ship cells over window boundaries
+    assert all(g["arcs_realized"] > 0 for g in _golden()["global"].values())
 
 
 def test_median_target_counts_duplicate_pins():
@@ -417,10 +473,15 @@ def record() -> None:
         "detailed": {n: run_detailed_case(n) for n in sorted(DETAILED_CASES)},
         "abacus": {n: run_abacus_case(n) for n in sorted(ABACUS_CASES)},
         "cli": {},
+        "global": {},
     }
-    for name in sorted(CLI_CASES):
-        with tempfile.TemporaryDirectory() as tmp:
-            golden["cli"][name] = run_cli_case(name, tmp)
+    for kind, cases, run in (
+        ("cli", CLI_CASES, run_cli_case),
+        ("global", GLOBAL_CASES, run_global_case),
+    ):
+        for name in sorted(cases):
+            with tempfile.TemporaryDirectory() as tmp:
+                golden[kind][name] = run(name, tmp)
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w") as f:
         json.dump(golden, f, indent=1, sort_keys=True)

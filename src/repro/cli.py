@@ -28,6 +28,7 @@ from typing import Optional
 
 from repro.bookshelf import load_instance, save_instance
 from repro.feasibility import check_feasibility
+from repro.flows import TRANSPORT_METHODS
 from repro.legalize import check_legality
 from repro.metrics import density_penalty
 from repro.obs import (
@@ -35,6 +36,7 @@ from repro.obs import (
     set_invariants_enabled,
     write_stats_json,
 )
+from repro.place import PLACERS
 from repro.resilience import (
     ReproError,
     SolverBudget,
@@ -44,24 +46,11 @@ from repro.resilience import (
 
 
 def _make_placer(name: str):
-    from repro.place import (
-        BonnPlaceFBP,
-        KraftwerkPlacer,
-        RecursivePlacer,
-        RQLPlacer,
-    )
-
-    placers = {
-        "fbp": BonnPlaceFBP,
-        "rql": RQLPlacer,
-        "kraftwerk": KraftwerkPlacer,
-        "recursive": RecursivePlacer,
-    }
-    if name not in placers:
+    if name not in PLACERS:
         raise SystemExit(
-            f"unknown placer {name!r}; choose from {sorted(placers)}"
+            f"unknown placer {name!r}; choose from {sorted(PLACERS)}"
         )
-    return placers[name]()
+    return PLACERS[name]()
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -103,10 +92,6 @@ def cmd_place(args: argparse.Namespace) -> int:
     if args.relax_infeasible and hasattr(placer, "options"):
         placer.options.relax_infeasible = True
     if hasattr(placer, "options"):
-        if args.no_warm_start:
-            placer.options.warm_start = False
-        if args.no_region_cache:
-            placer.options.region_cache = False
         if args.transport_method is not None:
             placer.options.transport_method = args.transport_method
         if args.shard_tiles is not None:
@@ -221,8 +206,7 @@ def cmd_replace(args: argparse.Namespace) -> int:
     print(
         f"eco {res.mode}: txn {res.txn_seq} delta {res.delta_digest} "
         f"HPWL {res.hpwl_pre:.1f} -> {res.hpwl_post:.1f} "
-        f"(frontier {res.frontier_windows} windows, "
-        f"{res.slots_dropped} warm slots dropped)"
+        f"(frontier {res.frontier_windows} windows)"
     )
     if res.fallback_reason:
         print(
@@ -392,8 +376,7 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument("instance")
     p.add_argument("--dir", default=".")
     p.add_argument("--out", default=None)
-    p.add_argument("--placer", default="fbp",
-                   choices=["fbp", "rql", "kraftwerk", "recursive"])
+    p.add_argument("--placer", default="fbp", choices=tuple(PLACERS))
     p.add_argument(
         "--relax-infeasible",
         action="store_true",
@@ -446,24 +429,11 @@ def main(argv: Optional[list] = None) -> int:
         "--pool-workers)",
     )
     p.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="disable network-simplex warm starts across same-topology "
-        "re-solves (warm and cold runs are bit-identical by contract; "
-        "this flag exists as an escape hatch and for A/B timing)",
-    )
-    p.add_argument(
-        "--no-region-cache",
-        action="store_true",
-        help="disable the cross-level region/geometry cache "
-        "(bit-identical by contract; escape hatch and A/B timing)",
-    )
-    p.add_argument(
         "--transport-method",
         default=None,
-        choices=["auto", "lp", "ns", "mcf"],
+        choices=TRANSPORT_METHODS,
         help="backend of the per-window/repartitioning transportation "
-        "solves (default auto = LP; ns enables warm starts)",
+        "solves (default auto = LP; ns = network simplex)",
     )
     p.add_argument(
         "--pool-task-timeout",
@@ -621,7 +591,7 @@ def main(argv: Optional[list] = None) -> int:
     sb.add_argument("--priority", type=int, default=0)
     sb.add_argument("--relax-infeasible", action="store_true")
     sb.add_argument("--transport-method", default=None,
-                    choices=["auto", "lp", "ns", "mcf"])
+                    choices=TRANSPORT_METHODS)
     sb.add_argument("--no-legalize", action="store_true")
     sb.add_argument("--density", type=float, default=None)
     sb.add_argument(

@@ -40,7 +40,7 @@ reader must quarantine.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.eco.delta import (
@@ -51,8 +51,6 @@ from repro.eco.delta import (
 )
 from repro.eco.journal import DeltaJournal, JournalEntry, placement_sha
 from repro.feasibility import check_feasibility
-from repro.flows.warmstart import drop_block_slots
-from repro.geometry import drop_scope
 from repro.movebounds import DEFAULT_BOUND, MoveBoundSet, decompose_regions
 from repro.netlist import Netlist, PlacementSnapshot
 from repro.obs import incr, span
@@ -114,7 +112,6 @@ class EcoResult:
     base_sha: str
     post_sha: str
     frontier_windows: int = 0
-    slots_dropped: int = 0
     fallback_reason: str = ""
     eco_seconds: float = 0.0
     placement: Optional[PlacerResult] = None
@@ -129,20 +126,9 @@ class EcoResult:
             "base_sha": self.base_sha,
             "post_sha": self.post_sha,
             "frontier_windows": self.frontier_windows,
-            "slots_dropped": self.slots_dropped,
             "fallback_reason": self.fallback_reason,
             "eco_seconds": self.eco_seconds,
         }
-
-
-@dataclass
-class _Frontier:
-    """Invalidation frontier: the finest-grid windows a delta touches
-    and the reflow blocks / geometry scope derived from them."""
-
-    windows: Set[Tuple[int, int]] = field(default_factory=set)
-    blocks: Set[Tuple[int, int]] = field(default_factory=set)
-    global_slots: bool = False
 
 
 class EcoEngine:
@@ -250,7 +236,6 @@ class EcoEngine:
                 )
 
         # ---- stage against shadow state -------------------------------
-        scope_pre = self.placer._geometry_scope(netlist, self.bounds)
         staged, old_bounds = self._apply_structural(delta)
 
         # ---- condition (1) feasibility witness on the patched state ---
@@ -285,20 +270,13 @@ class EcoEngine:
         if delta.is_noop:
             return self._commit(
                 delta, digest, base_sha, pre, hpwl_pre, hpwl_pre,
-                mode="noop", frontier=_Frontier(),
+                mode="noop", frontier=set(),
                 staged=staged, old_bounds=old_bounds,
             )
 
-        # ---- invalidation frontier ------------------------------------
+        # ---- frontier -------------------------------------------------
         frontier = self._frontier(delta)
-        dropped = drop_block_slots(
-            self.placer._reflow_slots,
-            None if frontier.global_slots else frontier.blocks,
-        )
-        scope_post = self.placer._geometry_scope(netlist, self.bounds)
-        if scope_post != scope_pre:
-            drop_scope(scope_pre)
-        incr("eco.frontier_windows", len(frontier.windows))
+        incr("eco.frontier_windows", len(frontier))
 
         # ---- incremental solve + verification -------------------------
         mode, reason, placement = "eco", "", None
@@ -308,9 +286,8 @@ class EcoEngine:
             # re-weighting and density changes have global effect, so
             # they take the full finest-level refine instead
             scoped = (
-                frontier.windows
-                if not frontier.global_slots
-                and delta.density_target is None
+                frontier
+                if not delta.net_weights and delta.density_target is None
                 else None
             )
             with ExitStack() as stack:
@@ -361,7 +338,7 @@ class EcoEngine:
             delta, digest, base_sha, pre, hpwl_pre, netlist.hpwl(),
             mode=mode, frontier=frontier, staged=staged,
             old_bounds=old_bounds, placement=placement,
-            slots_dropped=dropped, fallback_reason=reason,
+            fallback_reason=reason,
         )
 
     # -- internals ------------------------------------------------------
@@ -430,14 +407,11 @@ class EcoEngine:
         netlist.restore(pre)
         incr("eco.rollbacks")
 
-    def _frontier(self, delta: PlacementDelta) -> _Frontier:
+    def _frontier(self, delta: PlacementDelta) -> Set[Tuple[int, int]]:
         """Finest-grid windows the delta touches: windows intersecting
-        any new movebound rectangle plus the windows currently holding
-        re-assigned cells.  Reflow warm slots covering a touched window
-        are invalidated (their 2x2 block origin); a net re-weighting
-        invalidates *all* slots — the local-QP memo digests positions,
-        not weights, so a stale hit would no longer be bit-identical to
-        a cold solve."""
+        any new movebound rectangle, the windows currently holding
+        re-assigned cells, and the windows those cells are projected
+        into."""
         netlist = self.netlist
         die = netlist.die
         n = 2 ** self.placer.num_levels(netlist)
@@ -447,7 +421,7 @@ class EcoEngine:
         def _ix(v: float, lo: float, w: float) -> int:
             return min(n - 1, max(0, int((v - lo) / w)))
 
-        fr = _Frontier(global_slots=bool(delta.net_weights))
+        fr: Set[Tuple[int, int]] = set()
         for m in delta.movebounds:
             for (x_lo, y_lo, x_hi, y_hi) in m.rects:
                 for ix in range(
@@ -457,10 +431,10 @@ class EcoEngine:
                         _ix(y_lo, die.y_lo, wy),
                         _ix(y_hi, die.y_lo, wy) + 1,
                     ):
-                        fr.windows.add((ix, iy))
+                        fr.add((ix, iy))
         for idx in delta.touched_cells(netlist):
             x, y = float(netlist.x[idx]), float(netlist.y[idx])
-            fr.windows.add((_ix(x, die.x_lo, wx), _ix(y, die.y_lo, wy)))
+            fr.add((_ix(x, die.x_lo, wx), _ix(y, die.y_lo, wy)))
             # a re-assigned cell is projected into its (possibly
             # pre-existing) target bound before the scoped solve; its
             # destination window is part of the frontier too
@@ -474,14 +448,12 @@ class EcoEngine:
                     if best is None or d < best[0]:
                         best = (d, px, py)
                 if best is not None:
-                    fr.windows.add(
+                    fr.add(
                         (
                             _ix(best[1], die.x_lo, wx),
                             _ix(best[2], die.y_lo, wy),
                         )
                     )
-        # reflow blocks are 2x2 windows anchored at even origins
-        fr.blocks = {(ix - ix % 2, iy - iy % 2) for ix, iy in fr.windows}
         return fr
 
     def _verify(
@@ -522,11 +494,10 @@ class EcoEngine:
         hpwl_pre: float,
         hpwl_post: float,
         mode: str,
-        frontier: _Frontier,
+        frontier: Set[Tuple[int, int]],
         staged: StagedChanges,
         old_bounds: MoveBoundSet,
         placement: Optional[PlacerResult] = None,
-        slots_dropped: int = 0,
         fallback_reason: str = "",
     ) -> EcoResult:
         netlist = self.netlist
@@ -551,7 +522,7 @@ class EcoEngine:
             mode=mode,
             hpwl_pre=hpwl_pre,
             hpwl_post=hpwl_post,
-            frontier_windows=len(frontier.windows),
+            frontier_windows=len(frontier),
             context={"fallback_reason": fallback_reason}
             if fallback_reason
             else {},
@@ -579,8 +550,7 @@ class EcoEngine:
             hpwl_post=hpwl_post,
             base_sha=base_sha,
             post_sha=post_sha,
-            frontier_windows=len(frontier.windows),
-            slots_dropped=slots_dropped,
+            frontier_windows=len(frontier),
             fallback_reason=fallback_reason,
             placement=placement,
         )

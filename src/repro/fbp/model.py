@@ -122,7 +122,6 @@ class FBPModel:
         self,
         method: str = "auto",
         budget: Optional[SolverBudget] = None,
-        warm_slot=None,
     ) -> FlowResult:
         """Solve the MinCostFlow; ``result.feasible`` is Theorem 3.
 
@@ -131,13 +130,9 @@ class FBPModel:
         the fallback chain (ending in the Dinic-based transportation
         heuristic) still produces a feasibility answer.  The attempt
         log is available as ``result.attempts``.
-
-        ``warm_slot`` (a :class:`~repro.flows.warmstart.WarmStartSlot`)
-        lets repeated solves of the same model warm-start the network
-        simplex; backends other than ``ns`` ignore it.
         """
         solver = ResilientSolver.for_method(method, budget)
-        return solver.solve(self.problem, warm_slot=warm_slot)
+        return solver.solve(self.problem)
 
     def external_flows(
         self, result: FlowResult, tol: float = 1e-7
@@ -183,26 +178,9 @@ def fixed_cell_usage(
     from region capacities.  Blockages are already excluded from free
     areas; fixed *cells* (pre-placed macros) are handled here.
 
-    Fixed cells never move, so the result is a pure function of the
-    instance and the grid dimensions — with an active geometry cache
-    it is computed once per run and reused across levels and passes.
+    Each fixed cell is intersected with the free area of every
+    (window, region) piece of the windows its rectangle touches.
     """
-    from repro.geometry import active_cache
-
-    cache = active_cache()
-    if cache is not None:
-        cached = cache.get(("fixed_usage", grid.nx, grid.ny))
-        if cached is not None:
-            return dict(cached)
-    usage = _fixed_cell_usage_scan(netlist, grid)
-    if cache is not None:
-        cache.put(("fixed_usage", grid.nx, grid.ny), dict(usage))
-    return usage
-
-
-def _fixed_cell_usage_scan(
-    netlist: Netlist, grid: Grid
-) -> Dict[Tuple[int, int], float]:
     usage: Dict[Tuple[int, int], float] = {}
     for cell in netlist.cells:
         if not cell.fixed:

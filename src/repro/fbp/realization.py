@@ -320,8 +320,7 @@ def realize_flow(
 
     Mutates cell positions; returns accounting plus the final
     cell -> (window, region) assignment.  ``transport_method`` selects
-    the backend of the final per-window transportation solves
-    (``"ns"`` warm-starts relaxation-chain re-solves).
+    the backend of the final per-window transportation solves.
 
     ``realize_tiles`` controls the tile-parallel dispatch of the final
     per-window partitioning when a worker pool is active: ``None``

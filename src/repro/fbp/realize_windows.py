@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.flows import RELAX_CHAIN_WINDOW, round_almost_integral
 from repro.flows.transportation import solve_transportation_with_relaxation
-from repro.geometry import active_cache
 from repro.obs import incr
 
 __all__ = [
@@ -114,26 +113,15 @@ def _rects_array(rects) -> np.ndarray:
     return out
 
 
-def _window_rects(window, cache_key) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """(free_rects, spread_rects) arrays per region index of a window.
-
-    Pure function of the instance geometry, so it is memoized in the
-    active :class:`~repro.geometry.GeometryCache` (config-hash scoped:
-    any instance/option change that could alter region geometry changes
-    the scope, so stale entries are never looked up).
-    """
-    cache = active_cache()
-    if cache is not None:
-        hit = cache.get(cache_key)
-        if hit is not None:
-            return hit
+def _window_rects(window) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """(free_rects, spread_rects) arrays per region index of a window:
+    the free area, and the area cells are spread into (the free area,
+    or the whole region piece when nothing of it is free)."""
     out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for wr in window.regions:
         free = _rects_array(wr.free_area)
         spread = free if len(free) else _rects_array(wr.area)
         out[wr.region.index] = (free, spread)
-    if cache is not None:
-        cache.put(cache_key, out)
     return out
 
 
@@ -173,9 +161,7 @@ def build_window_specs(
                 for wr in regions
             ]
         )
-        rect_map = _window_rects(
-            window, ("realize_rects", grid.nx, grid.ny, widx)
-        )
+        rect_map = _window_rects(window)
         free_rects = tuple(
             rect_map[wr.region.index][0] for wr in regions
         )

@@ -28,6 +28,7 @@ from repro.flows.mincostflow import (
 from repro.flows.transportation import (
     RELAX_CHAIN_PARTITION,
     RELAX_CHAIN_WINDOW,
+    TRANSPORT_METHODS,
     TransportResult,
     TransportStats,
     round_almost_integral,
@@ -50,5 +51,6 @@ __all__ = [
     "solve_transportation_with_relaxation",
     "RELAX_CHAIN_WINDOW",
     "RELAX_CHAIN_PARTITION",
+    "TRANSPORT_METHODS",
     "round_almost_integral",
 ]

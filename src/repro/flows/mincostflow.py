@@ -260,7 +260,6 @@ class MinCostFlowProblem:
         self,
         method: str = "auto",
         budget: Optional[SolverBudget] = None,
-        warm_slot=None,
     ) -> FlowResult:
         """Solve; ``method`` in {"auto", "ssp", "lp", "ns", "heur"}.
 
@@ -269,9 +268,6 @@ class MinCostFlowProblem:
         independent cross-check; "heur" is the feasibility-only
         fallback.  ``budget`` bounds
         iterations/wall time (defaults to the process-wide budget).
-        ``warm_slot`` (a :class:`repro.flows.warmstart.WarmStartSlot`)
-        lets repeated "ns" solves of the same arc topology reuse the
-        previous spanning-tree basis; other backends ignore it.
         """
         if method == "auto":
             method = self.auto_method()
@@ -298,7 +294,7 @@ class MinCostFlowProblem:
             elif method == "lp":
                 result = self._solve_lp(budget)
             elif method == "ns":
-                result = self._solve_ns(clock, warm_slot)
+                result = self._solve_ns(clock)
             else:
                 result = self._solve_heur()
         except ReproError as exc:
@@ -362,13 +358,11 @@ class MinCostFlowProblem:
     # ------------------------------------------------------------------
     # network simplex backend (the paper's solver family)
     # ------------------------------------------------------------------
-    def _solve_ns(
-        self, clock: Optional[BudgetClock] = None, warm_slot=None
-    ) -> FlowResult:
+    def _solve_ns(self, clock: Optional[BudgetClock] = None) -> FlowResult:
         from repro.flows.networksimplex import solve_network_simplex_arrays
 
         feasible, cost, flows, pivots = solve_network_simplex_arrays(
-            *self.as_arrays(), clock=clock, warm_slot=warm_slot
+            *self.as_arrays(), clock=clock
         )
         routed = self.total_supply() if feasible else 0.0
         stats = SolveStats(pivots=pivots)

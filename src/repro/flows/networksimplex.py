@@ -35,16 +35,15 @@ sum, the per-node potential refresh and the arc-ordered ``np.add.at``
 below.  ``tests/flow_oracle.py`` checks feasibility verdicts and optimal
 costs against ``networkx`` independently.
 
-Warm starts: callers that re-solve the same arc topology (capacity
-relaxation chains, ``--relax-infeasible`` model re-solves) pass a
-:class:`~repro.flows.warmstart.WarmStartSlot`; the previous solve's
-spanning-tree basis is re-flowed against the new balances and pivoting
-continues from there instead of from the all-artificial tree.  Flows
-are canonically recomputed from the final basis after *every* solve,
-and a warm solve whose optimum is ambiguous (a nonbasic arc with zero
-reduced cost admitting a non-degenerate pivot — i.e. alternative
-optimal flows exist) is redone cold, so warm and cold solves return
-identical results (see :mod:`repro.flows.warmstart`).
+Every solve ends with a canonical flow recomputation from the final
+basis, so the returned flows are a pure function of (final basis,
+instance data) rather than of the increments accumulated along the
+pivot path; those recomputed bits are the ones the goldens pin.
+:meth:`NetworkSimplex.solve` also accepts a starting basis
+(``warm_basis``, an :class:`NSBasis` as :meth:`~NetworkSimplex.export_basis`
+returns it), validated and re-flowed for the new data by
+``_try_warm_init`` with a fall back to the all-artificial tree; it is
+the one entry point for a crash basis built from outside the kernel.
 
 Numeric tolerances are scale-relative (:mod:`repro.flows.tolerances`):
 reduced-cost tests scale with the instance's largest |cost|, flow and
@@ -73,13 +72,6 @@ from repro.obs import incr
 from repro.resilience.budget import BudgetClock
 from repro.resilience.errors import SolverNumericsError
 from repro.flows.tolerances import BASE_EPS, scale_eps
-from repro.flows.warmstart import (
-    NSBasis,
-    WarmStartSlot,
-    fingerprint,
-    verify_warm_start,
-    warm_start_enabled,
-)
 
 INF = float("inf")
 
@@ -115,13 +107,39 @@ _LEVEL_VECTOR_MIN = 48
 _PATCH_VECTOR_MIN = 48
 
 
+class NSBasis:
+    """Spanning-tree basis snapshot of a network-simplex solve.
+
+    ``parent``/``parent_arc`` describe the tree over all nodes
+    (including the artificial root, which has parent ``-1``);
+    ``state`` is the LOWER/TREE/UPPER state of every arc, including
+    super-source/sink and artificial arcs.
+    """
+
+    __slots__ = ("parent", "parent_arc", "state", "n_nodes", "n_arcs")
+
+    def __init__(
+        self,
+        parent: List[int],
+        parent_arc: List[int],
+        state: List[int],
+        n_nodes: int,
+        n_arcs: int,
+    ) -> None:
+        self.parent = parent
+        self.parent_arc = parent_arc
+        self.state = state
+        self.n_nodes = n_nodes
+        self.n_arcs = n_arcs
+
+
 class NetworkSimplex:
     """Network simplex on contiguous arc arrays, integer node ids.
 
     Data layout: ``tail``/``head`` (int64), ``cost``/``cap``
     (float64) and ``state`` (int8) are numpy arrays — flow
-    recomputation, warm-basis validation and the alternative-optima
-    candidate screen run vectorized over them.  Pricing runs on a
+    recomputation and starting-basis validation run vectorized over
+    them.  Pricing runs on a
     float64 *key cache*: ``(cost - pi[tail] + pi[head]) * sign`` for
     every arc, rebuilt once per basis initialization and thereafter
     patched incrementally — a pivot changes the potentials of one
@@ -188,8 +206,8 @@ class NetworkSimplex:
         self._big_m = big_m
 
         # artificial arcs v<->root (direction from the balance sign);
-        # created identically for cold and warm solves so arc ids align
-        # with a recorded basis of the same topology
+        # created whatever the start, so arc ids align with a starting
+        # basis of the same topology
         self._add_artificials(balance, big_m)
 
         self.warm_used = False
@@ -258,9 +276,9 @@ class NetworkSimplex:
         self.pivots = pivots
         self.degenerate_pivots = degenerate
         # canonical flow recomputation: the returned flows are a pure
-        # function of (final basis, instance data), independent of the
-        # pivot path that reached the basis — the mechanism behind the
-        # warm == cold identity contract
+        # function of (final basis, instance data), not of the float
+        # increments the pivots accumulated — its last bits decide
+        # degenerate ties downstream and are what the goldens pin
         if not self._recompute_flows(balance):
             raise SolverNumericsError(
                 "network simplex basis flows violate arc bounds at "
@@ -486,7 +504,8 @@ class NetworkSimplex:
         return True
 
     def export_basis(self) -> NSBasis:
-        """Snapshot the current basis for a future warm start."""
+        """Snapshot the current basis (a valid ``warm_basis`` for a
+        later solve of the same topology)."""
         return NSBasis(
             list(self.parent),
             list(self.parent_arc),
@@ -572,41 +591,6 @@ class NetworkSimplex:
     # ------------------------------------------------------------------
     # pivoting
     # ------------------------------------------------------------------
-    def _cycle(self, entering: int, forward: bool) -> List[Tuple[int, int]]:
-        """The pivot cycle of ``entering`` as (arc, push direction).
-
-        ``+1`` pushes along the arc, ``-1`` against it; the entering
-        arc carries u -> v and the tree path returns v -> ... -> u.
-        """
-        tl = self._tail_list
-        hl = self._head_list
-        depth = self.depth
-        parent = self.parent
-        parc = self.parent_arc
-        u = tl[entering] if forward else hl[entering]
-        v = hl[entering] if forward else tl[entering]
-        path_u: List[int] = []  # nodes from u upward
-        path_v: List[int] = []
-        a, b = u, v
-        while a != b:
-            if depth[a] >= depth[b]:
-                path_u.append(a)
-                a = parent[a]
-            else:
-                path_v.append(b)
-                b = parent[b]
-        cycle: List[Tuple[int, int]] = [(entering, 1 if forward else -1)]
-        # u-side: return flow runs ancestor -> node (downward toward u),
-        # which is along the tree arc when it points at the node
-        for node in path_u:
-            arc = parc[node]
-            cycle.append((arc, 1 if hl[arc] == node else -1))
-        # v-side: return flow runs node -> parent (upward from v)
-        for node in path_v:
-            arc = parc[node]
-            cycle.append((arc, 1 if tl[arc] == node else -1))
-        return cycle
-
     def _pivot(self, entering: int) -> float:
         """Execute one pivot; returns the flow change |delta| around
         the cycle (0.0 for a degenerate pivot).
@@ -614,9 +598,10 @@ class NetworkSimplex:
         Pivot cycles are a handful of arcs, so the leaving-arc scan and
         flow update run on the list mirrors (numpy's fixed per-op
         overhead exceeds the whole scalar loop).  The cycle walk is
-        fused in: arcs are folded in the order :meth:`_cycle` lists
-        them (entering, u-path, v-path) — the order matters inside
-        eps-tie chains — without materializing the cycle.
+        fused in: arcs are folded in cycle order (entering arc, then
+        the tree path from u, then the one from v, each walked upward
+        to their common ancestor) — the order matters inside eps-tie
+        chains — without materializing the cycle.
         """
         sl = self._state_list
         # orientation: push along the entering arc's direction when it
@@ -739,59 +724,6 @@ class NetworkSimplex:
         self.children[outside][inside] = None
         self._refresh_subtree(inside)
         return delta
-
-    def has_alternative_optima(self) -> bool:
-        """True when the optimum just reached is not unique.
-
-        A nonbasic arc with (near-)zero reduced cost whose pivot cycle
-        admits a non-degenerate push means a different optimal *flow*
-        exists — a warm solve that ends here may legitimately differ
-        from the canonical cold solve, so the caller redoes it cold.
-        Strictly nonzero reduced costs on all nonbasic arcs imply the
-        optimal flow vector is unique (standard LP degeneracy theory),
-        which is what makes accepting the warm result safe.
-
-        The candidate screen is vectorized; the (rare) qualifying arcs
-        walk their cycles in :meth:`_cycle_room`.
-        """
-        pi = self._pi_np
-        rc = self.cost - pi[self.tail]
-        rc += pi[self.head]
-        state = self.state
-        cand = ((state == _LOWER) & (rc <= self.eps_cost)) | (
-            (state == _UPPER) & (rc >= -self.eps_cost)
-        )
-        for a in np.nonzero(cand)[0]:
-            forward = bool(state[a] == _LOWER)
-            if self._cycle_room(int(a), forward) > self.eps_flow:
-                return True
-        return False
-
-    def _cycle_room(self, a: int, forward: bool) -> float:
-        """Non-degenerate push room around ``a``'s pivot cycle.
-
-        Artificial (big-M) arcs carrying zero flow count as no room:
-        every artificial arc shares the same big-M cost, so cycles
-        through the root tie at exactly zero reduced cost — but a
-        *feasible* alternative optimum can never route flow through an
-        artificial arc, so such cycles do not witness real ambiguity.
-        """
-        art_start = self._art0
-        capl = self._cap_list
-        flow = self.flow
-        room = INF
-        for arc, direction in self._cycle(a, forward):
-            if (
-                direction > 0
-                and arc >= art_start
-                and flow[arc] <= self.eps_flow
-            ):
-                r = 0.0
-            else:
-                r = capl[arc] - flow[arc] if direction > 0 else flow[arc]
-            if r < room:
-                room = r
-        return room
 
     # ------------------------------------------------------------------
     # tree surgery
@@ -942,36 +874,6 @@ class NetworkSimplex:
                 key[a] = rc if s == _LOWER else -rc
 
 
-def _verify_against_cold(
-    warm: NetworkSimplex,
-    warm_feasible: bool,
-    cold: NetworkSimplex,
-    balance: np.ndarray,
-    n_orig: int,
-) -> None:
-    """REPRO_VERIFY_WARMSTART: solve ``cold`` from scratch, require the
-    warm solve's answer."""
-    cold_feasible = cold.solve(balance)
-    warm_flows = np.array(warm.flow[:n_orig])
-    cold_flows = np.array(cold.flow[:n_orig])
-    same = warm_feasible == cold_feasible and np.allclose(
-        warm_flows, cold_flows, rtol=1e-9, atol=8 * warm.eps_flow
-    )
-    if not same:
-        raise SolverNumericsError(
-            "warm-started network simplex disagrees with the cold solve "
-            "(REPRO_VERIFY_WARMSTART)",
-            solver="ns",
-            context={
-                "warm_feasible": warm_feasible,
-                "cold_feasible": cold_feasible,
-                "max_flow_delta": float(
-                    np.max(np.abs(warm_flows - cold_flows), initial=0.0)
-                ),
-            },
-        )
-
-
 def solve_network_simplex_arrays(
     supply: np.ndarray,
     tails: np.ndarray,
@@ -979,7 +881,6 @@ def solve_network_simplex_arrays(
     costs: np.ndarray,
     caps: np.ndarray,
     clock: Optional[BudgetClock] = None,
-    warm_slot: Optional[WarmStartSlot] = None,
 ) -> Tuple[bool, float, np.ndarray, int]:
     """Solve a min-cost flow instance with the network simplex.
 
@@ -987,11 +888,8 @@ def solve_network_simplex_arrays(
     (positive = supply, negative = demand-as-capacity); arcs are the
     parallel arrays ``tails/heads/costs/caps``.
 
-    ``clock`` is ticked once per pivot (budget enforcement).  When
-    ``warm_slot`` holds a basis of the same arc topology (and warm
-    starts are enabled), pivoting starts from it instead of the
-    all-artificial tree; the slot is refreshed with this solve's final
-    basis either way.  Returns
+    ``clock`` is ticked once per pivot (budget enforcement).  Every
+    solve starts from the all-artificial tree.  Returns
     ``(feasible, cost, flows_per_input_arc, pivots)``.
     """
     supply = np.ascontiguousarray(supply, dtype=np.float64)
@@ -1005,8 +903,8 @@ def solve_network_simplex_arrays(
 
     # super source/sink transform.  The extra arcs are appended in
     # *node order* with the s-arc/t-arc choice per node: arc ids fix
-    # the pricing order, hence the pivot sequence and the warm-start
-    # fingerprint, so this order is part of the result.
+    # the pricing order, hence the pivot sequence, so this order is
+    # part of the result.
     finite_supply = np.isfinite(supply)
     eps_supply = scale_eps(
         float(np.max(np.abs(supply[finite_supply]), initial=0.0))
@@ -1032,44 +930,8 @@ def solve_network_simplex_arrays(
     balance[s_node] = total
     balance[t_node] = -total
 
-    def build() -> NetworkSimplex:
-        return NetworkSimplex(n + 2, full_tail, full_head, full_cost, full_cap)
-
-    sx = build()
-    use_warm = warm_slot is not None and warm_start_enabled()
-    warm_basis = None
-    fp = None
-    if use_warm:
-        fp = fingerprint(n + 3, full_tail, full_head)
-        if warm_slot.matches(fp):
-            warm_basis = warm_slot.basis
-    feasible = sx.solve(balance, clock=clock, warm_basis=warm_basis)
-    cold = not sx.warm_used
-    if sx.warm_used:
-        if sx.has_alternative_optima():
-            # alternative optimal flows exist: the warm path may have
-            # landed on a different optimum than the canonical cold
-            # path would — redo cold, identical to a never-warmed run
-            incr("warmstart.ambiguous")
-            sx = build()
-            feasible = sx.solve(balance, clock=clock)
-            cold = True
-        else:
-            incr("warmstart.hits")
-            if warm_slot.cold_pivots > sx.pivots:
-                incr(
-                    "warmstart.pivots_saved",
-                    warm_slot.cold_pivots - sx.pivots,
-                )
-            if verify_warm_start():
-                _verify_against_cold(sx, feasible, build(), balance, n_orig)
-    elif use_warm:
-        if warm_basis is not None:
-            incr("warmstart.rejected")  # basis stale for the new data
-        else:
-            incr("warmstart.misses")
-    if use_warm:
-        warm_slot.store(fp, sx.export_basis(), sx.pivots, cold)
+    sx = NetworkSimplex(n + 2, full_tail, full_head, full_cost, full_cap)
+    feasible = sx.solve(balance, clock=clock)
 
     if sx.degenerate_pivots:
         incr("ns.degenerate_pivots", sx.degenerate_pivots)

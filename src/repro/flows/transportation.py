@@ -29,14 +29,12 @@ one cell.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.flows.tolerances import SIGNIFICANCE_EPS, scale_eps
-from repro.flows.warmstart import WarmStartSlot, warm_start_enabled
 from repro.obs import incr
 from repro.resilience.budget import SolverBudget, get_default_budget
 from repro.resilience.errors import (
@@ -46,6 +44,9 @@ from repro.resilience.errors import (
 )
 
 INF = float("inf")
+
+#: ``method`` values :func:`solve_transportation` accepts ("auto" = "lp")
+TRANSPORT_METHODS = ("auto", "lp", "ns", "mcf")
 
 
 @dataclass
@@ -128,7 +129,6 @@ def solve_transportation(
     costs: np.ndarray,
     method: str = "auto",
     budget: Optional[SolverBudget] = None,
-    warm_slot=None,
 ) -> TransportResult:
     """Solve min sum_ij costs[i,j] * f[i,j]
     s.t. sum_j f[i,j] = supplies[i], sum_i f[i,j] <= capacities[j],
@@ -140,22 +140,18 @@ def solve_transportation(
     On the default LP path an instance whose answer is forced is
     answered by :func:`_solve_forced` without calling the solver;
     ``result.stats.method`` says who answered (``closed_form``,
-    ``precheck`` or ``lp``).
-
-    ``method="ns"`` runs the network simplex, the only
-    backend that supports warm starts: pass a
-    :class:`~repro.flows.warmstart.WarmStartSlot` as ``warm_slot`` and
-    repeated solves of the same arc topology (e.g. the stages of a
-    capacity relaxation chain) start from the previous basis.
+    ``precheck`` or ``lp``).  ``method="ns"`` runs the network simplex
+    on a tie-broken copy of the costs, ``method="mcf"`` successive
+    shortest paths.
     """
     supplies = np.asarray(supplies, dtype=np.float64)
     capacities = np.asarray(capacities, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
     _validate(supplies, capacities, costs)
+    if method not in TRANSPORT_METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         method = "lp"
-    if method not in ("lp", "mcf", "ns"):
-        raise ValueError(f"unknown method {method!r}")
     n, k = costs.shape
     finite = np.isfinite(costs)
     if budget is None:
@@ -180,9 +176,7 @@ def solve_transportation(
     elif method == "mcf":
         result = _solve_mcf(supplies, capacities, costs, finite, budget)
     else:
-        result = _solve_ns(
-            supplies, capacities, costs, finite, budget, warm_slot
-        )
+        result = _solve_ns(supplies, capacities, costs, finite, budget)
 
     stats = result.stats
     # the exits above name themselves; a backend goes by its method
@@ -399,14 +393,13 @@ def _solve_ns(
     costs: np.ndarray,
     finite: np.ndarray,
     budget: Optional[SolverBudget] = None,
-    warm_slot=None,
 ) -> TransportResult:
-    """Warm-startable network-simplex backend.
+    """Network-simplex backend.
 
     Builds the bipartite min-cost-flow instance directly as arrays —
     integer nodes 0..n-1 for sources, n..n+k-1 for sinks and one
     uncapacitated arc per admissible pair in row-major order — and
-    hands ``warm_slot`` through to
+    solves it with
     :func:`repro.flows.networksimplex.solve_network_simplex_arrays`.
     """
     from repro.flows.networksimplex import solve_network_simplex_arrays
@@ -416,17 +409,18 @@ def _solve_ns(
     src_idx, snk_idx = np.nonzero(finite)
     arc_costs = costs[src_idx, snk_idx]
     # Deterministic tie-breaking: L1 distances on a grid tie constantly,
-    # making the optimal flow non-unique — every warm-started solve
-    # would then detect ambiguity and redo the work cold.  A tiny
-    # per-arc perturbation (~2^-20 relative, well above the solver's
-    # relative cost epsilon but orders below any real cost difference
-    # the placement could notice) makes the optimum unique for almost
-    # every instance.  It must NOT be linear in the arc index: a
-    # simplex cycle through sources i,i' and sinks j,j' sums indices as
+    # making the optimal flow non-unique, so which optimum comes back
+    # would hinge on the pivot path.  A tiny per-arc perturbation
+    # (~2^-20 relative, well above the solver's relative cost epsilon
+    # but orders below any real cost difference the placement could
+    # notice) makes the optimum unique for almost every instance; the
+    # optimum it selects is part of every ``ns`` placement's bits.  It
+    # must NOT be linear in the arc index: a simplex cycle through
+    # sources i,i' and sinks j,j' sums indices as
     # idx(i,j) - idx(i,j') + idx(i',j') - idx(i',j) = 0 in row-major
     # order, cancelling any linear perturbation exactly.  A seeded PRNG
-    # stream is a pure function of the arc count, so cold and warm
-    # solves of either arm perturb — and hence pick — identically.
+    # stream is a pure function of the arc count, so every solve of the
+    # same instance perturbs identically.
     scale = float(np.max(np.abs(arc_costs), initial=0.0)) or 1.0
     rng = np.random.default_rng(0x7F4A7C15)
     tie_break = (rng.random(len(arc_costs)) + 1.0) * (scale * 2.0**-20)
@@ -439,7 +433,6 @@ def _solve_ns(
         perturbed,
         np.full(len(perturbed), INF),
         clock=clock,
-        warm_slot=warm_slot,
     )
     stats = TransportStats(pivots=pivots)
     if not feasible:
@@ -530,7 +523,6 @@ def solve_transportation_with_relaxation(
     costs: np.ndarray,
     chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
     method: str = "auto",
-    warm_slot=None,
 ) -> Tuple[TransportResult, int]:
     """Solve a transportation instance, escalating through a capacity
     relaxation chain until a stage is feasible.
@@ -540,56 +532,18 @@ def solve_transportation_with_relaxation(
     result is returned even when infeasible).  This is a *pure function
     of its arrays* — the parallel window-solver pool ships it to worker
     processes and merges results in deterministic task order, so pooled
-    and serial runs are bit-identical.
-
-    Every stage re-solves the same arc topology with scaled
-    capacities, so with the "ns" backend the stages share one
-    :class:`~repro.flows.warmstart.WarmStartSlot`: stage ``k+1``
-    starts from stage ``k``'s basis instead of cold (a local slot —
-    worker processes and the serial path behave identically).  A
-    caller that re-solves the same topology repeatedly (repartition
-    passes) can pass its own persistent ``warm_slot`` instead.
+    and serial runs are bit-identical.  Every stage is solved from
+    scratch.
     """
     supplies = np.asarray(supplies, dtype=np.float64)
     capacities = np.asarray(capacities, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
     total = supplies.sum()
-    digest = None
-    if warm_slot is not None and warm_start_enabled():
-        # exact-instance memo: a persistent slot whose last call had
-        # bit-identical arrays (a repartition block that reverted and
-        # is re-solved unchanged) returns the stored result directly
-        h = hashlib.sha256()
-        h.update(supplies.tobytes())
-        h.update(capacities.tobytes())
-        h.update(costs.tobytes())
-        h.update(repr(chain).encode())
-        h.update(method.encode())
-        digest = h.digest()
-        if warm_slot.memo_digest == digest:
-            incr("warmstart.instance_hits")
-            memo, stage = warm_slot.memo_value
-            result = TransportResult(
-                memo.feasible, memo.flow.copy(), memo.cost, memo.stats
-            )
-            return result, stage
-    if warm_slot is None and method == "ns":
-        warm_slot = WarmStartSlot()
     result = None
     stage = 0
     for stage, (mult, frac) in enumerate(chain):
         caps = capacities * mult + frac * total
-        result = solve_transportation(
-            supplies, caps, costs, method=method, warm_slot=warm_slot
-        )
+        result = solve_transportation(supplies, caps, costs, method=method)
         if result.feasible:
             break
-    if digest is not None:
-        warm_slot.memo_digest = digest
-        warm_slot.memo_value = (
-            TransportResult(
-                result.feasible, result.flow.copy(), result.cost, result.stats
-            ),
-            stage,
-        )
     return result, stage

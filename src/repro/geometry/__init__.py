@@ -15,20 +15,10 @@ dependency.  The central types are:
 from repro.geometry.rect import Rect
 from repro.geometry.rectset import RectSet
 from repro.geometry.hanan import hanan_coordinates, hanan_cells
-from repro.geometry.cache import (
-    GeometryCache,
-    activated_cache,
-    active_cache,
-    drop_scope,
-)
 
 __all__ = [
     "Rect",
     "RectSet",
     "hanan_coordinates",
     "hanan_cells",
-    "GeometryCache",
-    "activated_cache",
-    "drop_scope",
-    "active_cache",
 ]

@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry import Rect, RectSet, active_cache
+from repro.geometry import Rect, RectSet
 from repro.movebounds import Region, RegionDecomposition
 from repro.netlist import Netlist
 
@@ -151,27 +151,13 @@ class Grid:
 
         Runs over region rectangles and locates overlapped window index
         ranges by bisection, so the cost is proportional to the number
-        of produced pieces rather than |R| x |W|.
-
-        With an active :class:`~repro.geometry.cache.GeometryCache`,
-        the built R_w lists are cached per grid dimensions, and the
-        clipping of a ``2n x 2n`` grid is derived from the cached
-        ``n x n`` pieces instead of re-scanning the decomposition:
-        window boundaries of the coarse level are bit-exact members of
-        the fine lattice (``(2a)/(2n)`` rounds identically to
-        ``a/n``), so ``(r ∩ W_parent) ∩ W_child = r ∩ W_child`` holds
-        exactly and the delta path produces identical rectangles.
+        of produced pieces rather than |R| x |W|.  The result depends
+        only on the decomposition and the grid dimensions, and every
+        level of the multilevel schedule rebuilds it from scratch.
         """
         for w in self.windows:
             w.regions = []
-        cache = active_cache()
-        if cache is not None:
-            built = cache.get(("regions", self.nx, self.ny))
-            if built is not None:
-                for w, regions in zip(self.windows, built):
-                    w.regions = list(regions)
-                return
-        pieces, free_pieces = self._region_pieces(decomposition, cache)
+        pieces, free_pieces = self._scan_pieces(decomposition)
         for (widx, ridx), rects in pieces.items():
             region = decomposition.regions[ridx]
             free = RectSet(free_pieces.get((widx, ridx), []))
@@ -180,40 +166,14 @@ class Grid:
             )
         for w in self.windows:
             w.regions.sort(key=lambda wr: wr.region.index)
-        if cache is not None:
-            cache.put(
-                ("regions", self.nx, self.ny),
-                [tuple(w.regions) for w in self.windows],
-            )
 
-    def _region_pieces(
-        self,
-        decomposition: RegionDecomposition,
-        cache=None,
+    def _scan_pieces(
+        self, decomposition: RegionDecomposition
     ) -> Tuple[
         Dict[Tuple[int, int], List[Rect]], Dict[Tuple[int, int], List[Rect]]
     ]:
         """(window, region) -> clipped rect lists for area and free
-        area, via the coarse-level refinement delta when available."""
-        if (
-            cache is not None
-            and self.nx % 2 == 0
-            and self.ny % 2 == 0
-            and self.nx > 1
-            and self.ny > 1
-        ):
-            parent = cache.get(("pieces", self.nx // 2, self.ny // 2))
-            if parent is not None:
-                result = self._refine_pieces(parent)
-                cache.put(("pieces", self.nx, self.ny), result)
-                return result
-        result = self._scan_pieces(decomposition)
-        if cache is not None:
-            cache.put(("pieces", self.nx, self.ny), result)
-        return result
-
-    def _scan_pieces(self, decomposition: RegionDecomposition):
-        """Clip the decomposition to this grid by direct scan."""
+        area, by one bisection scan over the region rectangles."""
         pieces: Dict[Tuple[int, int], List[Rect]] = {}
         free_pieces: Dict[Tuple[int, int], List[Rect]] = {}
         for region in decomposition:
@@ -242,36 +202,6 @@ class Grid:
                                 store.setdefault(
                                     (window.index, region.index), []
                                 ).append(clipped)
-        return pieces, free_pieces
-
-    def _refine_pieces(self, parent):
-        """Derive this grid's clipped pieces from the ``nx/2 x ny/2``
-        level's: each parent piece is split over the parent window's
-        four children.  Exactly equivalent to :meth:`_scan_pieces`
-        because every child window lies inside its parent window."""
-        pnx = self.nx // 2
-        parent_pieces, parent_free = parent
-        pieces: Dict[Tuple[int, int], List[Rect]] = {}
-        free_pieces: Dict[Tuple[int, int], List[Rect]] = {}
-        for source, store in (
-            (parent_pieces, pieces),
-            (parent_free, free_pieces),
-        ):
-            for (pwidx, ridx), rects in source.items():
-                pix = pwidx % pnx
-                piy = pwidx // pnx
-                children = [
-                    self.window(ix, iy)
-                    for iy in (2 * piy, 2 * piy + 1)
-                    for ix in (2 * pix, 2 * pix + 1)
-                ]
-                for rect in rects:
-                    for child in children:
-                        clipped = rect.intersection(child.rect)
-                        if clipped is not None and not clipped.is_empty:
-                            store.setdefault(
-                                (child.index, ridx), []
-                            ).append(clipped)
         return pieces, free_pieces
 
     # ------------------------------------------------------------------

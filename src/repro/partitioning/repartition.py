@@ -21,7 +21,6 @@ a whole-netlist recomputation.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -29,7 +28,6 @@ import numpy as np
 
 from repro.fbp.model import fixed_cell_usage
 from repro.fbp.realization import _spread_into_rects
-from repro.flows.warmstart import WarmStartSlot
 from repro.obs import incr, maybe_check
 from repro.geometry import RectSet
 from repro.grid import Grid
@@ -104,11 +102,9 @@ def _partition_block(
     grid: Grid,
     block,
     cells: List[int],
-    origin: Tuple[int, int],
     usage: Dict,
     density_target: float,
     transport_method: str,
-    warm_slots: Optional[Dict],
 ) -> Optional[PartitionOutcome]:
     """Re-run the movebound-aware transportation of ``cells`` over the
     block's regions and spread each region's cells into its area.
@@ -133,17 +129,11 @@ def _partition_block(
             admits.append(wr.admits)
     if not keys:
         return None
-    slot = None
-    if warm_slots is not None:
-        slot = warm_slots.setdefault(
-            (grid.nx, grid.ny) + origin, WarmStartSlot()
-        )
     outcome = partition_cells(
         netlist,
         cells,
         TransportTargets(keys, np.array(caps), areas, admits),
         method=transport_method,
-        warm_slot=slot,
     )
     if not outcome.feasible:
         return None
@@ -169,17 +159,10 @@ def repartition_pass(
     run_local_qp: bool = True,
     cell_limit: int = 800,
     transport_method: str = "auto",
-    warm_slots: Optional[Dict] = None,
 ) -> RepartitionReport:
     """Sweep block_size x block_size window blocks; within each block,
     locally re-QP and re-partition the block's cells.  Reverts a block
-    when the step did not improve HPWL.
-
-    ``warm_slots`` is an optional dict owned by the caller, keyed per
-    block; passing the same dict across passes lets the ``ns`` backend
-    warm-start each block's transportation solve from the previous
-    pass's basis (reverted blocks re-solve an identical instance, so
-    the warm basis is already optimal)."""
+    when the step did not improve HPWL."""
     # threaded HPWL: a block either keeps its improved placement (its
     # span vector and ``after`` become the current ones) or restores
     # the byte-equal snapshot (both are unchanged)
@@ -200,46 +183,11 @@ def repartition_pass(
             snapshot = netlist.snapshot()
 
             if run_local_qp:
-                local = _local_qp(netlist, cells)
-                # exact-instance memo for the local QP: its output is a
-                # pure function of the block cells and the positions of
-                # every cell on their nets, so a block whose
-                # neighborhood did not move since the previous pass
-                # (the common reverted-block case) reuses the stored
-                # solution bit-for-bit
-                digest = None
-                if warm_slots is not None:
-                    # cells on the block's degree>=2 nets; pins of the
-                    # block's degree<2 nets sit on block cells already
-                    ci = np.asarray(cells, dtype=np.int64)
-                    pc = local["flat"][1]
-                    inv = np.unique(np.concatenate([ci, pc[pc >= 0]]))
-                    h = hashlib.sha256()
-                    h.update(ci.tobytes())
-                    h.update(inv.tobytes())
-                    h.update(np.ascontiguousarray(netlist.x[inv]).tobytes())
-                    h.update(np.ascontiguousarray(netlist.y[inv]).tobytes())
-                    digest = h.digest()
-                qp_key = ("qp", grid.nx, grid.ny, bx, by)
-                memo = (
-                    warm_slots.get(qp_key) if warm_slots is not None else None
-                )
-                if memo is not None and memo[0] == digest:
-                    netlist.x[cells] = memo[1]
-                    netlist.y[cells] = memo[2]
-                    incr("warmstart.block_qp_hits")
-                else:
-                    solve_qp(netlist, qp_opts, **local)
-                    if digest is not None:
-                        warm_slots[qp_key] = (
-                            digest,
-                            netlist.x[cells].copy(),
-                            netlist.y[cells].copy(),
-                        )
+                solve_qp(netlist, qp_opts, **_local_qp(netlist, cells))
 
             outcome = _partition_block(
-                netlist, grid, block, cells, (bx, by), usage,
-                density_target, transport_method, warm_slots,
+                netlist, grid, block, cells, usage, density_target,
+                transport_method,
             )
             if outcome is None:
                 netlist.restore(snapshot)
@@ -283,7 +231,6 @@ def enforce_blocks(
     run_local_qp: bool = True,
     cell_limit: int = 800,
     transport_method: str = "auto",
-    warm_slots: Optional[Dict] = None,
 ) -> bool:
     """Frontier repair for the incremental re-place (:mod:`repro.eco`):
     re-run the movebound-aware block transportation over the given
@@ -308,8 +255,8 @@ def enforce_blocks(
         if run_local_qp and len(cells) <= cell_limit:
             solve_qp(netlist, qp_opts, **_local_qp(netlist, cells))
         outcome = _partition_block(
-            netlist, grid, block, cells, (bx, by), usage,
-            density_target, transport_method, warm_slots,
+            netlist, grid, block, cells, usage, density_target,
+            transport_method,
         )
         if outcome is None:
             return False

@@ -161,7 +161,6 @@ def partition_cells(
     targets: TransportTargets,
     relax_on_failure: bool = True,
     method: str = "auto",
-    warm_slot=None,
 ) -> PartitionOutcome:
     """Assign cells to targets minimizing L1 movement under capacities
     and movebound admissibility.
@@ -171,11 +170,7 @@ def partition_cells(
     relaxed by 10 % and then unboundedly, so the caller always gets an
     assignment plus a ``relaxed`` flag instead of an exception.
 
-    ``method`` selects the transportation backend; ``"ns"`` warm-starts
-    re-solves along the relaxation chain from the previous basis.  A
-    caller re-partitioning the same cell/target sets repeatedly (the
-    reflow passes) can pass a persistent ``warm_slot`` so later calls
-    start from the previous optimal basis.
+    ``method`` selects the transportation backend.
     """
     problem = build_transport_problem(netlist, cell_indices, targets)
     if problem is None:
@@ -189,7 +184,6 @@ def partition_cells(
         problem.costs,
         chain=chain,
         method=method,
-        warm_slot=warm_slot,
     )
     return complete_partition(problem, targets, tr, stage)
 

@@ -24,7 +24,17 @@ from repro.place.rql import RQLOptions, RQLPlacer
 from repro.place.kraftwerk import KraftwerkOptions, KraftwerkPlacer
 from repro.place.recursive_placer import RecursiveOptions, RecursivePlacer
 
+#: placer name -> class: the choices of ``place --placer`` and of the
+#: service's ``placer`` job option
+PLACERS = {
+    "fbp": BonnPlaceFBP,
+    "rql": RQLPlacer,
+    "kraftwerk": KraftwerkPlacer,
+    "recursive": RecursivePlacer,
+}
+
 __all__ = [
+    "PLACERS",
     "PlacerResult",
     "PlacementError",
     "InfeasiblePlacementError",

@@ -18,14 +18,11 @@ with the new flow-based partitioning (§IV) as the core routine:
 from __future__ import annotations
 
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.fbp import FBPReport, fbp_partition
 from repro.feasibility import check_feasibility
-from repro.flows.warmstart import set_warm_start
-from repro.geometry import activated_cache
 from repro.grid import Grid
 from repro.legalize import check_legality, legalize_with_movebounds
 from repro.legalize.detailed import detailed_place
@@ -73,15 +70,8 @@ class BonnPlaceOptions:
     final_reflow: bool = True  # one repartitioning pass at the last level
     mcf_method: str = "auto"
     #: backend of the per-window / repartitioning transportation solves
-    #: ("auto" = LP via scipy; "ns" = warm-startable network simplex)
+    #: ("auto" = LP via scipy; "ns" = network simplex)
     transport_method: str = "auto"
-    #: warm-start the network simplex across same-topology re-solves
-    #: (bit-identical results by contract; ``--no-warm-start`` disables)
-    warm_start: bool = True
-    #: cache region decompositions / window clippings / fixed-cell
-    #: usage across levels (bit-identical; ``--no-region-cache``
-    #: disables)
-    region_cache: bool = True
     legalize: bool = True
     #: post-legalization detailed placement passes (0 disables)
     detailed_passes: int = 1
@@ -157,8 +147,6 @@ class BonnPlaceFBP:
         #: durable checkpoint/resume driver (``--run-dir``/``--resume``);
         #: None keeps the pre-existing purely in-memory behavior
         self.run_state = run_state
-        #: per-run reflow warm-start slots (reset by ``_place_body``)
-        self._reflow_slots: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def num_levels(self, netlist: Netlist) -> int:
@@ -210,17 +198,7 @@ class BonnPlaceFBP:
             bounds = MoveBoundSet(netlist.die)
         bounds.normalize()
         validate_instance(netlist, bounds, opts.density_target)
-        with ExitStack() as stack:
-            # incremental-reuse layer: geometry cache scoped by the
-            # instance + config hash, and the simplex warm-start
-            # toggle.  Both are bit-identical to the uncached path by
-            # contract and excluded from the resume config hash.
-            if opts.region_cache:
-                stack.enter_context(
-                    activated_cache(self._geometry_scope(netlist, bounds))
-                )
-            stack.callback(set_warm_start, set_warm_start(opts.warm_start))
-            return self._place_body(netlist, bounds)
+        return self._place_body(netlist, bounds)
 
     def incremental_refine(
         self,
@@ -233,7 +211,7 @@ class BonnPlaceFBP:
 
         The ECO engine's incremental solve (:mod:`repro.eco`).  With
         ``frontier`` — a set of finest-grid ``(ix, iy)`` window coords
-        the delta invalidated — the solve is *scoped*: the re-assigned
+        the delta touches — the solve is *scoped*: the re-assigned
         ``touched_cells`` are projected into their (new) movebounds,
         the movebound-aware block transportation is re-run over the
         frontier's 2x2 blocks only (enforced, not HPWL-gated), and the
@@ -250,26 +228,18 @@ class BonnPlaceFBP:
         (§IV), so both paths honor the just-patched movebounds.
 
         The caller is responsible for the Theorem-2 feasibility check
-        (the engine runs it during delta validation).  Warm-start
-        slots in ``self._reflow_slots`` persist across calls — the
-        engine drops only the slots its invalidation frontier touched.
-        A scoped solve that cannot place its frontier locally raises
+        (the engine runs it during delta validation).  A scoped solve
+        that cannot place its frontier locally raises
         :class:`PlacementError`; the engine degrades to the full solve.
         """
         opts = self.options
         bounds.normalize()
         validate_instance(netlist, bounds, opts.density_target)
-        with ExitStack() as stack:
-            if opts.region_cache:
-                stack.enter_context(
-                    activated_cache(self._geometry_scope(netlist, bounds))
-                )
-            stack.callback(set_warm_start, set_warm_start(opts.warm_start))
-            if frontier:
-                return self._refine_scoped(
-                    netlist, bounds, frontier, touched_cells or ()
-                )
-            return self._refine_body(netlist, bounds)
+        if frontier:
+            return self._refine_scoped(
+                netlist, bounds, frontier, touched_cells or ()
+            )
+        return self._refine_body(netlist, bounds)
 
     def _refine_scoped(
         self,
@@ -283,8 +253,6 @@ class BonnPlaceFBP:
         decomposition = decompose_regions(
             netlist.die, bounds, netlist.blockages
         )
-        if self._reflow_slots is None and opts.warm_start:
-            self._reflow_slots = {}
         levels = self.num_levels(netlist)
         n = 2**levels
         with span("place.incremental") as sp_global:
@@ -304,7 +272,6 @@ class BonnPlaceFBP:
                     qp_options=opts.qp,
                     run_local_qp=opts.run_local_qp,
                     transport_method=opts.transport_method,
-                    warm_slots=self._reflow_slots,
                 )
             if not ok:
                 raise PlacementError(
@@ -362,8 +329,6 @@ class BonnPlaceFBP:
         decomposition = decompose_regions(
             netlist.die, bounds, netlist.blockages
         )
-        if self._reflow_slots is None and opts.warm_start:
-            self._reflow_slots = {}
         levels = self.num_levels(netlist)
         n = 2**levels
         with span("place.incremental") as sp_global:
@@ -399,7 +364,6 @@ class BonnPlaceFBP:
                         density_target=density,
                         qp_options=opts.qp,
                         transport_method=opts.transport_method,
-                        warm_slots=self._reflow_slots,
                     )
         global_seconds = sp_global.wall_s
 
@@ -426,34 +390,6 @@ class BonnPlaceFBP:
             legality=legality,
         )
 
-    def _geometry_scope(self, netlist: Netlist, bounds: MoveBoundSet) -> str:
-        """Cache scope: everything the cached geometry depends on —
-        the instance's die/blockages/fixed cells/movebounds plus the
-        full option set (mirrors the runstate config hash)."""
-        payload = self._config_payload(
-            netlist, self.options.density_target, self.num_levels(netlist)
-        )
-        die = netlist.die
-        payload["instance"] = netlist.name
-        payload["die"] = (die.x_lo, die.y_lo, die.x_hi, die.y_hi)
-        payload["blockages"] = [
-            (r.x_lo, r.y_lo, r.x_hi, r.y_hi) for r in netlist.blockages
-        ]
-        payload["bounds"] = [
-            (
-                b.name,
-                [(r.x_lo, r.y_lo, r.x_hi, r.y_hi) for r in b.area],
-            )
-            for b in bounds.all_bounds()
-        ]
-        fixed = []
-        for c in netlist.cells:
-            if c.fixed:
-                r = netlist.cell_rect(c.index)
-                fixed.append((c.index, r.x_lo, r.y_lo, r.x_hi, r.y_hi))
-        payload["fixed"] = fixed
-        return config_hash(payload)
-
     def _place_body(
         self,
         netlist: Netlist,
@@ -465,11 +401,6 @@ class BonnPlaceFBP:
         )
 
         self.relax_factor = 1.0
-        # per-run warm-start slots for the reflow passes, keyed per
-        # block; successive passes over an unchanged block re-solve the
-        # identical transportation instance, so the stored basis is
-        # already optimal
-        self._reflow_slots = {} if opts.warm_start else None
         density = opts.density_target
         with span("place.feasibility"):
             feas = check_feasibility(
@@ -641,10 +572,6 @@ class BonnPlaceFBP:
         payload.pop("pool_workers", None)
         payload.pop("pool_task_timeout", None)
         payload.pop("realize_tiles", None)
-        # the incremental-reuse knobs are bit-identical by contract,
-        # so a resume (or cache scope) may legally change them too
-        payload.pop("warm_start", None)
-        payload.pop("region_cache", None)
         return payload
 
     def _run_level(
@@ -697,7 +624,6 @@ class BonnPlaceFBP:
                     density_target=density,
                     qp_options=opts.qp,
                     transport_method=opts.transport_method,
-                    warm_slots=self._reflow_slots,
                 )
         if level < levels:
             weight = opts.anchor_base * (2.0**level)
@@ -780,5 +706,4 @@ class BonnPlaceFBP:
                     density_target=density,
                     qp_options=opts.qp,
                     transport_method=opts.transport_method,
-                    warm_slots=self._reflow_slots,
                 )

@@ -107,12 +107,11 @@ class ResilientSolver:
             return ("ssp", "ns", "heur")
         return DEFAULT_CHAIN
 
-    def solve(self, problem, warm_slot=None):
+    def solve(self, problem):
         """Run the chain; return the first successful FlowResult.
 
         Raises the *last* failure when every backend fails, annotated
-        with the full attempt history.  ``warm_slot`` is forwarded to
-        the backend (only the network simplex uses it).
+        with the full attempt history.
         """
         budget = self.budget if self.budget is not None else get_default_budget()
         chain = self._chain_for(problem)
@@ -121,9 +120,7 @@ class ResilientSolver:
         for pos, method in enumerate(chain):
             incr("resilience.solve_attempts")
             try:
-                result = problem.solve(
-                    method, budget=budget, warm_slot=warm_slot
-                )
+                result = problem.solve(method, budget=budget)
             except (SolverBudgetExceeded, SolverNumericsError) as exc:
                 self.attempts.append(
                     SolveAttempt(

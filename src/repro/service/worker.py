@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from typing import Any, Dict, Optional, Tuple
 
@@ -64,8 +65,6 @@ ALLOWED_OPTIONS = {
     "density": float,
     "relax_infeasible": bool,
     "transport_method": str,
-    "warm_start": bool,
-    "region_cache": bool,
     "legalize": bool,
     # replace jobs: route through the transactional ECO engine
     # (repro.eco) instead of a full re-place; see docs/incremental.md
@@ -76,6 +75,11 @@ ALLOWED_OPTIONS = {
 
 
 def validate_options(options: Dict[str, Any]) -> None:
+    """Refuse unknown options, wrong types and out-of-range values at
+    admission, so a bad spec never reaches a child attempt."""
+    from repro.flows import TRANSPORT_METHODS
+    from repro.place import PLACERS
+
     for key, value in options.items():
         want = ALLOWED_OPTIONS.get(key)
         if want is None:
@@ -84,12 +88,32 @@ def validate_options(options: Dict[str, Any]) -> None:
                 f"(choose from {sorted(ALLOWED_OPTIONS)})",
                 stage="svc.accept",
             )
-        if want is float and isinstance(value, int):
-            continue
-        if not isinstance(value, want):
+        if not isinstance(value, want) and not (
+            want is float and isinstance(value, int)
+        ):
             raise PipelineStageError(
                 f"job option {key!r} must be {want.__name__}, "
                 f"got {type(value).__name__}",
+                stage="svc.accept",
+            )
+    checks = (
+        ("placer", lambda v: v in PLACERS, f"one of {tuple(PLACERS)}"),
+        (
+            "transport_method",
+            lambda v: v in TRANSPORT_METHODS,
+            f"one of {TRANSPORT_METHODS}",
+        ),
+        ("density", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+        (
+            "max_hpwl_drift",
+            lambda v: math.isfinite(v) and v > 0.0,
+            "finite and > 0",
+        ),
+    )
+    for key, ok, want in checks:
+        if key in options and not ok(options[key]):
+            raise PipelineStageError(
+                f"job option {key!r} must be {want}, got {options[key]!r}",
                 stage="svc.accept",
             )
 
@@ -148,30 +172,15 @@ def execute_job(spec: JobSpec, job_dir: str) -> Dict[str, Any]:
         # instance in place, then run the full pipeline below
         _apply_movebound_patch(netlist, bounds, spec.movebound_patch)
 
-    from repro.place import (
-        BonnPlaceFBP,
-        KraftwerkPlacer,
-        RecursivePlacer,
-        RQLPlacer,
-    )
+    from repro.place import PLACERS
     from repro.runstate import DurableRunState
 
-    placers = {
-        "fbp": BonnPlaceFBP,
-        "rql": RQLPlacer,
-        "kraftwerk": KraftwerkPlacer,
-        "recursive": RecursivePlacer,
-    }
-    placer = placers[spec.options.get("placer", "fbp")]()
+    placer = PLACERS[spec.options.get("placer", "fbp")]()
     opts = spec.options
     if hasattr(placer, "options"):
         po = placer.options
         if opts.get("relax_infeasible"):
             po.relax_infeasible = True
-        if "warm_start" in opts:
-            po.warm_start = bool(opts["warm_start"])
-        if "region_cache" in opts:
-            po.region_cache = bool(opts["region_cache"])
         if "legalize" in opts:
             po.legalize = bool(opts["legalize"])
         if "transport_method" in opts:
@@ -226,10 +235,6 @@ def _execute_replace_eco(
         po.density_target = float(opts["density"])
     if opts.get("relax_infeasible"):
         po.relax_infeasible = True
-    if "warm_start" in opts:
-        po.warm_start = bool(opts["warm_start"])
-    if "region_cache" in opts:
-        po.region_cache = bool(opts["region_cache"])
     if "legalize" in opts:
         po.legalize = bool(opts["legalize"])
     if "transport_method" in opts:

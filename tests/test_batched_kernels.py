@@ -19,7 +19,7 @@ report of ``bucket=X seed=N`` reproduces from the command line.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -29,7 +29,6 @@ from repro.flows.transportation import (
     RELAX_CHAIN_WINDOW,
     solve_transportation_with_relaxation,
 )
-from repro.flows.warmstart import WarmStartSlot
 from repro.obs import get_tracer
 from repro.resilience import install_fault_plan, reset_faults
 from repro.runstate import WindowSolverPool, solve_transport_batch
@@ -147,22 +146,13 @@ def make_mixed_feasibility_batch(seed: int, size: int = 6) -> List[Task]:
 # ----------------------------------------------------------------------
 # reference solves and assertions
 # ----------------------------------------------------------------------
-def solve_serial(
-    tasks: Sequence[Task],
-    chain=RELAX_CHAIN_WINDOW,
-    warm_slots: Optional[Sequence] = None,
-):
+def solve_serial(tasks: Sequence[Task], chain=RELAX_CHAIN_WINDOW):
     """Solve each task on its own with the network simplex."""
     return [
         solve_transportation_with_relaxation(
-            s,
-            c,
-            costs,
-            chain=chain,
-            method="ns",
-            warm_slot=warm_slots[i] if warm_slots is not None else None,
+            s, c, costs, chain=chain, method="ns"
         )
-        for i, (s, c, costs) in enumerate(tasks)
+        for s, c, costs in tasks
     ]
 
 
@@ -249,39 +239,6 @@ class TestMixedBuckets:
             + make_batch("degenerate_1xk", 5, 3)
         )
         assert_batch_identity(tasks)
-
-
-# ----------------------------------------------------------------------
-# warm starts through caller-owned slots
-# ----------------------------------------------------------------------
-class TestWarmStartExchange:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_warm_slots_match_serial_warm_slots(self, seed):
-        """Two rounds through caller-owned slots: the second round,
-        warm-started from the first round's bases, equals a cold solve
-        of its instances (pivot counts aside), and both rounds are the
-        oracle's."""
-        tasks = make_batch("capacity_tight", 200 + seed, 4)
-        relaxed = [(s, on_relax_grid(c * 1.08), k) for s, c, k in tasks]
-        slots = [WarmStartSlot() for _ in tasks]
-        cold = solve_serial(tasks, warm_slots=slots)
-        assert all(s.basis is not None for s in slots)
-        warm = solve_serial(relaxed, warm_slots=slots)
-        assert_results_identical(cold, solve_serial(tasks))
-        assert_results_identical(warm, solve_serial(relaxed), pivots=False)
-        assert_matches_oracle(tasks, cold)
-        assert_matches_oracle(relaxed, warm)
-
-    def test_instance_memo_round_trip(self):
-        """Re-solving the exact same instances through caller-owned
-        slots hits the instance memo and returns the same results."""
-        tasks = make_batch("square", 320, 4)
-        slots = [WarmStartSlot() for _ in tasks]
-        first = solve_serial(tasks, warm_slots=slots)
-        before = _counters().get("warmstart.instance_hits", 0)
-        second = solve_serial(tasks, warm_slots=slots)
-        assert _counters().get("warmstart.instance_hits", 0) >= before + len(tasks)
-        assert_results_identical(first, second)
 
 
 # ----------------------------------------------------------------------

@@ -310,17 +310,36 @@ class TestDegradation:
         assert _state_fingerprint(nl, engine.bounds) == before
         assert get_tracer().counters.get("eco.rollback_faults", 0) >= 1
 
-    def test_net_reweight_invalidates_all_warm_slots(self, placed):
-        nl, bounds = placed
+    def test_net_reweight_takes_full_refine(
+        self, placed, placed_base, monkeypatch
+    ):
+        """A net re-weighting has global effect: the engine runs the
+        full finest-level refine, while a movebound delta on the same
+        instance is solved scoped to its frontier."""
         placer = BonnPlaceFBP()
-        placer._reflow_slots = {
-            ("qp", 8, 8, 0, 0): object(),
-            (8, 8, 2, 2): object(),
-        }
-        engine = EcoEngine(nl, bounds, placer=placer)
-        res = engine.apply({"net_weights": {nl.nets[0].name: 2.5}})
-        assert res.slots_dropped == 2
+        calls = []
+        for name in ("_refine_scoped", "_refine_body"):
+            real = getattr(placer, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(placer, name, spy)
+
+        nl, bounds = placed
+        res = EcoEngine(nl, bounds, placer=placer).apply(
+            {"net_weights": {nl.nets[0].name: 2.5}}
+        )
+        assert res.mode == "eco"
+        assert res.frontier_windows == 0
+        assert calls == ["_refine_body"]
         assert nl.nets[0].weight == 2.5
+
+        calls.clear()
+        nl, bounds = copy.deepcopy(placed_base)
+        EcoEngine(nl, bounds, placer=placer).apply(_good_delta(nl))
+        assert calls[0] == "_refine_scoped"
 
     def test_validate_site_faults_abort_before_mutation(self, placed):
         nl, bounds = placed

@@ -4,10 +4,11 @@ Property-style sweeps over the seeded generators of
 :mod:`tests.flow_oracle`, on the oracle's 1/64 grid: the network
 simplex through its array entry point and through
 ``MinCostFlowProblem.solve("ns")`` (the same arrays, so the same bits),
-the NSBasis warm-start round trip between the two, successive shortest
-paths (and ``solve("auto")`` picking it), and the transportation entry
-points with their relaxation chains on every backend.  Every verdict
-and cost must be the oracle's.
+the kernel's starting-basis injection (``NetworkSimplex.solve(
+warm_basis=export_basis())``), successive shortest paths (and
+``solve("auto")`` picking it), and the transportation entry points with
+their relaxation chains on every backend.  Every verdict and cost must
+be the oracle's.
 """
 
 import numpy as np
@@ -19,9 +20,10 @@ from repro.flows import (
     solve_transportation,
     solve_transportation_with_relaxation,
 )
-from repro.flows.networksimplex import solve_network_simplex_arrays
-from repro.flows.warmstart import WarmStartSlot
-from repro.obs import get_tracer
+from repro.flows.networksimplex import (
+    NetworkSimplex,
+    solve_network_simplex_arrays,
+)
 from tests.flow_oracle import (
     assert_matches,
     on_grid,
@@ -56,19 +58,28 @@ def keyed(supply, tails, heads, costs, caps):
     return problem
 
 
-def warm_events():
-    counters = get_tracer().counters
-    return counters.get("warmstart.hits", 0) + counters.get(
-        "warmstart.ambiguous", 0
+def kernel_solve(supply, tails, heads, costs, caps, warm_basis=None):
+    """Solve the array instance on a bare :class:`NetworkSimplex`:
+    every supply node is fed by a super source, every demand node
+    drains into a super sink over an arc of capacity ``|b|``.  Returns
+    the kernel, its verdict and the cost of the input arcs' flows."""
+    n = len(supply)
+    s, t = n, n + 1
+    src = [i for i in range(n) if supply[i] > 0]
+    snk = [i for i in range(n) if supply[i] < 0]
+    kernel = NetworkSimplex(
+        n + 2,
+        np.concatenate([tails, [s] * len(src), snk]),
+        np.concatenate([heads, src, [t] * len(snk)]),
+        np.concatenate([costs, np.zeros(len(src) + len(snk))]),
+        np.concatenate([caps, supply[src], -supply[snk]]),
     )
-
-
-def assert_same_solve(got, want):
-    """Two ``solve_network_simplex_arrays`` answers: same verdict, flow
-    bits and cost bits."""
-    assert got[0] == want[0]
-    assert got[2].tobytes() == want[2].tobytes()
-    assert got[1] == want[1]
+    total = float(supply[src].sum())
+    balance = np.zeros(n + 2)
+    balance[s], balance[t] = total, -total
+    feasible = kernel.solve(balance, warm_basis=warm_basis)
+    cost = float(np.dot(kernel.flow[: len(tails)], costs))
+    return kernel, feasible, cost
 
 
 class TestNetworkSimplexIdentity:
@@ -93,46 +104,48 @@ class TestNetworkSimplexIdentity:
             assert r.stats.pivots == pivots  # same pivot sequence length
 
     def test_warm_basis_round_trip(self):
-        """The basis a solve records warm-starts a re-solve of the
-        identical instance, which returns the cold answer in no more
-        pivots."""
+        """The basis a solve exports starts a re-solve of the identical
+        instance, which is already optimal there: no pivots, the same
+        verdict, flow bits and cost bits."""
         inst = grid_ns_instance(7)
-        cold = solve_network_simplex_arrays(*inst)
-        assert cold[0]
-        slot = WarmStartSlot()
-        first = solve_network_simplex_arrays(*inst, warm_slot=slot)
-        assert slot.basis is not None
-        assert first[3] == cold[3]
-        before = warm_events()
-        again = solve_network_simplex_arrays(*inst, warm_slot=slot)
-        assert warm_events() == before + 1
-        assert_same_solve(first, cold)
-        assert_same_solve(again, cold)
-        assert again[3] <= cold[3]
-
-    def test_cross_kernel_basis_exchange(self):
-        """A basis recorded through one entry point warm-starts the
-        other: the NSBasis of ``MinCostFlowProblem.solve("ns")`` and of
-        ``solve_network_simplex_arrays`` is one representation."""
-        inst = grid_ns_instance(13)
-        problem = keyed(*inst)
-        cold = solve_network_simplex_arrays(*inst)
-        assert cold[0]
-        before = warm_events()
-
-        slot = WarmStartSlot()
-        problem.solve("ns", warm_slot=slot)
-        assert slot.basis is not None
-        assert_same_solve(
-            solve_network_simplex_arrays(*inst, warm_slot=slot), cold
+        cold, feasible, cost = kernel_solve(*inst)
+        assert feasible
+        warm, warm_feasible, warm_cost = kernel_solve(
+            *inst, warm_basis=cold.export_basis()
         )
+        assert warm.warm_used
+        assert warm.pivots == 0
+        assert warm_feasible == feasible
+        assert warm.flow == cold.flow
+        assert warm_cost == cost
 
-        slot = WarmStartSlot()
-        solve_network_simplex_arrays(*inst, warm_slot=slot)
-        r = problem.solve("ns", warm_slot=slot)
-        assert r.flows.tobytes() == cold[2].tobytes()
-        assert r.cost == cold[1]
-        assert warm_events() == before + 2
+
+class TestStartingBasis:
+    """``NetworkSimplex.solve(warm_basis=)`` — the kernel's one
+    basis-injection point — against the oracle: a basis exported by
+    a solve of the instance, re-used on the instance itself and on a
+    copy with doubled capacities, gives the oracle's verdict and
+    cost."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_warm_basis_matches_oracle(self, seed):
+        supply, tails, heads, costs, caps = random_ns_instance(
+            np.random.default_rng(3000 + seed)
+        )
+        supply, costs = on_grid(supply), on_grid(costs)
+        caps = on_relax_grid(caps)
+        basis = kernel_solve(supply, tails, heads, costs, caps)[0].export_basis()
+        for factor in (1.0, 2.0):
+            want = oracle_cost(
+                dict(enumerate(supply.tolist())),
+                zip(tails.tolist(), heads.tolist(), costs, caps * factor),
+            )
+            kernel, feasible, cost = kernel_solve(
+                supply, tails, heads, costs, caps * factor, warm_basis=basis
+            )
+            if factor == 1.0:
+                assert kernel.warm_used
+            assert_matches(feasible, cost, want)
 
 
 class TestSSPIdentity:

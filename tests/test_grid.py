@@ -1,7 +1,11 @@
 """Tests for Grid/Window/WindowRegion and coarse blocks."""
 
+import functools
+
+import numpy as np
 import pytest
 
+from repro.fbp.model import fixed_cell_usage
 from repro.geometry import Rect, RectSet
 from repro.grid import Grid
 from repro.movebounds import (
@@ -10,6 +14,8 @@ from repro.movebounds import (
     decompose_regions,
 )
 from repro.netlist import Netlist
+from repro.workloads import NetlistSpec, generate_netlist
+from repro.workloads.movebound_gen import MoveBoundSpec, attach_movebounds
 
 DIE = Rect(0, 0, 100, 100)
 
@@ -97,6 +103,112 @@ class TestRegions:
             for wr in w.regions:
                 cx, cy = wr.centroid()
                 assert w.rect.contains_point(cx, cy)
+
+
+GRID_SIZES = (1, 2, 3, 5, 8, 16)
+
+
+@functools.lru_cache(maxsize=None)
+def _clip_instance(seed):
+    """A seeded netlist with two blockages, fixed macros straddling
+    window lines and blockage edges, and overlapping, nested and
+    L-shaped movebounds; returns it with its region decomposition."""
+    spec = NetlistSpec(
+        "clipprop", 400, utilization=0.45, num_pads=8,
+        blockage_fracs=((0.12, 0.55, 0.2, 0.13), (0.6, 0.08, 0.09, 0.31)),
+    )
+    nl, logical = generate_netlist(spec, seed=seed)
+    mb_specs = [
+        MoveBoundSpec("m0", 0.08, shape="rect"),
+        MoveBoundSpec("m1", 0.03, nested_in="m0"),
+        MoveBoundSpec("m2", 0.05, overlaps="m0"),
+        MoveBoundSpec("m3", 0.06, shape="L"),
+    ]
+    bounds = attach_movebounds(nl, logical, mb_specs, seed=seed + 5)
+    rng = np.random.default_rng(seed)
+    die = nl.die
+    for k in range(6):
+        w, h = rng.uniform(0.05, 0.2, 2) * (die.width, die.height)
+        nl.add_cell(
+            f"macro{k}", w, h,
+            x=rng.uniform(die.x_lo + w / 2, die.x_hi - w / 2),
+            y=rng.uniform(die.y_lo + h / 2, die.y_hi - h / 2),
+            fixed=True,
+        )
+    nl.finalize()
+    return nl, decompose_regions(die, bounds, nl.blockages)
+
+
+def _rects_area(rects):
+    return sum(r.area for r in rects)
+
+
+class TestClippingProperties:
+    """``Grid.build_regions`` on seeded movebound instances, checked
+    against window bounds and region areas computed here."""
+
+    @pytest.mark.parametrize(
+        "nx,ny",
+        [(n, n) for n in GRID_SIZES] + list(zip(GRID_SIZES, GRID_SIZES[::-1])),
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pieces_partition_every_region(self, seed, nx, ny):
+        nl, dec = _clip_instance(seed)
+        die = nl.die
+        grid = Grid(die, nx, ny)
+        grid.build_regions(dec)
+        tol = 1e-9 * max(die.width, die.height)
+
+        area = {r.index: 0.0 for r in dec}
+        free = {r.index: 0.0 for r in dec}
+        for w in grid:
+            ix, iy = w.index % nx, w.index // nx
+            x0 = die.x_lo + die.width * ix / nx
+            x1 = die.x_hi if ix == nx - 1 else die.x_lo + die.width * (ix + 1) / nx
+            y0 = die.y_lo + die.height * iy / ny
+            y1 = die.y_hi if iy == ny - 1 else die.y_lo + die.height * (iy + 1) / ny
+            for wr in w.regions:
+                region = wr.region
+                assert wr.window_index == w.index
+                for pieces, within in (
+                    (wr.area, region.area),
+                    (wr.free_area, region.free_area),
+                ):
+                    rects = list(pieces)
+                    for r in rects:
+                        assert x0 - tol <= r.x_lo and r.x_hi <= x1 + tol
+                        assert y0 - tol <= r.y_lo and r.y_hi <= y1 + tol
+                        assert within.intersection_area(r) == pytest.approx(
+                            r.area, rel=1e-12
+                        )
+                    for i, a in enumerate(rects):
+                        for b in rects[i + 1:]:
+                            assert a.intersection_area(b) <= tol * tol
+                area[region.index] += _rects_area(wr.area)
+                free[region.index] += _rects_area(wr.free_area)
+        for region in dec:
+            assert area[region.index] == pytest.approx(
+                _rects_area(region.area), rel=1e-12
+            )
+            assert free[region.index] == pytest.approx(
+                _rects_area(region.free_area), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fixed_cell_usage_sums_to_free_overlap(self, seed, n):
+        nl, dec = _clip_instance(seed)
+        grid = Grid(nl.die, n, n)
+        grid.build_regions(dec)
+        free = RectSet([nl.die]).subtract(nl.blockages)
+        want = sum(
+            free.intersection_area(nl.cell_rect(c.index))
+            for c in nl.cells
+            if c.fixed
+        )
+        assert want > 0
+        got = sum(fixed_cell_usage(nl, grid).values())
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestCells:

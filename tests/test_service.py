@@ -97,10 +97,32 @@ class TestProtocol:
             JobSpec(kind="explode", instance="x", dir="/x").validate()
 
     def test_validate_rejects_unknown_option(self):
-        spec = JobSpec(kind="place", instance="x", dir="/x",
-                       options={"warp_speed": True})
-        with pytest.raises(PipelineStageError, match="warp_speed"):
-            spec.validate()
+        # unknown keys and out-of-range values alike are refused at
+        # admission, before any child attempt could fail on them
+        for options in (
+            {"warp_speed": True},
+            {"warm_start": False},
+            {"region_cache": False},
+            {"placer": "foo"},
+            {"transport_method": "bogus"},
+            {"density": -3.0},
+            {"density": 0},
+            {"density": 1.5},
+            {"max_hpwl_drift": float("nan")},
+            {"max_hpwl_drift": float("inf")},
+            {"max_hpwl_drift": 0.0},
+        ):
+            spec = JobSpec(kind="place", instance="x", dir="/x",
+                           options=options)
+            (key,) = options
+            with pytest.raises(PipelineStageError, match=key) as ei:
+                spec.validate()
+            assert ei.value.stage == "svc.accept"
+        JobSpec(
+            kind="place", instance="x", dir="/x",
+            options={"placer": "rql", "transport_method": "ns",
+                     "density": 1, "max_hpwl_drift": 2.5},
+        ).validate()
 
     def test_message_roundtrip(self):
         msg = {"op": "submit", "spec": {"kind": "check"}}

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.geometry import Rect, RectSet
+from repro.geometry import Rect
 from repro.movebounds import (
     DEFAULT_BOUND,
     EXCLUSIVE,
@@ -287,13 +287,12 @@ def build_patched_bounds(
 ) -> MoveBoundSet:
     """A *fresh* MoveBoundSet with the delta's bounds added — shadow
     state; the caller's set is untouched.  Normalization failures
-    (exclusive overlap, swallowed inclusive bound) are refusals."""
+    (exclusive overlap, swallowed inclusive bound) are refusals.
+
+    The patched bounds share their areas with ``bounds``: a ``RectSet``
+    is immutable and normalization only rebinds ``MoveBound.area``."""
     patched = MoveBoundSet(
-        die,
-        [
-            MoveBound(b.name, RectSet(b.area.rects), b.kind)
-            for b in bounds
-        ],
+        die, [MoveBound(b.name, b.area, b.kind) for b in bounds]
     )
     try:
         for m in delta.movebounds:

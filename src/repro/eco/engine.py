@@ -198,7 +198,6 @@ class EcoEngine:
         """Validate, stage, solve, verify, and commit one delta."""
         if not isinstance(delta, PlacementDelta):
             delta = PlacementDelta.from_dict(delta)
-        netlist, opts = self.netlist, self.options
         incr("eco.transactions")
         with span("eco.apply") as sp:
             result = self._apply_impl(delta)
@@ -296,6 +295,7 @@ class EcoEngine:
                 placement = self.placer.incremental_refine(
                     netlist,
                     self.bounds,
+                    decomposition,
                     frontier=scoped,
                     touched_cells=delta.touched_cells(netlist),
                 )

@@ -90,9 +90,24 @@ class RectSet:
     __slots__ = ("_rects", "_area", "_centroid")
 
     def __init__(self, rects: Iterable[Rect] = ()) -> None:
-        self._rects: Tuple[Rect, ...] = tuple(
-            sorted(_merge_pass(_disjointify(list(rects))))
-        )
+        self._normalize(_disjointify(list(rects)))
+
+    @classmethod
+    def _from_disjoint(cls, rects: Iterable[Rect]) -> "RectSet":
+        """The set of rectangles already pairwise interior-disjoint.
+
+        Equal to ``RectSet(rects)`` (the same ``.rects``) without the
+        quadratic disjointify pass, which returns such input unchanged
+        but for its empty rectangles.  For callers whose pieces are
+        disjoint by construction: cut from a disjoint set, or cells of
+        a grid.
+        """
+        out = cls.__new__(cls)
+        out._normalize([r for r in rects if not r.is_empty])
+        return out
+
+    def _normalize(self, disjoint: List[Rect]) -> None:
+        self._rects: Tuple[Rect, ...] = tuple(sorted(_merge_pass(disjoint)))
         # memoized derived quantities (instances are immutable)
         self._area: Optional[float] = None
         self._centroid: Optional[Tuple[float, float]] = None
@@ -166,6 +181,8 @@ class RectSet:
     # ------------------------------------------------------------------
     # boolean operations
     # ------------------------------------------------------------------
+    # pieces cut from disjoint rectangles are disjoint, so only a union
+    # needs the full normalization
     def union(self, other: "RectSet") -> "RectSet":
         return RectSet(self._rects + other._rects)
 
@@ -175,7 +192,7 @@ class RectSet:
             inter = r.intersection(rect)
             if inter is not None:
                 pieces.append(inter)
-        return RectSet(pieces)
+        return RectSet._from_disjoint(pieces)
 
     def intersect(self, other: "RectSet") -> "RectSet":
         pieces: List[Rect] = []
@@ -184,13 +201,13 @@ class RectSet:
                 inter = r.intersection(s)
                 if inter is not None:
                     pieces.append(inter)
-        return RectSet(pieces)
+        return RectSet._from_disjoint(pieces)
 
     def subtract_rect(self, rect: Rect) -> "RectSet":
         pieces: List[Rect] = []
         for r in self._rects:
             pieces.extend(r.subtract(rect))
-        return RectSet(pieces)
+        return RectSet._from_disjoint(pieces)
 
     def subtract(self, other: "RectSet") -> "RectSet":
         out = self

@@ -158,11 +158,13 @@ class Grid:
         for w in self.windows:
             w.regions = []
         pieces, free_pieces = self._scan_pieces(decomposition)
+        # pieces are a disjoint set's rectangles clipped to one window:
+        # disjoint by construction
         for (widx, ridx), rects in pieces.items():
             region = decomposition.regions[ridx]
-            free = RectSet(free_pieces.get((widx, ridx), []))
+            free = RectSet._from_disjoint(free_pieces.get((widx, ridx), []))
             self.windows[widx].regions.append(
-                WindowRegion(widx, region, RectSet(rects), free)
+                WindowRegion(widx, region, RectSet._from_disjoint(rects), free)
             )
         for w in self.windows:
             w.regions.sort(key=lambda wr: wr.region.index)

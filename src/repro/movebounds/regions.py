@@ -191,7 +191,8 @@ def decompose_regions(
         groups.items(), key=lambda kv: sorted(kv[0])
     ):
         clean_sig = frozenset(n for n in sig if not n.startswith("#cell"))
-        area = RectSet(rects)
+        # Hanan cells are disjoint by construction
+        area = RectSet._from_disjoint(rects)
         free = area.subtract(blockages)
         regions.append(
             Region(

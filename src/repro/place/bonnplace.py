@@ -26,7 +26,11 @@ from repro.feasibility import check_feasibility
 from repro.grid import Grid
 from repro.legalize import check_legality, legalize_with_movebounds
 from repro.legalize.detailed import detailed_place
-from repro.movebounds import MoveBoundSet, decompose_regions
+from repro.movebounds import (
+    MoveBoundSet,
+    RegionDecomposition,
+    decompose_regions,
+)
 from repro.netlist import Netlist
 from repro.obs import incr, maybe_check, span
 from repro.partitioning import enforce_blocks, repartition_pass
@@ -204,6 +208,7 @@ class BonnPlaceFBP:
         self,
         netlist: Netlist,
         bounds: MoveBoundSet,
+        decomposition: RegionDecomposition,
         frontier=None,
         touched_cells=None,
     ) -> PlacerResult:
@@ -228,8 +233,9 @@ class BonnPlaceFBP:
         (§IV), so both paths honor the just-patched movebounds.
 
         The caller is responsible for the Theorem-2 feasibility check
-        (the engine runs it during delta validation).  A scoped solve
-        that cannot place its frontier locally raises
+        (the engine runs it during delta validation) and hands in the
+        region ``decomposition`` of ``bounds`` that check used.  A
+        scoped solve that cannot place its frontier locally raises
         :class:`PlacementError`; the engine degrades to the full solve.
         """
         opts = self.options
@@ -237,22 +243,20 @@ class BonnPlaceFBP:
         validate_instance(netlist, bounds, opts.density_target)
         if frontier:
             return self._refine_scoped(
-                netlist, bounds, frontier, touched_cells or ()
+                netlist, bounds, decomposition, frontier, touched_cells or ()
             )
-        return self._refine_body(netlist, bounds)
+        return self._refine_body(netlist, bounds, decomposition)
 
     def _refine_scoped(
         self,
         netlist: Netlist,
         bounds: MoveBoundSet,
+        decomposition: RegionDecomposition,
         frontier,
         touched_cells,
     ) -> PlacerResult:
         opts = self.options
         density = opts.density_target
-        decomposition = decompose_regions(
-            netlist.die, bounds, netlist.blockages
-        )
         levels = self.num_levels(netlist)
         n = 2**levels
         with span("place.incremental") as sp_global:
@@ -322,13 +326,13 @@ class BonnPlaceFBP:
         )
 
     def _refine_body(
-        self, netlist: Netlist, bounds: MoveBoundSet
+        self,
+        netlist: Netlist,
+        bounds: MoveBoundSet,
+        decomposition: RegionDecomposition,
     ) -> PlacerResult:
         opts = self.options
         density = opts.density_target
-        decomposition = decompose_regions(
-            netlist.die, bounds, netlist.blockages
-        )
         levels = self.num_levels(netlist)
         n = 2**levels
         with span("place.incremental") as sp_global:

@@ -8,6 +8,7 @@ The crash/SIGKILL half of the contract lives in the slow-lane
 import copy
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -340,6 +341,39 @@ class TestDegradation:
         nl, bounds = copy.deepcopy(placed_base)
         EcoEngine(nl, bounds, placer=placer).apply(_good_delta(nl))
         assert calls[0] == "_refine_scoped"
+
+    def test_one_decomposition_per_delta(
+        self, placed, placed_base, monkeypatch
+    ):
+        """The Theorem-2 check's region decomposition is the one the
+        incremental solve and its legalization use: a delta decomposes
+        the patched bounds once, scoped or not."""
+        import repro.movebounds.regions as regions_module
+
+        real = regions_module.decompose_regions
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # every module holding the name, wherever it imported it from
+        for module in list(sys.modules.values()):
+            if getattr(module, "decompose_regions", None) is real:
+                monkeypatch.setattr(module, "decompose_regions", spy)
+
+        nl, bounds = placed
+        res = EcoEngine(nl, bounds).apply(
+            {"net_weights": {nl.nets[0].name: 2.5}}
+        )
+        assert res.mode == "eco" and res.frontier_windows == 0
+        assert len(calls) == 1
+
+        calls.clear()
+        nl, bounds = copy.deepcopy(placed_base)
+        res = EcoEngine(nl, bounds).apply(_good_delta(nl))
+        assert res.mode == "eco" and res.frontier_windows > 0
+        assert len(calls) == 1
 
     def test_validate_site_faults_abort_before_mutation(self, placed):
         nl, bounds = placed

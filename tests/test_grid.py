@@ -194,6 +194,54 @@ class TestClippingProperties:
                 _rects_area(region.free_area), rel=1e-12
             )
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_disjoint_constructor_is_the_normal_form(self, seed):
+        """``RectSet._from_disjoint`` skips the disjointify pass; on the
+        pieces of every subtract, intersect and clip the operations and
+        the decomposition produce, it must give ``RectSet(...)``'s
+        rectangles exactly."""
+        nl, dec = _clip_instance(seed)
+        piece_lists = []
+        for region in dec:
+            for blockage in nl.blockages:
+                piece_lists.append(
+                    [p for r in region.area for p in r.subtract(blockage)]
+                )
+            for bound in dec.bounds.all_bounds():
+                piece_lists.append(
+                    [
+                        r.intersection(s)
+                        for r in region.area
+                        for s in bound.area
+                        if r.overlaps(s)
+                    ]
+                )
+        for n in GRID_SIZES:
+            for pieces in Grid(nl.die, n, n)._scan_pieces(dec):
+                piece_lists.extend(pieces.values())
+        assert sum(len(p) > 1 for p in piece_lists) > 100
+        for pieces in piece_lists:
+            assert (
+                RectSet._from_disjoint(pieces).rects == RectSet(pieces).rects
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_decomposition_equals_full_normalization(self, seed, monkeypatch):
+        nl, dec = _clip_instance(seed)
+
+        def regions(decomposition):
+            return [
+                (r.index, r.signature, r.area.rects, r.free_area.rects)
+                for r in decomposition
+            ]
+
+        got = regions(decompose_regions(nl.die, dec.bounds, nl.blockages))
+        monkeypatch.setattr(
+            RectSet, "_from_disjoint", classmethod(lambda cls, rects: cls(rects))
+        )
+        want = regions(decompose_regions(nl.die, dec.bounds, nl.blockages))
+        assert got == want == regions(dec)
+
     @pytest.mark.parametrize("n", GRID_SIZES)
     @pytest.mark.parametrize("seed", range(3))
     def test_fixed_cell_usage_sums_to_free_overlap(self, seed, n):

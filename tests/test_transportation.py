@@ -8,6 +8,7 @@ from repro.flows import (
     round_almost_integral,
     solve_transportation,
 )
+from repro.resilience.errors import InfeasibleInputError
 
 INF = np.inf
 
@@ -69,6 +70,28 @@ class TestBasics:
             solve_transportation(
                 np.array([-1.0]), np.array([1.0]), np.zeros((1, 1))
             )
+
+    @pytest.mark.parametrize(
+        "supplies,capacities",
+        [
+            ([np.nan, 1.0], [2.0, 2.0]),
+            ([INF, 1.0], [2.0, 2.0]),
+            ([1.0, 1.0], [np.nan, 2.0]),
+            ([1.0, 1.0], [INF, 2.0]),
+        ],
+    )
+    def test_non_finite_supply_or_capacity_rejected(
+        self, supplies, capacities
+    ):
+        # a NaN supply once slipped through the closed form as
+        # "feasible", and a non-finite capacity must never reach HiGHS
+        with pytest.raises(InfeasibleInputError, match="finite") as ei:
+            solve_transportation(
+                np.array(supplies),
+                np.array(capacities),
+                np.array([[1.0, 2.0], [2.0, 1.0]]),
+            )
+        assert ei.value.stage == "transport.validate"
 
     def test_mcf_backend_matches_lp(self):
         rng = np.random.default_rng(3)

@@ -28,7 +28,6 @@ from typing import Optional
 
 from repro.bookshelf import load_instance, save_instance
 from repro.feasibility import check_feasibility
-from repro.flows import TRANSPORT_METHODS
 from repro.legalize import check_legality
 from repro.metrics import density_penalty
 from repro.obs import (
@@ -92,8 +91,6 @@ def cmd_place(args: argparse.Namespace) -> int:
     if args.relax_infeasible and hasattr(placer, "options"):
         placer.options.relax_infeasible = True
     if hasattr(placer, "options"):
-        if args.transport_method is not None:
-            placer.options.transport_method = args.transport_method
         if args.shard_tiles is not None:
             placer.options.shard_tiles = args.shard_tiles
         if args.realize_tiles is not None:
@@ -260,8 +257,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     options = {}
     if args.relax_infeasible:
         options["relax_infeasible"] = True
-    if args.transport_method is not None:
-        options["transport_method"] = args.transport_method
     if args.no_legalize:
         options["legalize"] = False
     if args.density is not None:
@@ -429,13 +424,6 @@ def main(argv: Optional[list] = None) -> int:
         "--pool-workers)",
     )
     p.add_argument(
-        "--transport-method",
-        default=None,
-        choices=TRANSPORT_METHODS,
-        help="backend of the per-window/repartitioning transportation "
-        "solves (default auto = LP; ns = network simplex)",
-    )
-    p.add_argument(
         "--pool-task-timeout",
         type=float,
         default=None,
@@ -590,8 +578,6 @@ def main(argv: Optional[list] = None) -> int:
     sb.add_argument("--tenant", default="default")
     sb.add_argument("--priority", type=int, default=0)
     sb.add_argument("--relax-infeasible", action="store_true")
-    sb.add_argument("--transport-method", default=None,
-                    choices=TRANSPORT_METHODS)
     sb.add_argument("--no-legalize", action="store_true")
     sb.add_argument("--density", type=float, default=None)
     sb.add_argument(

@@ -53,7 +53,6 @@ def fbp_partition(
     compute_parallel_schedule: bool = False,
     cell_windows: Optional[np.ndarray] = None,
     keep_model: bool = False,
-    transport_method: str = "auto",
     shard_tiles: Optional[int] = None,
     realize_tiles: Optional[int] = None,
 ) -> FBPReport:
@@ -86,10 +85,7 @@ def fbp_partition(
                 from repro.fbp.sharding import solve_sharded
 
                 result, shard_report = solve_sharded(
-                    model,
-                    shard_tiles,
-                    mcf_method=mcf_method,
-                    transport_method=transport_method,
+                    model, shard_tiles, mcf_method=mcf_method
                 )
             else:
                 result = model.solve(mcf_method)
@@ -125,7 +121,6 @@ def fbp_partition(
             result,
             qp_options=qp_options,
             run_local_qp=run_local_qp,
-            transport_method=transport_method,
             realize_tiles=realize_tiles,
         )
     report.realization_seconds = sp_realize.wall_s

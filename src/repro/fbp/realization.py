@@ -27,7 +27,6 @@ turns this abstract flow into actual cell movement:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -313,14 +312,12 @@ def realize_flow(
     qp_options: Optional[QPOptions] = None,
     run_local_qp: bool = True,
     local_qp_cell_limit: int = 500,
-    transport_method: str = "auto",
     realize_tiles: Optional[int] = None,
 ) -> RealizationResult:
     """Execute the full realization pass on the model's netlist.
 
     Mutates cell positions; returns accounting plus the final
-    cell -> (window, region) assignment.  ``transport_method`` selects
-    the backend of the final per-window transportation solves.
+    cell -> (window, region) assignment.
 
     ``realize_tiles`` controls the tile-parallel dispatch of the final
     per-window partitioning when a worker pool is active: ``None``
@@ -335,7 +332,6 @@ def realize_flow(
             qp_options,
             run_local_qp,
             local_qp_cell_limit,
-            transport_method,
             realize_tiles,
         )
     out.seconds = sp.wall_s
@@ -352,7 +348,6 @@ def _realize_flow_impl(
     qp_options: Optional[QPOptions],
     run_local_qp: bool,
     local_qp_cell_limit: int,
-    transport_method: str = "auto",
     realize_tiles: Optional[int] = None,
 ) -> RealizationResult:
     netlist = model.netlist
@@ -488,7 +483,6 @@ def _realize_flow_impl(
             out,
             window_parts,
             bound_names,
-            method=transport_method,
             realize_tiles=realize_tiles,
         )
 
@@ -501,7 +495,6 @@ def _partition_windows(
     out: RealizationResult,
     window_parts: Dict[int, List[Tuple[np.ndarray, int]]],
     bound_names: Sequence[str],
-    method: str = "auto",
     realize_tiles: Optional[int] = None,
 ) -> None:
     """Final intra-window partitioning (§III) of the realization.
@@ -545,12 +538,8 @@ def _partition_windows(
             specs,
             grid,
             chain=RELAX_CHAIN_WINDOW,
-            method=method,
             tiles=realize_tiles,
         )
-
-    if os.environ.get("REPRO_VERIFY_REALIZE"):
-        _verify_realize(specs, outcomes, method)
 
     with span("realize.merge"):
         for spec, oc in zip(specs, outcomes):
@@ -580,34 +569,3 @@ def _partition_windows(
                 if over > 0:
                     out.total_overflow += over
                     out.max_overflow = max(out.max_overflow, over)
-
-
-def _verify_realize(specs, outcomes, method: str) -> None:
-    """Shadow mode (``REPRO_VERIFY_REALIZE=1``): re-realize every
-    window serially through the general LP path (fast path disabled)
-    and require bitwise-identical positions and assignments.
-
-    The reported relaxation *stage* is deliberately not compared: at
-    exact capacity boundaries the closed-form feasibility check and the
-    LP solver's tolerance can disagree on the stage while producing the
-    same placement."""
-    from repro.fbp.realize_windows import realize_unit
-
-    ref = realize_unit(
-        specs,
-        chain=RELAX_CHAIN_WINDOW,
-        method=method,
-        use_fast_path=False,
-    )
-    for oc, rf in zip(outcomes, ref):
-        if (
-            oc.new_x.tobytes() != rf.new_x.tobytes()
-            or oc.new_y.tobytes() != rf.new_y.tobytes()
-            or not np.array_equal(oc.assignment, rf.assignment)
-        ):
-            raise PipelineStageError(
-                "realization shadow verify mismatch in window "
-                f"{oc.widx}",
-                stage="fbp.realize",
-            )
-    incr("realize.verified", len(specs))

@@ -30,9 +30,9 @@ specs with a pure function, :func:`realize_unit`.  That enables:
   floating-point expressions reproduce the scalar reference
   (`realization._spread_into_rects`) bit for bit.
 
-``REPRO_VERIFY_REALIZE=1`` arms a shadow mode: every realized batch is
-recomputed through the general LP path (fast path disabled) and the
-positions and assignments are compared bitwise.
+The fast path is held to the general route by a test that realizes the
+same specs with ``trivial`` cleared and compares positions and
+assignments bitwise (``tests/test_realize_parallel.py``).
 """
 
 from __future__ import annotations
@@ -329,22 +329,19 @@ def _spread_group(
 def realize_unit(
     specs: Sequence[WindowSpec],
     chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
-    method: str = "auto",
-    use_fast_path: bool = True,
 ) -> List[WindowOutcome]:
     """Realize a batch of window specs; pure function of its inputs.
 
     Runs inside pool workers and in the supervisor's serial path alike,
-    so both produce identical bits.  ``use_fast_path=False`` forces
-    every window through the general LP route (the shadow-verify
-    reference).
+    so both produce identical bits.  A ``trivial`` spec takes the
+    closed-form fast path, every other one the transportation LP.
     """
     plans: List[Tuple[WindowSpec, Optional[int], Optional[np.ndarray]]] = []
     general: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for spec in specs:
         stage = None
         costs = None
-        if use_fast_path and spec.trivial:
+        if spec.trivial:
             stage = _trivial_stage(
                 spec.sizes.sum(), spec.caps[0], chain
             )
@@ -354,7 +351,7 @@ def realize_unit(
         plans.append((spec, stage, costs))
     solved = [
         solve_transportation_with_relaxation(
-            supplies, caps, costs, chain=chain, method=method
+            supplies, caps, costs, chain=chain
         )
         for supplies, caps, costs in general
     ]

@@ -433,7 +433,6 @@ def solve_sharded(
     model: FBPModel,
     shard_tiles: int,
     mcf_method: str = "auto",
-    transport_method: str = "auto",
 ) -> Tuple[FlowResult, ShardReport]:
     """Solve the built FBP model tile-by-tile; see the module docstring
     for the exactness contract.  Returns the synthetic flow result over
@@ -458,8 +457,7 @@ def solve_sharded(
 
     try:
         return _solve_sharded_impl(
-            model, wtile, sx, sy, cut_ids, mcf_method, transport_method,
-            report,
+            model, wtile, sx, sy, cut_ids, mcf_method, report
         )
     except _ShardFallback as exc:
         report.fallback = exc.reason
@@ -474,7 +472,6 @@ def _solve_sharded_impl(
     sy: int,
     cut_ids: frozenset,
     mcf_method: str,
-    transport_method: str,
     report: ShardReport,
 ) -> Tuple[FlowResult, ShardReport]:
     from repro.runstate.pool import solve_transport_batch
@@ -525,7 +522,6 @@ def _solve_sharded_impl(
         solved = solve_transport_batch(
             [(t.supplies, t.caps, t.costs) for t in tasks],
             chain=RELAX_CHAIN_WINDOW,
-            method=transport_method,
         )
     for task, (tr, stage) in zip(tasks, solved):
         if not tr.feasible:

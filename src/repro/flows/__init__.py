@@ -28,7 +28,6 @@ from repro.flows.mincostflow import (
 from repro.flows.transportation import (
     RELAX_CHAIN_PARTITION,
     RELAX_CHAIN_WINDOW,
-    TRANSPORT_METHODS,
     TransportResult,
     TransportStats,
     round_almost_integral,
@@ -51,6 +50,5 @@ __all__ = [
     "solve_transportation_with_relaxation",
     "RELAX_CHAIN_WINDOW",
     "RELAX_CHAIN_PARTITION",
-    "TRANSPORT_METHODS",
     "round_almost_integral",
 ]

@@ -294,7 +294,7 @@ class MinCostFlowProblem:
             elif method == "lp":
                 result = self._solve_lp(budget)
             elif method == "ns":
-                result = self._solve_ns(clock)
+                result = self._solve_simplex(clock)
             else:
                 result = self._solve_heur()
         except ReproError as exc:
@@ -358,7 +358,9 @@ class MinCostFlowProblem:
     # ------------------------------------------------------------------
     # network simplex backend (the paper's solver family)
     # ------------------------------------------------------------------
-    def _solve_ns(self, clock: Optional[BudgetClock] = None) -> FlowResult:
+    def _solve_simplex(
+        self, clock: Optional[BudgetClock] = None
+    ) -> FlowResult:
         from repro.flows.networksimplex import solve_network_simplex_arrays
 
         feasible, cost, flows, pivots = solve_network_simplex_arrays(

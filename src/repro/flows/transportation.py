@@ -19,9 +19,9 @@ to HiGHS' own bindings directly, as the same model ``linprog`` would
 build: the same rows, columns, bounds and options, hence the same
 solution, iteration count and verdict.  Those bindings are private to
 scipy, which is why ``pyproject.toml`` pins the scipy release they
-are written against (:data:`SCIPY_FLOOR`).  The min-cost-flow
-backends (``mcf``: successive shortest paths, ``ns``: network simplex)
-stay selectable.
+are written against (:data:`SCIPY_FLOOR`).  This front end plus the
+LP is the one transportation solver: the paper's "transportation
+algorithm" of §III, used by every window and repartitioning solve.
 
 A basic optimal solution of the transportation LP has at most
 ``n + k - 1`` positive variables, hence at most ``k - 1`` fractionally
@@ -50,25 +50,21 @@ from repro.resilience.errors import (
 
 INF = float("inf")
 
-#: ``method`` values :func:`solve_transportation` accepts ("auto" = "lp")
-TRANSPORT_METHODS = ("auto", "lp", "ns", "mcf")
-
 
 @dataclass
 class TransportStats:
     """Size/effort accounting of one transportation solve.
 
+    ``method`` says who answered (``closed_form``, ``precheck`` or
+    ``lp``, or the ``empty`` / ``no_admissible_sink`` exits).
     ``nodes`` is sources + sinks, ``arcs`` the admissible
-    (finite-cost) source->sink pairs.  ``pivots`` are HiGHS iterations
-    for the LP backend; ``augmenting_paths`` are SSP augmentations for
-    the min-cost-flow oracle backend.
+    (finite-cost) source->sink pairs.  ``pivots`` are HiGHS iterations.
     """
 
     method: str = ""
     nodes: int = 0
     arcs: int = 0
     pivots: int = 0
-    augmenting_paths: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -76,7 +72,6 @@ class TransportStats:
             "nodes": self.nodes,
             "arcs": self.arcs,
             "pivots": self.pivots,
-            "augmenting_paths": self.augmenting_paths,
         }
 
 
@@ -137,7 +132,6 @@ def solve_transportation(
     supplies: np.ndarray,
     capacities: np.ndarray,
     costs: np.ndarray,
-    method: str = "auto",
     budget: Optional[SolverBudget] = None,
 ) -> TransportResult:
     """Solve min sum_ij costs[i,j] * f[i,j]
@@ -147,21 +141,17 @@ def solve_transportation(
     Returns an infeasible result (zero flow) when the supplies cannot
     be routed, e.g. when movebound-admissible sinks lack capacity.
 
-    On the default LP path an instance whose answer is forced is
-    answered by :func:`_solve_forced` without calling the solver;
-    ``result.stats.method`` says who answered (``closed_form``,
-    ``precheck`` or ``lp``).  ``method="ns"`` runs the network simplex
-    on a tie-broken copy of the costs, ``method="mcf"`` successive
-    shortest paths.
+    An instance whose answer is forced is answered by
+    :func:`_solve_forced` without calling the solver, everything else
+    by the HiGHS LP (:func:`_solve_lp`); ``result.stats.method`` says
+    who answered (``closed_form``, ``precheck`` or ``lp``).  A HiGHS
+    failure raises :class:`SolverNumericsError`, an exhausted budget
+    :class:`SolverBudgetExceeded`.
     """
     supplies = np.asarray(supplies, dtype=np.float64)
     capacities = np.asarray(capacities, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
     _validate(supplies, capacities, costs)
-    if method not in TRANSPORT_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "lp"
     n, k = costs.shape
     finite = np.isfinite(costs)
     if budget is None:
@@ -179,24 +169,18 @@ def solve_transportation(
             INF,
             TransportStats(method="no_admissible_sink"),
         )
-    elif method == "lp":
+    else:
         result = _solve_forced(supplies, capacities, costs, finite)
         if result is None:
             result = _solve_lp(supplies, capacities, costs, finite, budget)
-    elif method == "mcf":
-        result = _solve_mcf(supplies, capacities, costs, finite, budget)
-    else:
-        result = _solve_ns(supplies, capacities, costs, finite, budget)
 
     stats = result.stats
-    # the exits above name themselves; a backend goes by its method
-    stats.method = stats.method or method
     stats.nodes = n + k
     stats.arcs = int(finite.sum())
     if stats.method in ("empty", "no_admissible_sink"):
-        # never reached a backend: counted apart, so ``transport.solves``
-        # and ``transport.infeasible`` keep counting what a backend, or
-        # the front end standing in for it, answered
+        # never reached the solver: counted apart, so ``transport.solves``
+        # and ``transport.infeasible`` keep counting what the LP, or the
+        # front end standing in for it, answered
         incr(f"transport.{stats.method}")
         return result
     incr("transport.solves")
@@ -204,7 +188,6 @@ def solve_transportation(
     incr("transport.nodes", stats.nodes)
     incr("transport.arcs", stats.arcs)
     incr("transport.pivots", stats.pivots)
-    incr("transport.augmenting_paths", stats.augmenting_paths)
     if not result.feasible:
         incr("transport.infeasible")
     return result
@@ -386,7 +369,7 @@ def _solve_lp(
         if ran:
             pivots = info.simplex_iteration_count or info.ipm_iteration_count
             solved = status == h.HighsModelStatus.kOptimal
-    stats = TransportStats(pivots=pivots)
+    stats = TransportStats(method="lp", pivots=pivots)
     if status in (
         h.HighsModelStatus.kTimeLimit,
         h.HighsModelStatus.kIterationLimit,
@@ -431,96 +414,6 @@ def _solve_lp(
     flow = np.zeros((n, k))
     flow[src_idx, snk_idx] = x
     return TransportResult(True, flow, float(fun), stats)
-
-
-def _solve_mcf(
-    supplies: np.ndarray,
-    capacities: np.ndarray,
-    costs: np.ndarray,
-    finite: np.ndarray,
-    budget: Optional[SolverBudget] = None,
-) -> TransportResult:
-    """Backend on the successive-shortest-path min-cost-flow solver."""
-    from repro.flows.mincostflow import MinCostFlowProblem
-
-    n, k = costs.shape
-    problem = MinCostFlowProblem()
-    for i in range(n):
-        problem.add_node(("s", i), float(supplies[i]))
-    for j in range(k):
-        problem.add_node(("t", j), -float(capacities[j]))
-    arc_ids = {}
-    for i in range(n):
-        for j in range(k):
-            if finite[i, j]:
-                arc_ids[(i, j)] = problem.add_arc(
-                    ("s", i), ("t", j), float(costs[i, j])
-                )
-    result = problem.solve(method="ssp", budget=budget)
-    stats = TransportStats(augmenting_paths=result.stats.augmenting_paths)
-    if not result.feasible:
-        return TransportResult(False, np.zeros((n, k)), INF, stats)
-    flow = np.zeros((n, k))
-    for (i, j), aid in arc_ids.items():
-        flow[i, j] = result.flow_on(aid)
-    return TransportResult(True, flow, result.cost, stats)
-
-
-def _solve_ns(
-    supplies: np.ndarray,
-    capacities: np.ndarray,
-    costs: np.ndarray,
-    finite: np.ndarray,
-    budget: Optional[SolverBudget] = None,
-) -> TransportResult:
-    """Network-simplex backend.
-
-    Builds the bipartite min-cost-flow instance directly as arrays —
-    integer nodes 0..n-1 for sources, n..n+k-1 for sinks and one
-    uncapacitated arc per admissible pair in row-major order — and
-    solves it with
-    :func:`repro.flows.networksimplex.solve_network_simplex_arrays`.
-    """
-    from repro.flows.networksimplex import solve_network_simplex_arrays
-
-    n, k = costs.shape
-    supply = np.concatenate([supplies, -capacities])
-    src_idx, snk_idx = np.nonzero(finite)
-    arc_costs = costs[src_idx, snk_idx]
-    # Deterministic tie-breaking: L1 distances on a grid tie constantly,
-    # making the optimal flow non-unique, so which optimum comes back
-    # would hinge on the pivot path.  A tiny per-arc perturbation
-    # (~2^-20 relative, well above the solver's relative cost epsilon
-    # but orders below any real cost difference the placement could
-    # notice) makes the optimum unique for almost every instance; the
-    # optimum it selects is part of every ``ns`` placement's bits.  It
-    # must NOT be linear in the arc index: a simplex cycle through
-    # sources i,i' and sinks j,j' sums indices as
-    # idx(i,j) - idx(i,j') + idx(i',j') - idx(i',j) = 0 in row-major
-    # order, cancelling any linear perturbation exactly.  A seeded PRNG
-    # stream is a pure function of the arc count, so every solve of the
-    # same instance perturbs identically.
-    scale = float(np.max(np.abs(arc_costs), initial=0.0)) or 1.0
-    rng = np.random.default_rng(0x7F4A7C15)
-    tie_break = (rng.random(len(arc_costs)) + 1.0) * (scale * 2.0**-20)
-    perturbed = arc_costs + tie_break
-    clock = budget.clock("ns") if budget is not None else None
-    feasible, _cost, flows, pivots = solve_network_simplex_arrays(
-        supply,
-        src_idx.astype(np.int64),
-        (snk_idx + n).astype(np.int64),
-        perturbed,
-        np.full(len(perturbed), INF),
-        clock=clock,
-    )
-    stats = TransportStats(pivots=pivots)
-    if not feasible:
-        return TransportResult(False, np.zeros((n, k)), INF, stats)
-    flow = np.zeros((n, k))
-    flow[src_idx, snk_idx] = flows
-    # report the cost of the *unperturbed* objective
-    cost = float(np.dot(arc_costs, np.asarray(flows, dtype=np.float64)))
-    return TransportResult(True, flow, cost, stats)
 
 
 def round_almost_integral(
@@ -601,7 +494,6 @@ def solve_transportation_with_relaxation(
     capacities: np.ndarray,
     costs: np.ndarray,
     chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
-    method: str = "auto",
 ) -> Tuple[TransportResult, int]:
     """Solve a transportation instance, escalating through a capacity
     relaxation chain until a stage is feasible.
@@ -622,7 +514,7 @@ def solve_transportation_with_relaxation(
     stage = 0
     for stage, (mult, frac) in enumerate(chain):
         caps = capacities * mult + frac * total
-        result = solve_transportation(supplies, caps, costs, method=method)
+        result = solve_transportation(supplies, caps, costs)
         if result.feasible:
             break
     return result, stage

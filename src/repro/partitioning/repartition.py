@@ -104,7 +104,6 @@ def _partition_block(
     cells: List[int],
     usage: Dict,
     density_target: float,
-    transport_method: str,
 ) -> Optional[PartitionOutcome]:
     """Re-run the movebound-aware transportation of ``cells`` over the
     block's regions and spread each region's cells into its area.
@@ -133,7 +132,6 @@ def _partition_block(
         netlist,
         cells,
         TransportTargets(keys, np.array(caps), areas, admits),
-        method=transport_method,
     )
     if not outcome.feasible:
         return None
@@ -158,7 +156,6 @@ def repartition_pass(
     qp_options: Optional[QPOptions] = None,
     run_local_qp: bool = True,
     cell_limit: int = 800,
-    transport_method: str = "auto",
 ) -> RepartitionReport:
     """Sweep block_size x block_size window blocks; within each block,
     locally re-QP and re-partition the block's cells.  Reverts a block
@@ -186,8 +183,7 @@ def repartition_pass(
                 solve_qp(netlist, qp_opts, **_local_qp(netlist, cells))
 
             outcome = _partition_block(
-                netlist, grid, block, cells, usage, density_target,
-                transport_method,
+                netlist, grid, block, cells, usage, density_target
             )
             if outcome is None:
                 netlist.restore(snapshot)
@@ -230,7 +226,6 @@ def enforce_blocks(
     qp_options: Optional[QPOptions] = None,
     run_local_qp: bool = True,
     cell_limit: int = 800,
-    transport_method: str = "auto",
 ) -> bool:
     """Frontier repair for the incremental re-place (:mod:`repro.eco`):
     re-run the movebound-aware block transportation over the given
@@ -255,8 +250,7 @@ def enforce_blocks(
         if run_local_qp and len(cells) <= cell_limit:
             solve_qp(netlist, qp_opts, **_local_qp(netlist, cells))
         outcome = _partition_block(
-            netlist, grid, block, cells, usage, density_target,
-            transport_method,
+            netlist, grid, block, cells, usage, density_target
         )
         if outcome is None:
             return False

@@ -160,7 +160,6 @@ def partition_cells(
     cell_indices: Sequence[int],
     targets: TransportTargets,
     relax_on_failure: bool = True,
-    method: str = "auto",
 ) -> PartitionOutcome:
     """Assign cells to targets minimizing L1 movement under capacities
     and movebound admissibility.
@@ -169,8 +168,6 @@ def partition_cells(
     earlier step) and ``relax_on_failure`` is set, capacities are
     relaxed by 10 % and then unboundedly, so the caller always gets an
     assignment plus a ``relaxed`` flag instead of an exception.
-
-    ``method`` selects the transportation backend.
     """
     problem = build_transport_problem(netlist, cell_indices, targets)
     if problem is None:
@@ -183,7 +180,6 @@ def partition_cells(
         problem.capacities,
         problem.costs,
         chain=chain,
-        method=method,
     )
     return complete_partition(problem, targets, tr, stage)
 

@@ -73,9 +73,6 @@ class BonnPlaceOptions:
     repartition_passes: int = 0  # ablation: reflow after each level
     final_reflow: bool = True  # one repartitioning pass at the last level
     mcf_method: str = "auto"
-    #: backend of the per-window / repartitioning transportation solves
-    #: ("auto" = LP via scipy; "ns" = network simplex)
-    transport_method: str = "auto"
     legalize: bool = True
     #: post-legalization detailed placement passes (0 disables)
     detailed_passes: int = 1
@@ -275,7 +272,6 @@ class BonnPlaceFBP:
                     density_target=density,
                     qp_options=opts.qp,
                     run_local_qp=opts.run_local_qp,
-                    transport_method=opts.transport_method,
                 )
             if not ok:
                 raise PlacementError(
@@ -347,7 +343,6 @@ class BonnPlaceFBP:
                     qp_options=opts.qp,
                     mcf_method=opts.mcf_method,
                     run_local_qp=opts.run_local_qp,
-                    transport_method=opts.transport_method,
                     shard_tiles=opts.shard_tiles,
                     realize_tiles=opts.realize_tiles,
                 )
@@ -367,7 +362,6 @@ class BonnPlaceFBP:
                         grid,
                         density_target=density,
                         qp_options=opts.qp,
-                        transport_method=opts.transport_method,
                     )
         global_seconds = sp_global.wall_s
 
@@ -604,7 +598,6 @@ class BonnPlaceFBP:
                 qp_options=opts.qp,
                 mcf_method=opts.mcf_method,
                 run_local_qp=opts.run_local_qp,
-                transport_method=opts.transport_method,
                 shard_tiles=opts.shard_tiles,
                 realize_tiles=opts.realize_tiles,
             )
@@ -627,7 +620,6 @@ class BonnPlaceFBP:
                     grid,
                     density_target=density,
                     qp_options=opts.qp,
-                    transport_method=opts.transport_method,
                 )
         if level < levels:
             weight = opts.anchor_base * (2.0**level)
@@ -696,7 +688,6 @@ class BonnPlaceFBP:
                 qp_options=opts.qp,
                 mcf_method=opts.mcf_method,
                 run_local_qp=opts.run_local_qp,
-                transport_method=opts.transport_method,
                 shard_tiles=opts.shard_tiles,
                 realize_tiles=opts.realize_tiles,
             )
@@ -709,5 +700,4 @@ class BonnPlaceFBP:
                     grid,
                     density_target=density,
                     qp_options=opts.qp,
-                    transport_method=opts.transport_method,
                 )

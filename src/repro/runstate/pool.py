@@ -104,19 +104,19 @@ def _solve_unit(kind: str, payload: tuple):
     function both workers and the supervisor's serial fallback run, so
     every execution path produces identical bits.
 
-    ``"transport"`` payloads are ``(task, chain, method)`` and return
-    the task's ``(result, stage)``; ``"realize"`` payloads are
-    ``(specs, chain, method)`` (see
+    ``"transport"`` payloads are ``(task, chain)`` and return the
+    task's ``(result, stage)``; ``"realize"`` payloads are
+    ``(specs, chain)`` (see
     :func:`repro.fbp.realize_windows.realize_unit`).
     """
     if kind == "realize":
         from repro.fbp.realize_windows import realize_unit
 
-        specs, chain, method = payload
-        return realize_unit(specs, chain=chain, method=method)
-    (supplies, caps, costs), chain, method = payload
+        specs, chain = payload
+        return realize_unit(specs, chain=chain)
+    (supplies, caps, costs), chain = payload
     return solve_transportation_with_relaxation(
-        supplies, caps, costs, chain=chain, method=method
+        supplies, caps, costs, chain=chain
     )
 
 
@@ -308,7 +308,6 @@ class WindowSolverPool:
         self,
         tasks: Sequence[TransportTask],
         chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
-        method: str = "auto",
     ) -> List[Tuple[TransportResult, int]]:
         """Solve every task; returns results in task order.
 
@@ -322,7 +321,7 @@ class WindowSolverPool:
         n = len(tasks)
         if n == 0:
             return []
-        payloads = [(task, chain, method) for task in tasks]
+        payloads = [(task, chain) for task in tasks]
         with span("pool.solve_batch"):
             out = self._run_units("transport", payloads)
         incr("pool.tasks", n)
@@ -332,7 +331,6 @@ class WindowSolverPool:
         self,
         units: Sequence[Sequence],
         chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
-        method: str = "auto",
     ) -> List[list]:
         """Realize spec units (see
         :func:`repro.fbp.realize_windows.realize_unit`); returns one
@@ -343,7 +341,7 @@ class WindowSolverPool:
             raise RuntimeError("pool is closed")
         if not units:
             return []
-        payloads = [(list(u), chain, method) for u in units]
+        payloads = [(list(u), chain) for u in units]
         with span("pool.realize_batch"):
             out = self._run_units("realize", payloads)
         incr("pool.realize_units", len(units))
@@ -478,7 +476,6 @@ def activated(pool: Optional[WindowSolverPool]):
 def solve_transport_batch(
     tasks: Sequence[TransportTask],
     chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
-    method: str = "auto",
 ) -> List[Tuple[TransportResult, int]]:
     """Solve a batch of window transportation problems through the
     active pool when one is installed (and the batch is worth the IPC),
@@ -491,10 +488,10 @@ def solve_transport_batch(
             # more than the solves; the in-process path is identical
             incr("pool.serial_shortcircuits")
         else:
-            return pool.solve_batch(tasks, chain=chain, method=method)
+            return pool.solve_batch(tasks, chain=chain)
     return [
         solve_transportation_with_relaxation(
-            supplies, caps, costs, chain=chain, method=method
+            supplies, caps, costs, chain=chain
         )
         for supplies, caps, costs in tasks
     ]
@@ -504,7 +501,6 @@ def solve_realize_batch(
     specs: Sequence,
     grid,
     chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
-    method: str = "auto",
     tiles: Optional[int] = None,
 ) -> List:
     """Realize a batch of window specs — tile-parallel through the
@@ -539,10 +535,8 @@ def solve_realize_batch(
                 units = tile_units(specs, grid, n_tiles)
                 if len(units) > 1:
                     incr("realize.pool_dispatched", len(units))
-                    results = pool.solve_realize_units(
-                        units, chain=chain, method=method
-                    )
+                    results = pool.solve_realize_units(units, chain=chain)
                     merged = [oc for unit in results for oc in unit]
                     merged.sort(key=lambda oc: oc.widx)
                     return merged
-    return realize_unit(specs, chain=chain, method=method)
+    return realize_unit(specs, chain=chain)

@@ -64,7 +64,6 @@ ALLOWED_OPTIONS = {
     "placer": str,
     "density": float,
     "relax_infeasible": bool,
-    "transport_method": str,
     "legalize": bool,
     # replace jobs: route through the transactional ECO engine
     # (repro.eco) instead of a full re-place; see docs/incremental.md
@@ -77,7 +76,6 @@ ALLOWED_OPTIONS = {
 def validate_options(options: Dict[str, Any]) -> None:
     """Refuse unknown options, wrong types and out-of-range values at
     admission, so a bad spec never reaches a child attempt."""
-    from repro.flows import TRANSPORT_METHODS
     from repro.place import PLACERS
 
     for key, value in options.items():
@@ -88,8 +86,11 @@ def validate_options(options: Dict[str, Any]) -> None:
                 f"(choose from {sorted(ALLOWED_OPTIONS)})",
                 stage="svc.accept",
             )
+        # an int may stand in for a float, a JSON boolean may not
         if not isinstance(value, want) and not (
-            want is float and isinstance(value, int)
+            want is float
+            and isinstance(value, int)
+            and not isinstance(value, bool)
         ):
             raise PipelineStageError(
                 f"job option {key!r} must be {want.__name__}, "
@@ -98,11 +99,6 @@ def validate_options(options: Dict[str, Any]) -> None:
             )
     checks = (
         ("placer", lambda v: v in PLACERS, f"one of {tuple(PLACERS)}"),
-        (
-            "transport_method",
-            lambda v: v in TRANSPORT_METHODS,
-            f"one of {TRANSPORT_METHODS}",
-        ),
         ("density", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
         (
             "max_hpwl_drift",
@@ -183,8 +179,6 @@ def execute_job(spec: JobSpec, job_dir: str) -> Dict[str, Any]:
             po.relax_infeasible = True
         if "legalize" in opts:
             po.legalize = bool(opts["legalize"])
-        if "transport_method" in opts:
-            po.transport_method = str(opts["transport_method"])
     if hasattr(placer, "run_state"):
         # resume=True: fresh when the run dir is empty, bit-identical
         # continuation from the manifest after any crashed attempt
@@ -237,8 +231,6 @@ def _execute_replace_eco(
         po.relax_infeasible = True
     if "legalize" in opts:
         po.legalize = bool(opts["legalize"])
-    if "transport_method" in opts:
-        po.transport_method = str(opts["transport_method"])
 
     engine = EcoEngine(
         netlist,

@@ -3,9 +3,10 @@
 Seeded instances of every shape a window produces — degenerate 1xk /
 nx1, square, rectangular, capacity-tight, infeasible-then-relaxed,
 rows converging at very different pivots, rows feasible at different
-relaxation stages — solved with the network simplex through the batch
-entry point :func:`repro.runstate.solve_transport_batch` and the
-supervised :class:`repro.runstate.WindowSolverPool`.  Every batch must
+relaxation stages — solved through the batch entry point
+:func:`repro.runstate.solve_transport_batch` and the supervised
+:class:`repro.runstate.WindowSolverPool`, whose workers run the same
+transportation solver (closed-form front end, then HiGHS).  Every batch must
 return the per-task serial solves bit for bit (stage, verdict, flow
 bytes, cost bits, pivots), and every task the networkx oracle's
 relaxation stage and cost (:mod:`tests.flow_oracle`).  Supplies and
@@ -147,11 +148,9 @@ def make_mixed_feasibility_batch(seed: int, size: int = 6) -> List[Task]:
 # reference solves and assertions
 # ----------------------------------------------------------------------
 def solve_serial(tasks: Sequence[Task], chain=RELAX_CHAIN_WINDOW):
-    """Solve each task on its own with the network simplex."""
+    """Solve each task on its own, in-process."""
     return [
-        solve_transportation_with_relaxation(
-            s, c, costs, chain=chain, method="ns"
-        )
+        solve_transportation_with_relaxation(s, c, costs, chain=chain)
         for s, c, costs in tasks
     ]
 
@@ -191,7 +190,7 @@ def assert_matches_oracle(tasks, results, chain=RELAX_CHAIN_WINDOW) -> None:
 def assert_batch_identity(tasks: Sequence[Task], chain=RELAX_CHAIN_WINDOW) -> None:
     """The core check: the batch entry point returns the per-task
     serial solves exactly, and each is the oracle's answer."""
-    got = solve_transport_batch(tasks, chain=chain, method="ns")
+    got = solve_transport_batch(tasks, chain=chain)
     assert_results_identical(got, solve_serial(tasks, chain=chain))
     assert_matches_oracle(tasks, got, chain)
 
@@ -246,11 +245,11 @@ class TestMixedBuckets:
 # ----------------------------------------------------------------------
 class TestBucketingEdgeCases:
     def test_empty_task_list(self):
-        assert solve_transport_batch([], method="ns") == []
+        assert solve_transport_batch([]) == []
 
     def test_zero_supply_instance(self):
         tasks = [(np.zeros(0), np.array([2.0, 3.0]), np.zeros((0, 2)))] * 2
-        got = solve_transport_batch(tasks, method="ns")
+        got = solve_transport_batch(tasks)
         for result, stage in got:
             assert result.feasible
             assert stage == 0
@@ -264,7 +263,7 @@ class TestBucketingEdgeCases:
         costs = costs.copy()
         costs[2, :] = np.inf
         tasks = [(s, c, costs)] * 3
-        got = solve_transport_batch(tasks, method="ns")
+        got = solve_transport_batch(tasks)
         assert_results_identical(got, solve_serial(tasks))
         for result, stage in got:
             assert not result.feasible
@@ -290,7 +289,7 @@ class TestPoolBatched:
         tasks = self._tasks()
         want = solve_serial(tasks)
         with WindowSolverPool(workers) as pool:
-            got = pool.solve_batch(tasks, method="ns")
+            got = pool.solve_batch(tasks)
         assert_results_identical(got, want)
         assert_matches_oracle(tasks, got)
 
@@ -302,7 +301,7 @@ class TestPoolBatched:
         install_fault_plan("worker.kill=kill@1")
         before = dict(_counters())
         with WindowSolverPool(2) as pool:
-            got = pool.solve_batch(tasks, method="ns")
+            got = pool.solve_batch(tasks)
         assert_results_identical(got, want)
         after = _counters()
         assert after.get("pool.worker_deaths", 0) > before.get("pool.worker_deaths", 0)
@@ -316,7 +315,7 @@ class TestPoolBatched:
         install_fault_plan("worker.kill=kill")
         before = dict(_counters())
         with WindowSolverPool(2, max_failures=2) as pool:
-            got = pool.solve_batch(tasks, method="ns")
+            got = pool.solve_batch(tasks)
         assert_results_identical(got, want)
         after = _counters()
         assert after.get("pool.serial_fallbacks", 0) >= before.get(
@@ -328,10 +327,10 @@ class TestBatchedSimplexDirect:
     def test_rows_expose_per_row_pivot_stats(self):
         """Each row of a batch carries its own solve's stats."""
         tasks = make_batch("square", 400, 4)
-        got = solve_transport_batch(tasks, method="ns")
+        got = solve_transport_batch(tasks)
         want = solve_serial(tasks)
         for (s, _c, costs), (rg, _), (rw, _) in zip(tasks, got, want):
-            assert rg.stats.method == "ns"
+            assert rg.stats.method == rw.stats.method == "lp"
             assert rg.stats.pivots == rw.stats.pivots > 0
             assert rg.stats.nodes == len(s) + costs.shape[1]
             assert rg.stats.arcs == int(np.isfinite(costs).sum())

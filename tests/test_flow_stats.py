@@ -124,7 +124,7 @@ class TestTransportStats:
         # which the closed-form front end leaves to the LP
         capacities = np.array([4.0, 2.0, 1.0])
         costs = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, np.inf]])
-        result = solve_transportation(supplies, capacities, costs, "lp")
+        result = solve_transportation(supplies, capacities, costs)
         assert result.feasible
         s = result.stats
         assert s.method == "lp"
@@ -134,15 +134,6 @@ class TestTransportStats:
         assert tracer.counter("transport.solves.lp") == 1
         assert tracer.counter("transport.nodes") == 5
         assert tracer.counter("transport.arcs") == 5
-
-    def test_mcf_backend_augmentations(self, tracer):
-        supplies = np.array([2.0, 3.0])
-        capacities = np.array([4.0, 4.0])
-        costs = np.array([[1.0, 2.0], [2.0, 1.0]])
-        result = solve_transportation(supplies, capacities, costs, "mcf")
-        assert result.feasible
-        assert result.stats.method == "mcf"
-        assert result.stats.augmenting_paths > 0
 
 
 class TestFBPInstanceGolden:

@@ -9,23 +9,27 @@ The contract under test (see ``repro/fbp/realize_windows.py``):
   Bookshelf instances;
 * a ``worker.kill`` fault landing on a realize unit changes nothing
   (the unit is requeued whole and re-realized from scratch);
-* the ``REPRO_VERIFY_REALIZE=1`` shadow mode accepts the fast path
-  (closed-form single-region windows) against the general LP route;
+* the fast path (closed-form single-region windows) realizes every
+  window exactly as the general LP route does;
 * small batches short-circuit pool dispatch deterministically
   (``pool.serial_shortcircuits``) with identical output.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.bookshelf import load_instance
 from repro.cli import main
+from repro.fbp import realize_windows
 from repro.fbp.partitioner import fbp_partition
 from repro.fbp.realize_windows import (
     WindowSpec,
     _spread_group,
+    realize_unit,
     tile_units,
 )
 from repro.fbp.realization import _spread_into_rects
@@ -71,9 +75,11 @@ def _instance(seed: int, num_cells: int = 1500):
     return nl, bounds, grid
 
 
-def _mb_instance(seed: int, num_cells: int = 600):
-    """Movebound-heavy instance: multi-region windows keep the general
-    LP route (not the closed-form fast path) busy."""
+def _mb_instance(seed: int, num_cells: int = 600, windows: int = 8):
+    """Movebound-heavy instance.  The bounds' edges at x = y = 50 fall
+    on window boundaries of the default 8 x 8 grid; an odd ``windows``
+    makes windows straddle them, and those multi-region windows keep
+    the general LP route (not the closed-form fast path) busy."""
     mbs = MoveBoundSet(DIE)
     mbs.add_rects("west", [Rect(0, 0, 50, 100)])
     mbs.add_rects("ne", [Rect(50, 50, 100, 100)])
@@ -86,7 +92,7 @@ def _mb_instance(seed: int, num_cells: int = 600):
         return None
 
     nl = build_random_netlist(num_cells, 300, seed, DIE, movebound_of=mb_of)
-    grid = Grid(DIE, 8, 8)
+    grid = Grid(DIE, windows, windows)
     grid.build_regions(decompose_regions(DIE, mbs, nl.blockages))
     return nl, mbs, grid
 
@@ -209,15 +215,34 @@ class TestRealizeIdentity:
         assert rep.feasible
         assert counters.get("realize.trivial_windows", 0) > before
 
-    def test_shadow_verify_accepts_fast_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_REALIZE", "1")
-        counters = get_tracer().counters
-        before = counters.get("realize.verified", 0)
-        for build in (_instance, _mb_instance):
-            nl, bounds, grid = build(5)
-            rep = _partition(nl, bounds, grid)
-            assert rep.feasible
-        assert counters.get("realize.verified", 0) > before
+    def test_fast_path_equals_general_route(self, monkeypatch):
+        """The specs of real partitions, realized as built and with
+        every ``trivial`` flag cleared (all through the LP): identical
+        positions and assignments, bit for bit.  The 7 x 7 movebound
+        grid has multi-region windows, so a ``trivial`` flag set where
+        the assignment is not forced would show here."""
+        built = []
+        build_specs = realize_windows.build_window_specs
+
+        def capture(*args):
+            specs, skipped = build_specs(*args)
+            built.append(specs)
+            return specs, skipped
+
+        monkeypatch.setattr(realize_windows, "build_window_specs", capture)
+        for nl, bounds, grid in (_instance(5), _mb_instance(5, windows=7)):
+            assert _partition(nl, bounds, grid).feasible
+        assert any(s.trivial for specs in built for s in specs)
+        assert any(len(s.caps) > 1 for specs in built for s in specs)
+        for specs in built:
+            fast = realize_unit(specs)
+            general = realize_unit(
+                [dataclasses.replace(s, trivial=False) for s in specs]
+            )
+            for f, g in zip(fast, general, strict=True):
+                assert f.new_x.tobytes() == g.new_x.tobytes()
+                assert f.new_y.tobytes() == g.new_y.tobytes()
+                assert f.assignment.tobytes() == g.assignment.tobytes()
 
     def test_worker_kill_mid_realization_is_invisible(self):
         nl_s, bounds_s, grid_s = _instance(7)

@@ -104,13 +104,16 @@ class TestProtocol:
             {"warm_start": False},
             {"region_cache": False},
             {"placer": "foo"},
-            {"transport_method": "bogus"},
+            {"transport_method": "ns"},
             {"density": -3.0},
             {"density": 0},
             {"density": 1.5},
             {"max_hpwl_drift": float("nan")},
             {"max_hpwl_drift": float("inf")},
             {"max_hpwl_drift": 0.0},
+            # an int may stand in for a float, a JSON boolean may not
+            {"density": True},
+            {"max_hpwl_drift": True},
         ):
             spec = JobSpec(kind="place", instance="x", dir="/x",
                            options=options)
@@ -120,8 +123,7 @@ class TestProtocol:
             assert ei.value.stage == "svc.accept"
         JobSpec(
             kind="place", instance="x", dir="/x",
-            options={"placer": "rql", "transport_method": "ns",
-                     "density": 1, "max_hpwl_drift": 2.5},
+            options={"placer": "rql", "density": 1, "max_hpwl_drift": 2.5},
         ).validate()
 
     def test_message_roundtrip(self):

@@ -208,15 +208,6 @@ class TestDeferral:
         assert not res.feasible
         assert exits(tracer) == {"closed_form": 0, "precheck": 0, "lp": 1}
 
-    def test_other_backends_never_see_the_front_end(self, tracer):
-        costs = np.array([[1.0, 2.0], [5.0, 1.0]])
-        for method in ("mcf", "ns"):
-            res = solve_transportation(
-                self.supplies, self.roomy, costs, method=method
-            )
-            assert res.stats.method == method
-        assert exits(tracer) == {"closed_form": 0, "precheck": 0, "lp": 0}
-
 
 def test_precheck_agrees_with_brute_force_condition_1():
     """The doubling pass computes, for every sink set, exactly the
@@ -289,9 +280,11 @@ class TestAccounting:
         assert tracer.counter("transport.infeasible") == 0
 
     def test_unknown_method_is_rejected_before_any_exit(self):
-        with pytest.raises(ValueError, match="unknown method"):
+        # there is one solver: no backend may be named, not even on an
+        # instance the "empty" exit would answer
+        with pytest.raises(TypeError, match="method"):
             solve_transportation(
-                np.zeros(0), np.array([1.0]), np.zeros((0, 1)), method="qp"
+                np.zeros(0), np.array([1.0]), np.zeros((0, 1)), method="ns"
             )
 
 
@@ -323,16 +316,14 @@ def transportation_fixtures():
         yield sup, np.full(3, sup.sum() / 3 * 1.02), rng.uniform(0, 5, (25, 3))
 
 
-@pytest.mark.parametrize("method", ["auto", "ns"])
-def test_costs_match_the_networkx_oracle(method):
+def test_costs_match_the_networkx_oracle():
     seen = set()
     for sup, cap, costs in transportation_fixtures():
         sup, cap, costs = on_grid(sup), on_grid(cap), on_grid(costs)
-        res = solve_transportation(sup, cap, costs, method=method)
+        res = solve_transportation(sup, cap, costs)
         assert_matches(res.feasible, res.cost, transport_cost(sup, cap, costs))
         seen.add(res.stats.method)
-    if method == "auto":
-        assert seen == {"closed_form", "precheck", "lp"}
+    assert seen == {"closed_form", "precheck", "lp"}
 
 
 def test_oracle_on_the_sweep():

@@ -9,6 +9,7 @@ from repro.flows import (
     solve_transportation,
 )
 from repro.resilience.errors import InfeasibleInputError
+from tests.flow_oracle import assert_matches, on_grid, transport_cost
 
 INF = np.inf
 
@@ -94,6 +95,8 @@ class TestBasics:
         assert ei.value.stage == "transport.validate"
 
     def test_mcf_backend_matches_lp(self):
+        """The LP's optimum is the networkx min-cost-flow oracle's
+        (:mod:`tests.flow_oracle`), on the oracle's 1/64 grid."""
         rng = np.random.default_rng(3)
         for _ in range(5):
             n, k = 6, 3
@@ -102,10 +105,12 @@ class TestBasics:
             while cap.sum() < sup.sum():
                 cap *= 1.3
             costs = rng.uniform(0.0, 9.0, (n, k))
-            a = solve_transportation(sup, cap, costs, method="lp")
-            b = solve_transportation(sup, cap, costs, method="mcf")
-            assert a.feasible and b.feasible
-            assert a.cost == pytest.approx(b.cost, abs=1e-6)
+            sup, cap, costs = on_grid(sup), on_grid(cap), on_grid(costs)
+            res = solve_transportation(sup, cap, costs)
+            assert res.feasible
+            assert_matches(
+                res.feasible, res.cost, transport_cost(sup, cap, costs)
+            )
 
 
 class TestAlmostIntegral:

@@ -56,7 +56,7 @@ from repro.netlist import Netlist, PlacementSnapshot
 from repro.obs import incr, span
 from repro.obs.invariants import InvariantViolation, checking, run_check
 from repro.place.base import PlacerResult
-from repro.place.bonnplace import BonnPlaceFBP
+from repro.place.bonnplace import BonnPlaceFBP, projected_position
 from repro.resilience.errors import (
     DeltaValidationError,
     InfeasibleInputError,
@@ -438,22 +438,9 @@ class EcoEngine:
             # a re-assigned cell is projected into its (possibly
             # pre-existing) target bound before the scoped solve; its
             # destination window is part of the frontier too
-            target = netlist.cells[idx].movebound
-            if target:
-                best = None
-                for r in self.bounds.get(target).area:
-                    px = min(max(x, r.x_lo), r.x_hi)
-                    py = min(max(y, r.y_lo), r.y_hi)
-                    d = abs(px - x) + abs(py - y)
-                    if best is None or d < best[0]:
-                        best = (d, px, py)
-                if best is not None:
-                    fr.add(
-                        (
-                            _ix(best[1], die.x_lo, wx),
-                            _ix(best[2], die.y_lo, wy),
-                        )
-                    )
+            best = projected_position(netlist, self.bounds, idx)
+            if best is not None:
+                fr.add((_ix(best[1], die.x_lo, wx), _ix(best[2], die.y_lo, wy)))
         return fr
 
     def _verify(

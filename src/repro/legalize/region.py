@@ -110,12 +110,19 @@ def legalize_with_movebounds(
     netlist: Netlist,
     bounds: Optional[MoveBoundSet] = None,
     decomposition: Optional[RegionDecomposition] = None,
+    scope: Optional[RectSet] = None,
 ) -> LegalizationReport:
-    """Legalize the current placement, honoring movebounds exactly."""
+    """Legalize the current placement, honoring movebounds exactly.
+
+    A ``scope`` (the ECO frontier plus halo, row- and site-aligned)
+    re-places only the standard cells centred in it; every other cell
+    keeps its position (see :func:`_split_scope`).  ``scope=None`` is
+    the whole-die pass.
+    """
     inject("stage.legalize")
     with span("legalize.region") as sp:
         report = _legalize_with_movebounds_impl(
-            netlist, bounds, decomposition
+            netlist, bounds, decomposition, scope
         )
     report.seconds = sp.wall_s
     incr("legalize.runs")
@@ -124,10 +131,38 @@ def legalize_with_movebounds(
     return report
 
 
+def _split_scope(
+    netlist: Netlist, scope: RectSet, reach: float
+) -> Tuple[List[int], List[Rect], RectSet]:
+    """Free cells (movable standard cells centred in the scope), row
+    obstacles (every other movable cell with area in the rows) and the
+    area the rows are cut from: the scope widened by ``reach``, half
+    the widest standard cell, so a free cell straddling the scope's
+    edge keeps its own room."""
+    die = netlist.die
+    rows_area = RectSet(
+        Rect(max(r.x_lo - reach, die.x_lo), r.y_lo,
+             min(r.x_hi + reach, die.x_hi), r.y_hi)
+        for r in scope
+    )
+    movable, hw, hh = netlist._dim_arrays()
+    x, y = netlist.x, netlist.y
+    inside = scope.distances_to_points(x, y) == 0.0
+    r = np.array([q.as_tuple() for q in rows_area]).reshape(-1, 4).T[..., None]
+    overlaps = (
+        (r[0] < x + hw) & (x - hw < r[2]) & (r[1] < y + hh) & (y - hh < r[3])
+    ).any(axis=0)
+    std = movable & (2.0 * hh <= netlist.row_height + 1e-9)
+    free = np.flatnonzero(std & inside)
+    others = np.flatnonzero(movable & overlaps & ~(std & inside))
+    return free.tolist(), [netlist.cell_rect(int(i)) for i in others], rows_area
+
+
 def _legalize_with_movebounds_impl(
     netlist: Netlist,
     bounds: Optional[MoveBoundSet],
     decomposition: Optional[RegionDecomposition],
+    scope: Optional[RectSet] = None,
 ) -> LegalizationReport:
     report = LegalizationReport()
     if bounds is None:
@@ -137,12 +172,13 @@ def _legalize_with_movebounds_impl(
             netlist.die, bounds, netlist.blockages
         )
 
-    # 1. movable macros first (they become row obstacles)
+    # 1. movable macros first (they become row obstacles); a scoped
+    # pass leaves them where they are
     macros = [
         c.index
         for c in netlist.cells
         if not c.fixed and c.height > netlist.row_height + 1e-9
-    ]
+    ] if scope is None else []
     unfix = []
     if macros:
         with span("legalize.macros"):
@@ -150,11 +186,20 @@ def _legalize_with_movebounds_impl(
         unfix = macros
 
     try:
-        std_cells = [
-            c.index
-            for c in netlist.cells
-            if not c.fixed and c.height <= netlist.row_height + 1e-9
-        ]
+        w_max = max_std_cell_width(netlist)
+        obstacles: List[Rect] = []
+        if scope is None:
+            std_cells = [
+                c.index
+                for c in netlist.cells
+                if not c.fixed and c.height <= netlist.row_height + 1e-9
+            ]
+        else:
+            std_cells, obstacles, rows_area = _split_scope(
+                netlist, scope, w_max / 2
+            )
+            incr("legalize.scoped")
+            incr("legalize.scope_cells", len(std_cells))
 
         # 2 + 3. partition standard cells onto regions (§III) and run
         # per-region Abacus.  When a region's segment packing fails
@@ -164,16 +209,20 @@ def _legalize_with_movebounds_impl(
         region_segments: Dict[int, List[RowSegment]] = {}
         base_caps: Dict[int, float] = {}
         areas_by_region: Dict[int, RectSet] = {}
-        w_max = max_std_cell_width(netlist)
         for region in decomposition:
-            segments = build_segments(netlist, region.free_area)
+            area = region.free_area
+            if scope is not None:
+                area = area.intersect(rows_area)
+                if area.is_empty:
+                    continue
+            segments = build_segments(netlist, area, obstacles=obstacles)
             if not segments:
                 continue
             region_segments[region.index] = segments
             base_caps[region.index] = 0.97 * usable_row_capacity(
                 segments, w_max
             )
-            areas_by_region[region.index] = region.free_area
+            areas_by_region[region.index] = area
         region_by_index = {r.index: r for r in decomposition}
 
         multiplier: Dict[int, float] = {r: 1.0 for r in base_caps}

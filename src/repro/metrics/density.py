@@ -12,7 +12,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.geometry import Rect
 from repro.netlist import Netlist
 
 
@@ -29,48 +28,63 @@ class DensityMap:
         self.usage = np.zeros((nx, ny))
         #: capacity of each bin = bin area minus blockages & fixed cells
         self.capacity = np.full((nx, ny), self.bin_w * self.bin_h)
-        for rect in netlist.blockages:
-            self._splat(rect, self.capacity, sign=-1.0)
-        for cell in netlist.cells:
-            if cell.fixed:
-                self._splat(
-                    netlist.cell_rect(cell.index), self.capacity, sign=-1.0
-                )
+        blocked = [r.as_tuple() for r in netlist.blockages]
+        self._splat(
+            np.vstack([np.reshape(blocked, (-1, 4)), self._cell_rects(True)]),
+            self.capacity,
+            sign=-1.0,
+        )
         np.clip(self.capacity, 0.0, None, out=self.capacity)
         self.update()
 
     # ------------------------------------------------------------------
-    def _splat(self, rect: Rect, target: np.ndarray, sign: float = 1.0) -> None:
-        """Add the rectangle's exact overlap area into the bin array."""
+    def _cell_rects(self, fixed: bool) -> np.ndarray:
+        """(n, 4) ``x_lo, y_lo, x_hi, y_hi`` of the fixed (or movable)
+        cells in index order, with :meth:`Netlist.cell_rect`'s
+        arithmetic."""
+        cells = [c for c in self.netlist.cells if c.fixed == fixed]
+        index = np.array([c.index for c in cells], dtype=np.int64)
+        hw = np.array([c.width / 2 for c in cells], dtype=np.float64)
+        hh = np.array([c.height / 2 for c in cells], dtype=np.float64)
+        x, y = self.netlist.x[index], self.netlist.y[index]
+        return np.column_stack([x - hw, y - hh, x + hw, y + hh])
+
+    def _splat(
+        self, rects: np.ndarray, target: np.ndarray, sign: float = 1.0
+    ) -> None:
+        """Add each rectangle's exact overlap area into the bin array.
+
+        The (rectangle, i, j) terms are laid out rectangle by
+        rectangle, i-major within one, and ``np.add.at`` adds them in
+        that order, so every bin sums the same floats in the same order
+        as a loop over rectangles and their bins would.
+        """
         die = self.netlist.die
-        x_lo = max(rect.x_lo, die.x_lo)
-        x_hi = min(rect.x_hi, die.x_hi)
-        y_lo = max(rect.y_lo, die.y_lo)
-        y_hi = min(rect.y_hi, die.y_hi)
-        if x_hi <= x_lo or y_hi <= y_lo:
-            return
-        i_lo = int((x_lo - die.x_lo) / self.bin_w)
-        i_hi = min(int((x_hi - die.x_lo) / self.bin_w), self.nx - 1)
-        j_lo = int((y_lo - die.y_lo) / self.bin_h)
-        j_hi = min(int((y_hi - die.y_lo) / self.bin_h), self.ny - 1)
-        for i in range(i_lo, i_hi + 1):
-            bx_lo = die.x_lo + i * self.bin_w
-            ow = min(x_hi, bx_lo + self.bin_w) - max(x_lo, bx_lo)
-            if ow <= 0:
-                continue
-            for j in range(j_lo, j_hi + 1):
-                by_lo = die.y_lo + j * self.bin_h
-                oh = min(y_hi, by_lo + self.bin_h) - max(y_lo, by_lo)
-                if oh > 0:
-                    target[i, j] += sign * ow * oh
+        origin = np.array([die.x_lo, die.y_lo])
+        size = np.array([self.bin_w, self.bin_h])
+        lo = np.maximum(rects[:, :2], origin)
+        hi = np.minimum(rects[:, 2:], [die.x_hi, die.y_hi])
+        keep = (hi > lo).all(axis=1)
+        lo, hi = lo[keep], hi[keep]
+        first = ((lo - origin) / size).astype(np.int64)
+        last = ((hi - origin) / size).astype(np.int64)
+        last = np.minimum(last, [self.nx - 1, self.ny - 1])
+        span = np.maximum(last - first + 1, 0)
+        counts = span[:, 0] * span[:, 1]
+        rect = np.repeat(np.arange(len(counts)), counts)
+        k = np.arange(len(rect)) - np.repeat(np.cumsum(counts) - counts, counts)
+        nj = span[rect, 1]
+        ij = first[rect] + np.column_stack([k // nj, k % nj])
+        lo, hi, bin_lo = lo[rect], hi[rect], origin + ij * size
+        overlap = np.minimum(hi, bin_lo + size) - np.maximum(lo, bin_lo)
+        ok = (overlap > 0).all(axis=1)
+        w, h = overlap[ok].T
+        np.add.at(target, tuple(ij[ok].T), sign * w * h)
 
     def update(self) -> None:
         """Recompute utilization from the current cell positions."""
         self.usage.fill(0.0)
-        for cell in self.netlist.cells:
-            if cell.fixed:
-                continue
-            self._splat(self.netlist.cell_rect(cell.index), self.usage)
+        self._splat(self._cell_rects(False), self.usage)
 
     # ------------------------------------------------------------------
     def utilization(self) -> np.ndarray:

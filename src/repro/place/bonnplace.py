@@ -19,19 +19,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.fbp import FBPReport, fbp_partition
 from repro.feasibility import check_feasibility
+from repro.geometry import Rect, RectSet
 from repro.grid import Grid
-from repro.legalize import check_legality, legalize_with_movebounds
+from repro.legalize import LegalityReport, check_legality
+from repro.legalize import legalize_with_movebounds
 from repro.legalize.detailed import detailed_place
 from repro.movebounds import (
     MoveBoundSet,
     RegionDecomposition,
     decompose_regions,
 )
-from repro.netlist import Netlist
+from repro.netlist import Netlist, PlacementSnapshot
 from repro.obs import incr, maybe_check, span
 from repro.partitioning import enforce_blocks, repartition_pass
 from repro.place.base import (
@@ -100,30 +104,70 @@ class BonnPlaceOptions:
     realize_tiles: Optional[int] = None
 
 
+def projected_position(
+    netlist: Netlist, bounds: MoveBoundSet, idx: int
+) -> Optional[Tuple[float, float, float]]:
+    """``(distance, x, y)``: the nearest point of the cell's movebound
+    at which its rectangle fits (first rectangle on ties), or None for
+    an unbounded cell.  The ECO frontier and the projection below both
+    read it, so the frontier holds the window the cell lands in."""
+    cell = netlist.cells[int(idx)]
+    if not cell.movebound:
+        return None
+    x = float(netlist.x[cell.index])
+    y = float(netlist.y[cell.index])
+    best = None
+    for r in bounds.get(cell.movebound).area:
+        hw = min(cell.width / 2, r.width / 2)
+        hh = min(cell.height / 2, r.height / 2)
+        px = min(max(x, r.x_lo + hw), r.x_hi - hw)
+        py = min(max(y, r.y_lo + hh), r.y_hi - hh)
+        d = abs(px - x) + abs(py - y)
+        if best is None or d < best[0]:
+            best = (d, px, py)
+    return best
+
+
 def _project_into_bounds(netlist: Netlist, bounds: MoveBoundSet, cells) -> None:
     """Deterministically move re-assigned cells to the nearest interior
     point of their (new) movebound.  The scoped frontier transportation
     only shuffles cells within their own 2x2 block, so a cell far from
     its new bound must arrive there before its block is repaired."""
     for idx in cells:
-        cell = netlist.cells[int(idx)]
-        if not cell.movebound:
-            continue
-        area = bounds.get(cell.movebound).area
-        x = float(netlist.x[cell.index])
-        y = float(netlist.y[cell.index])
-        best = None
-        for r in area:
-            hw = min(cell.width / 2, r.width / 2)
-            hh = min(cell.height / 2, r.height / 2)
-            px = min(max(x, r.x_lo + hw), r.x_hi - hw)
-            py = min(max(y, r.y_lo + hh), r.y_hi - hh)
-            d = abs(px - x) + abs(py - y)
-            if best is None or d < best[0]:
-                best = (d, px, py)
+        best = projected_position(netlist, bounds, idx)
         if best is not None and best[0] > 0.0:
-            netlist.x[cell.index] = best[1]
-            netlist.y[cell.index] = best[2]
+            netlist.x[int(idx)] = best[1]
+            netlist.y[int(idx)] = best[2]
+
+
+def _legalization_scope(netlist: Netlist, grid: Grid, frontier) -> RectSet:
+    """The frontier windows, each grown by one window, snapped outward
+    to the row and site grid and clipped to the die: one rectangle per
+    run of consecutive windows in a row of windows."""
+    die, h, site = netlist.die, netlist.row_height, netlist.site_width
+
+    def snap(v: float, lo: float, step: float, up: bool) -> float:
+        if step <= 0:
+            return v
+        k = (v - lo) / step
+        return lo + (math.ceil(k - 1e-9) if up else math.floor(k + 1e-9)) * step
+
+    grown = np.zeros((grid.ny, grid.nx + 2), dtype=bool)
+    for fx, fy in frontier:
+        grown[max(fy - 1, 0) : fy + 2, max(fx, 1) : fx + 3] = True
+    grown[:, [0, -1]] = False  # columns 1..nx are windows 0..nx-1
+    rects = []
+    for iy, row in enumerate(grown):
+        edges = np.flatnonzero(np.diff(row)).tolist()
+        for start, stop in zip(edges[::2], edges[1::2]):
+            rects.append(Rect(
+                max(snap(grid.xs[start], die.x_lo, site, False), die.x_lo),
+                max(snap(grid.ys[iy], die.y_lo, h, False), die.y_lo),
+                min(snap(grid.xs[stop], die.x_lo, site, True), die.x_hi),
+                min(snap(grid.ys[iy + 1], die.y_lo, h, True), die.y_hi),
+            ))
+    # rows of runs overlap where the outward row snap crosses a window
+    return RectSet(rects)
 
 
 class BonnPlaceFBP:
@@ -257,6 +301,7 @@ class BonnPlaceFBP:
         levels = self.num_levels(netlist)
         n = 2**levels
         with span("place.incremental") as sp_global:
+            entry = netlist.snapshot()
             grid = Grid(netlist.die, n, n)
             grid.build_regions(decomposition)
             _project_into_bounds(netlist, bounds, touched_cells)
@@ -297,19 +342,18 @@ class BonnPlaceFBP:
         )
 
         legal_seconds = 0.0
+        legality = None
         if opts.legalize:
             with span("place.legalize") as sp_legal:
-                legalize_with_movebounds(netlist, bounds, decomposition)
-                if opts.detailed_passes > 0:
-                    detailed_place(
-                        netlist, bounds, decomposition,
-                        passes=opts.detailed_passes,
-                        density_target=density,
-                        cells=scoped,
-                    )
+                legality = self._legalize_frontier(
+                    netlist, bounds, decomposition,
+                    _legalization_scope(netlist, grid, frontier),
+                    entry, scoped,
+                )
             legal_seconds = sp_legal.wall_s
             maybe_check("movebound.containment", netlist, bounds)
-        legality = check_legality(netlist, bounds)
+        if legality is None:
+            legality = check_legality(netlist, bounds)
         incr("place.incremental_refines")
         incr("place.incremental_scoped")
         return PlacerResult(
@@ -320,6 +364,49 @@ class BonnPlaceFBP:
             legal_seconds=legal_seconds,
             legality=legality,
         )
+
+    def _legalize_frontier(
+        self,
+        netlist: Netlist,
+        bounds: MoveBoundSet,
+        decomposition: RegionDecomposition,
+        scope: RectSet,
+        entry: PlacementSnapshot,
+        cells: List[int],
+    ) -> LegalityReport:
+        """Legalize inside ``scope``, the rest of the die frozen (legal
+        by induction from the committed base), then the scoped detailed
+        passes; returns the full-die audit that checks the induction.
+        The whole-die pass (``legalize.scope_fallbacks``) takes over
+        when a cell moved since ``entry`` is a macro or centred outside
+        the scope, when the scoped pass raises, or its audit fails."""
+        opts = self.options
+
+        def run(scope: Optional[RectSet]) -> LegalityReport:
+            legalize_with_movebounds(netlist, bounds, decomposition, scope)
+            if opts.detailed_passes > 0:
+                detailed_place(
+                    netlist, bounds, decomposition,
+                    passes=opts.detailed_passes,
+                    density_target=opts.density_target,
+                    cells=cells,
+                )
+            return check_legality(netlist, bounds)
+
+        x, y, hh = netlist.x, netlist.y, netlist._dim_arrays()[2]
+        moved = (x != entry.x) | (y != entry.y)
+        macro = 2.0 * hh > netlist.row_height + 1e-9
+        if not np.any(moved & (macro | (scope.distances_to_points(x, y) > 0))):
+            before = netlist.snapshot()
+            try:
+                legality = run(scope)
+                if legality.is_legal:
+                    return legality
+            except ReproError:
+                pass
+            netlist.restore(before)
+        incr("legalize.scope_fallbacks")
+        return run(None)
 
     def _refine_body(
         self,

@@ -21,9 +21,11 @@ from repro.eco import (
     PlacementDelta,
     placement_sha,
 )
+from repro.geometry import Rect
 from repro.movebounds import MoveBoundSet
 from repro.obs import get_tracer
 from repro.place import BonnPlaceFBP
+from repro.place.bonnplace import _project_into_bounds
 from repro.resilience import PipelineStageError, ReproError
 from repro.resilience.errors import DeltaValidationError, EXIT_INFEASIBLE
 from repro.resilience.faultinject import install_fault_plan, reset_faults
@@ -374,6 +376,41 @@ class TestDegradation:
         res = EcoEngine(nl, bounds).apply(_good_delta(nl))
         assert res.mode == "eco" and res.frontier_windows > 0
         assert len(calls) == 1
+
+    def test_frontier_holds_the_window_a_cell_is_projected_into(self):
+        """A re-assigned cell right of a pre-existing bound whose right
+        edge lies on window boundary 4 is projected to ``x_hi - w/2``,
+        inside window 3; the frontier must hold that window, not the
+        one the bare edge ``x_hi`` falls in."""
+        spec = NetlistSpec("ecofr", 1000, utilization=0.5, num_pads=12)
+        nl, _logical = generate_netlist(spec, seed=3)
+        die = nl.die
+        placer = BonnPlaceFBP()
+        n = 2 ** placer.num_levels(nl)
+        assert n == 16
+        wx, wy = die.width / n, die.height / n
+        x_hi = die.x_lo + 4 * wx
+        assert int((x_hi - die.x_lo) / wx) == 4  # the edge is window 4's
+        bounds = MoveBoundSet(die)
+        bounds.add_rects(
+            "pre",
+            [Rect(die.x_lo + wx, die.y_lo + 2 * wy, x_hi, die.y_lo + 5 * wy)],
+        )
+        engine = EcoEngine(nl, bounds, placer=placer)
+        idx = next(c.index for c in nl.cells if not c.fixed)
+        nl.x[idx] = die.x_lo + 6.5 * wx
+        nl.y[idx] = die.y_lo + 3.5 * wy
+        delta = PlacementDelta(assign={nl.cells[idx].name: "pre"})
+        engine._apply_structural(delta)
+        frontier = engine._frontier(delta)
+
+        _project_into_bounds(nl, engine.bounds, [idx])
+        landed = (
+            int((nl.x[idx] - die.x_lo) / wx),
+            int((nl.y[idx] - die.y_lo) / wy),
+        )
+        assert landed == (3, 3)
+        assert frontier == {(6, 3), (3, 3)}
 
     def test_validate_site_faults_abort_before_mutation(self, placed):
         nl, bounds = placed

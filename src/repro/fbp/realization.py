@@ -26,14 +26,12 @@ turns this abstract flow into actual cell movement:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.flows import RELAX_CHAIN_WINDOW, FlowResult
-from repro.geometry import Rect
 from repro.grid import Grid
 from repro.netlist import Netlist
 from repro.obs import incr, span
@@ -245,65 +243,6 @@ def _ship_arc(
     out.moved_area += shipped
     out.rounding_error += abs(shipped - f)
     out.arcs_realized += 1
-
-
-def _spread_into_rects(
-    netlist: Netlist,
-    cell_indices: List[int],
-    rects: Sequence[Rect],
-) -> None:
-    """Place a group of cells inside a set of rectangles, allocating
-    cells to rectangles proportionally to area and rescaling relative
-    positions so ordering is preserved."""
-    if not len(cell_indices) or not rects:
-        return
-    rects = sorted(rects, key=lambda r: (r.x_lo, r.y_lo))
-    areas = np.array([r.area for r in rects])
-    total = areas.sum()
-    if total <= 0:
-        areas = np.ones(len(rects))
-        total = float(len(rects))
-    # order cells by x to keep left-to-right structure (lexsort is
-    # stable, so coincident positions keep the incoming order — same
-    # tie-break as sorting on the (x, y) tuple)
-    ci = np.asarray(cell_indices, dtype=np.int64)
-    _mv, half_w, half_h = netlist._dim_arrays()
-    ordered = ci[np.lexsort((netlist.y[ci], netlist.x[ci]))]
-    counts = np.floor(areas / total * len(ordered)).astype(int)
-    while counts.sum() < len(ordered):
-        counts[int(np.argmax(areas / np.maximum(counts, 1)))] += 1
-    pos = 0
-    for rect, count in zip(rects, counts):
-        group = ordered[pos : pos + count]
-        pos += count
-        if not len(group):
-            continue
-        # Rank-based ordered spreading: cells are laid out on a grid of
-        # columns (by x-rank) and rows within each column (by y-rank).
-        # This preserves the relative order of the incoming placement —
-        # the information that matters at window granularity — while
-        # guaranteeing an even spread even when positions coincide
-        # (local QPs can collapse a dense group onto a point).
-        n = len(group)
-        aspect = rect.width / max(rect.height, 1e-9)
-        cols = min(max(int(round(math.sqrt(n * aspect))), 1), n)
-        rows_per_col = math.ceil(n / cols)
-        by_x = group[np.lexsort((group, netlist.y[group], netlist.x[group]))]
-        for col in range(cols):
-            column = by_x[col * rows_per_col : (col + 1) * rows_per_col]
-            column = column[
-                np.lexsort((column, netlist.x[column], netlist.y[column]))
-            ]
-            fx = (col + 0.5) / cols
-            fy = (np.arange(len(column)) + 0.5) / len(column)
-            hw = np.minimum(half_w[column], rect.width / 2)
-            hh = np.minimum(half_h[column], rect.height / 2)
-            netlist.x[column] = rect.x_lo + hw + fx * np.maximum(
-                rect.width - 2 * hw, 0.0
-            )
-            netlist.y[column] = rect.y_lo + hh + fy * np.maximum(
-                rect.height - 2 * hh, 0.0
-            )
 
 
 def realize_flow(

@@ -24,11 +24,10 @@ specs with a pure function, :func:`realize_unit`.  That enables:
   relaxation stage could differ, and then only when total supply sits
   within the LP solver's feasibility tolerance of the exact capacity
   boundary,
-* **structure-of-arrays inner loops** — candidate scoring (region
-  distance costs), admissibility masks, and the rank-based spreading
-  of cells into rectangles run as numpy batch operations whose
-  floating-point expressions reproduce the scalar reference
-  (`realization._spread_into_rects`) bit for bit.
+* **structure-of-arrays inner loops** — region distance costs and the
+  spread into rectangles run on the spec's arrays through the shared
+  §III kernels ``transport_costs`` / ``spread_into_rects`` of
+  :mod:`repro.partitioning.transport`.
 
 The fast path is held to the general route by a test that realizes the
 same specs with ``trivial`` cleared and compares positions and
@@ -37,15 +36,19 @@ assignments bitwise (``tests/test_realize_parallel.py``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.flows import RELAX_CHAIN_WINDOW, round_almost_integral
-from repro.flows.transportation import solve_transportation_with_relaxation
+from repro.flows import (
+    RELAX_CHAIN_WINDOW,
+    round_almost_integral,
+    solve_transportation_with_relaxation,
+)
+from repro.geometry import rect_array
 from repro.obs import incr
+from repro.partitioning.transport import spread_into_rects, transport_costs
 
 __all__ = [
     "WindowSpec",
@@ -99,32 +102,6 @@ class WindowOutcome:
     stage: int
 
 
-def _rects_array(rects) -> np.ndarray:
-    """Pack an iterable of :class:`~repro.geometry.Rect` into an
-    (R, 4) float64 array, preserving iteration order (which is what
-    fixes the tie-break order of the distance minimum and the spread)."""
-    rects = tuple(rects)
-    out = np.empty((len(rects), 4), dtype=np.float64)
-    for i, r in enumerate(rects):
-        out[i, 0] = r.x_lo
-        out[i, 1] = r.y_lo
-        out[i, 2] = r.x_hi
-        out[i, 3] = r.y_hi
-    return out
-
-
-def _window_rects(window) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """(free_rects, spread_rects) arrays per region index of a window:
-    the free area, and the area cells are spread into (the free area,
-    or the whole region piece when nothing of it is free)."""
-    out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for wr in window.regions:
-        free = _rects_array(wr.free_area)
-        spread = free if len(free) else _rects_array(wr.area)
-        out[wr.region.index] = (free, spread)
-    return out
-
-
 def build_window_specs(
     model,
     entries: Sequence[Tuple[int, np.ndarray, np.ndarray]],
@@ -161,12 +138,11 @@ def build_window_specs(
                 for wr in regions
             ]
         )
-        rect_map = _window_rects(window)
-        free_rects = tuple(
-            rect_map[wr.region.index][0] for wr in regions
-        )
+        free_rects = tuple(rect_array(wr.free_area) for wr in regions)
+        # cells spread into the free area, else the whole region piece
         spread_rects = tuple(
-            rect_map[wr.region.index][1] for wr in regions
+            free if len(free) else rect_array(wr.area)
+            for free, wr in zip(free_rects, regions)
         )
         admits = np.empty((len(bound_names), len(regions)), dtype=bool)
         present = np.unique(codes)
@@ -205,38 +181,6 @@ def build_window_specs(
     return specs, skipped
 
 
-def _rect_distances(
-    xs: np.ndarray, ys: np.ndarray, rects: np.ndarray
-) -> np.ndarray:
-    """L1 distance of each point to a union of rectangles — the same
-    clamp arithmetic and rect order as
-    :meth:`repro.geometry.RectSet.distances_to_points`, so identical
-    bits."""
-    best = np.full(xs.shape, np.inf)
-    for r in rects:
-        d = np.abs(np.clip(xs, r[0], r[2]) - xs) + np.abs(
-            np.clip(ys, r[1], r[3]) - ys
-        )
-        np.minimum(best, d, out=best)
-    return best
-
-
-def _build_costs(spec: WindowSpec) -> np.ndarray:
-    """The window's (cells x regions) transportation cost matrix —
-    same values as the serial reference's per-region distance passes."""
-    costs = np.full((len(spec.cells), len(spec.caps)), np.inf)
-    for b in range(len(spec.caps)):
-        rects = spec.free_rects[b]
-        if not len(rects):
-            continue
-        mask = spec.admits[spec.codes, b]
-        if not mask.any():
-            continue
-        d = _rect_distances(spec.xs, spec.ys, rects)
-        costs[mask, b] = d[mask]
-    return costs
-
-
 def _trivial_stage(
     total, cap, chain: Tuple[Tuple[float, float], ...]
 ) -> Optional[int]:
@@ -248,82 +192,6 @@ def _trivial_stage(
         if total <= cap * mult + frac * total:
             return stage
     return None
-
-
-def _spread_group(
-    spec: WindowSpec,
-    local: np.ndarray,
-    rects: np.ndarray,
-    new_x: np.ndarray,
-    new_y: np.ndarray,
-) -> None:
-    """Spread one region's cells (``local`` positions into the spec's
-    arrays) over ``rects``, writing into ``new_x``/``new_y``.
-
-    Bit-identical vectorization of
-    :func:`repro.fbp.realization._spread_into_rects`: same rect order,
-    same stable lexsort keys (global ids break ties exactly like the
-    reference's per-column sorts), same float expressions.
-    """
-    if not len(local) or not len(rects):
-        return
-    order = np.lexsort((rects[:, 1], rects[:, 0]))
-    rects = rects[order]
-    widths = rects[:, 2] - rects[:, 0]
-    heights = rects[:, 3] - rects[:, 1]
-    areas = widths * heights
-    total = areas.sum()
-    if total <= 0:
-        areas = np.ones(len(rects))
-        total = float(len(rects))
-    ids = spec.cells[local]
-    xs = spec.xs[local]
-    ys = spec.ys[local]
-    ordered = np.lexsort((ys, xs))
-    counts = np.floor(areas / total * len(ordered)).astype(int)
-    while counts.sum() < len(ordered):
-        counts[int(np.argmax(areas / np.maximum(counts, 1)))] += 1
-    pos = 0
-    for ri in range(len(rects)):
-        count = counts[ri]
-        sel = ordered[pos : pos + count]
-        pos += count
-        n = len(sel)
-        if not n:
-            continue
-        width = widths[ri]
-        height = heights[ri]
-        aspect = width / max(height, 1e-9)
-        cols = min(max(int(round(math.sqrt(n * aspect))), 1), n)
-        rows_per_col = math.ceil(n / cols)
-        gids = ids[sel]
-        gx = xs[sel]
-        gy = ys[sel]
-        # reference: by_x = group[lexsort((ids, y, x))], then each
-        # column re-sorted by lexsort((ids, x, y)).  Splitting by_x
-        # into columns and sorting within each equals one lexsort with
-        # the column index as the primary key.
-        by_x = np.lexsort((gids, gy, gx))
-        col_of = np.arange(n) // rows_per_col
-        within = np.lexsort(
-            (gids[by_x], gx[by_x], gy[by_x], col_of)
-        )
-        sorted_sel = sel[by_x[within]]
-        col_sorted = col_of[within]
-        ncols = int(col_of[-1]) + 1
-        col_len = np.bincount(col_of, minlength=ncols)
-        col_start = np.concatenate(([0], np.cumsum(col_len)))[:-1]
-        rank = np.arange(n) - col_start[col_sorted]
-        fx = (col_sorted + 0.5) / cols
-        fy = (rank + 0.5) / col_len[col_sorted]
-        hw = np.minimum(spec.half_w[local[sorted_sel]], width / 2)
-        hh = np.minimum(spec.half_h[local[sorted_sel]], height / 2)
-        new_x[local[sorted_sel]] = rects[ri, 0] + hw + fx * np.maximum(
-            width - 2 * hw, 0.0
-        )
-        new_y[local[sorted_sel]] = rects[ri, 1] + hh + fy * np.maximum(
-            height - 2 * hh, 0.0
-        )
 
 
 def realize_unit(
@@ -346,7 +214,9 @@ def realize_unit(
                 spec.sizes.sum(), spec.caps[0], chain
             )
         if stage is None:
-            costs = _build_costs(spec)
+            costs = transport_costs(
+                spec.xs, spec.ys, spec.admits[spec.codes], spec.free_rects
+            )
             general.append((spec.sizes, spec.caps, costs))
         plans.append((spec, stage, costs))
     solved = [
@@ -369,17 +239,15 @@ def realize_unit(
             assignment = np.zeros(len(spec.cells), dtype=np.int64)
         new_x = spec.xs.copy()
         new_y = spec.ys.copy()
-        # spread per region, regions in first-appearance (cell) order —
-        # the groups are disjoint so the order only mirrors the
-        # reference's dict iteration
-        _vals, first = np.unique(assignment, return_index=True)
-        for b in assignment[np.sort(first)]:
-            _spread_group(
-                spec,
-                np.nonzero(assignment == b)[0],
+        for b in np.unique(assignment):
+            local = np.nonzero(assignment == b)[0]
+            new_x[local], new_y[local] = spread_into_rects(
+                spec.cells[local],
+                spec.xs[local],
+                spec.ys[local],
+                spec.half_w[local],
+                spec.half_h[local],
                 spec.spread_rects[int(b)],
-                new_x,
-                new_y,
             )
         out.append(
             WindowOutcome(

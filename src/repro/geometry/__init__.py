@@ -13,12 +13,14 @@ dependency.  The central types are:
 """
 
 from repro.geometry.rect import Rect
-from repro.geometry.rectset import RectSet
+from repro.geometry.rectset import RectSet, rect_array, rect_distances
 from repro.geometry.hanan import hanan_coordinates, hanan_cells
 
 __all__ = [
     "Rect",
     "RectSet",
+    "rect_array",
+    "rect_distances",
     "hanan_coordinates",
     "hanan_cells",
 ]

@@ -264,12 +264,30 @@ class RectSet:
         """
         if self.is_empty:
             raise ValueError("distances_to_points on an empty RectSet")
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        best = np.full(xs.shape, np.inf)
-        for r in self._rects:
-            d = np.abs(np.clip(xs, r.x_lo, r.x_hi) - xs) + np.abs(
-                np.clip(ys, r.y_lo, r.y_hi) - ys
-            )
-            np.minimum(best, d, out=best)
-        return best
+        return rect_distances(
+            np.asarray(xs, dtype=np.float64),
+            np.asarray(ys, dtype=np.float64),
+            rect_array(self._rects),
+        )
+
+
+def rect_array(rects: Iterable[Rect]) -> np.ndarray:
+    """Pack rectangles into an (R, 4) float64 array of
+    ``[x_lo, y_lo, x_hi, y_hi]`` rows, in iteration order."""
+    return np.array(
+        [(r.x_lo, r.y_lo, r.x_hi, r.y_hi) for r in rects], dtype=np.float64
+    ).reshape(-1, 4)
+
+
+def rect_distances(
+    xs: np.ndarray, ys: np.ndarray, rects: np.ndarray
+) -> np.ndarray:
+    """L1 distance of each point ``(xs[i], ys[i])`` to the union of the
+    rows of a :func:`rect_array` (``inf`` when it has none)."""
+    best = np.full(xs.shape, np.inf)
+    for x_lo, y_lo, x_hi, y_hi in rects:
+        d = np.abs(np.clip(xs, x_lo, x_hi) - xs) + np.abs(
+            np.clip(ys, y_lo, y_hi) - ys
+        )
+        np.minimum(best, d, out=best)
+    return best

@@ -15,18 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.flows import RELAX_CHAIN_PARTITION
-from repro.geometry import Rect, RectSet
 from repro.grid import Grid
 from repro.movebounds import MoveBoundSet, RegionDecomposition
 from repro.partitioning.transport import (
-    TransportTargets,
+    block_targets,
     build_transport_problem,
     complete_partition,
+    spread_outcome,
 )
-from repro.fbp.realization import _spread_into_rects
 from repro.fbp.model import fixed_cell_usage
 from repro.netlist import Netlist
 
@@ -80,11 +77,10 @@ def recursive_partition(
         # owns a disjoint cell set, and costs only involve the parent's
         # own cells): build every problem first, solve them as a batch
         # — through the supervised worker pool when one is active —
-        # then round/spread in deterministic parent order.  Identical
-        # to the former solve-as-you-go loop, just batched.
+        # then round/spread in deterministic parent order.
         from repro.runstate.pool import solve_transport_batch
 
-        batch: List[tuple] = []  # (cells, targets, problem)
+        batch: List[tuple] = []  # (targets, problem)
         tasks: List[tuple] = []
         for (pix, piy), cells in sorted(parents.items()):
             report.windows_processed += 1
@@ -93,26 +89,7 @@ def recursive_partition(
                 for dy in (0, 1)
                 for dx in (0, 1)
             ]
-            keys: List[object] = []
-            caps: List[float] = []
-            areas: List[RectSet] = []
-            admits = []
-            for child in children:
-                for wr in child.regions:
-                    cap = wr.capacity(density_target) - usage.get(
-                        (child.index, wr.region.index), 0.0
-                    )
-                    if cap <= 0:
-                        continue
-                    keys.append((child.ix, child.iy, wr))
-                    caps.append(cap)
-                    areas.append(
-                        wr.free_area if not wr.free_area.is_empty else wr.area
-                    )
-                    admits.append(wr.admits)
-            targets = TransportTargets(
-                keys, np.array(caps), areas, admits
-            )
+            targets = block_targets(children, usage, density_target)
             problem = build_transport_problem(netlist, cells, targets)
             if problem is None:
                 continue
@@ -131,25 +108,12 @@ def recursive_partition(
                 continue
             if outcome.relaxed:
                 report.relaxations += 1
-            groups: Dict[int, List[int]] = {}
-            key_of_group: Dict[int, tuple] = {}
-            for cell, key in outcome.assignment.items():
-                cix, ciy, _wr = key
-                new_assignment[cell] = (cix, ciy)
-                groups.setdefault(id(key), []).append(cell)
-                key_of_group[id(key)] = key
-
-            # spread each group into its assigned region pieces
-            for gid, group in groups.items():
-                _cix, _ciy, wr = key_of_group[gid]
-                rects = list(
-                    wr.free_area if not wr.free_area.is_empty else wr.area
-                )
-                _spread_into_rects(netlist, group, rects)
+            for cell, (widx, _wr) in outcome.assignment.items():
+                child = grid.windows[widx]
+                new_assignment[cell] = (child.ix, child.iy)
+            spread_outcome(netlist, outcome, targets)
         assignment = new_assignment
 
     netlist.clamp_into_die()
-    final_grid = Grid(die, 2**max_level, 2**max_level)
-    for cell, (ix, iy) in assignment.items():
-        report.final_assignment[cell] = (ix, iy)
+    report.final_assignment = assignment
     return report

@@ -27,16 +27,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.fbp.model import fixed_cell_usage
-from repro.fbp.realization import _spread_into_rects
 from repro.obs import incr, maybe_check
-from repro.geometry import RectSet
 from repro.grid import Grid
 from repro.movebounds import MoveBoundSet
 from repro.netlist import Netlist
 from repro.partitioning.transport import (
     PartitionOutcome,
-    TransportTargets,
+    block_targets,
     partition_cells,
+    spread_outcome,
 )
 from repro.qp import QPOptions, solve_qp
 
@@ -109,41 +108,13 @@ def _partition_block(
     block's regions and spread each region's cells into its area.
     None when the block has no free capacity or the transportation is
     infeasible (positions are then as the caller left them)."""
-    keys: List[object] = []
-    caps: List[float] = []
-    areas: List[RectSet] = []
-    admits = []
-    for w in block:
-        for wr in w.regions:
-            cap = wr.capacity(density_target) - usage.get(
-                (w.index, wr.region.index), 0.0
-            )
-            if cap <= 0:
-                continue
-            keys.append((w.index, wr))
-            caps.append(cap)
-            areas.append(
-                wr.free_area if not wr.free_area.is_empty else wr.area
-            )
-            admits.append(wr.admits)
-    if not keys:
+    targets = block_targets(block, usage, density_target)
+    if not targets.keys:
         return None
-    outcome = partition_cells(
-        netlist,
-        cells,
-        TransportTargets(keys, np.array(caps), areas, admits),
-    )
+    outcome = partition_cells(netlist, cells, targets)
     if not outcome.feasible:
         return None
-    groups: Dict[int, List[int]] = {}
-    key_of: Dict[int, tuple] = {}
-    for cell, key in outcome.assignment.items():
-        groups.setdefault(id(key), []).append(cell)
-        key_of[id(key)] = key
-    for gid, group in groups.items():
-        _w, wr = key_of[gid]
-        rects = list(wr.free_area if not wr.free_area.is_empty else wr.area)
-        _spread_into_rects(netlist, group, rects)
+    spread_outcome(netlist, outcome, targets)
     return outcome
 
 

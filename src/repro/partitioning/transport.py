@@ -14,10 +14,24 @@ fractional optimum; whole-cell rounding may overflow a target by at
 most one cell).  The overflow is then repaired by relocating whole
 cells (:func:`_repair_overflow`): an array pass per eviction that takes
 the decisions of a scan over every (member, target) pair, in its order.
+
+Every caller of the step shares its three kernels, written once here:
+
+* :func:`transport_costs` — the (cells x targets) cost matrix; used by
+  :func:`build_transport_problem` (legalization regions, reflow, ECO
+  blocks, recursive partitioning) and FBP's final realization
+  (:func:`repro.fbp.realize_windows.realize_unit`);
+* :func:`spread_into_rects` — the spread of one target's cells into
+  its rectangles; called per region by ``realize_unit`` and, through
+  :func:`spread_outcome`, by the reflow / ECO blocks
+  (:mod:`repro.partitioning.repartition`) and recursive partitioning;
+* :func:`block_targets` — the targets of a block of windows, for the
+  same two callers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +43,7 @@ from repro.flows import (
     round_almost_integral,
     solve_transportation_with_relaxation,
 )
-from repro.geometry import RectSet
+from repro.geometry import RectSet, rect_array, rect_distances
 from repro.movebounds import DEFAULT_BOUND
 from repro.netlist import Netlist
 from repro.obs import incr
@@ -95,36 +109,152 @@ def build_transport_problem(
     if not cells:
         return None
     supplies = netlist.cell_sizes()[np.asarray(cells, dtype=np.int64)]
-    k = len(targets.keys)
-    costs = np.full((len(cells), k), np.inf)
-    # one vectorized distance pass per target instead of a Python loop
-    # per (cell, target) pair; admissibility is resolved once per
-    # distinct movebound name (identical values to the scalar path)
-    bound_names = [
-        netlist.cells[i].movebound or DEFAULT_BOUND for i in cells
-    ]
-    xs = np.asarray(netlist.x[cells], dtype=np.float64)
-    ys = np.asarray(netlist.y[cells], dtype=np.float64)
-    # encode each cell's movebound as an index into the distinct names
-    # once; each target then answers admissibility once per distinct
-    # name and the per-cell mask is a single vectorized gather
-    unique_bounds, codes = np.unique(np.asarray(bound_names), return_inverse=True)
-    uniq = [str(b) for b in unique_bounds]
-    for j in range(k):
-        area = targets.areas[j]
-        if area.is_empty:
-            continue
-        admits_j = targets.admits[j]
-        admit_u = np.fromiter(
-            (admits_j(b) for b in uniq), dtype=bool, count=len(uniq)
-        )
-        mask = admit_u[codes]
-        if not mask.any():
-            continue
-        d = area.distances_to_points(xs, ys)
-        costs[mask, j] = d[mask]
+    # each target answers admissibility once per distinct movebound
+    # name; the per-cell mask is then a single gather
+    unique_bounds, codes = np.unique(
+        [netlist.cells[i].movebound or DEFAULT_BOUND for i in cells],
+        return_inverse=True,
+    )
+    admit = np.array(
+        [[ok(str(b)) for ok in targets.admits] for b in unique_bounds],
+        dtype=bool,
+    ).reshape(len(unique_bounds), len(targets.keys))
+    costs = transport_costs(
+        np.asarray(netlist.x[cells], dtype=np.float64),
+        np.asarray(netlist.y[cells], dtype=np.float64),
+        admit[codes],
+        [rect_array(area) for area in targets.areas],
+    )
     return TransportProblem(
         cells, supplies, targets.capacities.astype(float), costs
+    )
+
+
+def transport_costs(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    admit: np.ndarray,
+    rects: Sequence[np.ndarray],
+) -> np.ndarray:
+    """The (cells x targets) cost matrix: the L1 distance of cell ``i``
+    to target ``j``'s :func:`~repro.geometry.rect_array` ``rects[j]``
+    where ``admit[i, j]``, else ``inf`` (also for a target without
+    rectangles)."""
+    costs = np.full(admit.shape, np.inf)
+    for j, r in enumerate(rects):
+        mask = admit[:, j]
+        if len(r) and mask.any():
+            costs[mask, j] = rect_distances(xs[mask], ys[mask], r)
+    return costs
+
+
+def spread_into_rects(
+    ids: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    half_w: np.ndarray,
+    half_h: np.ndarray,
+    rects: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Spread one target's cells over its rectangles (an (R, 4)
+    :func:`~repro.geometry.rect_array`); returns their new positions.
+
+    Cells go to rectangles in proportion to area, in (x, y) order, so
+    the left-to-right structure survives.  Inside a rectangle they are
+    laid out on a grid of columns (by x-rank) and rows within each
+    column (by y-rank): the relative order of the incoming placement
+    is kept, and the spread stays even when positions coincide (local
+    QPs can collapse a dense group onto a point).  Ties break on the
+    input order, then on ``ids``.
+    """
+    new_x = np.array(xs, dtype=np.float64)
+    new_y = np.array(ys, dtype=np.float64)
+    if not len(ids) or not len(rects):
+        return new_x, new_y
+    rects = rects[np.lexsort((rects[:, 1], rects[:, 0]))]
+    widths = rects[:, 2] - rects[:, 0]
+    heights = rects[:, 3] - rects[:, 1]
+    areas = widths * heights
+    total = areas.sum()
+    if total <= 0:
+        areas = np.ones(len(rects))
+        total = float(len(rects))
+    ordered = np.lexsort((ys, xs))
+    counts = np.floor(areas / total * len(ordered)).astype(int)
+    while counts.sum() < len(ordered):
+        counts[int(np.argmax(areas / np.maximum(counts, 1)))] += 1
+    pos = 0
+    for ri in range(len(rects)):
+        count = counts[ri]
+        sel = ordered[pos : pos + count]
+        pos += count
+        n = len(sel)
+        if not n:
+            continue
+        width, height = widths[ri], heights[ri]
+        aspect = width / max(height, 1e-9)
+        cols = min(max(int(round(math.sqrt(n * aspect))), 1), n)
+        rows_per_col = math.ceil(n / cols)
+        gids, gx, gy = ids[sel], xs[sel], ys[sel]
+        # columns of the (x, y, id) order, each re-sorted by (y, x,
+        # id): one lexsort with the column index as the primary key
+        by_x = np.lexsort((gids, gy, gx))
+        col_of = np.arange(n) // rows_per_col
+        within = np.lexsort((gids[by_x], gx[by_x], gy[by_x], col_of))
+        cell = sel[by_x[within]]
+        col = col_of[within]
+        col_len = np.bincount(col_of)
+        col_start = np.concatenate(([0], np.cumsum(col_len)))[:-1]
+        rank = np.arange(n) - col_start[col]
+        fx = (col + 0.5) / cols
+        fy = (rank + 0.5) / col_len[col]
+        hw = np.minimum(half_w[cell], width / 2)
+        hh = np.minimum(half_h[cell], height / 2)
+        new_x[cell] = rects[ri, 0] + hw + fx * np.maximum(width - 2 * hw, 0.0)
+        new_y[cell] = rects[ri, 1] + hh + fy * np.maximum(height - 2 * hh, 0.0)
+    return new_x, new_y
+
+
+def spread_outcome(
+    netlist: Netlist, outcome: PartitionOutcome, targets: TransportTargets
+) -> None:
+    """Spread each target's assigned cells into the target's area."""
+    _mv, half_w, half_h = netlist._dim_arrays()
+    groups: Dict[int, List[int]] = {}
+    for cell, key in outcome.assignment.items():
+        groups.setdefault(id(key), []).append(cell)
+    for key, area in zip(targets.keys, targets.areas):
+        if id(key) not in groups:
+            continue
+        ci = np.asarray(groups[id(key)], dtype=np.int64)
+        netlist.x[ci], netlist.y[ci] = spread_into_rects(
+            ci, netlist.x[ci], netlist.y[ci], half_w[ci], half_h[ci],
+            rect_array(area),
+        )
+
+
+def block_targets(
+    windows, usage: Dict, density_target: float
+) -> TransportTargets:
+    """The targets of a block of windows: every region with free
+    capacity ``capacity - usage > 0``, keyed ``(window index, region)``;
+    its cells spread into its free area, else the region's area."""
+    keys: List[Tuple[int, object]] = []
+    caps: List[float] = []
+    for w in windows:
+        for wr in w.regions:
+            cap = wr.capacity(density_target) - usage.get(
+                (w.index, wr.region.index), 0.0
+            )
+            if cap > 0:
+                keys.append((w.index, wr))
+                caps.append(cap)
+    regions = [wr for _w, wr in keys]
+    return TransportTargets(
+        keys,
+        np.array(caps),
+        [r.free_area if not r.free_area.is_empty else r.area for r in regions],
+        [r.admits for r in regions],
     )
 
 

@@ -213,16 +213,9 @@ class RQLPlacer:
                     tetris_legalize(netlist, std_cells, segments)
                 except ValueError as exc:  # "crashed" outcome of Table IV
                     incr("rql.crashes")
-                    crashed_result = PlacerResult(
-                        placer=self.name,
-                        instance=netlist.name,
-                        hpwl=float("nan"),
-                        global_seconds=global_seconds,
-                        crashed=True,
-                        error=str(exc),
-                    )
+                    crash = str(exc)
                 else:
-                    crashed_result = None
+                    crash = None
                     if opts.detailed_passes > 0:
                         from repro.legalize.detailed import detailed_place
 
@@ -230,10 +223,17 @@ class RQLPlacer:
                             netlist, bounds, passes=opts.detailed_passes,
                             density_target=opts.density_target,
                         )
-            if crashed_result is not None:
-                crashed_result.legal_seconds = sp_legal.wall_s
-                return crashed_result
             legal_seconds = sp_legal.wall_s
+            if crash is not None:
+                return PlacerResult(
+                    placer=self.name,
+                    instance=netlist.name,
+                    hpwl=float("nan"),
+                    global_seconds=global_seconds,
+                    legal_seconds=legal_seconds,
+                    crashed=True,
+                    error=crash,
+                )
 
         legality = check_legality(netlist, bounds)
         return PlacerResult(

@@ -508,22 +508,9 @@ def build_axis_system(
             flat=flat,
         )
 
-    # count star unknowns first so the builder is sized once
-    def needs_star(net: Net) -> bool:
-        if net.degree < 2:
-            return False
-        if model == "star":
-            return True
-        if model == "hybrid":
-            return net.degree > 3
-        return False
-
+    # b2b: weights depend on the current positions, assembled net by net
     net_list = netlist.nets if nets is None else list(nets)
-    star_nets = [net for net in net_list if needs_star(net)]
-    n_unknowns = n_cells + len(star_nets)
-    builder = _Builder(n_unknowns)
-    star_unknown = {id(net): n_cells + i for i, net in enumerate(star_nets)}
-
+    builder = _Builder(n_cells)
     for net in net_list:
         p = net.degree
         if p < 2:
@@ -534,39 +521,23 @@ def build_axis_system(
         ]
         if all(iu < 0 for iu, _ in ends):
             continue
-        if needs_star(net):
-            w = net.weight * p / (p - 1)
-            su = star_unknown[id(net)]
-            for iu, const in ends:
-                builder.add_spring(iu, su, const, 0.0, w)
-        elif model == "b2b":
-            coords = []
-            for (iu, const), pin in zip(ends, net.pins):
-                if iu >= 0:
-                    base = positions[movable_indices[iu]] if iu < n_cells else 0.0
-                    coords.append(base + const)
-                else:
-                    coords.append(const)
-            lo = int(np.argmin(coords))
-            hi = int(np.argmax(coords))
-            if lo == hi:
-                hi = (lo + 1) % p
-            for b in (lo, hi):
-                for i in range(p):
-                    if i == b or (b == hi and i == lo):
-                        continue  # lo-hi pair added once (when b == lo)
-                    dist = max(abs(coords[i] - coords[b]), B2B_MIN_DIST)
-                    w = net.weight * 2.0 / ((p - 1) * dist)
-                    builder.add_spring(
-                        ends[i][0], ends[b][0], ends[i][1], ends[b][1], w
-                    )
-        else:  # clique
-            w = net.weight / (p - 1)
+        coords = [
+            positions[movable_indices[iu]] + const if iu >= 0 else const
+            for iu, const in ends
+        ]
+        lo = int(np.argmin(coords))
+        hi = int(np.argmax(coords))
+        if lo == hi:
+            hi = (lo + 1) % p
+        for b in (lo, hi):
             for i in range(p):
-                for j in range(i + 1, p):
-                    builder.add_spring(
-                        ends[i][0], ends[j][0], ends[i][1], ends[j][1], w
-                    )
+                if i == b or (b == hi and i == lo):
+                    continue  # lo-hi pair added once (when b == lo)
+                dist = max(abs(coords[i] - coords[b]), B2B_MIN_DIST)
+                w = net.weight * 2.0 / ((p - 1) * dist)
+                builder.add_spring(
+                    ends[i][0], ends[b][0], ends[i][1], ends[b][1], w
+                )
 
     if anchors:
         for cell_index, target, w in anchors:
@@ -575,10 +546,6 @@ def build_axis_system(
     if regularization > 0:
         for iu, ci in enumerate(movable_indices):
             builder.add_anchor(iu, positions[ci], regularization)
-        for su in range(n_cells, n_unknowns):
-            builder.rows.append(su)
-            builder.cols.append(su)
-            builder.vals.append(regularization)
 
     matrix, rhs = builder.finish()
     return AxisSystem(matrix, rhs, unknown_of_cell, n_cells)

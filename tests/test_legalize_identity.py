@@ -34,6 +34,7 @@ from repro.legalize import (
 from repro.legalize.detailed import detailed_place
 from repro.movebounds import EXCLUSIVE, MoveBoundSet, decompose_regions
 from repro.netlist import Netlist, Pin
+from repro.place import KraftwerkPlacer, RecursivePlacer
 from repro.workloads import (
     MoveBoundSpec,
     NetlistSpec,
@@ -370,6 +371,43 @@ def run_global_case(name: str, tmp: str) -> dict:
     }
 
 
+def four_bounds(cells: int = 600, seed: int = 11):
+    """Four inclusive movebounds, one overlapping another and one
+    nested in a third."""
+    spec = NetlistSpec("mb4", cells, utilization=0.6, num_pads=8)
+    nl, logical = generate_netlist(spec, seed=seed)
+    bounds = attach_movebounds(
+        nl,
+        logical,
+        [
+            MoveBoundSpec("m0", 0.2),
+            MoveBoundSpec("m1", 0.15),
+            MoveBoundSpec("m2", 0.1, overlaps="m1"),
+            MoveBoundSpec("m3", 0.05, nested_in="m0"),
+        ],
+        seed=3,
+    )
+    return nl, bounds, None
+
+
+# the baseline placers, end to end: recursive partitioning (its §III
+# spread, then the reflow) and Kraftwerk (the one user of B2B assembly)
+PLACER_CASES = {
+    "recursive_flat": (RecursivePlacer, lambda: flat(cells=400)),
+    "recursive_movebounds": (RecursivePlacer, four_bounds),
+    "kraftwerk_flat": (KraftwerkPlacer, lambda: flat(cells=400)),
+    "kraftwerk_movebounds": (KraftwerkPlacer, four_bounds),
+}
+
+
+def run_placer_case(name: str) -> dict:
+    placer, builder = PLACER_CASES[name]
+    nl, bounds, _dec = builder()
+    result = placer().place(nl, bounds)
+    assert result.legality.is_legal
+    return {"sha": placement_sha(nl), "hpwl": result.hpwl.hex()}
+
+
 def _golden() -> dict:
     with open(GOLDEN) as f:
         return json.load(f)
@@ -406,6 +444,11 @@ def test_detailed_place_reproduces_golden(name):
 @pytest.mark.parametrize("name", sorted(ABACUS_CASES))
 def test_abacus_reproduces_golden(name):
     assert_golden(run_abacus_case(name), "abacus", name)
+
+
+@pytest.mark.parametrize("name", sorted(PLACER_CASES))
+def test_placer_reproduces_golden(name):
+    assert_golden(run_placer_case(name), "placers", name)
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
@@ -472,6 +515,7 @@ def record() -> None:
         "environment": _environment(),
         "detailed": {n: run_detailed_case(n) for n in sorted(DETAILED_CASES)},
         "abacus": {n: run_abacus_case(n) for n in sorted(ABACUS_CASES)},
+        "placers": {n: run_placer_case(n) for n in sorted(PLACER_CASES)},
         "cli": {},
         "global": {},
     }

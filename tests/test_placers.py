@@ -120,6 +120,24 @@ class TestRQL:
         placer.place(nl, bounds)
         assert placer.iterations_run <= 2
 
+    def test_tetris_failure_is_a_crashed_result(self):
+        """Table IV's "crashed" outcome: Tetris finds no room for a
+        cell, and the placer reports it instead of raising."""
+        spec = NetlistSpec("h", 1500, utilization=0.6, num_pads=8)
+        nl, logical = generate_netlist(spec, seed=11)
+        bounds = attach_movebounds(
+            nl, logical,
+            [MoveBoundSpec("m0", 0.2), MoveBoundSpec("m1", 0.15),
+             MoveBoundSpec("m2", 0.1, overlaps="m1"),
+             MoveBoundSpec("m3", 0.05, nested_in="m0")],
+            seed=3,
+        )
+        res = RQLPlacer().place(nl, bounds)
+        assert res.crashed
+        assert res.error.startswith("tetris")
+        assert np.isnan(res.hpwl)
+        assert res.legal_seconds > 0
+
 
 class TestKraftwerk:
     def test_legal_output(self):

@@ -2,8 +2,10 @@
 
 The contract under test (see ``repro/fbp/realize_windows.py``):
 
-* the vectorized spread reproduces the scalar reference
-  (``realization._spread_into_rects``) bit for bit;
+* the §III spreader (``partitioning.transport.spread_into_rects``)
+  reproduces the scalar reference loop kept below bit for bit, and the
+  cost kernel (``transport_costs``) reproduces per-target
+  ``RectSet.distances_to_points`` with ``inf`` masking;
 * serial, pool-1, pool-4 and any realize-tile decomposition produce
   byte-identical placements — on synthetic, movebound-heavy, and
   Bookshelf instances;
@@ -18,6 +20,7 @@ The contract under test (see ``repro/fbp/realize_windows.py``):
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -28,15 +31,14 @@ from repro.fbp import realize_windows
 from repro.fbp.partitioner import fbp_partition
 from repro.fbp.realize_windows import (
     WindowSpec,
-    _spread_group,
     realize_unit,
     tile_units,
 )
-from repro.fbp.realization import _spread_into_rects
-from repro.geometry import Rect
+from repro.geometry import Rect, RectSet, rect_array
 from repro.grid import Grid
 from repro.movebounds import MoveBoundSet, decompose_regions
 from repro.obs import get_tracer
+from repro.partitioning.transport import spread_into_rects, transport_costs
 from repro.resilience import install_fault_plan, reset_faults
 from repro.runstate import (
     WindowSolverPool,
@@ -124,7 +126,81 @@ def _state(nl, rep):
 # ----------------------------------------------------------------------
 # vectorized spread == scalar reference
 # ----------------------------------------------------------------------
+def _reference_spread(netlist, cell_indices, rects):
+    """The scalar spread the vectorized kernel was derived from: one
+    sort per rectangle column, in place on the netlist."""
+    if not len(cell_indices) or not rects:
+        return
+    rects = sorted(rects, key=lambda r: (r.x_lo, r.y_lo))
+    areas = np.array([r.area for r in rects])
+    total = areas.sum()
+    if total <= 0:
+        areas = np.ones(len(rects))
+        total = float(len(rects))
+    ci = np.asarray(cell_indices, dtype=np.int64)
+    _mv, half_w, half_h = netlist._dim_arrays()
+    ordered = ci[np.lexsort((netlist.y[ci], netlist.x[ci]))]
+    counts = np.floor(areas / total * len(ordered)).astype(int)
+    while counts.sum() < len(ordered):
+        counts[int(np.argmax(areas / np.maximum(counts, 1)))] += 1
+    pos = 0
+    for rect, count in zip(rects, counts):
+        group = ordered[pos : pos + count]
+        pos += count
+        if not len(group):
+            continue
+        n = len(group)
+        aspect = rect.width / max(rect.height, 1e-9)
+        cols = min(max(int(round(math.sqrt(n * aspect))), 1), n)
+        rows_per_col = math.ceil(n / cols)
+        by_x = group[np.lexsort((group, netlist.y[group], netlist.x[group]))]
+        for col in range(cols):
+            column = by_x[col * rows_per_col : (col + 1) * rows_per_col]
+            column = column[
+                np.lexsort((column, netlist.x[column], netlist.y[column]))
+            ]
+            fx = (col + 0.5) / cols
+            fy = (np.arange(len(column)) + 0.5) / len(column)
+            hw = np.minimum(half_w[column], rect.width / 2)
+            hh = np.minimum(half_h[column], rect.height / 2)
+            netlist.x[column] = rect.x_lo + hw + fx * np.maximum(
+                rect.width - 2 * hw, 0.0
+            )
+            netlist.y[column] = rect.y_lo + hh + fy * np.maximum(
+                rect.height - 2 * hh, 0.0
+            )
+
+
 class TestSpreadReference:
+    @staticmethod
+    def _check(seed, rects, count=33, order=np.sort, coincident=7):
+        nl = build_random_netlist(80, 40, seed, DIE)
+        rng = np.random.default_rng(seed)
+        movable = [c.index for c in nl.cells if not c.fixed]
+        cells = order(
+            rng.choice(movable, size=count, replace=False)
+        ).astype(np.int64)
+        # coincident positions exercise the lexsort tie-breaks
+        nl.x[cells[:coincident]] = 17.5
+        nl.y[cells[:coincident]] = 12.25
+
+        ref = build_random_netlist(80, 40, seed, DIE)
+        ref.x[:] = nl.x
+        ref.y[:] = nl.y
+        _reference_spread(ref, cells.tolist(), rects)
+
+        _mv, half_w, half_h = nl._dim_arrays()
+        new_x, new_y = spread_into_rects(
+            cells,
+            nl.x[cells],
+            nl.y[cells],
+            half_w[cells],
+            half_h[cells],
+            rect_array(rects),
+        )
+        assert new_x.tobytes() == ref.x[cells].tobytes()
+        assert new_y.tobytes() == ref.y[cells].tobytes()
+
     @pytest.mark.parametrize("seed", [0, 1, 5])
     @pytest.mark.parametrize(
         "rects",
@@ -135,48 +211,88 @@ class TestSpreadReference:
         ],
     )
     def test_matches_scalar_reference(self, seed, rects):
-        nl = build_random_netlist(80, 40, seed, DIE)
+        self._check(seed, rects)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_cells_wider_than_their_rectangle(self, seed):
+        # cells are 1-2 wide and 1 high: both rectangles are too thin
+        self._check(
+            seed, [Rect(5, 5, 5.5, 40), Rect(10, 10, 30, 10.4)]
+        )
+
+    @pytest.mark.parametrize(
+        "rects",
+        [
+            [Rect(10, 10, 10, 30)],
+            [Rect(0, 0, 20, 0), Rect(30, 5, 30, 25), Rect(40, 40, 40, 40)],
+        ],
+    )
+    def test_zero_area_rectangles(self, rects):
+        self._check(2, rects)
+
+    def test_more_rectangles_than_cells(self):
+        rects = [
+            Rect(4 * i, 3 * j, 4 * i + 3, 3 * j + 2)
+            for i in range(5)
+            for j in range(4)
+        ]
+        self._check(4, rects, count=9)
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    @pytest.mark.parametrize("coincident", [7, 33])
+    def test_ids_in_non_ascending_order(self, seed, coincident):
+        # with every cell on one point, the input order alone decides
+        # which rectangle a cell goes to
+        rng = np.random.default_rng(seed + 100)
+        self._check(
+            seed,
+            [Rect(0, 0, 20, 20), Rect(20, 0, 50, 10)],
+            order=rng.permutation,
+            coincident=coincident,
+        )
+
+    def test_single_cell(self):
+        self._check(7, [Rect(5, 5, 6, 40), Rect(6, 5, 30, 6)], count=1)
+
+
+# ----------------------------------------------------------------------
+# cost kernel == per-target RectSet distances with inf masking
+# ----------------------------------------------------------------------
+class TestCostKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_target_distances(self, seed):
         rng = np.random.default_rng(seed)
-        movable = [c.index for c in nl.cells if not c.fixed]
-        cells = np.sort(
-            rng.choice(movable, size=33, replace=False)
-        ).astype(np.int64)
-        # coincident positions exercise the lexsort tie-breaks
-        nl.x[cells[:7]] = 17.5
-        nl.y[cells[:7]] = 12.25
+        n, k = 60, 7
+        xs = rng.uniform(-10.0, 110.0, n)
+        ys = rng.uniform(-10.0, 110.0, n)
+        xs[:5] = 25.0  # on a rectangle edge or inside one
+        areas = []
+        for j in range(k):
+            if j % 3 == 2:
+                areas.append(RectSet())  # a target without rectangles
+                continue
+            rects = []
+            for _ in range(int(rng.integers(1, 4))):
+                x0, y0 = rng.uniform(0.0, 90.0, 2)
+                w, h = rng.uniform(0.5, 30.0, 2)
+                rects.append(Rect(x0, y0, x0 + w, y0 + h))
+            areas.append(RectSet(rects))
+        admit = rng.random((n, k)) < 0.6
+        admit[:, 0] = False  # a target no cell may use
+        costs = transport_costs(
+            xs, ys, admit, [rect_array(a) for a in areas]
+        )
 
-        ref = build_random_netlist(80, 40, seed, DIE)
-        ref.x[:] = nl.x
-        ref.y[:] = nl.y
-        _spread_into_rects(ref, cells.tolist(), rects)
-
-        _mv, half_w, half_h = nl._dim_arrays()
-        rect_arr = np.array(
-            [[r.x_lo, r.y_lo, r.x_hi, r.y_hi] for r in rects]
-        )
-        spec = WindowSpec(
-            widx=0,
-            cells=cells,
-            codes=np.zeros(len(cells), dtype=np.int64),
-            xs=np.asarray(nl.x[cells], dtype=np.float64),
-            ys=np.asarray(nl.y[cells], dtype=np.float64),
-            sizes=nl.cell_sizes()[cells],
-            half_w=half_w[cells],
-            half_h=half_h[cells],
-            region_idx=(0,),
-            caps=np.array([1.0]),
-            admits=np.ones((1, 1), dtype=bool),
-            free_rects=(rect_arr,),
-            spread_rects=(rect_arr,),
-            trivial=True,
-        )
-        new_x = spec.xs.copy()
-        new_y = spec.ys.copy()
-        _spread_group(
-            spec, np.arange(len(cells)), rect_arr, new_x, new_y
-        )
-        assert new_x.tobytes() == ref.x[cells].tobytes()
-        assert new_y.tobytes() == ref.y[cells].tobytes()
+        expected = np.full((n, k), np.inf)
+        for j, area in enumerate(areas):
+            if area.is_empty:
+                continue
+            d = area.distances_to_points(xs, ys)
+            expected[admit[:, j], j] = d[admit[:, j]]
+        assert costs.tobytes() == expected.tobytes()
+        assert np.isinf(costs[:, 0]).all()
+        assert np.isinf(costs[:, 2]).all()
+        assert np.isfinite(costs).any()
 
 
 # ----------------------------------------------------------------------

@@ -114,8 +114,9 @@ def run_bench(smoke=False):
     for delta in deltas:
         nl = copy.deepcopy(pristine)
         for m in delta.movebounds:
-            for name in m.cells:
-                nl.cells[nl.cell_index(name)].movebound = m.name
+            nl.set_cells(
+                [nl.cell_index(name) for name in m.cells], movebound=m.name
+            )
         bounds = build_patched_bounds(MoveBoundSet(die), delta, die)
         t0 = time.perf_counter()
         BonnPlaceFBP().place(nl, bounds)

@@ -72,7 +72,8 @@ def main() -> None:
     print(
         f"realized {real.arcs_realized} external arcs, moved "
         f"{real.moved_area:.0f} inflated area units; max window "
-        f"overflow {real.max_overflow:.2f} (almost-integral bound)"
+        f"overflow {real.max_overflow:.2f} (whole-cell rounding: each "
+        "arc ships within half a cell of its flow)"
     )
     peak2, hot2 = hotspot_report(netlist)
     print(f"after rebalancing: peak congestion {peak2:.2f}x, "

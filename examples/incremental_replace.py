@@ -89,8 +89,10 @@ def main() -> None:
 
         # --- idempotent replay: same delta on the same base -----------
         netlist.restore(baseline)
-        for name in block_cells:
-            netlist.cells[netlist.cell_index(name)].movebound = None
+        netlist.set_cells(
+            [netlist.cell_index(name) for name in block_cells],
+            movebound=None,
+        )
         engine.bounds = type(engine.bounds)(die)
         again = engine.apply(delta)
         print(

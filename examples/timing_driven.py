@@ -33,12 +33,12 @@ def main() -> None:
                       cx + side / 2, cy + side / 2)
     bounds = MoveBoundSet(die)
     bounds.add_rects("critical_block", [bound_rect])
-    pinned = 0
-    for i, (lx, ly) in enumerate(logical):
-        if abs(lx - 0.5) < 0.15 and abs(ly - 0.5) < 0.15:
-            netlist.cells[i].movebound = "critical_block"
-            pinned += 1
-    print(f"pinned {pinned} timing-critical cells into a central "
+    critical = [
+        i for i, (lx, ly) in enumerate(logical)
+        if abs(lx - 0.5) < 0.15 and abs(ly - 0.5) < 0.15
+    ]
+    netlist.set_cells(critical, movebound="critical_block")
+    print(f"pinned {len(critical)} timing-critical cells into a central "
           f"movebound\n")
 
     first, final = timing_driven_place(

@@ -50,8 +50,8 @@ class Clustering:
 
     @property
     def ratio(self) -> float:
-        movable = sum(1 for c in self.flat.cells if not c.fixed)
-        clusters = sum(1 for c in self.clustered.cells if not c.fixed)
+        movable = len(self.flat.movable_indices)
+        clusters = len(self.clustered.movable_indices)
         return movable / max(clusters, 1)
 
     def uncluster(self) -> None:
@@ -122,8 +122,8 @@ def bestchoice_cluster(
             i = parent[i]
         return int(i)
 
-    cluster_sizes = np.array([c.size for c in netlist.cells])
-    movable = [c.index for c in netlist.cells if not c.fixed]
+    cluster_sizes = netlist.cell_sizes().copy()
+    movable = netlist.movable_indices.tolist()
     target_clusters = max(int(len(movable) / cluster_ratio), 1)
     if max_cluster_size is None:
         avg = float(np.mean(cluster_sizes[movable])) if movable else 1.0

@@ -68,30 +68,24 @@ def inflate_cells(
     congestion = congestion_map(netlist, nb)
     dmap = DensityMap(netlist, nb, nb)
     result = InflationResult()
-    for cell in netlist.cells:
-        if cell.fixed:
-            continue
-        i, j = dmap.bin_of(netlist.x[cell.index], netlist.y[cell.index])
+    for index in netlist.movable_indices.tolist():
+        cell = netlist.cells[index]
+        i, j = dmap.bin_of(netlist.x[index], netlist.y[index])
         c = congestion[i, j]
         if c <= threshold:
             continue
         factor = min(1.0 + strength * (c - threshold), max_factor)
         if factor <= 1.0 + 1e-9:
             continue
-        result.original_widths[cell.index] = cell.width
+        result.original_widths[index] = cell.width
         result.added_area += cell.size * (factor - 1.0)
         result.max_factor = max(result.max_factor, factor)
-        cell.width *= factor
+        netlist.set_cells([index], width=cell.width * factor)
         result.inflated_cells += 1
-    if result.inflated_cells:
-        netlist._dim_cache = None
-        netlist._hpwl_cache = netlist._hpwl_cache  # pin offsets unchanged
     return result
 
 
 def deflate_cells(netlist: Netlist, inflation: InflationResult) -> None:
     """Restore the original cell widths recorded by inflate_cells."""
     for index, width in inflation.original_widths.items():
-        netlist.cells[index].width = width
-    if inflation.original_widths:
-        netlist._dim_cache = None
+        netlist.set_cells([index], width=width)

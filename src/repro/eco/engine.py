@@ -354,9 +354,9 @@ class EcoEngine:
 
         def _move(name: str, target: Optional[str]) -> None:
             idx = netlist.cell_index(name)
-            cell = netlist.cells[idx]
-            staged.prev_movebounds.setdefault(idx, cell.movebound)
-            cell.movebound = target
+            prev = netlist.cells[idx].movebound
+            staged.prev_movebounds.setdefault(idx, prev)
+            netlist.set_cells([idx], movebound=target)
 
         for m in delta.movebounds:
             for c in m.cells:
@@ -367,12 +367,10 @@ class EcoEngine:
             _move(c, None)
         if delta.net_weights:
             by_name = {n.name: i for i, n in enumerate(netlist.nets)}
-            for net_name, w in delta.net_weights.items():
-                i = by_name[net_name]
+            weights = {by_name[n]: w for n, w in delta.net_weights.items()}
+            for i in weights:
                 staged.prev_weights.setdefault(i, netlist.nets[i].weight)
-                netlist.nets[i].weight = float(w)
-            # the flat pin-array cache bakes weights in
-            netlist._hpwl_cache = None
+            netlist.set_net_weights(weights)
         if delta.density_target is not None:
             staged.prev_density = self.placer.options.density_target
             self.placer.options.density_target = delta.density_target
@@ -397,11 +395,8 @@ class EcoEngine:
         netlist = self.netlist
         self.bounds = old_bounds
         for idx, prev in staged.prev_movebounds.items():
-            netlist.cells[idx].movebound = prev
-        if staged.prev_weights:
-            for i, w in staged.prev_weights.items():
-                netlist.nets[i].weight = w
-            netlist._hpwl_cache = None
+            netlist.set_cells([idx], movebound=prev)
+        netlist.set_net_weights(staged.prev_weights)
         if staged.prev_density is not None:
             self.placer.options.density_target = staged.prev_density
         netlist.restore(pre)

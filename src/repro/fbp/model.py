@@ -182,10 +182,8 @@ def fixed_cell_usage(
     (window, region) piece of the windows its rectangle touches.
     """
     usage: Dict[Tuple[int, int], float] = {}
-    for cell in netlist.cells:
-        if not cell.fixed:
-            continue
-        rect = netlist.cell_rect(cell.index)
+    for i in np.flatnonzero(netlist.fixed_mask).tolist():
+        rect = netlist.cell_rect(i)
         lo = grid.window_at(rect.x_lo, rect.y_lo)
         hi = grid.window_at(
             min(rect.x_hi, grid.die.x_hi - 1e-12),
@@ -229,8 +227,7 @@ def build_fbp_model(
     # in ascending cell order, matching the former append order.
     # ------------------------------------------------------------------
     group_stats: Dict[Tuple[str, int], Tuple[float, float, float]] = {}
-    movable_mask, _hw, _hh = netlist._dim_arrays()
-    mv_idx = np.nonzero(movable_mask)[0]
+    mv_idx = netlist.movable_indices
     if len(mv_idx):
         bound_arr = np.array(
             [c.movebound or DEFAULT_BOUND for c in netlist.cells],

@@ -57,8 +57,8 @@ class RealizationResult:
     shipped_cells: int = 0
     seconds: float = 0.0
     #: capacity overflow of the final assignment (whole-cell rounding
-    #: debt; the paper's "almost integral" guarantee bounds max by one
-    #: cell per window-region)
+    #: debt: each arc ships within half a cell of its flow, so a window
+    #: fed by several arcs can end more than one cell over)
     total_overflow: float = 0.0
     max_overflow: float = 0.0
 

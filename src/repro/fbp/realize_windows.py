@@ -118,7 +118,7 @@ def build_window_specs(
     netlist = model.netlist
     grid = model.grid
     sizes_all = netlist.cell_sizes()
-    _mv, half_w_all, half_h_all = netlist._dim_arrays()
+    _mv, half_w_all, half_h_all = netlist.cell_dims()
     specs: List[WindowSpec] = []
     skipped: List[int] = []
     admit_memo: Dict[Tuple[int, int], bool] = {}

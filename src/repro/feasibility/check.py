@@ -56,9 +56,8 @@ def _cluster_sizes(
 ) -> Dict[str, float]:
     """Total movable-cell area per movebound name (default included)."""
     sizes: Dict[str, float] = {}
-    for cell in netlist.cells:
-        if cell.fixed:
-            continue
+    for i in netlist.movable_indices.tolist():
+        cell = netlist.cells[i]
         name = cell.movebound if cell.movebound is not None else DEFAULT_BOUND
         sizes[name] = sizes.get(name, 0.0) + cell.size
     return sizes
@@ -135,9 +134,8 @@ def check_feasibility_cell_level(
         dinic.add_edge(("r", region.index), "t", cap)
         for name in list(region.signature):
             admissible.setdefault(name, []).append(region.index)
-    for cell in netlist.cells:
-        if cell.fixed:
-            continue
+    for i in netlist.movable_indices.tolist():
+        cell = netlist.cells[i]
         name = cell.movebound if cell.movebound is not None else DEFAULT_BOUND
         dinic.add_edge("s", ("c", cell.index), cell.size)
         total += cell.size

@@ -258,8 +258,7 @@ def flatten_to_movebounds(
     bounds = MoveBoundSet(netlist.die)
     for name, cells in members.items():
         bounds.add_rects(name, [areas[name]], INCLUSIVE)
-        for i in cells:
-            netlist.cells[i].movebound = name
+        netlist.set_cells(cells, movebound=name)
     bounds.normalize()
 
     report = check_feasibility(

@@ -207,19 +207,16 @@ def abacus_legalize(
     squared displacement.  Raises when the segments cannot hold the
     cells (caller must partition within capacity first).
     """
-    cells = [
-        i
-        for i in cell_indices
-        if not netlist.cells[i].fixed
-    ]
+    fixed, std = netlist.fixed_mask, netlist.std_cell_mask
+    cells = [i for i in cell_indices if not fixed[i]]
     if not cells:
         return 0.0
-    for i in cells:
-        if netlist.cells[i].height > netlist.row_height + 1e-9:
-            raise ValueError(
-                f"cell {netlist.cells[i].name!r} is taller than a row; "
-                "legalize macros separately"
-            )
+    tall = [i for i in cells if not std[i]]
+    if tall:
+        raise ValueError(
+            f"cell {netlist.cells[tall[0]].name!r} is taller than a row; "
+            "legalize macros separately"
+        )
     total_width = sum(netlist.cells[i].width for i in cells)
     seg_capacity = sum(s.width for s in segments)
     if total_width > seg_capacity + 1e-6:

@@ -67,7 +67,7 @@ def check_legality(
         report = LegalityReport()
         report.out_of_die = len(netlist.check_in_die(TOL))
 
-        movable, hw, hh = netlist._dim_arrays()
+        movable, hw, hh = netlist.cell_dims()
         die = netlist.die
         h = netlist.row_height
         site = netlist.site_width

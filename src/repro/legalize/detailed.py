@@ -84,9 +84,8 @@ class _Rows:
         segs_by_row: Dict[float, List[int]] = {}
         for j, seg in enumerate(segments):
             segs_by_row.setdefault(seg.y_lo, []).append(j)
-        for i, c in enumerate(netlist.cells):
-            if c.fixed or c.height > netlist.row_height + 1e-9:
-                continue
+        for i in np.flatnonzero(netlist.std_cell_mask).tolist():
+            c = netlist.cells[i]
             x_lo, x_hi = self.x[i] - c.width / 2, self.x[i] + c.width / 2
             for j in segs_by_row.get(self.y[i] - c.height / 2, ()):
                 seg = segments[j]
@@ -166,9 +165,7 @@ def detailed_place(
         # movable macros act as obstacles for the row structure (they were
         # already legalized; standard cells must not slide under them)
         macros = [
-            netlist.cell_rect(c.index)
-            for c in netlist.cells
-            if not c.fixed and c.height > netlist.row_height + 1e-9
+            netlist.cell_rect(i) for i in netlist.macro_indices.tolist()
         ]
         rows = _Rows(netlist, build_segments(netlist, obstacles=macros))
         x, y, width = rows.x, rows.y, rows.width

@@ -60,7 +60,8 @@ def _legalize_macros(netlist: Netlist, macros: List[int]) -> int:
     die = netlist.die
     h = netlist.row_height
     placed: List[Rect] = [
-        netlist.cell_rect(c.index) for c in netlist.cells if c.fixed
+        netlist.cell_rect(i)
+        for i in np.flatnonzero(netlist.fixed_mask).tolist()
     ] + list(netlist.blockages)
     # big ones first
     macros = sorted(macros, key=lambda i: -netlist.cells[i].size)
@@ -101,8 +102,8 @@ def _legalize_macros(netlist: Netlist, macros: List[int]) -> int:
         netlist.x[i] = x + cell.width / 2
         netlist.y[i] = y + cell.height / 2
         placed.append(netlist.cell_rect(i))
-        cell.fixed = True  # obstacle for the rest; restored by caller
-        netlist._dim_cache = None
+        # obstacle for the rest; restored by caller
+        netlist.set_cells([i], fixed=True)
     return len(macros)
 
 
@@ -145,14 +146,14 @@ def _split_scope(
              min(r.x_hi + reach, die.x_hi), r.y_hi)
         for r in scope
     )
-    movable, hw, hh = netlist._dim_arrays()
+    movable, hw, hh = netlist.cell_dims()
     x, y = netlist.x, netlist.y
     inside = scope.distances_to_points(x, y) == 0.0
     r = np.array([q.as_tuple() for q in rows_area]).reshape(-1, 4).T[..., None]
     overlaps = (
         (r[0] < x + hw) & (x - hw < r[2]) & (r[1] < y + hh) & (y - hh < r[3])
     ).any(axis=0)
-    std = movable & (2.0 * hh <= netlist.row_height + 1e-9)
+    std = netlist.std_cell_mask
     free = np.flatnonzero(std & inside)
     others = np.flatnonzero(movable & overlaps & ~(std & inside))
     return free.tolist(), [netlist.cell_rect(int(i)) for i in others], rows_area
@@ -174,11 +175,7 @@ def _legalize_with_movebounds_impl(
 
     # 1. movable macros first (they become row obstacles); a scoped
     # pass leaves them where they are
-    macros = [
-        c.index
-        for c in netlist.cells
-        if not c.fixed and c.height > netlist.row_height + 1e-9
-    ] if scope is None else []
+    macros = netlist.macro_indices.tolist() if scope is None else []
     unfix = []
     if macros:
         with span("legalize.macros"):
@@ -189,11 +186,7 @@ def _legalize_with_movebounds_impl(
         w_max = max_std_cell_width(netlist)
         obstacles: List[Rect] = []
         if scope is None:
-            std_cells = [
-                c.index
-                for c in netlist.cells
-                if not c.fixed and c.height <= netlist.row_height + 1e-9
-            ]
+            std_cells = np.flatnonzero(netlist.std_cell_mask).tolist()
         else:
             std_cells, obstacles, rows_area = _split_scope(
                 netlist, scope, w_max / 2
@@ -274,9 +267,7 @@ def _legalize_with_movebounds_impl(
                 stage="legalize",
             )
     finally:
-        for i in unfix:
-            netlist.cells[i].fixed = False
         if unfix:
-            netlist._dim_cache = None
+            netlist.set_cells(unfix, fixed=False)
 
     return report

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
+import numpy as np
+
 from repro.geometry import Rect
 from repro.netlist import Netlist
 
@@ -71,10 +73,10 @@ def build_segments(
     rects = list(area) or [die]
     min_width = max(min_width, netlist.site_width)
 
-    obstacles = list(netlist.blockages) + list(obstacles)
-    for cell in netlist.cells:
-        if cell.fixed:
-            obstacles.append(netlist.cell_rect(cell.index))
+    obstacles = list(netlist.blockages) + list(obstacles) + [
+        netlist.cell_rect(i)
+        for i in np.flatnonzero(netlist.fixed_mask).tolist()
+    ]
 
     segments: List[RowSegment] = []
     for rect in rects:
@@ -115,12 +117,8 @@ def total_segment_capacity(segments: Sequence[RowSegment]) -> float:
 
 def max_std_cell_width(netlist: Netlist) -> float:
     """Widest movable standard cell (row-height) in the design."""
-    widths = [
-        c.width
-        for c in netlist.cells
-        if not c.fixed and c.height <= netlist.row_height + 1e-9
-    ]
-    return max(widths, default=netlist.site_width)
+    half_widths = netlist.cell_dims()[1][netlist.std_cell_mask]
+    return max((2.0 * half_widths).tolist(), default=netlist.site_width)
 
 
 def usable_row_capacity(

@@ -42,10 +42,9 @@ class DensityMap:
         """(n, 4) ``x_lo, y_lo, x_hi, y_hi`` of the fixed (or movable)
         cells in index order, with :meth:`Netlist.cell_rect`'s
         arithmetic."""
-        cells = [c for c in self.netlist.cells if c.fixed == fixed]
-        index = np.array([c.index for c in cells], dtype=np.int64)
-        hw = np.array([c.width / 2 for c in cells], dtype=np.float64)
-        hh = np.array([c.height / 2 for c in cells], dtype=np.float64)
+        movable, hw, hh = self.netlist.cell_dims()
+        index = np.flatnonzero(self.netlist.fixed_mask if fixed else movable)
+        hw, hh = hw[index], hh[index]
         x, y = self.netlist.x[index], self.netlist.y[index]
         return np.column_stack([x - hw, y - hh, x + hw, y + hh])
 

@@ -198,7 +198,7 @@ class MoveBoundSet:
         rectangle at a time across all group cells, the same float-sum
         order ``RectSet.contains_rect`` uses per cell.
         """
-        movable, hw, hh = netlist._dim_arrays()
+        movable, hw, hh = netlist.cell_dims()
         if not movable.any():
             return []
         default = self.default_bound()

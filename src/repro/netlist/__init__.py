@@ -12,6 +12,8 @@ because every other subsystem consumes them.
 """
 
 from repro.netlist.elements import Cell, Pin, Net
-from repro.netlist.netlist import Netlist, PlacementSnapshot
+from repro.netlist.netlist import Netlist, PlacementSnapshot, flat_pin_arrays
 
-__all__ = ["Cell", "Pin", "Net", "Netlist", "PlacementSnapshot"]
+__all__ = [
+    "Cell", "Pin", "Net", "Netlist", "PlacementSnapshot", "flat_pin_arrays"
+]

@@ -9,6 +9,9 @@ Conventions:
 * A pin belongs either to a cell (``cell_index >= 0``) with an offset
   from the cell center, or is a fixed terminal (``cell_index == -1``)
   with absolute coordinates stored in the offset fields.
+* Cells and nets are read-only records: a Netlist changes them only
+  through :meth:`Netlist.set_cells` / :meth:`Netlist.set_net_weights`,
+  which replace the record and keep its derived arrays right.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import List, Optional
 FIXED_PIN = -1
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """A rectangular cell (standard cell, macro, or pad)."""
 
@@ -60,7 +63,7 @@ class Pin:
         return Pin(FIXED_PIN, x, y)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Net:
     """A multi-terminal net connecting two or more pins."""
 

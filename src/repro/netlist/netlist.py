@@ -4,11 +4,16 @@ A Netlist owns cells, nets, the die rectangle, blockages and row
 geometry, plus the *current placement* as numpy arrays of cell-center
 coordinates.  Placements are cheap to snapshot and restore, which the
 partitioning and legalization code uses heavily.
+
+Cells and nets are read-only; :meth:`Netlist.set_cells` and
+:meth:`Netlist.set_net_weights` are the only ways to change them, and
+they keep every derived array (dimensions, sizes, masks, the flat pin
+table) right.  The arrays the accessors hand out are read-only too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +42,40 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple:
     return first, idx
 
 
+def _frozen(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only: a derived array is the Netlist's."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def flat_pin_arrays(nets: Iterable[Net]) -> tuple:
+    """``(ptr, pin_cell, off_x, off_y, weights)`` of the nets with two
+    or more pins, one row per net whose pins start at ``ptr[row]`` —
+    the :meth:`Netlist.pin_arrays` layout, for any net list."""
+    ptr = [0]
+    pin_cell: List[int] = []
+    off_x: List[float] = []
+    off_y: List[float] = []
+    weights: List[float] = []
+    for net in nets:
+        if net.degree < 2:
+            continue
+        for pin in net.pins:
+            pin_cell.append(pin.cell_index)
+            off_x.append(pin.offset_x)
+            off_y.append(pin.offset_y)
+        ptr.append(len(pin_cell))
+        weights.append(net.weight)
+    return (
+        np.array(ptr[:-1], dtype=np.int64),
+        np.array(pin_cell, dtype=np.int64),
+        np.array(off_x),
+        np.array(off_y),
+        np.array(weights),
+    )
+
+
 class Netlist:
     """Cells + nets + die + placement state.
 
@@ -45,8 +84,9 @@ class Netlist:
     die:
         The chip area rectangle (``A`` in the paper).
     row_height:
-        Height of a standard-cell row; cells whose height equals the
-        row height are row-legalizable standard cells.
+        Height of a standard-cell row; movable cells no taller than a
+        row are row-legalizable standard cells (:attr:`std_cell_mask`),
+        taller ones are macros (:attr:`macro_indices`).
     site_width:
         Legal x-granularity inside a row.
     """
@@ -68,13 +108,23 @@ class Netlist:
         self._cell_by_name: Dict[str, int] = {}
         self.x: np.ndarray = np.zeros(0)
         self.y: np.ndarray = np.zeros(0)
-        # lazy vectorization caches (invalidated on structural change)
-        self._hpwl_cache: Optional[tuple] = None
+        # lazy derived arrays, dropped by _forget on any change
         self._dim_cache: Optional[tuple] = None
-        self._size_cache = None
+        self._size_cache: Optional[np.ndarray] = None
+        self._mask_cache: Optional[tuple] = None
+        self._hpwl_cache: Optional[tuple] = None
         self._nets_cache: Optional[list] = None
         self._cell_nets_csr_cache: Optional[tuple] = None
         self._net_row_cache: Optional[np.ndarray] = None
+
+    def _forget(self, dims: bool = False, pins: bool = False) -> None:
+        """Drop the derived arrays of the cells (``dims``) and of the
+        net hypergraph (``pins``); the next read rebuilds them."""
+        if dims:
+            self._dim_cache = self._size_cache = self._mask_cache = None
+        if pins:
+            self._hpwl_cache = self._nets_cache = None
+            self._cell_nets_csr_cache = self._net_row_cache = None
 
     # ------------------------------------------------------------------
     # construction
@@ -172,12 +222,7 @@ class Netlist:
         self.cells.extend(new_cells)
         self.x = np.concatenate([self.x, xs])
         self.y = np.concatenate([self.y, ys])
-        self._hpwl_cache = None
-        self._dim_cache = None
-        self._size_cache = None
-        self._nets_cache = None
-        self._cell_nets_csr_cache = None
-        self._net_row_cache = None
+        self._forget(dims=True, pins=True)
         return new_cells
 
     def add_nets_bulk(
@@ -225,10 +270,7 @@ class Netlist:
                 Net(nm, [pins[c] for c in m], float(w))
                 for nm, m, w in zip(names, member_lists, weights)
             )
-        self._hpwl_cache = None
-        self._nets_cache = None
-        self._cell_nets_csr_cache = None
-        self._net_row_cache = None
+        self._forget(pins=True)
 
     def add_net(self, name: str, pins: Iterable[Pin], weight: float = 1.0) -> Net:
         net = Net(name, list(pins), weight)
@@ -239,11 +281,28 @@ class Netlist:
                     f"but only {len(self.cells)} cells exist"
                 )
         self.nets.append(net)
-        self._hpwl_cache = None
-        self._nets_cache = None
-        self._cell_nets_csr_cache = None
-        self._net_row_cache = None
+        self._forget(pins=True)
         return net
+
+    def set_cells(self, indices: Iterable[int], **changes) -> None:
+        """Give the cells at ``indices`` new values of ``width``,
+        ``height``, ``fixed`` and/or ``movebound`` (one value for all
+        of them).  No validation: :func:`validate_instance` is the
+        check."""
+        unknown = changes.keys() - {"width", "height", "fixed", "movebound"}
+        if unknown:
+            raise TypeError(f"cannot set cell field(s) {sorted(unknown)}")
+        for i in indices:
+            self.cells[i] = replace(self.cells[i], **changes)
+        self._forget(dims=True)
+
+    def set_net_weights(self, weights: Dict[int, float]) -> None:
+        """Give the nets ``weights`` maps (net index -> weight) their
+        new weights.  Only the pin table carries weights; the net
+        topology, and every array derived from it, stays."""
+        for i, w in weights.items():
+            self.nets[i] = replace(self.nets[i], weight=float(w))
+        self._hpwl_cache = None
 
     def add_blockage(self, rect: Rect) -> None:
         self.blockages = self.blockages.union(RectSet([rect]))
@@ -272,15 +331,38 @@ class Netlist:
     def num_nets(self) -> int:
         return len(self.nets)
 
-    @property
-    def movable_indices(self) -> np.ndarray:
-        return np.array(
-            [c.index for c in self.cells if not c.fixed], dtype=np.int64
-        )
+    def _masks(self) -> tuple:
+        """Cached (fixed mask, movable indices, standard-cell mask,
+        macro indices)."""
+        if self._mask_cache is None:
+            movable, _hw, hh = self.cell_dims()
+            std = movable & (2.0 * hh <= self.row_height + 1e-9)
+            self._mask_cache = _frozen(
+                ~movable,
+                np.flatnonzero(movable).astype(np.int64, copy=False),
+                std,
+                np.flatnonzero(movable & ~std).astype(np.int64, copy=False),
+            )
+        return self._mask_cache
 
     @property
     def fixed_mask(self) -> np.ndarray:
-        return np.array([c.fixed for c in self.cells], dtype=bool)
+        return self._masks()[0]
+
+    @property
+    def movable_indices(self) -> np.ndarray:
+        """Ascending indices of the cells that are not fixed."""
+        return self._masks()[1]
+
+    @property
+    def std_cell_mask(self) -> np.ndarray:
+        """Movable cells no taller than a row: the row-legalized ones."""
+        return self._masks()[2]
+
+    @property
+    def macro_indices(self) -> np.ndarray:
+        """Ascending indices of the movable cells taller than a row."""
+        return self._masks()[3]
 
     def movable_area(self) -> float:
         return sum(c.size for c in self.cells if not c.fixed)
@@ -336,38 +418,18 @@ class Netlist:
             ys.append(py)
         return Rect(min(xs), min(ys), max(xs), max(ys))
 
-    def _hpwl_arrays(self) -> tuple:
-        """Cached flat pin arrays for vectorized HPWL."""
+    def pin_arrays(self) -> tuple:
+        """Cached :func:`flat_pin_arrays` of all nets."""
         if self._hpwl_cache is None:
-            ptr = [0]
-            pin_cell: List[int] = []
-            off_x: List[float] = []
-            off_y: List[float] = []
-            weights: List[float] = []
-            for net in self.nets:
-                if net.degree < 2:
-                    continue
-                for pin in net.pins:
-                    pin_cell.append(pin.cell_index)
-                    off_x.append(pin.offset_x)
-                    off_y.append(pin.offset_y)
-                ptr.append(len(pin_cell))
-                weights.append(net.weight)
-            self._hpwl_cache = (
-                np.array(ptr[:-1], dtype=np.int64),
-                np.array(pin_cell, dtype=np.int64),
-                np.array(off_x),
-                np.array(off_y),
-                np.array(weights),
-            )
+            self._hpwl_cache = _frozen(*flat_pin_arrays(self.nets))
         return self._hpwl_cache
 
     def net_spans(self, rows=None) -> np.ndarray:
         """Half-perimeter ``dx + dy`` of each net with two or more pins
-        (the ``_hpwl_arrays`` layout), or of the given rows of it only —
+        (the ``pin_arrays`` layout), or of the given rows of it only —
         the same floats either way, so a span vector patched row-wise
         dots to the bits :meth:`hpwl` returns."""
-        ptr, pin_cell, off_x, off_y, _weights = self._hpwl_arrays()
+        ptr, pin_cell, off_x, off_y, _weights = self.pin_arrays()
         if rows is not None:
             ptr, idx = self._row_pins(rows)
             pin_cell, off_x, off_y = pin_cell[idx], off_x[idx], off_y[idx]
@@ -384,11 +446,11 @@ class Netlist:
         """``(weights, row_of_net)`` of the :meth:`net_spans` vector:
         the weight of each row, and each net's row (-1 for the nets
         with fewer than two pins, which have none)."""
-        return self._hpwl_arrays()[4], self._net_rows()
+        return self.pin_arrays()[4], self._net_rows()
 
     def hpwl(self) -> float:
         """Weighted half-perimeter wirelength of the current placement."""
-        weights = self._hpwl_arrays()[4]
+        weights = self.pin_arrays()[4]
         if len(weights) == 0:
             return 0.0
         return float(np.dot(weights, self.net_spans()))
@@ -433,7 +495,7 @@ class Netlist:
         return np.unique(ids[gather])
 
     def _net_rows(self) -> np.ndarray:
-        """Net index -> row in the ``_hpwl_arrays`` layout (degree < 2
+        """Net index -> row in the ``pin_arrays`` layout (degree < 2
         nets, which that layout drops, map to -1)."""
         if self._net_row_cache is None:
             rows = np.full(self.num_nets, -1, dtype=np.int64)
@@ -442,14 +504,14 @@ class Netlist:
                 if net.degree >= 2:
                     rows[nidx] = r
                     r += 1
-            self._net_row_cache = rows
+            (self._net_row_cache,) = _frozen(rows)
         return self._net_row_cache
 
     def _row_pins(self, rows: np.ndarray) -> tuple:
-        """``(ptr, idx)``: the pins of the given ``_hpwl_arrays`` rows,
+        """``(ptr, idx)``: the pins of the given ``pin_arrays`` rows,
         ``idx`` gathering them out of the flat pin arrays and ``ptr``
         marking where each row starts in the gathered order."""
-        ptr, pin_cell = self._hpwl_arrays()[:2]
+        ptr, pin_cell = self.pin_arrays()[:2]
         last = len(ptr) - 1
         ends = np.where(
             rows < last, ptr[np.minimum(rows + 1, last)], len(pin_cell)
@@ -457,11 +519,11 @@ class Netlist:
         return _ranges(ptr[rows], ends - ptr[rows])
 
     def net_subset_arrays(self, net_indices) -> tuple:
-        """``_hpwl_arrays``-layout flat pin arrays restricted to the
+        """``pin_arrays``-layout flat pin arrays restricted to the
         given (ascending) net indices, extracted by pure array gathers
         from the cached global arrays — value-identical to rebuilding
         the subset net by net."""
-        _ptr, pin_cell, off_x, off_y, weights = self._hpwl_arrays()
+        _ptr, pin_cell, off_x, off_y, weights = self.pin_arrays()
         rows = self._net_rows()[np.asarray(net_indices, dtype=np.int64)]
         rows = rows[rows >= 0]
         sub_ptr, idx = self._row_pins(rows)
@@ -475,16 +537,18 @@ class Netlist:
         cell (the identical ``width * height`` product), so hot loops
         gather instead of bouncing through the property per call."""
         if self._size_cache is None:
-            self._size_cache = np.array(
-                [c.width * c.height for c in self.cells],
-                dtype=np.float64,
+            (self._size_cache,) = _frozen(
+                np.array(
+                    [c.width * c.height for c in self.cells],
+                    dtype=np.float64,
+                )
             )
         return self._size_cache
 
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
-    def _dim_arrays(self) -> tuple:
+    def cell_dims(self) -> tuple:
         """Cached (movable mask, half widths, half heights)."""
         if self._dim_cache is None:
             movable = np.array(
@@ -496,12 +560,12 @@ class Netlist:
             hh = np.array(
                 [c.height / 2 for c in self.cells], dtype=np.float64
             )
-            self._dim_cache = (movable, hw, hh)
+            self._dim_cache = _frozen(movable, hw, hh)
         return self._dim_cache
 
     def clamp_into_die(self) -> None:
         """Clamp every movable cell center so its rectangle fits the die."""
-        movable, hw, hh = self._dim_arrays()
+        movable, hw, hh = self.cell_dims()
         self.x[movable] = np.clip(
             self.x[movable],
             self.die.x_lo + hw[movable],
@@ -515,7 +579,7 @@ class Netlist:
 
     def check_in_die(self, tol: float = 1e-6) -> List[int]:
         """Indices of movable cells whose rectangle leaves the die."""
-        movable, hw, hh = self._dim_arrays()
+        movable, hw, hh = self.cell_dims()
         bad = movable & (
             (self.x - hw < self.die.x_lo - tol)
             | (self.y - hh < self.die.y_lo - tol)

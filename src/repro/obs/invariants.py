@@ -233,11 +233,7 @@ def check_movebound_containment(
     it deliberately left in relaxed windows are not audited.
     """
     if cells is None:
-        cells = [
-            c.index
-            for c in netlist.cells
-            if not c.fixed and c.movebound is not None
-        ]
+        cells = netlist.movable_indices.tolist()
     for i in cells:
         cell = netlist.cells[i]
         if cell.movebound is None:

@@ -57,9 +57,9 @@ def recursive_partition(
     report = RecursivePartitionReport()
     die = netlist.die
     # cell -> current window (ix, iy) at the current level
-    assignment: Dict[int, Tuple[int, int]] = {
-        c.index: (0, 0) for c in netlist.cells if not c.fixed
-    }
+    assignment: Dict[int, Tuple[int, int]] = dict.fromkeys(
+        netlist.movable_indices.tolist(), (0, 0)
+    )
 
     for level in range(1, max_level + 1):
         n = 2**level

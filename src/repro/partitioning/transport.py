@@ -219,7 +219,7 @@ def spread_outcome(
     netlist: Netlist, outcome: PartitionOutcome, targets: TransportTargets
 ) -> None:
     """Spread each target's assigned cells into the target's area."""
-    _mv, half_w, half_h = netlist._dim_arrays()
+    _mv, half_w, half_h = netlist.cell_dims()
     groups: Dict[int, List[int]] = {}
     for cell, key in outcome.assignment.items():
         groups.setdefault(id(key), []).append(cell)

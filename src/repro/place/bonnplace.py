@@ -200,7 +200,7 @@ class BonnPlaceFBP:
         opts = self.options
         if opts.max_levels is not None:
             return opts.max_levels
-        n_movable = sum(1 for c in netlist.cells if not c.fixed)
+        n_movable = len(netlist.movable_indices)
         by_cells = math.log2(
             max(n_movable / max(opts.target_cells_per_window, 1), 1)
         ) / 2
@@ -333,11 +333,7 @@ class BonnPlaceFBP:
         widx = {grid.window(ix, iy).index for ix, iy in frontier}
         cw = grid.assign_cells(netlist)
         scoped = sorted(
-            {
-                c.index
-                for c in netlist.cells
-                if not c.fixed and int(cw[c.index]) in widx
-            }
+            {i for i in netlist.movable_indices.tolist() if int(cw[i]) in widx}
             | {int(i) for i in touched_cells}
         )
 
@@ -393,10 +389,12 @@ class BonnPlaceFBP:
                 )
             return check_legality(netlist, bounds)
 
-        x, y, hh = netlist.x, netlist.y, netlist._dim_arrays()[2]
+        x, y = netlist.x, netlist.y
         moved = (x != entry.x) | (y != entry.y)
-        macro = 2.0 * hh > netlist.row_height + 1e-9
-        if not np.any(moved & (macro | (scope.distances_to_points(x, y) > 0))):
+        if not (
+            moved[netlist.macro_indices].any()
+            or np.any(moved & (scope.distances_to_points(x, y) > 0))
+        ):
             before = netlist.snapshot()
             try:
                 legality = run(scope)
@@ -710,16 +708,9 @@ class BonnPlaceFBP:
                 )
         if level < levels:
             weight = opts.anchor_base * (2.0**level)
-            anchors_x = [
-                (c.index, float(netlist.x[c.index]), weight)
-                for c in netlist.cells
-                if not c.fixed
-            ]
-            anchors_y = [
-                (c.index, float(netlist.y[c.index]), weight)
-                for c in netlist.cells
-                if not c.fixed
-            ]
+            movable = netlist.movable_indices.tolist()
+            anchors_x = [(i, float(netlist.x[i]), weight) for i in movable]
+            anchors_y = [(i, float(netlist.y[i]), weight) for i in movable]
             with span("place.qp"):
                 solve_qp(
                     netlist,

@@ -92,10 +92,7 @@ class KraftwerkPlacer:
             nb = opts.bins or default_bin_count(netlist)
             dmap = DensityMap(netlist, nb, nb)
             die = netlist.die
-            movable = np.array(
-                [c.index for c in netlist.cells if not c.fixed],
-                dtype=np.int64,
-            )
+            movable = netlist.movable_indices
 
             anchor_weight = opts.anchor_base
             self.iterations_run = 0

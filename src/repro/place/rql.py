@@ -94,9 +94,8 @@ class RQLPlacer:
         area — capacity-blind, exactly the naive approach."""
         exclusive = bounds.exclusive_area()
         default_area = None
-        for cell in netlist.cells:
-            if cell.fixed:
-                continue
+        for i in netlist.movable_indices.tolist():
+            cell = netlist.cells[i]
             x, y = netlist.x[cell.index], netlist.y[cell.index]
             if cell.movebound is not None:
                 area = bounds.get(cell.movebound).area
@@ -128,10 +127,7 @@ class RQLPlacer:
             nb = opts.bins or default_bin_count(netlist)
             dmap = DensityMap(netlist, nb, nb)
             die = netlist.die
-            movable = np.array(
-                [c.index for c in netlist.cells if not c.fixed],
-                dtype=np.int64,
-            )
+            movable = netlist.movable_indices
 
             anchor_weight = opts.anchor_base
             self.iterations_run = 0
@@ -203,12 +199,7 @@ class RQLPlacer:
         if opts.legalize:
             with span("place.legalize") as sp_legal:
                 segments = build_segments(netlist)
-                std_cells = [
-                    c.index
-                    for c in netlist.cells
-                    if not c.fixed
-                    and c.height <= netlist.row_height + 1e-9
-                ]
+                std_cells = np.flatnonzero(netlist.std_cell_mask).tolist()
                 try:
                     tetris_legalize(netlist, std_cells, segments)
                 except ValueError as exc:  # "crashed" outcome of Table IV

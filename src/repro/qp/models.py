@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from repro.netlist import Net, Netlist
+from repro.netlist import Net, Netlist, flat_pin_arrays
 
 NET_MODELS = ("clique", "star", "hybrid", "b2b")
 
@@ -116,32 +116,6 @@ class _Builder:
             (self.vals, (self.rows, self.cols)), shape=(self.n, self.n)
         ).tocsr()
         return a, self.rhs
-
-
-def _flat_net_arrays(nets: Sequence[Net]) -> tuple:
-    """(ptr, pin_cell, off_x, off_y, weights) for a net subset, in the
-    same layout as ``Netlist._hpwl_arrays`` (degree < 2 nets dropped)."""
-    ptr = [0]
-    pin_cell: List[int] = []
-    off_x: List[float] = []
-    off_y: List[float] = []
-    weights: List[float] = []
-    for net in nets:
-        if net.degree < 2:
-            continue
-        for pin in net.pins:
-            pin_cell.append(pin.cell_index)
-            off_x.append(pin.offset_x)
-            off_y.append(pin.offset_y)
-        ptr.append(len(pin_cell))
-        weights.append(net.weight)
-    return (
-        np.array(ptr[:-1], dtype=np.int64),
-        np.array(pin_cell, dtype=np.int64),
-        np.array(off_x),
-        np.array(off_y),
-        np.array(weights),
-    )
 
 
 @dataclass
@@ -254,9 +228,9 @@ def _fast_axis_system(
     if flat is not None:
         ptr, pin_cell, off_x, off_y, weights = flat
     elif nets is None:
-        ptr, pin_cell, off_x, off_y, weights = netlist._hpwl_arrays()
+        ptr, pin_cell, off_x, off_y, weights = netlist.pin_arrays()
     else:
-        ptr, pin_cell, off_x, off_y, weights = _flat_net_arrays(nets)
+        ptr, pin_cell, off_x, off_y, weights = flat_pin_arrays(nets)
     n_nets = len(weights)
     n_cells = len(movable_indices)
     n_pins = len(pin_cell)
@@ -476,7 +450,7 @@ def build_axis_system(
         Restrict assembly to these nets (local QP passes only the nets
         incident to the coarse window).  Defaults to all nets.
     flat:
-        Optional precomputed ``_flat_net_arrays(nets)`` result so a
+        Optional precomputed ``flat_pin_arrays(nets)`` result so a
         caller assembling both axes extracts the subset only once.
     """
     if model not in NET_MODELS:

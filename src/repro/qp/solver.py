@@ -15,13 +15,9 @@ import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import cg, spsolve
 
-from repro.netlist import Netlist
+from repro.netlist import Netlist, flat_pin_arrays
 from repro.obs import incr
-from repro.qp.models import (
-    AxisSystem,
-    _flat_net_arrays,
-    build_axis_systems_xy,
-)
+from repro.qp.models import AxisSystem, build_axis_systems_xy
 
 #: Unknown-count threshold below which a direct solve is used.
 DIRECT_SOLVE_LIMIT = 4000
@@ -114,7 +110,7 @@ def solve_qp(
     # for the position-independent models the whole assembled matrix
     # is shared across the two axes (only the rhs differs)
     if flat is None and nets is not None and opts.net_model != "b2b":
-        flat = _flat_net_arrays(nets)
+        flat = flat_pin_arrays(nets)
     sys_x, sys_y = build_axis_systems_xy(
         netlist,
         model=opts.net_model,

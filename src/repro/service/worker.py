@@ -129,9 +129,10 @@ def _apply_movebound_patch(netlist, bounds, patch) -> None:
         rects = [Rect(*map(float, r)) for r in entry["rects"]]
         kind = EXCLUSIVE if entry.get("exclusive") else INCLUSIVE
         bounds.add_rects(name, rects, kind=kind)
-        for cell_name in entry.get("cells", []):
-            idx = netlist.cell_index(str(cell_name))
-            netlist.cells[idx].movebound = name
+        netlist.set_cells(
+            [netlist.cell_index(str(c)) for c in entry.get("cells", [])],
+            movebound=name,
+        )
 
 
 def execute_job(spec: JobSpec, job_dir: str) -> Dict[str, Any]:

@@ -189,12 +189,11 @@ def reweight_nets(
     """
     if base_weights is None:
         base_weights = [net.weight for net in netlist.nets]
-    for nidx, net in enumerate(netlist.nets):
-        crit = report.net_criticality.get(nidx, 0.0)
-        net.weight = base_weights[nidx] * (
-            1.0 + alpha * crit**exponent
-        )
-    netlist._hpwl_cache = None  # weights feed the cached arrays
+    netlist.set_net_weights({
+        nidx: base_weights[nidx]
+        * (1.0 + alpha * report.net_criticality.get(nidx, 0.0) ** exponent)
+        for nidx in range(netlist.num_nets)
+    })
 
 
 def timing_driven_place(
@@ -233,7 +232,5 @@ def timing_driven_place(
     # keep the best placement seen; restore original weights so the
     # caller's evaluation is not skewed
     netlist.restore(best_snapshot)
-    for net, w in zip(netlist.nets, base_weights):
-        net.weight = w
-    netlist._hpwl_cache = None
+    netlist.set_net_weights(dict(enumerate(base_weights)))
     return first, best_report

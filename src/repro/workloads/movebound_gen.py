@@ -63,9 +63,8 @@ def _row_feasible(
         netlist.die, bounds, netlist.blockages
     )
     sizes: Dict[str, float] = {}
-    for cell in netlist.cells:
-        if cell.fixed:
-            continue
+    for i in netlist.movable_indices.tolist():
+        cell = netlist.cells[i]
         name = cell.movebound or DEFAULT_BOUND
         sizes[name] = sizes.get(name, 0.0) + cell.size
     total = sum(sizes.values())
@@ -301,9 +300,7 @@ def attach_movebounds(
     rng = np.random.default_rng(seed)
     die = netlist.die
     n = len(logical)
-    std_cells = [
-        c.index for c in netlist.cells if not c.fixed and c.index < n
-    ]
+    std_cells = [i for i in netlist.movable_indices.tolist() if i < n]
     tree = cKDTree(logical[std_cells])
 
     # ------------------------------------------------------------------
@@ -328,9 +325,8 @@ def attach_movebounds(
             pool = [ci for ci in std_cells if not assigned[ci]]
             take = min(count, len(pool))
             chosen = [int(c) for c in rng.choice(pool, take, replace=False)]
-        for ci in chosen:
-            assigned[ci] = True
-            netlist.cells[ci].movebound = spec.name
+        assigned[chosen] = True
+        netlist.set_cells(chosen, movebound=spec.name)
         members[spec.name] = chosen
 
     cell_area = {

@@ -112,3 +112,89 @@ class TestInflationVsPlacers:
         grid.build_regions(dec)
         report = fbp_partition(nl, bounds, grid, density_target=0.95)
         assert report.feasible
+
+
+class TestInflationReachesTheSupplies:
+    """Inflation has to change the areas every consumer reads.  The
+    cached ``cell_sizes()`` once kept the pre-inflation areas, so the
+    FBP model, realization and ``partition_cells`` never saw an
+    inflated cell."""
+
+    @staticmethod
+    def _model_supply(nl):
+        from repro.fbp import fbp_partition
+        from repro.grid import Grid
+        from repro.movebounds import MoveBoundSet, decompose_regions
+
+        bounds = MoveBoundSet(nl.die)
+        grid = Grid(nl.die, 4, 4)
+        grid.build_regions(decompose_regions(nl.die, bounds, nl.blockages))
+        report = fbp_partition(nl, bounds, grid, density_target=0.95,
+                               run_local_qp=False, keep_model=True)
+        return sum(report.model.group_supply.values())
+
+    def test_sizes_and_supplies_follow_inflate_and_deflate(self):
+        spec = NetlistSpec("infl", 200, utilization=0.5, num_pads=8)
+        nl, _ = generate_netlist(spec, seed=3)
+        base = nl.snapshot()
+        sizes = nl.cell_sizes().copy()
+        area = nl.movable_area()
+        assert self._model_supply(nl) == pytest.approx(area, rel=1e-12)
+
+        nl.restore(base)
+        result = inflate_cells(nl, threshold=1.0, strength=0.4, bins=6)
+        assert result.inflated_cells > 0
+        assert nl.movable_area() > area
+        np.testing.assert_array_equal(
+            nl.cell_sizes(), [c.width * c.height for c in nl.cells]
+        )
+        nl.restore(base)
+        assert self._model_supply(nl) == pytest.approx(
+            nl.movable_area(), rel=1e-12
+        )
+
+        deflate_cells(nl, result)
+        np.testing.assert_array_equal(nl.cell_sizes(), sizes)
+        nl.restore(base)
+        assert self._model_supply(nl) == pytest.approx(area, rel=1e-12)
+
+
+class TestExampleOverflow:
+    """``examples/congestion_rebalance.py``'s input, pinned: seed 9,
+    inflation threshold 1.2 / strength 0.5 / max factor 1.8 on 8x8
+    bins, incremental FBP on an 8x8 grid at density 0.97 with the
+    local QP on."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.fbp import fbp_partition
+        from repro.grid import Grid
+        from repro.movebounds import MoveBoundSet, decompose_regions
+        from repro.place import BonnPlaceFBP, BonnPlaceOptions
+
+        spec = NetlistSpec("congest", num_cells=500, utilization=0.60,
+                           num_pads=12)
+        nl, _ = generate_netlist(spec, seed=9)
+        bounds = MoveBoundSet(nl.die)
+        BonnPlaceFBP(BonnPlaceOptions(legalize=False)).place(nl, bounds)
+        inflate_cells(nl, threshold=1.2, strength=0.5, max_factor=1.8,
+                      bins=8)
+        largest = float(nl.cell_sizes()[nl.movable_indices].max())
+        grid = Grid(nl.die, 8, 8)
+        grid.build_regions(decompose_regions(nl.die, bounds, nl.blockages))
+        report = fbp_partition(nl, bounds, grid, density_target=0.97)
+        return report, largest
+
+    def test_stays_globally_feasible(self, run):
+        report, _largest = run
+        assert report.feasible
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "each arc ships within half a cell of its flow, and those "
+        "errors add up in a window fed by several arcs: one window "
+        "here takes 6 arcs and ends 4.32 over, the largest cell is "
+        "3.97 (ROADMAP item 6)"
+    ))
+    def test_overflow_within_the_largest_cell(self, run):
+        report, largest = run
+        assert report.realization.max_overflow <= largest + 1e-6

@@ -78,9 +78,9 @@ def _generated(seed):
     die = nl.die
     movable = [c.index for c in nl.cells if not c.fixed]
     # some movable cells become fixed obstacles
-    for i in rng.choice(movable, size=12, replace=False).tolist():
-        nl.cells[i].fixed = True
-    nl._dim_cache = None
+    nl.set_cells(
+        rng.choice(movable, size=12, replace=False).tolist(), fixed=True
+    )
     n = len(nl.cells)
     nl.x = rng.uniform(die.x_lo - 2.0, die.x_hi + 2.0, n)
     nl.y = rng.uniform(die.y_lo - 2.0, die.y_hi + 2.0, n)

@@ -146,11 +146,10 @@ def exclusive_mix(cells: int = 300, seed: int = 3):
         "I", [Rect(round(0.5 * w), round(0.3 * h), round(0.9 * w), round(0.8 * h))]
     )
     bounds.normalize()
-    for i in range(cells):
-        if i % 7 == 0:
-            nl.cells[i].movebound = "X"
-        elif i % 3 == 0:
-            nl.cells[i].movebound = "I"
+    nl.set_cells(range(0, cells, 7), movebound="X")
+    nl.set_cells(
+        [i for i in range(0, cells, 3) if i % 7 != 0], movebound="I"
+    )
     _add_offset_nets(nl, cells, seed + 1)
     dec = decompose_regions(die, bounds, nl.blockages)
     return nl, bounds, dec

@@ -160,30 +160,27 @@ class TestMacrosAsObstacles:
             nl, obstacles=[nl.cell_rect(i) for i in macros]
         )
         assert with_arg != build_segments(nl)  # the macros cut rows
-        for i in macros:
-            nl.cells[i].fixed = True
+        nl.set_cells(macros, fixed=True)
         assert build_segments(nl) == with_arg
 
     def test_netlist_is_never_half_fixed(self, monkeypatch):
         nl, macros = self._mixed()
-        nl._dim_arrays()
-        dims = nl._dim_cache
+        dims = nl.cell_dims()
         seen = []
 
         def spying(netlist, *args, **kwargs):
             seen.append([netlist.cells[i].fixed for i in macros])
-            assert netlist._dim_cache is dims
+            assert netlist.cell_dims() is dims
             return build_segments(netlist, *args, **kwargs)
 
         monkeypatch.setattr(detailed, "build_segments", spying)
         detailed_place(nl, passes=1)
         assert seen == [[False] * len(macros)]
-        assert nl._dim_cache is dims
+        assert nl.cell_dims() is dims
 
     def test_a_raise_inside_leaves_the_netlist_untouched(self, monkeypatch):
         nl, macros = self._mixed()
-        nl._dim_arrays()
-        dims = nl._dim_cache
+        dims = nl.cell_dims()
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
@@ -192,7 +189,7 @@ class TestMacrosAsObstacles:
         with pytest.raises(RuntimeError):
             detailed_place(nl)
         assert not any(nl.cells[i].fixed for i in macros)
-        assert nl._dim_cache is dims
+        assert nl.cell_dims() is dims
 
 
 def test_abacus_holds_one_bound_matrix_during_the_solve(monkeypatch):
@@ -236,7 +233,7 @@ def test_abacus_holds_one_bound_matrix_during_the_solve(monkeypatch):
 def unchunked_overlaps(netlist, max_pairs):
     """The overlap sweep over all candidate pairs at once: the
     reference arithmetic of ``check_legality``'s blocked sweep."""
-    movable, hw, hh = netlist._dim_arrays()
+    movable, hw, hh = netlist.cell_dims()
     xl, xh = netlist.x - hw, netlist.x + hw
     yl, yh = netlist.y - hh, netlist.y + hh
     order = np.argsort(xl, kind="stable")

@@ -70,8 +70,7 @@ class TestBonnPlaceFBP:
         bounds = MoveBoundSet(nl.die)
         side = nl.die.width * 0.05
         bounds.add_rects("tiny", [Rect(0, 0, side, side)])
-        for c in nl.cells[:200]:
-            c.movebound = "tiny"
+        nl.set_cells(range(200), movebound="tiny")
         with pytest.raises(PlacementError, match="tiny"):
             BonnPlaceFBP().place(nl, bounds)
 

@@ -32,7 +32,7 @@ class TestChain:
 
     def test_weighted_net_pulls(self):
         nl = chain_netlist()
-        nl.nets[0].weight = 10.0  # strong pull to (0, 0)
+        nl.set_net_weights({0: 10.0})  # strong pull to (0, 0)
         x, _ = solve_qp(nl)
         assert x[0] < 10 / 3
 
@@ -69,7 +69,7 @@ class TestSystemAssembly:
 
     def test_fixed_cells_enter_rhs(self):
         nl = chain_netlist()
-        nl.cells[1].fixed = True
+        nl.set_cells([1], fixed=True)
         nl.x[1] = 8.0
         system = build_axis_system(nl, 0)
         assert system.num_cell_unknowns == 1

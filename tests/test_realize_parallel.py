@@ -138,7 +138,7 @@ def _reference_spread(netlist, cell_indices, rects):
         areas = np.ones(len(rects))
         total = float(len(rects))
     ci = np.asarray(cell_indices, dtype=np.int64)
-    _mv, half_w, half_h = netlist._dim_arrays()
+    _mv, half_w, half_h = netlist.cell_dims()
     ordered = ci[np.lexsort((netlist.y[ci], netlist.x[ci]))]
     counts = np.floor(areas / total * len(ordered)).astype(int)
     while counts.sum() < len(ordered):
@@ -189,7 +189,7 @@ class TestSpreadReference:
         ref.y[:] = nl.y
         _reference_spread(ref, cells.tolist(), rects)
 
-        _mv, half_w, half_h = nl._dim_arrays()
+        _mv, half_w, half_h = nl.cell_dims()
         new_x, new_y = spread_into_rects(
             cells,
             nl.x[cells],

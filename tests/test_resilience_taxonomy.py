@@ -161,7 +161,7 @@ class TestValidation:
         # construction (or a hand-built netlist) is what validation
         # has to catch
         nl = _netlist()
-        nl.cells[0].width = -1.0
+        nl.set_cells([0], width=-1.0)
         problems = instance_problems(nl)
         assert any("non-finite" in p or "negative" in p for p in problems)
 

@@ -177,8 +177,7 @@ class TestPlacerIntegration:
         # sized so the deficit is real but within the 8x relaxation cap
         side = nl.die.width * 0.35
         bounds.add_rects("tiny", [Rect(0, 0, side, side)])
-        for c in nl.cells[:100]:
-            c.movebound = "tiny"
+        nl.set_cells(range(100), movebound="tiny")
         return nl, bounds
 
     def test_error_carries_witness(self):

@@ -28,7 +28,10 @@ A basic optimal solution of the transportation LP has at most
 split sources ([Brenner 2008], and the "almost integral" remark in
 §III of the paper).  :func:`round_almost_integral` converts such a
 solution into an integral assignment, overflowing any sink by at most
-one cell.
+one cell.  When n >> k most sources never leave their cheapest sink,
+so a caller may solve a restricted model and price the arcs it left
+out against the sinks' capacity duals (``TransportResult.sink_duals``);
+the Abacus row assignment (:mod:`repro.legalize.abacus`) does.
 """
 
 from __future__ import annotations
@@ -81,6 +84,13 @@ class TransportResult:
 
     ``flow[i, j]`` is the amount of source i routed to sink j; rows sum
     to the supplies when feasible.
+
+    ``sink_duals[j] <= 0`` is the dual of sink j's capacity row: with
+    ``u[i] = min_j (costs[i, j] - sink_duals[j])`` every admissible arc
+    has reduced cost ``costs[i, j] - u[i] - sink_duals[j] >= 0``, a sink
+    with slack has dual 0, and the pair certifies the flow optimal.
+    The LP answer carries HiGHS' row duals, the closed form zeros (every
+    source sits on a cheapest sink with room); ``None`` when infeasible.
     """
 
     feasible: bool
@@ -88,6 +98,7 @@ class TransportResult:
     cost: float
     #: solver effort/size accounting (always present after solve)
     stats: TransportStats = field(default_factory=TransportStats)
+    sink_duals: Optional[np.ndarray] = None
 
     def split_sources(self, tol: Optional[float] = None) -> List[int]:
         """Indices of sources split across more than one sink.
@@ -159,7 +170,11 @@ def solve_transportation(
 
     if n == 0:
         result = TransportResult(
-            True, np.zeros((0, k)), 0.0, TransportStats(method="empty")
+            True,
+            np.zeros((0, k)),
+            0.0,
+            TransportStats(method="empty"),
+            np.zeros(k),
         )
     elif not np.all(finite.any(axis=1) | (supplies <= 0)):
         # quick necessary check: every source needs an admissible sink
@@ -234,7 +249,11 @@ def _solve_forced(
     rows = np.nonzero(supplies > 0)[0]
     if not len(rows):
         return TransportResult(
-            True, np.zeros((n, k)), 0.0, TransportStats(method="closed_form")
+            True,
+            np.zeros((n, k)),
+            0.0,
+            TransportStats(method="closed_form"),
+            np.zeros(k),
         )
     base = _FORCED_FACTOR * _HIGHS_TOL
     amount = supplies[rows]
@@ -255,6 +274,7 @@ def _solve_forced(
                 flow,
                 float(np.dot(cheapest, amount)),
                 TransportStats(method="closed_form"),
+                np.zeros(k),
             )
 
     if k > _PRECHECK_MAX_SINKS:
@@ -413,7 +433,8 @@ def _solve_lp(
         )
     flow = np.zeros((n, k))
     flow[src_idx, snk_idx] = x
-    return TransportResult(True, flow, float(fun), stats)
+    sink_duals = np.array(solution.row_dual[:k], dtype=np.float64)
+    return TransportResult(True, flow, float(fun), stats, sink_duals)
 
 
 def round_almost_integral(

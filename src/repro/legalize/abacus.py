@@ -7,22 +7,30 @@ collides with the previous cluster, the clusters merge and the merged
 cluster's optimal position is recomputed in O(1) from accumulated
 weights.  Site alignment is applied at the end.
 
-Row *assignment* (which segment each cell goes to) is a greedy
-nearest-row search with capacity bookkeeping — the combination is the
-standard practical pipeline (Spindler et al.'s Abacus), and a faithful
-stand-in for the minimum-movement legalization [6] the paper calls.
+Row *assignment* (which segment each cell goes to) is the
+minimum-movement transportation of cells to row segments over each
+cell's nearest segments, solved by pricing: only the cells whose
+nearest segment overflows reach the LP, and the LP's duals price every
+arc left out.  The combination is the standard practical pipeline
+(Spindler et al.'s Abacus), and a faithful stand-in for the
+minimum-movement legalization [6] the paper calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.legalize.rows import RowSegment
 from repro.netlist import Netlist
+from repro.obs import incr
+
+#: rows of the (cells x segments) bound matrix ranked at once: only the
+#: (cells x limit) candidate arcs outlive the ranking
+_ROW_BLOCK = 1024
 
 
 @dataclass
@@ -96,6 +104,119 @@ def _place_row(
     return total_sq
 
 
+def _candidates(lower_bounds, n: int, limit: int):
+    """Each cell's ``limit`` nearest segments by the displacement bound
+    (stable ranking) and their bounds, as (n x limit) arrays ranked
+    ``_ROW_BLOCK`` rows of the bound matrix at a time."""
+    cand_seg = np.empty((n, limit), dtype=np.int32)
+    cand_cost = np.empty((n, limit))
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = slice(lo, min(lo + _ROW_BLOCK, n))
+        bounds = lower_bounds(rows)
+        order = np.argsort(bounds, axis=1, kind="stable")[:, :limit]
+        cand_seg[rows] = order
+        cand_cost[rows] = np.take_along_axis(bounds, order, axis=1)
+    return cand_seg, cand_cost
+
+
+def _priced_transport(
+    supplies: np.ndarray,
+    caps: np.ndarray,
+    cand_seg: np.ndarray,
+    cand_cost: np.ndarray,
+) -> Optional[Tuple[np.ndarray, float]]:
+    """Minimum-cost transportation of cells to segments over the
+    candidate arcs, solved by pricing; returns ``(assignment, cost)``
+    (each cell's rounded segment, the LP optimum) or ``None`` when the
+    arcs cannot hold the cells.
+
+    With every cell on its cheapest segment, the cells whose segment is
+    not overfull are pinned there; the others enter the LP with their
+    arcs up to the first segment that is not overfull (at least 2), on
+    capacities less the pinned load.  Each solve prices every arc left
+    out against the sink duals, and the arcs with negative reduced cost
+    join (a pinned cell joins the LP with its own); once none is left
+    the duals certify the optimum of the whole candidate model.  An
+    infeasible restricted LP first gets all candidate arcs of its cells,
+    then the pinned cells sitting in their candidate segments; it is
+    infeasible when that adds nobody.
+    """
+    from repro.flows import round_almost_integral, solve_transportation
+
+    n, limit = cand_seg.shape
+    k = len(caps)
+    best = cand_seg[:, 0]
+    over = np.bincount(best, weights=supplies, minlength=k) > caps
+    in_lp = over[best]
+    # active[i, r]: cell i's arc to cand_seg[i, r] is in the model
+    active = np.zeros((n, limit), dtype=bool)
+    active[:, 0] = True
+    lp = np.flatnonzero(in_lp)
+    if len(lp):
+        room = ~over[cand_seg[lp]]
+        reach = np.where(
+            room.any(axis=1), np.maximum(room.argmax(axis=1) + 1, 2), limit
+        )
+        active[lp] = np.arange(limit) < reach[:, None]
+    tol = 1e-9 * float(np.abs(cand_cost).max(initial=0.0))
+    rounds = 0
+    while len(lp):
+        pinned = ~in_lp
+        rows, ranks = np.nonzero(active[lp])
+        # the LP's sinks are the segments its arcs reach
+        sinks, cols = np.unique(cand_seg[lp[rows], ranks], return_inverse=True)
+        pinned_load = np.bincount(
+            best[pinned], weights=supplies[pinned], minlength=k
+        )
+        free = np.maximum(caps[sinks] - pinned_load[sinks], 0.0)
+        costs = np.full((len(lp), len(sinks)), np.inf)
+        costs[rows, cols] = cand_cost[lp[rows], ranks]
+        tr = solve_transportation(supplies[lp], free, costs)
+        rounds += 1
+        if not tr.feasible:
+            if not active[lp].all():
+                active[lp] = True
+            else:
+                reached = np.zeros(k, dtype=bool)
+                reached[cand_seg[lp]] = True
+                unpin = pinned & reached[best]
+                if not unpin.any():
+                    break
+                active[unpin] = True
+                in_lp |= unpin
+            lp = np.flatnonzero(in_lp)
+            continue
+        # a cell's dual is its cheapest arc in the model net of the sink
+        # duals (0 on a segment outside the LP), so every arc in the
+        # model prices >= 0
+        duals = np.zeros(k)
+        duals[sinks] = tr.sink_duals
+        net = cand_cost - duals[cand_seg]
+        net -= np.where(active, net, np.inf).min(axis=1)[:, None]
+        add = ~active & (net < -tol)
+        del net
+        if not add.any():
+            break
+        active |= add
+        in_lp |= add.any(axis=1)
+        lp = np.flatnonzero(in_lp)
+    incr("legalize.assign_rounds", rounds)
+    incr("legalize.assign_lp_cells", len(lp))
+    if len(lp) and not tr.feasible:
+        return None
+
+    assignment = best.astype(np.int64)
+    pinned = ~in_lp
+    cost = float(np.dot(supplies[pinned], cand_cost[pinned, 0]))
+    if len(lp):
+        rounded, _overflow = round_almost_integral(
+            tr, supplies[lp], free, costs
+        )
+        assignment[lp] = sinks[rounded]
+        cost += tr.cost
+    return assignment, cost
+
+
 def _assign_to_segments(
     netlist: Netlist,
     cells: List[int],
@@ -106,10 +227,13 @@ def _assign_to_segments(
 
     Each cell only gets arcs to its `candidates` nearest segments (by a
     displacement lower bound); if that restriction is infeasible the
-    candidate set widens until it covers all segments.
+    candidate set widens x4 until it covers all segments.  The
+    transportation over those arcs is solved by pricing
+    (:func:`_priced_transport`), so the LP sees only the cells that
+    must leave their nearest segment.  Whole-cell overflow left by the
+    rounding is repaired into segments with slack, with first-fit
+    decreasing over all cells as the last resort.
     """
-    from repro.flows import round_almost_integral, solve_transportation
-
     n, k = len(cells), len(segs)
     supplies = np.array([netlist.cells[i].width for i in cells])
     caps = np.array([s.width for s in segs])
@@ -136,14 +260,10 @@ def _assign_to_segments(
 
     limit = min(max(candidates, 4), k)
     while True:
-        # the bound matrix becomes the cost matrix in place: nothing
-        # else of its size is alive during the solve
-        costs = lower_bounds(slice(None))
-        order = np.argsort(costs, axis=1, kind="stable")
-        np.put_along_axis(costs, order[:, limit:], np.inf, axis=1)
-        del order
-        tr = solve_transportation(supplies, caps, costs)
-        if tr.feasible:
+        solved = _priced_transport(
+            supplies, caps, *_candidates(lower_bounds, n, limit)
+        )
+        if solved is not None:
             break
         if limit >= k:
             raise ValueError(
@@ -151,7 +271,7 @@ def _assign_to_segments(
             )
         limit = min(limit * 4, k)
 
-    assignment, _overflow = round_almost_integral(tr, supplies, caps, costs)
+    assignment = solved[0]
     load = np.bincount(assignment, weights=supplies, minlength=k)
 
     def first_fit(i: int, skip: int = -1) -> Optional[int]:

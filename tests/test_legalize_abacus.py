@@ -102,3 +102,130 @@ class TestDense:
         segs = build_segments(nl)
         sq = abacus_legalize(nl, list(range(10)), segs)
         assert sq < 10.0
+
+
+# ----------------------------------------------------------------------
+# row assignment by pricing == the one-shot LP over every candidate arc
+# ----------------------------------------------------------------------
+def _grid_netlist(seed, n, die, blockages=0, pile=0.0, widths=(1.0, 1.5, 2.0)):
+    """Seeded cells on the 1/64 grid (widths on the 1/32 grid, so every
+    displacement bound is on the grid and the integer oracle is exact);
+    a ``pile`` share of them crowds the lower left corner.  Each of the
+    ``blockages`` cuts every row once."""
+    rng = np.random.default_rng(seed)
+    nl = Netlist(die, row_height=1.0, site_width=0.25)
+    x = rng.uniform(die.x_lo + 1, die.x_hi - 1, n)
+    y = rng.uniform(die.y_lo + 0.5, die.y_hi - 0.5, n)
+    m = int(pile * n)
+    x[:m] = rng.uniform(die.x_lo + 1, die.x_lo + die.width / 6, m)
+    y[:m] = rng.uniform(die.y_lo + 0.5, die.y_lo + die.height / 3, m)
+    nl.add_cells(
+        [f"c{i}" for i in range(n)],
+        rng.choice(widths, size=n),
+        1.0,
+        x=np.round(x * 64) / 64,
+        y=np.round(y * 64) / 64,
+    )
+    nl.finalize()
+    pitch = die.width / (blockages + 1)
+    for k in range(1, blockages + 1):
+        x0 = die.x_lo + round(pitch * k * 4) / 4
+        nl.add_blockage(Rect(x0, die.y_lo, x0 + 0.5, die.y_hi))
+    return nl
+
+
+WIDE = Rect(0, 0, 40, 10)
+FRAGMENTED = Rect(0, 0, 60, 12)
+
+#: path through the pricing loop -> (netlist builder, row_search_radius)
+#: of a fixture that takes it
+PRICING_CASES = {
+    "no_overfull_segment": (lambda: _grid_netlist(0, 60, WIDE, 3), 24),
+    "first_round_optimal": (lambda: _grid_netlist(10, 240, WIDE, 0, 0.1), 24),
+    "pricing_adds_arcs": (lambda: _grid_netlist(4, 240, WIDE, 0, 0.1), 24),
+    "restricted_lp_infeasible": (
+        lambda: _grid_netlist(0, 150, WIDE, 3, 0.2),
+        24,
+    ),
+    "limit_widens": (
+        lambda: _grid_netlist(
+            9, 150, FRAGMENTED, 9, 1.0, widths=(1.0, 1.5, 2.0, 3.0)
+        ),
+        4,
+    ),
+}
+
+
+def _priced_runs(monkeypatch, name):
+    """``abacus_legalize`` on a case, recording every priced
+    transportation: ``(supplies, caps, cand_seg, cand_cost, answer,
+    verdicts of the restricted LPs it solved)``."""
+    import repro.flows
+    from repro.legalize import abacus
+
+    builder, radius = PRICING_CASES[name]
+    nl = builder()
+    solve = repro.flows.solve_transportation
+    verdicts, runs = [], []
+
+    def solving(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        verdicts.append(result.feasible)
+        return result
+
+    priced = abacus._priced_transport
+
+    def pricing(supplies, caps, cand_seg, cand_cost):
+        del verdicts[:]
+        answer = priced(supplies, caps, cand_seg, cand_cost)
+        runs.append(
+            (supplies, caps, cand_seg, cand_cost, answer, list(verdicts))
+        )
+        return answer
+
+    monkeypatch.setattr(repro.flows, "solve_transportation", solving)
+    monkeypatch.setattr(abacus, "_priced_transport", pricing)
+    abacus_legalize(
+        nl, list(range(nl.num_cells)), build_segments(nl),
+        row_search_radius=radius,
+    )
+    assert check_legality(nl).is_legal
+    return runs, solve
+
+
+@pytest.mark.parametrize("name", sorted(PRICING_CASES))
+def test_priced_assignment_equals_the_one_shot_lp(monkeypatch, name):
+    """The priced row assignment reaches the optimum of the whole
+    candidate model: the same objective as one LP over every candidate
+    arc, and as the integer oracle, on a fixture that takes ``name``'s
+    path through the pricing loop."""
+    from tests.flow_oracle import transport_cost
+
+    runs, solve = _priced_runs(monkeypatch, name)
+    for supplies, caps, cand_seg, cand_cost, answer, _ in runs:
+        n, k = len(supplies), len(caps)
+        costs = np.full((n, k), np.inf)
+        np.put_along_axis(costs, cand_seg.astype(np.int64), cand_cost, axis=1)
+        one_shot = solve(supplies, caps, costs)
+        want = transport_cost(supplies, caps, costs)
+        assert (answer is not None) == one_shot.feasible == (want is not None)
+        if answer is not None:
+            assert answer[1] == pytest.approx(one_shot.cost, rel=1e-9)
+            assert answer[1] == pytest.approx(want, rel=1e-9)
+
+    assert _path(runs) == name
+
+
+def _path(runs):
+    """Which path through the pricing loop the recorded runs took."""
+    if len(runs) > 1:
+        assert runs[0][4] is None
+        assert [run[2].shape[1] for run in runs] == [4, 16, 64]
+        return "limit_widens"
+    verdicts = runs[0][5]
+    if not verdicts:
+        return "no_overfull_segment"
+    if not verdicts[0]:
+        return "restricted_lp_infeasible"
+    assert all(verdicts)
+    return "first_round_optimal" if len(verdicts) == 1 else "pricing_adds_arcs"

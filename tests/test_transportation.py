@@ -9,7 +9,12 @@ from repro.flows import (
     solve_transportation,
 )
 from repro.resilience.errors import InfeasibleInputError
-from tests.flow_oracle import assert_matches, on_grid, transport_cost
+from tests.flow_oracle import (
+    assert_matches,
+    on_grid,
+    random_transport,
+    transport_cost,
+)
 
 INF = np.inf
 
@@ -158,6 +163,74 @@ class TestAlmostIntegral:
         res = solve_transportation(sup, cap, costs)
         assignment, _ = round_almost_integral(res, sup, cap, costs)
         assert assignment[0] == 1 and assignment[1] == 0
+
+
+
+#: total capacity over total supply of the seeded instances
+CAPACITY_CASES = {"balanced": 1.0, "unbalanced": 1.5, "tight": 1.02}
+
+
+class TestSinkDuals:
+    """``sink_duals`` certify the flow optimal: with each source's dual
+    its cheapest arc net of the sink duals, every admissible arc prices
+    >= 0, flow uses only arcs pricing 0, a sink with slack has dual 0,
+    and the dual objective equals the cost."""
+
+    @staticmethod
+    def assert_certified(res, supplies, capacities, costs):
+        v = res.sink_duals
+        scale = float(np.max(np.abs(costs[np.isfinite(costs)])))
+        tol = 1e-7 * max(scale, 1.0)
+        assert v.shape == capacities.shape and np.all(v <= tol)
+        net = costs - v
+        u = net.min(axis=1)
+        reduced = net - u[:, None]
+        assert np.all(reduced[np.isfinite(costs)] >= -tol)
+        assert np.all(reduced[res.flow > 1e-9] <= tol)
+        slack = capacities - res.flow.sum(axis=0)
+        assert np.all(np.abs(v[slack > 1e-7]) <= tol)
+        assert supplies @ u + capacities @ v == pytest.approx(
+            res.cost, rel=1e-9, abs=tol
+        )
+
+    @pytest.mark.parametrize("case", sorted(CAPACITY_CASES))
+    def test_duals_certify_optimality(self, case):
+        rng = np.random.default_rng(sorted(CAPACITY_CASES).index(case))
+        methods = set()
+        for _ in range(40):
+            supplies, capacities, costs = random_transport(rng)
+            capacities *= (
+                CAPACITY_CASES[case] * supplies.sum() / capacities.sum()
+            )
+            res = solve_transportation(supplies, capacities, costs)
+            methods.add(res.stats.method)
+            if not res.feasible:
+                assert res.sink_duals is None
+                continue
+            self.assert_certified(res, supplies, capacities, costs)
+        assert "lp" in methods
+
+    def test_closed_form_carries_zeros(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            supplies, capacities, costs = random_transport(rng)
+            capacities *= 100.0
+            res = solve_transportation(supplies, capacities, costs)
+            assert res.stats.method == "closed_form"
+            assert np.array_equal(res.sink_duals, np.zeros(len(capacities)))
+            self.assert_certified(res, supplies, capacities, costs)
+
+    def test_infeasible_carries_none(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            supplies, capacities, costs = random_transport(rng)
+            capacities *= 0.8 * supplies.sum() / capacities.sum()
+            res = solve_transportation(supplies, capacities, costs)
+            assert not res.feasible and res.sink_duals is None
+        isolated = solve_transportation(
+            np.array([1.0]), np.array([5.0]), np.array([[INF]])
+        )
+        assert isolated.sink_duals is None
 
 
 @settings(max_examples=30, deadline=None)

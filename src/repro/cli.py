@@ -336,7 +336,7 @@ def main(argv: Optional[list] = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="iteration budget per flow solve "
+        help="HiGHS simplex iteration budget per flow LP "
         "(same as REPRO_MAX_SOLVER_ITERS)",
     )
     parser.add_argument(
@@ -352,7 +352,7 @@ def main(argv: Optional[list] = None) -> int:
         default=None,
         metavar="PLAN",
         help="deterministic fault-injection plan, e.g. "
-        "'solver.ns=budget;stage.legalize=stage@2' "
+        "'solver.lp=budget;stage.legalize=stage@2' "
         "(same as REPRO_FAULT_PLAN)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -541,7 +541,7 @@ def main(argv: Optional[list] = None) -> int:
         default=None,
         metavar="SECONDS",
         help="wall-clock quota per tenant; remaining quota also caps "
-        "each job's solver budget (graceful ns→ssp→heur degradation)",
+        "each job's solver budget (graceful lp→heur degradation)",
     )
     sv.add_argument("--job-timeout", type=float, default=300.0,
                     metavar="SECONDS",

@@ -26,7 +26,7 @@ Degradation ladder (``eco.fallbacks`` counts every rung taken):
    placement (:meth:`BonnPlaceFBP.incremental_refine`);
 2. on solver failure, budget exhaustion, or verification failure:
    restore pre-delta positions and run the **full** solve on the
-   patched instance (the resilient ns → ssp → heur solver chain of the
+   patched instance (the resilient lp → heur solver chain of the
    full pipeline stays intact underneath);
 3. on full-solve failure: roll the delta back entirely and re-raise —
    the caller still holds the consistent pre-delta placement.

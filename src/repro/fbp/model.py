@@ -120,16 +120,16 @@ class FBPModel:
     # ------------------------------------------------------------------
     def solve(
         self,
-        method: str = "auto",
+        method: str = "lp",
         budget: Optional[SolverBudget] = None,
     ) -> FlowResult:
         """Solve the MinCostFlow; ``result.feasible`` is Theorem 3.
 
-        The solve runs through :class:`ResilientSolver`: when the
-        requested backend exhausts its budget or hits numeric trouble,
-        the fallback chain (ending in the Dinic-based transportation
-        heuristic) still produces a feasibility answer.  The attempt
-        log is available as ``result.attempts``.
+        The solve runs through :class:`ResilientSolver`: when the HiGHS
+        LP exhausts its budget or hits numeric trouble, the Dinic-based
+        transportation heuristic behind it still produces a
+        feasibility answer.  The attempt log is available as
+        ``result.attempts``.
         """
         solver = ResilientSolver.for_method(method, budget)
         return solver.solve(self.problem)

@@ -48,7 +48,6 @@ def fbp_partition(
     grid: Grid,
     density_target: float = 1.0,
     qp_options: Optional[QPOptions] = None,
-    mcf_method: str = "auto",
     run_local_qp: bool = True,
     compute_parallel_schedule: bool = False,
     cell_windows: Optional[np.ndarray] = None,
@@ -84,11 +83,9 @@ def fbp_partition(
             if shard_tiles is not None and shard_tiles > 1:
                 from repro.fbp.sharding import solve_sharded
 
-                result, shard_report = solve_sharded(
-                    model, shard_tiles, mcf_method=mcf_method
-                )
+                result, shard_report = solve_sharded(model, shard_tiles)
             else:
-                result = model.solve(mcf_method)
+                result = model.solve()
 
     incr("fbp.partitions")
     incr("fbp.model.nodes", model.stats.num_nodes)

@@ -2,7 +2,7 @@
 
 The monolithic model of :mod:`repro.fbp.model` couples every window
 through the transit network; at a million cells (128x128 windows) one
-flat network-simplex solve dominates the runtime and working set.
+flat MinCostFlow solve dominates the runtime and working set.
 Sharding splits the window grid into ``sx x sy`` spatial *tiles* and
 solves each tile independently through the same supervised
 transportation machinery (:func:`repro.runstate.pool.
@@ -274,7 +274,6 @@ def _plan_transfers(
     wtile: np.ndarray,
     sx: int,
     sy: int,
-    mcf_method: str,
     report: ShardReport,
 ) -> List[_Transfer]:
     """Solve the coarse tile-level FBP and pin each inter-tile flow to
@@ -289,7 +288,7 @@ def _plan_transfers(
         model.density_target,
         cell_windows=coarse_cw,
     )
-    coarse_result = coarse_model.solve(mcf_method)
+    coarse_result = coarse_model.solve()
     if not coarse_result.feasible:
         raise _ShardFallback("coarse tile model infeasible")
     report.coarse_cost = coarse_result.cost
@@ -432,7 +431,6 @@ def _build_tasks(
 def solve_sharded(
     model: FBPModel,
     shard_tiles: int,
-    mcf_method: str = "auto",
 ) -> Tuple[FlowResult, ShardReport]:
     """Solve the built FBP model tile-by-tile; see the module docstring
     for the exactness contract.  Returns the synthetic flow result over
@@ -444,7 +442,7 @@ def solve_sharded(
     incr("shard.solves")
     if sx * sy <= 1:
         report.fallback = "single tile"
-        return model.solve(mcf_method), report
+        return model.solve(), report
 
     wtile = tile_of_windows(grid, sx, sy)
     cut_ids = frozenset(
@@ -457,12 +455,12 @@ def solve_sharded(
 
     try:
         return _solve_sharded_impl(
-            model, wtile, sx, sy, cut_ids, mcf_method, report
+            model, wtile, sx, sy, cut_ids, report
         )
     except _ShardFallback as exc:
         report.fallback = exc.reason
         incr("shard.fallbacks")
-        return model.solve(mcf_method), report
+        return model.solve(), report
 
 
 def _solve_sharded_impl(
@@ -471,7 +469,6 @@ def _solve_sharded_impl(
     sx: int,
     sy: int,
     cut_ids: frozenset,
-    mcf_method: str,
     report: ShardReport,
 ) -> Tuple[FlowResult, ShardReport]:
     from repro.runstate.pool import solve_transport_batch
@@ -500,7 +497,7 @@ def _solve_sharded_impl(
         if need_reconcile and not report.reconciled:
             with span("shard.coarse"):
                 transfers = _plan_transfers(
-                    model, wtile, sx, sy, mcf_method, report
+                    model, wtile, sx, sy, report
                 )
             report.reconciled = True
             report.reconcile_transfers = len(transfers)

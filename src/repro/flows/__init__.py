@@ -1,20 +1,19 @@
 """Network-flow substrate.
 
-Three solvers, all built here rather than assumed:
+Three solvers:
 
 * :mod:`repro.flows.maxflow` — Dinic's algorithm, used by the
   feasibility checks of Theorems 1 and 2.
 * :mod:`repro.flows.mincostflow` — min-cost flow with node
-  supplies/demands.  Backends: successive shortest paths with Johnson
-  potentials for small instances and the network simplex of
-  :mod:`repro.flows.networksimplex` — the paper's "(sequential)
-  NetworkSimplex algorithm" — for the FBP models above a few hundred
-  arcs; a scipy/HiGHS LP formulation as an independent cross-check and
-  a max-flow heuristic as the last fallback.
+  supplies/demands: the §IV.A MinCostFlow as a node–arc LP on HiGHS'
+  dual simplex (the paper uses a "(sequential) NetworkSimplex
+  algorithm"), with a max-flow heuristic as the last fallback.
 * :mod:`repro.flows.transportation` — the (unbalanced Hitchcock)
   transportation problem of the Section III partitioning step, with
   forbidden (infinite-cost) arcs for movebound constraints and an
   almost-integral rounding per [Brenner 2008].
+
+Both LPs reach HiGHS through :func:`repro.flows.highs.run_highs`.
 """
 
 from repro.flows.maxflow import Dinic, MaxFlowStats, max_flow_value

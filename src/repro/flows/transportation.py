@@ -13,15 +13,12 @@ the paper restricted to the window) the instance is infeasible — both
 decided with a handful of array operations.  Everything else — ties,
 split optima, borderline capacities — is formulated as an LP over the
 finite-cost arcs and handed to the HiGHS that ships with scipy
-(:func:`_solve_lp`).  On instances this small ``linprog``'s input
-cleaning and result assembly cost more than HiGHS' run, so the LP goes
-to HiGHS' own bindings directly, as the same model ``linprog`` would
-build: the same rows, columns, bounds and options, hence the same
-solution, iteration count and verdict.  Those bindings are private to
-scipy, which is why ``pyproject.toml`` pins the scipy release they
-are written against (:data:`SCIPY_FLOOR`).  This front end plus the
-LP is the one transportation solver: the paper's "transportation
-algorithm" of §III, used by every window and repartitioning solve.
+(:func:`_solve_lp`, through :func:`repro.flows.highs.run_highs`) as
+the same model ``linprog`` would build: the same rows, columns, bounds
+and options, hence the same solution, iteration count and verdict.
+This front end plus the LP is the one transportation solver: the
+paper's "transportation algorithm" of §III, used by every window and
+repartitioning solve.
 
 A basic optimal solution of the transportation LP has at most
 ``n + k - 1`` positive variables, hence at most ``k - 1`` fractionally
@@ -36,20 +33,16 @@ the Abacus row assignment (:mod:`repro.legalize.abacus`) does.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.flows.highs import run_highs
 from repro.flows.tolerances import SIGNIFICANCE_EPS, scale_eps
 from repro.obs import incr
 from repro.resilience.budget import SolverBudget, get_default_budget
-from repro.resilience.errors import (
-    InfeasibleInputError,
-    SolverBudgetExceeded,
-    SolverNumericsError,
-)
+from repro.resilience.errors import InfeasibleInputError, SolverNumericsError
 
 INF = float("inf")
 
@@ -298,29 +291,6 @@ def _solve_forced(
     return None
 
 
-#: the oldest scipy whose private HiGHS bindings (``_highspy._core``)
-#: :func:`_solve_lp` is written against; ``pyproject.toml`` declares it
-SCIPY_FLOOR = "1.17"
-#: scipy's acceptance tolerance for a solution HiGHS calls optimal
-#: (``sqrt(tol) * 10`` with ``linprog``'s default ``tol=1e-9``)
-_ACCEPT_TOL = float(np.sqrt(1e-9) * 10)
-
-
-@functools.cache
-def _highs():
-    """scipy's HiGHS bindings, imported on first use so that a run the
-    front end answers entirely never loads ``scipy.optimize``."""
-    try:
-        import scipy.optimize._highspy._core as _core
-    except ImportError as exc:
-        raise ImportError(
-            "the transportation LP runs HiGHS through scipy's bundled "
-            f"bindings (scipy.optimize._highspy._core): needs scipy>="
-            f"{SCIPY_FLOOR}"
-        ) from exc
-    return _core
-
-
 def _solve_lp(
     supplies: np.ndarray,
     capacities: np.ndarray,
@@ -333,108 +303,31 @@ def _solve_lp(
     builds from the per-sink ``A_ub`` and per-source ``A_eq`` rows, so
     ``x``, ``fun``, the iteration count and the verdict are
     ``linprog``'s bit for bit."""
-    h = _highs()
     n, k = costs.shape
     src_idx, snk_idx = np.nonzero(finite)
     n_vars = len(src_idx)
-
     # rows: the k capacity rows, then the n supply equalities; one
     # column per admissible arc with a 1 in its sink's row and a 1 in
-    # its source's row, which *is* the CSC layout
-    lp = h.HighsLp()
-    lp.num_col_ = n_vars
-    lp.num_row_ = k + n
-    lp.col_cost_ = costs[src_idx, snk_idx]
-    lp.col_lower_ = np.zeros(n_vars)
-    lp.col_upper_ = np.full(n_vars, h.kHighsInf)
-    row_upper = np.concatenate([capacities, supplies])
-    lp.row_lower_ = np.concatenate([np.full(k, -h.kHighsInf), supplies])
-    lp.row_upper_ = row_upper
-    matrix = lp.a_matrix_
-    matrix.format_ = h.MatrixFormat.kColwise
-    matrix.num_col_ = n_vars
-    matrix.num_row_ = k + n
-    # (integer arrays cross into HiGHS faster as lists; float arrays
-    # faster as they are)
-    matrix.start_ = list(range(0, 2 * n_vars + 1, 2))
-    matrix.index_ = np.column_stack([snk_idx, k + src_idx]).ravel().tolist()
-    matrix.value_ = np.ones(2 * n_vars)
-
-    options = h.HighsOptions()
-    options.presolve = "on"
-    options.simplex_strategy = (
-        h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    # its source's row, which *is* the CSC layout (integer arrays of
+    # these sizes cross into HiGHS faster as lists)
+    lp = run_highs(
+        costs[src_idx, snk_idx],
+        np.full(n_vars, INF),
+        np.concatenate([np.full(k, -INF), supplies]),
+        np.concatenate([capacities, supplies]),
+        list(range(0, 2 * n_vars + 1, 2)),
+        np.column_stack([snk_idx, k + src_idx]).ravel().tolist(),
+        np.ones(2 * n_vars),
+        presolve=True,
+        budget=budget,
+        what="transportation LP",
     )
-    options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
-    options.output_flag = False
-    options.log_to_console = False
-    if budget is not None and budget.max_iters is not None:
-        options.simplex_iteration_limit = budget.max_iters
-        options.ipm_iteration_limit = budget.max_iters
-    if budget is not None and budget.max_seconds is not None:
-        options.time_limit = budget.max_seconds
-
-    highs = h._Highs()
-    if highs.passOptions(options) == h.HighsStatus.kError:
-        raise SolverNumericsError(
-            "transportation LP: HiGHS refused the options", solver="lp"
-        )
-    # a model HiGHS cannot load reads kModelError, and a failed run
-    # reports neither iterations nor a solution, as in ``linprog``
-    status, pivots, solved = h.HighsModelStatus.kModelError, 0, False
-    if highs.passModel(lp) != h.HighsStatus.kError:
-        ran = highs.run() != h.HighsStatus.kError
-        status = highs.getModelStatus()
-        info = highs.getInfo()
-        if ran:
-            pivots = info.simplex_iteration_count or info.ipm_iteration_count
-            solved = status == h.HighsModelStatus.kOptimal
-    stats = TransportStats(method="lp", pivots=pivots)
-    if status in (
-        h.HighsModelStatus.kTimeLimit,
-        h.HighsModelStatus.kIterationLimit,
-    ):
-        raise SolverBudgetExceeded(
-            "transportation LP hit its budget: "
-            f"{highs.modelStatusToString(status)}",
-            solver="lp",
-            iterations=pivots,
-        )
-    if status in (
-        h.HighsModelStatus.kInfeasible,
-        h.HighsModelStatus.kModelError,
-    ):
+    stats = TransportStats(method="lp", pivots=lp.iterations)
+    if not lp.feasible:
         return TransportResult(False, np.zeros((n, k)), INF, stats)
-    if not solved:
-        raise SolverNumericsError(
-            "transportation LP failed: "
-            f"{highs.modelStatusToString(status)}",
-            solver="lp",
-        )
-
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    fun = info.objective_function_value
-    # scipy's acceptance check on an "optimal" answer: no NaN, x >= 0,
-    # capacity slack >= 0 and supply residuals 0, all within tolerance
-    residual = row_upper - np.array(solution.row_value)
-    accepted = not (
-        np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any()
-    ) and (
-        np.all(x >= -_ACCEPT_TOL)
-        and np.all(residual[:k] >= -_ACCEPT_TOL)
-        and np.all(np.abs(residual[k:]) <= _ACCEPT_TOL)
-    )
-    if not accepted:
-        raise SolverNumericsError(
-            "transportation LP failed: the optimal solution HiGHS "
-            f"returned violates the constraints by more than {_ACCEPT_TOL:.2e}",
-            solver="lp",
-        )
     flow = np.zeros((n, k))
-    flow[src_idx, snk_idx] = x
-    sink_duals = np.array(solution.row_dual[:k], dtype=np.float64)
-    return TransportResult(True, flow, float(fun), stats, sink_duals)
+    flow[src_idx, snk_idx] = lp.x
+    return TransportResult(True, flow, lp.objective, stats, lp.row_dual[:k])
 
 
 def round_almost_integral(

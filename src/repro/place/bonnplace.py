@@ -76,7 +76,6 @@ class BonnPlaceOptions:
     run_local_qp: bool = True
     repartition_passes: int = 0  # ablation: reflow after each level
     final_reflow: bool = True  # one repartitioning pass at the last level
-    mcf_method: str = "auto"
     legalize: bool = True
     #: post-legalization detailed placement passes (0 disables)
     detailed_passes: int = 1
@@ -426,7 +425,6 @@ class BonnPlaceFBP:
                     grid,
                     density_target=density,
                     qp_options=opts.qp,
-                    mcf_method=opts.mcf_method,
                     run_local_qp=opts.run_local_qp,
                     shard_tiles=opts.shard_tiles,
                     realize_tiles=opts.realize_tiles,
@@ -681,7 +679,6 @@ class BonnPlaceFBP:
                 grid,
                 density_target=density,
                 qp_options=opts.qp,
-                mcf_method=opts.mcf_method,
                 run_local_qp=opts.run_local_qp,
                 shard_tiles=opts.shard_tiles,
                 realize_tiles=opts.realize_tiles,
@@ -764,7 +761,6 @@ class BonnPlaceFBP:
                 grid,
                 density_target=density,
                 qp_options=opts.qp,
-                mcf_method=opts.mcf_method,
                 run_local_qp=opts.run_local_qp,
                 shard_tiles=opts.shard_tiles,
                 realize_tiles=opts.realize_tiles,

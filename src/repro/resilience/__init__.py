@@ -6,9 +6,9 @@ Five pieces (see docs/resilience.md):
 * :mod:`repro.resilience.errors` — the :class:`ReproError` taxonomy
   every pipeline failure is classified under, with CLI exit codes;
 * :mod:`repro.resilience.budget` — iteration/wall-time
-  :class:`SolverBudget` limits enforced inside the flow solvers;
+  :class:`SolverBudget` limits the flow LPs hand to HiGHS;
 * :mod:`repro.resilience.solver` — :class:`ResilientSolver`, the
-  network-simplex -> SSP -> transportation-heuristic fallback chain;
+  HiGHS LP -> transportation-heuristic fallback chain;
 * :mod:`repro.resilience.diagnose` / :mod:`repro.resilience.validate`
   — min-cut infeasibility diagnosis (condition (1) witness), graceful
   capacity relaxation, and up-front input validation;
@@ -18,9 +18,7 @@ Five pieces (see docs/resilience.md):
 """
 
 from repro.resilience.budget import (
-    BudgetClock,
     SolverBudget,
-    UNLIMITED,
     budget_from_env,
     get_default_budget,
     set_default_budget,
@@ -75,8 +73,6 @@ __all__ = [
     "EXIT_SERVICE",
     # budgets
     "SolverBudget",
-    "BudgetClock",
-    "UNLIMITED",
     "budget_from_env",
     "get_default_budget",
     "set_default_budget",

@@ -1,11 +1,10 @@
 """Solver budgets: iteration and wall-time limits.
 
-A :class:`SolverBudget` is immutable configuration; a
-:class:`BudgetClock` is the per-solve ticking state derived from it.
-Solver inner loops call :meth:`BudgetClock.tick` once per unit of work
-(pivot, augmenting path); the clock raises
-:class:`~repro.resilience.errors.SolverBudgetExceeded` the moment a
-limit is crossed, which guarantees termination even on degenerate or
+A :class:`SolverBudget` is immutable configuration.  The flow LPs hand
+it to HiGHS as its simplex iteration and time limits
+(:func:`repro.flows.highs.run_highs`), which raises
+:class:`~repro.resilience.errors.SolverBudgetExceeded` when HiGHS stops
+on one; that guarantees termination even on degenerate or
 fault-injected instances.
 
 A process-wide default budget backs all solves that are not handed an
@@ -17,24 +16,15 @@ the CLI flags ``--max-solver-iters`` / ``--solver-timeout``.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.resilience.errors import SolverBudgetExceeded
-
 __all__ = [
     "SolverBudget",
-    "BudgetClock",
-    "UNLIMITED",
     "get_default_budget",
     "set_default_budget",
     "budget_from_env",
 ]
-
-#: How many ticks pass between wall-clock reads (time.monotonic is
-#: cheap but not free; iteration counts dominate budget precision).
-_TIME_CHECK_MASK = 0xFF
 
 
 @dataclass(frozen=True)
@@ -46,64 +36,6 @@ class SolverBudget:
 
     max_iters: Optional[int] = None
     max_seconds: Optional[float] = None
-
-    @property
-    def unlimited(self) -> bool:
-        return self.max_iters is None and self.max_seconds is None
-
-    def clock(self, solver: str = "") -> "BudgetClock":
-        """Start a ticking clock for one solve."""
-        return BudgetClock(self, solver)
-
-
-UNLIMITED = SolverBudget()
-
-
-class BudgetClock:
-    """Per-solve budget state; raises on exhaustion."""
-
-    __slots__ = ("budget", "solver", "iterations", "_t0")
-
-    def __init__(self, budget: SolverBudget, solver: str = "") -> None:
-        self.budget = budget
-        self.solver = solver
-        self.iterations = 0
-        self._t0 = time.monotonic()
-
-    @property
-    def elapsed(self) -> float:
-        return time.monotonic() - self._t0
-
-    def tick(self, n: int = 1) -> None:
-        """Record ``n`` units of solver work; raise when over budget."""
-        self.iterations += n
-        b = self.budget
-        if b.max_iters is not None and self.iterations > b.max_iters:
-            raise SolverBudgetExceeded(
-                f"iteration budget exhausted ({self.iterations} > "
-                f"{b.max_iters})",
-                solver=self.solver,
-                iterations=self.iterations,
-                elapsed=self.elapsed,
-                stage=f"solver.{self.solver}" if self.solver else None,
-            )
-        if b.max_seconds is not None and (
-            self.iterations & _TIME_CHECK_MASK
-        ) == 0:
-            self.check_time()
-
-    def check_time(self) -> None:
-        """Unconditional wall-time check (call at phase boundaries)."""
-        b = self.budget
-        if b.max_seconds is not None and self.elapsed > b.max_seconds:
-            raise SolverBudgetExceeded(
-                f"wall-time budget exhausted "
-                f"({self.elapsed:.2f}s > {b.max_seconds:.2f}s)",
-                solver=self.solver,
-                iterations=self.iterations,
-                elapsed=self.elapsed,
-                stage=f"solver.{self.solver}" if self.solver else None,
-            )
 
 
 def budget_from_env() -> SolverBudget:

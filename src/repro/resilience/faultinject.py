@@ -11,8 +11,9 @@ Plan syntax (env ``REPRO_FAULT_PLAN`` or :func:`install_fault_plan`)::
 
     site=kind[:arg][@n|#k] [; site=kind...]
 
-* ``site`` — an instrumented point, e.g. ``solver.ns``, ``solver.ssp``,
-  ``solver.lp``, ``solver.heur``, ``stage.feasibility``,
+* ``site`` — an instrumented point, e.g. ``solver.lp``,
+  ``solver.heur``, ``solver.costs`` (``perturb`` only),
+  ``stage.feasibility``,
   ``stage.fbp.realize``, ``stage.legalize``, ``stage.place.level``,
   ``ckpt.write``, ``ckpt.corrupt``, ``worker.kill``, ``worker.stall``,
   the service-layer sites ``svc.accept``, ``svc.dispatch``,

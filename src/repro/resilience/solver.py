@@ -4,8 +4,7 @@ The paper's pipeline solves one global MinCostFlow per level; a solver
 stall there used to hang or crash the whole placement.  The wrapper
 below drives a *fallback chain*
 
-    network simplex  ->  successive shortest paths  ->  transportation
-                                                        heuristic
+    HiGHS LP  ->  transportation heuristic
 
 where each attempt runs under the configured
 :class:`~repro.resilience.budget.SolverBudget` and a failure
@@ -36,11 +35,9 @@ from repro.resilience.errors import (
 
 __all__ = ["ResilientSolver", "SolveAttempt", "DEFAULT_CHAIN"]
 
-#: Fallback order used when the caller does not pin a backend.  The
-#: auto pick of MinCostFlowProblem (``auto_method``: ssp up to 500
-#: arcs, ns above) stays the primary; the chain only changes what
-#: happens *after* a failure.
-DEFAULT_CHAIN = ("ns", "ssp", "heur")
+#: Fallback order used when the caller does not pin a backend: the
+#: exact LP, then the heuristic, which only runs *after* a failure.
+DEFAULT_CHAIN = ("lp", "heur")
 
 
 @dataclass
@@ -65,47 +62,26 @@ class SolveAttempt:
 class ResilientSolver:
     """Budgeted, falling-back driver for a MinCostFlowProblem.
 
-    ``chain`` is the backend order; ``None`` derives it from the
-    instance size (primary = the ``auto`` pick, then the remaining
-    exact backend, then the feasibility heuristic).  A caller-pinned
-    single method still gets the heuristic as a safety net *only when a
-    budget/numerics failure occurs* — in normal operation the pinned
-    backend's result is returned untouched.
+    ``chain`` is the backend order.  The heuristic at its end runs
+    *only when a budget/numerics failure occurs* — in normal operation
+    the LP's result is returned untouched.
     """
 
-    chain: Optional[Sequence[str]] = None
+    chain: Sequence[str] = DEFAULT_CHAIN
     budget: Optional[SolverBudget] = None
     attempts: List[SolveAttempt] = field(default_factory=list)
 
     @classmethod
     def for_method(
         cls,
-        method: str = "auto",
+        method: str = "lp",
         budget: Optional[SolverBudget] = None,
     ) -> "ResilientSolver":
-        """Chain for a user-requested method.
-
-        ``auto``/``resilient`` -> size-adaptive full chain; a concrete
-        method -> that method first, heuristic fallback behind it.
-        ``lp`` keeps ``ssp`` as its exact fallback before the
-        heuristic (the LP run shares no code with ssp, so a numerics
-        failure there says nothing about ssp).
-        """
-        if method in ("auto", "resilient"):
-            return cls(chain=None, budget=budget)
-        if method == "lp":
-            return cls(chain=("lp", "ssp", "heur"), budget=budget)
+        """Chain for a user-requested method: the LP with the
+        heuristic behind it, or the heuristic alone."""
         if method == "heur":
             return cls(chain=("heur",), budget=budget)
         return cls(chain=(method, "heur"), budget=budget)
-
-    # ------------------------------------------------------------------
-    def _chain_for(self, problem) -> Sequence[str]:
-        if self.chain is not None:
-            return self.chain
-        if problem.auto_method() == "ssp":
-            return ("ssp", "ns", "heur")
-        return DEFAULT_CHAIN
 
     def solve(self, problem):
         """Run the chain; return the first successful FlowResult.
@@ -114,7 +90,7 @@ class ResilientSolver:
         with the full attempt history.
         """
         budget = self.budget if self.budget is not None else get_default_budget()
-        chain = self._chain_for(problem)
+        chain = self.chain
         self.attempts = []
         last_exc: Optional[ReproError] = None
         for pos, method in enumerate(chain):

@@ -3,7 +3,7 @@
 Backed by the ``resilience`` budget machinery: every accepted job gets
 a wall-clock :class:`~repro.resilience.budget.SolverBudget` carved out
 of its tenant's remaining quota, so a tenant under quota pressure
-degrades gracefully through the existing ns → ssp → heuristic fallback
+degrades gracefully through the existing lp → heuristic fallback
 chain instead of being killed mid-solve.
 
 Overload behavior is *deterministic* and *structured*:
@@ -173,7 +173,7 @@ class AdmissionController:
     def job_budget_seconds(self, tenant: str) -> Optional[float]:
         """The per-job solver budget admission derives from the
         tenant's remaining quota: under quota pressure the solver
-        chain degrades (ns → ssp → heuristic) instead of the job
+        chain degrades (lp → heuristic) instead of the job
         being killed at the deadline."""
         remaining = self.quota_remaining(tenant)
         if remaining is None:

@@ -189,12 +189,8 @@ class TestExampleOverflow:
         report, _largest = run
         assert report.feasible
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "each arc ships within half a cell of its flow, and those "
-        "errors add up in a window fed by several arcs: one window "
-        "here takes 6 arcs and ends 4.32 over, the largest cell is "
-        "3.97 (ROADMAP item 6)"
-    ))
+    # the multi-arc rounding debt this could hit is pinned, solver-free,
+    # by tests/test_fbp_realization.py::TestFanInRounding
     def test_overflow_within_the_largest_cell(self, run):
         report, largest = run
         assert report.realization.max_overflow <= largest + 1e-6

@@ -112,7 +112,7 @@ class TestTheorem3:
     def test_feasible_instance(self):
         nl, mbs, grid = _setup()
         model = build_fbp_model(nl, mbs, grid, density_target=0.9)
-        assert model.solve("ssp").feasible
+        assert model.solve().feasible
 
     def test_infeasible_instance(self):
         mbs = MoveBoundSet(DIE)
@@ -126,7 +126,7 @@ class TestTheorem3:
         grid = Grid(DIE, 4, 4)
         grid.build_regions(dec)
         model = build_fbp_model(nl, mbs, grid)
-        assert not model.solve("ssp").feasible
+        assert not model.solve().feasible
 
     def test_matches_theorem2(self):
         """Theorem 3 agrees with the clustered Theorem-2 check."""
@@ -146,7 +146,7 @@ class TestTheorem3:
             grid = Grid(DIE, 4, 4)
             grid.build_regions(dec)
             model = build_fbp_model(nl, mbs, grid, density_target=0.95)
-            thm3 = model.solve("ssp").feasible
+            thm3 = model.solve().feasible
             thm2 = check_feasibility(nl, mbs, dec, 0.95).feasible
             assert thm3 == thm2
 
@@ -155,14 +155,14 @@ class TestFlowReadback:
     def test_prescribed_content_conserves_area(self):
         nl, mbs, grid = _setup(seed=3)
         model = build_fbp_model(nl, mbs, grid, density_target=0.9)
-        result = model.solve("ssp")
+        result = model.solve()
         content = model.prescribed_content(result)
         assert sum(content.values()) == pytest.approx(nl.movable_area())
 
     def test_prescribed_content_fits_capacity(self):
         nl, mbs, grid = _setup(seed=4)
         model = build_fbp_model(nl, mbs, grid, density_target=0.9)
-        result = model.solve("ssp")
+        result = model.solve()
         for (bound, widx), area in model.prescribed_content(result).items():
             if area <= 1e-9:
                 continue
@@ -176,7 +176,7 @@ class TestFlowReadback:
     def test_region_inflow_within_capacity(self):
         nl, mbs, grid = _setup(seed=5)
         model = build_fbp_model(nl, mbs, grid, density_target=0.9)
-        result = model.solve("ssp")
+        result = model.solve()
         for key, inflow in model.region_inflow(result).items():
             assert inflow <= model.region_capacity[key] + 1e-6
 

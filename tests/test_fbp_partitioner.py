@@ -69,12 +69,3 @@ class TestReport:
         )
         assert report.feasible
         assert report.realization.arcs_realized > 0
-
-    def test_mcf_method_choice(self):
-        for method in ("ssp", "ns", "lp"):
-            nl, bounds, grid = _setup(seed=6)
-            report = fbp_partition(
-                nl, bounds, grid, density_target=0.9,
-                mcf_method=method, run_local_qp=False,
-            )
-            assert report.feasible

@@ -29,7 +29,7 @@ def _schedule(seed=0, nx=6, num_cells=200, clustered=True):
     grid = Grid(DIE, nx, nx)
     grid.build_regions(dec)
     model = build_fbp_model(nl, mbs, grid, density_target=0.8)
-    result = model.solve("ssp")
+    result = model.solve()
     assert result.feasible
     flows = model.external_flows(result)
     return model, flows, compute_schedule(model, flows), grid

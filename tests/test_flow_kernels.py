@@ -1,13 +1,12 @@
-"""The flow kernels against the networkx oracle and against each other.
+"""The flow solvers against the networkx oracle.
 
 Property-style sweeps over the seeded generators of
-:mod:`tests.flow_oracle`, on the oracle's 1/64 grid: the network
-simplex through its array entry point and through
-``MinCostFlowProblem.solve("ns")`` (the same arrays, so the same bits),
-the kernel's starting-basis injection (``NetworkSimplex.solve(
-warm_basis=export_basis())``), successive shortest paths (and
-``solve("auto")`` picking it), and the transportation entry points with
-their relaxation chains.  Every verdict and cost must be the oracle's.
+:mod:`tests.flow_oracle`, on the oracle's 1/64 grid: the MinCostFlow
+LP through the one-shot :func:`solve_min_cost_flow` and through a
+:class:`MinCostFlowProblem` (the same model, so the same bits), on
+capacities a relaxation chain scales, and the transportation entry
+points with their relaxation chains.  Every verdict and cost must be
+the oracle's.
 """
 
 import numpy as np
@@ -15,13 +14,11 @@ import pytest
 
 from repro.flows import (
     RELAX_CHAIN_WINDOW,
+    Arc,
     MinCostFlowProblem,
+    solve_min_cost_flow,
     solve_transportation,
     solve_transportation_with_relaxation,
-)
-from repro.flows.networksimplex import (
-    NetworkSimplex,
-    solve_network_simplex_arrays,
 )
 from tests.flow_oracle import (
     assert_matches,
@@ -57,112 +54,63 @@ def keyed(supply, tails, heads, costs, caps):
     return problem
 
 
-def kernel_solve(supply, tails, heads, costs, caps, warm_basis=None):
-    """Solve the array instance on a bare :class:`NetworkSimplex`:
-    every supply node is fed by a super source, every demand node
-    drains into a super sink over an arc of capacity ``|b|``.  Returns
-    the kernel, its verdict and the cost of the input arcs' flows."""
-    n = len(supply)
-    s, t = n, n + 1
-    src = [i for i in range(n) if supply[i] > 0]
-    snk = [i for i in range(n) if supply[i] < 0]
-    kernel = NetworkSimplex(
-        n + 2,
-        np.concatenate([tails, [s] * len(src), snk]),
-        np.concatenate([heads, src, [t] * len(snk)]),
-        np.concatenate([costs, np.zeros(len(src) + len(snk))]),
-        np.concatenate([caps, supply[src], -supply[snk]]),
+def array_oracle(supply, tails, heads, costs, caps):
+    return oracle_cost(
+        dict(enumerate(supply.tolist())),
+        zip(tails.tolist(), heads.tolist(), costs, caps),
     )
-    total = float(supply[src].sum())
-    balance = np.zeros(n + 2)
-    balance[s], balance[t] = total, -total
-    feasible = kernel.solve(balance, warm_basis=warm_basis)
-    cost = float(np.dot(kernel.flow[: len(tails)], costs))
-    return kernel, feasible, cost
 
 
 class TestNetworkSimplexIdentity:
-    """The array entry point and the keyed path onto it: exact
+    """The paper's NetworkSimplex step, the MinCostFlow LP, through
+    the one-shot wrapper and through the keyed builder: exact
     equality, and the oracle's verdict and cost."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_bit_identity(self, seed):
         inst = grid_ns_instance(1000 + seed)
         supply, tails, heads, costs, caps = inst
-        feasible, cost, flows, pivots = solve_network_simplex_arrays(*inst)
-        want = oracle_cost(
+        r = keyed(*inst).solve()
+        assert_matches(r.feasible, r.cost, array_oracle(*inst))
+        once = solve_min_cost_flow(
             dict(enumerate(supply.tolist())),
-            zip(tails.tolist(), heads.tolist(), costs, caps),
+            [
+                Arc(t, h, float(c), float(u))
+                for t, h, c, u in zip(tails.tolist(), heads.tolist(), costs, caps)
+            ],
         )
-        assert_matches(feasible, cost, want)
-        r = keyed(*inst).solve("ns")
-        assert r.feasible == feasible
-        if feasible:
-            assert r.flows.tobytes() == flows.tobytes()  # same flow bits
-            assert r.cost == cost  # same cost bits
-            assert r.stats.pivots == pivots  # same pivot sequence length
-
-    def test_warm_basis_round_trip(self):
-        """The basis a solve exports starts a re-solve of the identical
-        instance, which is already optimal there: no pivots, the same
-        verdict, flow bits and cost bits."""
-        inst = grid_ns_instance(7)
-        cold, feasible, cost = kernel_solve(*inst)
-        assert feasible
-        warm, warm_feasible, warm_cost = kernel_solve(
-            *inst, warm_basis=cold.export_basis()
-        )
-        assert warm.warm_used
-        assert warm.pivots == 0
-        assert warm_feasible == feasible
-        assert warm.flow == cold.flow
-        assert warm_cost == cost
+        assert once.feasible == r.feasible
+        assert once.flows.tobytes() == r.flows.tobytes()  # same flow bits
+        assert once.cost == r.cost  # same cost bits
+        assert once.stats.pivots == r.stats.pivots  # same HiGHS run
 
 
-class TestStartingBasis:
-    """``NetworkSimplex.solve(warm_basis=)`` — the kernel's one
-    basis-injection point — against the oracle: a basis exported by
-    a solve of the instance, re-used on the instance itself and on a
-    copy with doubled capacities, gives the oracle's verdict and
-    cost."""
+class TestScaledCapacities:
+    """Capacities on the oracle's 10/64 grid, as a relaxation chain
+    scales them: the instance and its copy with doubled capacities
+    give the oracle's verdict and cost."""
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_warm_basis_matches_oracle(self, seed):
+    def test_matches_oracle(self, seed):
         supply, tails, heads, costs, caps = random_ns_instance(
             np.random.default_rng(3000 + seed)
         )
         supply, costs = on_grid(supply), on_grid(costs)
         caps = on_relax_grid(caps)
-        basis = kernel_solve(supply, tails, heads, costs, caps)[0].export_basis()
         for factor in (1.0, 2.0):
-            want = oracle_cost(
-                dict(enumerate(supply.tolist())),
-                zip(tails.tolist(), heads.tolist(), costs, caps * factor),
-            )
-            kernel, feasible, cost = kernel_solve(
-                supply, tails, heads, costs, caps * factor, warm_basis=basis
-            )
-            if factor == 1.0:
-                assert kernel.warm_used
-            assert_matches(feasible, cost, want)
+            inst = (supply, tails, heads, costs, caps * factor)
+            r = keyed(*inst).solve()
+            assert_matches(r.feasible, r.cost, array_oracle(*inst))
 
 
-class TestSSPIdentity:
-    """Successive shortest paths: the oracle's verdict and cost, and
-    ``solve("auto")`` on a small instance is the SSP solve exactly."""
+class TestRandomMCF:
+    """Seeded supply/demand instances: the oracle's verdict and cost."""
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_bit_identity(self, seed):
+    def test_matches_oracle(self, seed):
         problem = on_grid_problem(random_mcf(np.random.default_rng(2000 + seed)))
-        assert problem.auto_method() == "ssp"
-        r = problem.solve(method="ssp")
+        r = problem.solve()
         assert_matches(r.feasible, r.cost, problem_cost(problem))
-        auto = problem.solve(method="auto")
-        assert auto.stats.method == "ssp"
-        assert auto.feasible == r.feasible
-        assert auto.flows.tobytes() == r.flows.tobytes()
-        assert auto.cost == r.cost
-        assert auto.stats.augmenting_paths == r.stats.augmenting_paths
 
 
 class TestTransportationPlacementIdentity:

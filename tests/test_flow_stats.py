@@ -1,9 +1,9 @@
 """Golden tests for the solver stat hooks.
 
 Exact node/arc counts on small fixed instances (they are structural,
-hence fully deterministic), nonzero effort counts (pivots /
-augmenting paths) per backend, and the counter side-channel on the
-default tracer.
+hence fully deterministic), nonzero effort counts (HiGHS iterations,
+Dinic augmenting paths), and the counter side-channel on the default
+tracer.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro.grid import Grid
 from repro.movebounds import MoveBoundSet, decompose_regions
 from repro.netlist import Netlist
 from repro.obs import Tracer, set_tracer
+from tests.flow_oracle import assert_matches, on_grid_problem, problem_cost
 
 DIE = Rect(0, 0, 100, 100)
 
@@ -43,59 +44,40 @@ def small_mcf():
 
 
 class TestMinCostFlowStats:
-    def test_ssp_counts(self, tracer):
-        result = small_mcf().solve("ssp")
-        s = result.stats
-        assert s.method == "ssp"
-        assert s.nodes == 4
-        assert s.arcs == 4
-        # two shortest-path augmentations: 3 units via a, 2 via b
-        assert s.augmenting_paths == 2
-        assert s.pivots == 0
-        assert s.objective == pytest.approx(9.0)
-        assert s.routed == pytest.approx(5.0)
-
-    def test_ns_counts(self, tracer):
-        result = small_mcf().solve("ns")
-        s = result.stats
-        assert s.method == "ns"
-        assert s.nodes == 4
-        assert s.arcs == 4
-        assert s.pivots > 0
-        assert s.objective == pytest.approx(9.0)
-
     def test_lp_counts(self, tracer):
-        result = small_mcf().solve("lp")
+        result = small_mcf().solve()
         s = result.stats
         assert s.method == "lp"
         assert s.nodes == 4
         assert s.arcs == 4
-        assert s.pivots >= 0  # HiGHS may presolve the LP away
+        assert s.pivots > 0  # presolve is off: HiGHS pivots every solve
+        assert s.augmenting_paths == 0
         assert s.objective == pytest.approx(9.0)
+        assert s.routed == pytest.approx(5.0)
 
     def test_counters_emitted(self, tracer):
-        small_mcf().solve("ssp")
+        s = small_mcf().solve().stats
         assert tracer.counter("mcf.solves") == 1
-        assert tracer.counter("mcf.solves.ssp") == 1
+        assert tracer.counter("mcf.solves.lp") == 1
         assert tracer.counter("mcf.nodes") == 4
         assert tracer.counter("mcf.arcs") == 4
-        assert tracer.counter("mcf.augmenting_paths") == 2
+        assert tracer.counter("mcf.pivots") == s.pivots
 
     def test_infeasible_counter(self, tracer):
         p = MinCostFlowProblem()
         p.add_node("s", 5.0)
         p.add_node("t", -1.0)  # demand < supply: infeasible
         p.add_arc("s", "t", 1.0)
-        result = p.solve("ssp")
+        result = p.solve()
         assert not result.feasible
         assert tracer.counter("mcf.infeasible") == 1
 
     def test_stats_to_dict_round_trip(self, tracer):
-        s = small_mcf().solve("ssp").stats
+        s = small_mcf().solve().stats
         d = s.to_dict()
-        assert d["method"] == "ssp"
+        assert d["method"] == "lp"
         assert d["nodes"] == 4 and d["arcs"] == 4
-        assert d["augmenting_paths"] == 2
+        assert d["pivots"] == s.pivots
 
 
 class TestMaxFlowStats:
@@ -165,21 +147,18 @@ class TestFBPInstanceGolden:
 
     def test_solve_stats_match_model(self, tracer):
         model = self._model()
-        result = model.solve("ssp")
+        result = model.solve()
         assert result.feasible
         s = result.stats
         assert s.nodes == model.stats.num_nodes == 18
         assert s.arcs == model.stats.num_arcs == 38
-        assert s.augmenting_paths == 4  # one per supply group routed
+        assert s.pivots > 0
+        assert tracer.counter("mcf.pivots") == s.pivots
         assert np.isfinite(s.objective)
 
-    def test_ns_backend_pivots_nonzero(self, tracer):
-        result = self._model().solve("ns")
-        assert result.feasible
-        assert result.stats.pivots > 0
-        assert tracer.counter("mcf.pivots") == result.stats.pivots
-
     def test_backends_agree_on_objective(self, tracer):
-        costs = [self._model().solve(m).cost for m in ("ssp", "ns", "lp")]
-        assert costs[0] == pytest.approx(costs[1], rel=1e-6)
-        assert costs[0] == pytest.approx(costs[2], rel=1e-6)
+        """The LP and the networkx oracle, on the model put on the
+        oracle's grid."""
+        problem = on_grid_problem(self._model().problem)
+        result = problem.solve()
+        assert_matches(result.feasible, result.cost, problem_cost(problem))

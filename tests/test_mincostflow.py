@@ -57,14 +57,14 @@ def _transit():
 
 
 class TestBasics:
-    @pytest.mark.parametrize("method", ["ssp", "lp"])
+    @pytest.mark.parametrize("method", ["lp"])
     def test_optimal_cost(self, method):
         res = _simple_problem().solve(method)
         assert res.feasible
         # s1 -> d1 (3 @1), s1 -> d2 (1 @3), s2 -> d2 (2 @1) = 8
         assert res.cost == pytest.approx(8.0)
 
-    @pytest.mark.parametrize("method", ["ssp", "lp"])
+    @pytest.mark.parametrize("method", ["lp"])
     def test_flow_conservation(self, method):
         p = _simple_problem()
         res = p.solve(method)
@@ -74,19 +74,19 @@ class TestBasics:
         assert outflow["s1"] == pytest.approx(4.0)
         assert outflow["s2"] == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("method", ["ssp", "lp"])
+    @pytest.mark.parametrize("method", ["lp"])
     def test_demand_as_capacity(self, method):
         """Total demand exceeds supply: the slack stays unused."""
         res = _demand_as_capacity().solve(method)
         assert res.feasible
         assert res.routed == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("method", ["ssp", "lp"])
+    @pytest.mark.parametrize("method", ["lp"])
     def test_infeasible_detected(self, method):
         res = _too_little_demand().solve(method)
         assert not res.feasible
 
-    @pytest.mark.parametrize("method", ["ssp", "lp"])
+    @pytest.mark.parametrize("method", ["lp"])
     def test_capacity_respected(self, method):
         res = _capacity_split().solve(method)
         assert res.feasible
@@ -99,18 +99,19 @@ class TestBasics:
             p.add_arc("a", "b", -1.0)
 
     def test_transit_nodes(self):
-        res = _transit().solve("ssp")
+        res = _transit().solve()
         assert res.feasible and res.cost == pytest.approx(4.0)
 
     def test_convenience_wrapper(self):
         res = solve_min_cost_flow(
-            {"a": 1.0, "b": -1.0}, [Arc("a", "b", 2.0)], "ssp"
+            {"a": 1.0, "b": -1.0}, [Arc("a", "b", 2.0)]
         )
         assert res.feasible and res.cost == pytest.approx(2.0)
 
     def test_auto_picks_method(self):
-        res = _simple_problem().solve("auto")
-        assert res.feasible
+        """Without a method, solve() runs the LP."""
+        res = _simple_problem().solve()
+        assert res.feasible and res.stats.method == "lp"
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -144,12 +145,10 @@ class TestAgainstNetworkSimplex:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_balanced(self, seed):
         p = _random_instance(seed)
-        want = problem_cost(p)
-        for method in ("ssp", "ns", "lp"):
-            res = p.solve(method)
-            assert_matches(res.feasible, res.cost, want)
+        res = p.solve()
+        assert_matches(res.feasible, res.cost, problem_cost(p))
 
-    def test_ssp_equals_lp_on_unbalanced(self):
+    def test_lp_matches_oracle_on_unbalanced(self):
         rng = np.random.default_rng(42)
         for _ in range(6):
             p = MinCostFlowProblem()
@@ -163,12 +162,11 @@ class TestAgainstNetworkSimplex:
                     p.add_arc(("s", i), ("d", j), float(rng.integers(0, 8)))
             want = problem_cost(p)
             assert want is not None
-            for method in ("ssp", "ns", "lp"):
-                res = p.solve(method)
-                assert_matches(res.feasible, res.cost, want)
+            res = p.solve()
+            assert_matches(res.feasible, res.cost, want)
 
 
-@pytest.mark.parametrize("method", ["ssp", "ns", "lp"])
+@pytest.mark.parametrize("method", ["lp"])
 def test_basics_match_the_networkx_oracle(method):
     for build in (
         _simple_problem,
@@ -186,7 +184,7 @@ def test_basics_match_the_networkx_oracle(method):
 @given(st.integers(0, 10_000))
 def test_property_cost_nonnegative_and_conserving(seed):
     p = _random_instance(seed, n=6, arcs=14)
-    res = p.solve("ssp")
+    res = p.solve()
     if not res.feasible:
         return
     assert res.cost >= -1e-9

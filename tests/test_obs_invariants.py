@@ -100,12 +100,12 @@ class TestFlowConservation:
     def test_honest_solve_passes(self):
         p = _small_flow()
         with checking(True):
-            result = p.solve("ssp")  # solve() runs maybe_check itself
+            result = p.solve()  # solve() runs maybe_check itself
         assert result.feasible
 
     def test_corrupted_flow_caught(self):
         p = _small_flow()
-        result = p.solve("ssp")
+        result = p.solve()
         result.flows[0] += 1.0  # supply node now over-ships
         with pytest.raises(InvariantViolation) as exc:
             run_check("flow.conservation", p, result)
@@ -113,7 +113,7 @@ class TestFlowConservation:
 
     def test_capacity_overflow_caught(self):
         p = _small_flow()
-        result = p.solve("ssp")
+        result = p.solve()
         # push everything down the cap-3 arc: violates its capacity
         result.flows[:] = [5.0, 0.0, 5.0, 0.0]
         with pytest.raises(InvariantViolation):
@@ -121,13 +121,13 @@ class TestFlowConservation:
 
     def test_negative_flow_caught(self):
         p = _small_flow()
-        result = p.solve("ssp")
+        result = p.solve()
         result.flows[1] = -2.0
         with pytest.raises(InvariantViolation):
             run_check("flow.conservation", p, result)
 
     def test_all_backends_pass_under_gate(self):
-        for method in ("ssp", "ns", "lp"):
+        for method in ("lp", "heur"):
             with checking(True):
                 result = _small_flow().solve(method)
             assert result.feasible
@@ -140,7 +140,7 @@ class TestRegionCapacity:
         grid = Grid(DIE, 2, 2)
         grid.build_regions(dec)
         model = build_fbp_model(nl, bounds, grid)
-        result = model.solve("ssp")
+        result = model.solve()
         assert result.feasible
         return model, result
 

@@ -493,7 +493,7 @@ def _clustered_model(seed: int, bounds: Optional[MoveBoundSet] = None):
     grid = Grid(CROWDED, 4, 4)
     grid.build_regions(decompose_regions(CROWDED, mbs, nl.blockages))
     model = build_fbp_model(nl, mbs, grid, density_target=0.85)
-    result = model.solve("ssp")
+    result = model.solve()
     assert result.feasible
     return nl, model, result
 

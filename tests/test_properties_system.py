@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fbp import build_fbp_model, realize_flow
+from repro.fbp.realization import cancel_external_cycles
 from repro.feasibility import check_feasibility
 from repro.geometry import Rect
 from repro.grid import Grid
@@ -75,7 +76,7 @@ def test_fbp_pipeline_invariants(instance):
     grid = Grid(DIE, 3, 3)
     grid.build_regions(decomposition)
     model = build_fbp_model(nl, bounds, grid, density_target=0.9)
-    result = model.solve("ssp")
+    result = model.solve()
     assert result.feasible == feasible  # Theorem 3 == Theorem 2
     if not feasible:
         return
@@ -94,6 +95,95 @@ def test_fbp_pipeline_invariants(instance):
     for key, used in load.items():
         cap = model.region_capacity.get(key, 0.0)
         assert used <= cap * 1.1 + max_cell + 1e-6
+
+
+def _boundary_instance(side, delta):
+    """Movebound ``m`` (a ``side`` x ``side`` square at the die corner,
+    one window of the 3x3 grid at side 20, parts of four at side 30)
+    holds cells of area 2 whose total is its capacity at density 1.0
+    plus ``delta`` cells; 40 unbounded cells share the rest of the
+    die.  Every cell starts spread over the die, so the flow must move
+    bound area into ``m``'s windows."""
+    rng = np.random.default_rng(int(side) * 10 + delta + 1)
+    nl = Netlist(DIE, row_height=1.0, site_width=0.5, name="boundary")
+    bounds = MoveBoundSet(DIE)
+    bounds.add_rects("m", [Rect(0.0, 0.0, side, side)])
+    for i in range(int(side * side) // 2 + delta):
+        nl.add_cell(
+            f"m{i}", 2.0, 1.0,
+            x=float(rng.uniform(1, 59)), y=float(rng.uniform(1, 59)),
+            movebound="m",
+        )
+    for i in range(40):
+        nl.add_cell(
+            f"f{i}", 2.0, 1.0,
+            x=float(rng.uniform(1, 59)), y=float(rng.uniform(1, 59)),
+        )
+    nl.finalize()
+    return nl, bounds
+
+
+@pytest.mark.parametrize("side", [20.0, 30.0])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_theorem3_at_the_exact_capacity_boundary(side, delta):
+    """Supply = capacity - one cell, = capacity, = capacity + one
+    cell: the MinCostFlow's verdict (Theorem 3) is Theorem 2's, and
+    it flips exactly past the boundary."""
+    nl, bounds = _boundary_instance(side, delta)
+    decomposition = decompose_regions(DIE, bounds, nl.blockages)
+    grid = Grid(DIE, 3, 3)
+    grid.build_regions(decomposition)
+    model = build_fbp_model(nl, bounds, grid, density_target=1.0)
+    thm3 = model.solve().feasible
+    thm2 = check_feasibility(nl, bounds, decomposition, 1.0).feasible
+    assert thm3 == thm2 == (delta <= 0)
+
+
+def _fbp_fixtures():
+    """Every deterministic FBP model fixture of the suite."""
+    from tests.test_solver_consistency import _model
+
+    for seed, with_bounds, n in (
+        (0, True, 4), (1, True, 4), (2, True, 4), (3, True, 4),
+        (5, True, 4), (7, False, 6),
+    ):
+        yield _model(seed=seed, with_bounds=with_bounds, n=n)
+    for side in (20.0, 30.0):
+        for delta in (-1, 0):
+            nl, bounds = _boundary_instance(side, delta)
+            grid = Grid(DIE, 3, 3)
+            grid.build_regions(decompose_regions(DIE, bounds, nl.blockages))
+            yield build_fbp_model(nl, bounds, grid, density_target=1.0)
+
+
+def _assert_no_external_cycle(model):
+    """§IV.B walks the flow-carrying external arcs in topological
+    order.  A basic LP optimum carries flow on independent columns
+    only, so they hold no cycle: cancellation has nothing to do."""
+    result = model.solve()
+    if not result.feasible:
+        return
+    flows = model.external_flows(result)
+    kept = cancel_external_cycles(list(flows))
+    assert sorted((a.arc_id, f) for a, f in kept) == sorted(
+        (a.arc_id, f) for a, f in flows
+    )
+
+
+def test_fbp_fixture_flows_are_acyclic():
+    for model in _fbp_fixtures():
+        _assert_no_external_cycle(model)
+
+
+@SETTINGS
+@given(instances())
+def test_fbp_property_flows_are_acyclic(instance):
+    nl, bounds = instance
+    grid = Grid(DIE, 3, 3)
+    grid.build_regions(decompose_regions(DIE, bounds, nl.blockages))
+    _assert_no_external_cycle(
+        build_fbp_model(nl, bounds, grid, density_target=0.9)
+    )
 
 
 @SETTINGS

@@ -6,13 +6,12 @@ import pytest
 from repro.flows.mincostflow import MinCostFlowProblem
 from repro.resilience import (
     DEFAULT_CHAIN,
-    BudgetClock,
     ResilientSolver,
     SolverBudget,
     SolverBudgetExceeded,
-    UNLIMITED,
     budget_from_env,
     get_default_budget,
+    install_fault_plan,
     reset_faults,
     set_default_budget,
 )
@@ -26,7 +25,7 @@ def _clean_resilience_state():
 
 
 def _problem(n=4):
-    """n sources, n sinks, L1 costs — needs n augmentations with ssp."""
+    """n sources, n sinks, L1 costs — HiGHS needs n iterations."""
     p = MinCostFlowProblem()
     for i in range(n):
         p.add_node(("s", i), 1.0)
@@ -38,27 +37,7 @@ def _problem(n=4):
     return p
 
 
-class TestBudgetClock:
-    def test_iter_budget_allows_up_to_limit(self):
-        clock = SolverBudget(max_iters=5).clock("x")
-        for _ in range(5):
-            clock.tick()
-        with pytest.raises(SolverBudgetExceeded) as ei:
-            clock.tick()
-        assert ei.value.iterations == 6
-        assert ei.value.solver == "x"
-        assert ei.value.exit_code == 3
-
-    def test_unlimited_never_raises(self):
-        clock = UNLIMITED.clock()
-        clock.tick(100000)
-        clock.check_time()
-
-    def test_time_budget(self):
-        clock = SolverBudget(max_seconds=0.0).clock("slow")
-        with pytest.raises(SolverBudgetExceeded, match="wall-time"):
-            clock.check_time()
-
+class TestDefaultBudget:
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_SOLVER_ITERS", "7")
         monkeypatch.setenv("REPRO_SOLVER_TIMEOUT", "2.5")
@@ -74,27 +53,24 @@ class TestBudgetClock:
 
 
 class TestSolverBudgets:
-    def test_ssp_iteration_budget(self):
-        p = _problem(4)
-        with pytest.raises(SolverBudgetExceeded) as ei:
-            p.solve("ssp", budget=SolverBudget(max_iters=1))
-        assert "iteration budget" in str(ei.value)
-
-    def test_ns_iteration_budget(self):
+    def test_lp_iteration_budget(self):
         p = _problem(6)
-        with pytest.raises(SolverBudgetExceeded):
-            p.solve("ns", budget=SolverBudget(max_iters=1))
+        with pytest.raises(SolverBudgetExceeded, match="Iteration limit") as ei:
+            p.solve(budget=SolverBudget(max_iters=1))
+        assert ei.value.solver == "lp"
+        assert ei.value.exit_code == 3
+        assert ei.value.stage == "solver.lp"
 
-    def test_ssp_time_budget(self):
+    def test_lp_time_budget(self):
         p = _problem(4)
-        with pytest.raises(SolverBudgetExceeded, match="wall-time"):
-            p.solve("ssp", budget=SolverBudget(max_seconds=0.0))
+        with pytest.raises(SolverBudgetExceeded, match="Time limit"):
+            p.solve(budget=SolverBudget(max_seconds=0.0))
 
     def test_generous_budget_is_harmless(self):
         p = _problem(4)
-        res = p.solve("ssp", budget=SolverBudget(max_iters=10000))
+        res = p.solve(budget=SolverBudget(max_iters=10000))
         assert res.feasible
-        ref = _problem(4).solve("ssp")
+        ref = _problem(4).solve()
         assert res.cost == pytest.approx(ref.cost)
 
 
@@ -104,7 +80,7 @@ class TestHeuristicBackend:
         res = p.solve("heur")
         assert res.feasible
         # cost is accounted but not optimized
-        opt = _problem(4).solve("ssp").cost
+        opt = _problem(4).solve().cost
         assert res.cost >= opt - 1e-9
 
     def test_flow_readback(self):
@@ -130,56 +106,38 @@ class TestHeuristicBackend:
 class TestResilientSolver:
     def test_falls_back_to_heur_when_budgeted(self):
         p = _problem(4)
-        solver = ResilientSolver(
-            chain=("ns", "ssp", "heur"), budget=SolverBudget(max_iters=1)
-        )
+        solver = ResilientSolver(budget=SolverBudget(max_iters=1))
         res = solver.solve(p)
         assert res.feasible
         methods = [(a.method, a.ok) for a in res.attempts]
-        assert methods == [("ns", False), ("ssp", False), ("heur", True)]
-        assert all(
-            a.error_type == "SolverBudgetExceeded"
-            for a in res.attempts
-            if not a.ok
-        )
+        assert methods == [("lp", False), ("heur", True)]
+        assert res.attempts[0].error_type == "SolverBudgetExceeded"
 
     def test_no_fallback_on_success(self):
         p = _problem(4)
-        solver = ResilientSolver(chain=("ssp", "heur"))
-        res = solver.solve(p)
-        assert [a.method for a in res.attempts] == ["ssp"]
+        res = ResilientSolver().solve(p)
+        assert [a.method for a in res.attempts] == ["lp"]
         assert res.attempts[0].ok
 
     def test_all_backends_fail_reraises_with_history(self):
         p = _problem(4)
-        solver = ResilientSolver(
-            chain=("ns", "ssp"), budget=SolverBudget(max_iters=0)
-        )
+        install_fault_plan("solver.heur=budget")
+        solver = ResilientSolver(budget=SolverBudget(max_iters=0))
         with pytest.raises(SolverBudgetExceeded) as ei:
             solver.solve(p)
         attempts = ei.value.context["attempts"]
-        assert [a["method"] for a in attempts] == ["ns", "ssp"]
-        assert ei.value.context["chain"] == ["ns", "ssp"]
+        assert [a["method"] for a in attempts] == ["lp", "heur"]
+        assert ei.value.context["chain"] == ["lp", "heur"]
 
     def test_for_method_chains(self):
-        assert ResilientSolver.for_method("auto").chain is None
-        assert ResilientSolver.for_method("ns").chain == ("ns", "heur")
-        assert ResilientSolver.for_method("lp").chain == ("lp", "ssp", "heur")
+        assert ResilientSolver.for_method().chain == ("lp", "heur")
         assert ResilientSolver.for_method("heur").chain == ("heur",)
-        assert DEFAULT_CHAIN == ("ns", "ssp", "heur")
+        assert ResilientSolver().chain == DEFAULT_CHAIN == ("lp", "heur")
 
     def test_default_budget_applies(self):
         set_default_budget(SolverBudget(max_iters=1))
         p = _problem(4)
-        # no explicit budget: chain exhausts ns+ssp, heur rescues
-        res = ResilientSolver(chain=("ns", "ssp", "heur")).solve(p)
+        # no explicit budget: the LP exhausts it, heur rescues
+        res = ResilientSolver().solve(p)
         assert res.feasible
-        assert len(res.attempts) == 3
-
-
-class TestBudgetClockType:
-    def test_clock_factory(self):
-        b = SolverBudget(max_iters=2)
-        clock = b.clock("ns")
-        assert isinstance(clock, BudgetClock)
-        assert clock.budget is b
+        assert len(res.attempts) == 2

@@ -57,8 +57,8 @@ def _problem(n=4):
 
 class TestPlanParsing:
     def test_basic(self):
-        plan = FaultPlan.parse("solver.ns=budget")
-        rule = plan.rules["solver.ns"]
+        plan = FaultPlan.parse("solver.lp=budget")
+        rule = plan.rules["solver.lp"]
         assert rule.kind == "budget"
         assert rule.only_hit is None and rule.max_fires is None
 
@@ -108,10 +108,10 @@ class TestFiring:
                 inject("x")
 
     def test_solver_name_derived_from_site(self):
-        install_fault_plan("solver.ns=budget")
+        install_fault_plan("solver.lp=budget")
         with pytest.raises(SolverBudgetExceeded) as ei:
-            inject("solver.ns")
-        assert ei.value.solver == "ns"
+            inject("solver.lp")
+        assert ei.value.solver == "lp"
 
     def test_only_nth_hit_fires(self):
         install_fault_plan("x=stage@2")
@@ -146,54 +146,40 @@ class TestFiring:
 
 
 class TestFallbackEdges:
-    """Every edge of the ns -> ssp -> heur chain, driven by faults."""
+    """Every edge of the lp -> heur chain, driven by faults."""
 
-    def test_ns_fails_ssp_recovers(self):
-        install_fault_plan("solver.ns=budget")
-        res = ResilientSolver(chain=("ns", "ssp", "heur")).solve(_problem())
+    def test_lp_fails_heur_recovers(self):
+        install_fault_plan("solver.lp=numerics")
+        res = ResilientSolver().solve(_problem())
         assert res.feasible
         assert [(a.method, a.ok) for a in res.attempts] == [
-            ("ns", False),
-            ("ssp", True),
-        ]
-
-    def test_ns_and_ssp_fail_heur_recovers(self):
-        install_fault_plan("solver.ns=numerics;solver.ssp=budget")
-        res = ResilientSolver(chain=("ns", "ssp", "heur")).solve(_problem())
-        assert res.feasible
-        assert [(a.method, a.ok) for a in res.attempts] == [
-            ("ns", False),
-            ("ssp", False),
+            ("lp", False),
             ("heur", True),
         ]
         assert res.attempts[0].error_type == "SolverNumericsError"
-        assert res.attempts[1].error_type == "SolverBudgetExceeded"
 
     def test_whole_chain_fails(self):
-        install_fault_plan(
-            "solver.ns=budget;solver.ssp=budget;solver.heur=budget"
-        )
+        install_fault_plan("solver.lp=budget;solver.heur=budget")
         with pytest.raises(SolverBudgetExceeded) as ei:
-            ResilientSolver(chain=("ns", "ssp", "heur")).solve(_problem())
+            ResilientSolver().solve(_problem())
         assert [a["method"] for a in ei.value.context["attempts"]] == [
-            "ns",
-            "ssp",
+            "lp",
             "heur",
         ]
 
     def test_transient_fault_single_method(self):
-        # @1: only the first solve of ns fails; a retry chain recovers
-        install_fault_plan("solver.ns=numerics@1")
+        # @1: only the first solve of the LP fails; a retry recovers
+        install_fault_plan("solver.lp=numerics@1")
         with pytest.raises(SolverNumericsError):
-            _problem().solve("ns")
-        res = _problem().solve("ns")
+            _problem().solve()
+        res = _problem().solve()
         assert res.feasible
 
     def test_cost_perturbation_keeps_solve_feasible(self):
         install_fault_plan("solver.costs=perturb:0.001")
-        res = _problem().solve("ssp")
+        res = _problem().solve()
         assert res.feasible
-        ref = _problem().solve("ssp")
+        ref = _problem().solve()
         assert res.cost == pytest.approx(ref.cost, abs=0.1)
 
 
@@ -267,10 +253,10 @@ class TestPlacerRecovery:
         assert ei.value.context.get("failed_after_retry") is True
 
     def test_solver_fault_recovers_without_checkpoint(self):
-        # ns dies on every call; the in-chain ssp fallback absorbs it
-        # before the checkpointer ever sees a failure
+        # the LP dies on every call; the in-chain heur fallback absorbs
+        # it before the checkpointer ever sees a failure
         nl, bounds = _small_instance(seed=2)
-        install_fault_plan("solver.ns=budget")
+        install_fault_plan("solver.lp=budget")
         placer = BonnPlaceFBP(
             BonnPlaceOptions(max_levels=2, legalize=False)
         )
@@ -344,7 +330,7 @@ class TestCLIUnderFaults:
         proc = _run_cli(
             tmp_path,
             ["place", "feas", "--dir", "."],
-            fault_plan="solver.ns=budget",
+            fault_plan="solver.lp=budget",
         )
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -354,8 +340,7 @@ class TestCLIUnderFaults:
         proc = _run_cli(
             tmp_path,
             ["place", "feas", "--dir", "."],
-            fault_plan="solver.ns=budget;solver.ssp=budget;"
-            "solver.lp=budget;solver.heur=budget",
+            fault_plan="solver.lp=budget;solver.heur=budget",
         )
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:")

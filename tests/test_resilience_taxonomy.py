@@ -119,10 +119,10 @@ class TestDiagnosis:
 
     def test_budget_extras(self):
         exc = SolverBudgetExceeded(
-            "over budget", solver="ns", iterations=17, elapsed=1.25
+            "over budget", solver="lp", iterations=17, elapsed=1.25
         )
         line = exc.diagnosis()
-        assert "solver=ns" in line
+        assert "solver=lp" in line
         assert "iterations=17" in line
         assert "elapsed=1.25s" in line
 
@@ -254,7 +254,6 @@ class TestCLIExitCodes:
         rc = main(
             [
                 "--fault-plan",
-                "solver.ns=budget;solver.ssp=budget;"
                 "solver.lp=budget;solver.heur=budget",
                 "place",
                 name,

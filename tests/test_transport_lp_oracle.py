@@ -17,8 +17,9 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csc_matrix
 
-from repro.flows import transportation
-from repro.flows.transportation import SCIPY_FLOOR, _solve_lp
+from repro.flows import highs
+from repro.flows.highs import SCIPY_FLOOR
+from repro.flows.transportation import _solve_lp
 from repro.resilience.budget import SolverBudget
 from repro.resilience.errors import SolverBudgetExceeded
 
@@ -99,12 +100,12 @@ def test_lp_equals_linprog_bit_for_bit(capacity, density):
 def test_missing_bindings_name_the_scipy_floor(monkeypatch):
     # a None entry in sys.modules makes the import fail as if absent
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    transportation._highs.cache_clear()
+    highs._highs.cache_clear()
     try:
         with pytest.raises(ImportError, match=f"scipy>={SCIPY_FLOOR}"):
-            transportation._highs()
+            highs._highs()
     finally:
-        transportation._highs.cache_clear()
+        highs._highs.cache_clear()
 
 
 def test_iteration_budget_raises():

@@ -41,7 +41,7 @@ class TestViz:
         grid = Grid(DIE, 4, 4)
         grid.build_regions(decompose_regions(DIE, mbs))
         model = build_fbp_model(nl, mbs, grid)
-        result = model.solve("ssp")
+        result = model.solve()
         out = render_flow_graph(model, result)
         assert "|V|=" in out and "|E|=" in out
         assert "external arcs" in out

@@ -13,12 +13,8 @@ Run:  python examples/figure4_realization.py
 
 import numpy as np
 
-from repro.fbp import build_fbp_model
-from repro.fbp.realization import (
-    cancel_external_cycles,
-    realize_flow,
-    topological_arc_order,
-)
+from repro.fbp import build_fbp_model, compute_schedule
+from repro.fbp.realization import realize_flow
 from repro.geometry import Rect
 from repro.grid import Grid
 from repro.movebounds import MoveBoundSet, decompose_regions
@@ -58,19 +54,21 @@ def main() -> None:
     result = model.solve()
     assert result.feasible
 
-    flows = cancel_external_cycles(model.external_flows(result))
-    ordered = topological_arc_order(flows)
-    print(f"\n(2)+(3) {len(ordered)} external arcs in topological order; "
+    schedule = compute_schedule(model, model.external_flows(result))
+    print(f"\n(2)+(3) {schedule.num_arcs} external arcs in "
+          f"{schedule.num_rounds} rounds of the realization schedule; "
           "each realized over a 2x3/3x2 coarse window:")
-    for arc, f in ordered:
-        v = grid.windows[arc.src_window]
-        w = grid.windows[arc.dst_window]
-        block = grid.coarse_block(v, w)
-        print(
-            f"  ({v.ix},{v.iy}) -{arc.direction}-> ({w.ix},{w.iy}) "
-            f"flow={f:6.1f}  coarse window: "
-            f"{len(block)} windows {sorted((b.ix, b.iy) for b in block)}"
-        )
+    for rnd, round_arcs in enumerate(schedule.rounds):
+        for arc in round_arcs:
+            v = grid.windows[arc.src_window]
+            w = grid.windows[arc.dst_window]
+            block = grid.coarse_block(v, w)
+            print(
+                f"  round {rnd}: ({v.ix},{v.iy}) -{arc.direction}-> "
+                f"({w.ix},{w.iy}) flow={schedule.flow[arc.arc_id]:6.1f}  "
+                f"coarse window: {len(block)} windows "
+                f"{sorted((b.ix, b.iy) for b in block)}"
+            )
 
     out = realize_flow(model, result, run_local_qp=True)
     print(

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.fbp.model import FBPModel, ModelStats, build_fbp_model
 from repro.fbp.realization import RealizationResult, realize_flow
-from repro.fbp.schedule import ParallelSchedule, compute_schedule
 from repro.grid import Grid
 from repro.movebounds import MoveBoundSet
 from repro.netlist import Netlist
@@ -36,7 +35,6 @@ class FBPReport:
     flow_seconds: float = 0.0
     realization_seconds: float = 0.0
     realization: Optional[RealizationResult] = None
-    schedule: Optional[ParallelSchedule] = None
     model: Optional[FBPModel] = None
     #: accounting of the sharded solve when ``shard_tiles`` was used
     shard: Optional["ShardReport"] = None
@@ -49,7 +47,6 @@ def fbp_partition(
     density_target: float = 1.0,
     qp_options: Optional[QPOptions] = None,
     run_local_qp: bool = True,
-    compute_parallel_schedule: bool = False,
     cell_windows: Optional[np.ndarray] = None,
     keep_model: bool = False,
     shard_tiles: Optional[int] = None,
@@ -105,12 +102,6 @@ def fbp_partition(
         return report
     report.flow_cost = result.cost
     maybe_check("fbp.region_capacity", model, result)
-
-    if compute_parallel_schedule:
-        with span("fbp.schedule"):
-            report.schedule = compute_schedule(
-                model, model.external_flows(result)
-            )
 
     with span("fbp.realize") as sp_realize:
         report.realization = realize_flow(

@@ -6,8 +6,9 @@ turns this abstract flow into actual cell movement:
 
 1. Directed cycles among flow-carrying external arcs are cancelled
    (they are cost-free at optimality, since all costs are >= 0).
-2. The remaining external arcs are processed in topological order of
-   the flow-carrying graph; an arc ``(v -> w, M, f)`` can only be
+2. The remaining external arcs are processed in the rounds of the
+   parallel schedule (:mod:`repro.fbp.schedule`), a topological order
+   of the flow-carrying graph; an arc ``(v -> w, M, f)`` can only be
    realized once all external inflow of M into v has been realized, so
    enough M-cells are physically present in v.
 3. For each arc, a *coarse window* (the 2x3 / 3x2 block around v and w)
@@ -36,7 +37,6 @@ from repro.grid import Grid
 from repro.netlist import Netlist
 from repro.obs import incr, span
 from repro.qp import QPOptions, solve_qp
-from repro.resilience.errors import PipelineStageError
 from repro.resilience.faultinject import inject
 from repro.fbp.model import ExternalArc, FBPModel
 
@@ -122,47 +122,6 @@ def cancel_external_cycles(
             (arc, f) for arc, f in items if f > 1e-9
         )
     return out
-
-
-def topological_arc_order(
-    flows: List[Tuple[ExternalArc, float]]
-) -> List[Tuple[ExternalArc, float]]:
-    """Order external arcs so every arc appears after all arcs flowing
-    into its source window (per movebound).  Requires acyclic input
-    (run :func:`cancel_external_cycles` first)."""
-    order: List[Tuple[ExternalArc, float]] = []
-    by_bound: Dict[str, List[Tuple[ExternalArc, float]]] = {}
-    for arc, f in flows:
-        by_bound.setdefault(arc.bound, []).append((arc, f))
-    for bound in sorted(by_bound):
-        items = by_bound[bound]
-        indegree: Dict[int, int] = {}
-        outgoing: Dict[int, List[int]] = {}
-        for idx, (arc, _f) in enumerate(items):
-            indegree.setdefault(arc.src_window, 0)
-            indegree[arc.dst_window] = indegree.get(arc.dst_window, 0) + 1
-            outgoing.setdefault(arc.src_window, []).append(idx)
-        ready = sorted(w for w, d in indegree.items() if d == 0)
-        emitted = [False] * len(items)
-        queue = list(ready)
-        while queue:
-            w = queue.pop(0)
-            for idx in outgoing.get(w, ()):  # all arcs out of w are ready
-                if emitted[idx]:
-                    continue
-                emitted[idx] = True
-                arc, f = items[idx]
-                order.append((arc, f))
-                indegree[arc.dst_window] -= 1
-                if indegree[arc.dst_window] == 0:
-                    queue.append(arc.dst_window)
-        if not all(emitted):
-            raise PipelineStageError(
-                f"external flow of movebound {bound!r} is cyclic; "
-                "run cancel_external_cycles first",
-                stage="fbp.realize",
-            )
-    return order
 
 
 def _crossing_point(grid: Grid, arc: ExternalArc) -> Tuple[float, float]:
@@ -301,17 +260,15 @@ def _realize_flow_impl(
 
     sizes = netlist.cell_sizes()
 
-    flows = cancel_external_cycles(model.external_flows(result))
-
     # Group arcs into rounds of independent realizations (disjoint
     # coarse windows, dependencies respected) — the paper's parallel
-    # schedule.  One local QP covers a whole round, since its blocks
-    # are disjoint: the joint system is block-diagonal, and solving it
-    # once is cheaper than one solve per arc.
+    # schedule, built on the cycle-cancelled flow.  One local QP covers
+    # a whole round, since its blocks are disjoint: the joint system is
+    # block-diagonal, and solving it once is cheaper than one solve per
+    # arc.
     from repro.fbp.schedule import compute_schedule
 
-    schedule = compute_schedule(model, flows)
-    flow_of = {arc.arc_id: f for arc, f in flows}
+    schedule = compute_schedule(model, model.external_flows(result))
 
     for round_arcs in schedule.rounds:
         if run_local_qp and round_arcs:
@@ -331,13 +288,9 @@ def _realize_flow_impl(
             n_in_block = int(in_block.sum())
             if 0 < n_in_block <= local_qp_cell_limit:
                 net_ids = netlist.nets_of_cells(np.nonzero(in_block)[0])
-                local_nets = [netlist.nets[i] for i in net_ids.tolist()]
                 with span("realize.local_qp"):
                     solve_qp(
-                        netlist,
-                        qp_opts,
-                        movable_mask=in_block,
-                        nets=local_nets,
+                        netlist, qp_opts, movable_mask=in_block, net_ids=net_ids
                     )
                 out.local_qp_calls += 1
 
@@ -346,7 +299,7 @@ def _realize_flow_impl(
                 netlist,
                 grid,
                 arc,
-                flow_of[arc.arc_id],
+                schedule.flow[arc.arc_id],
                 members,
                 cell_window,
                 sizes,

@@ -25,6 +25,8 @@ class ParallelSchedule:
     """Rounds of independently realizable external arcs."""
 
     rounds: List[List[ExternalArc]] = field(default_factory=list)
+    #: arc id -> the arc's flow after cycle cancellation
+    flow: Dict[int, float] = field(default_factory=dict)
 
     @property
     def num_arcs(self) -> int:
@@ -53,7 +55,8 @@ def compute_schedule(
     model: FBPModel,
     flows: List[Tuple[ExternalArc, float]],
 ) -> ParallelSchedule:
-    """Build the deterministic parallel schedule for the given flow.
+    """Build the deterministic parallel schedule for the given flow,
+    after cancelling its cycles (:func:`cancel_external_cycles`).
 
     Ready = every external arc into the arc's source window (same
     movebound) already scheduled.  Among ready arcs, a deterministic
@@ -74,15 +77,14 @@ def _compute_schedule(
 ) -> ParallelSchedule:
     flows = cancel_external_cycles(flows)
     grid = model.grid
-    pending = list(range(len(flows)))
     scheduled = [False] * len(flows)
 
-    # predecessors: arcs of same bound ending at this arc's source window
-    preds: Dict[int, List[int]] = {i: [] for i in pending}
-    for i, (arc, _f) in enumerate(flows):
-        for j, (other, _g) in enumerate(flows):
-            if i != j and other.bound == arc.bound and other.dst_window == arc.src_window:
-                preds[i].append(j)
+    # predecessors: arcs of the same bound ending at this arc's source
+    # window, looked up by (bound, destination window)
+    into: Dict[Tuple[str, int], List[int]] = {}
+    for j, (arc, _f) in enumerate(flows):
+        into.setdefault((arc.bound, arc.dst_window), []).append(j)
+    preds = [into.get((arc.bound, arc.src_window), []) for arc, _f in flows]
 
     blocks: List[Set[int]] = []
     for arc, _f in flows:
@@ -91,8 +93,8 @@ def _compute_schedule(
         )
         blocks.append({w.index for w in block})
 
-    schedule = ParallelSchedule()
-    remaining = set(pending)
+    schedule = ParallelSchedule(flow={arc.arc_id: f for arc, f in flows})
+    remaining = set(range(len(flows)))
     while remaining:
         ready = sorted(
             i

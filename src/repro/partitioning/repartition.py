@@ -88,12 +88,7 @@ def _local_qp(netlist: Netlist, cells: List[int]) -> dict:
     cells movable, only the nets incident to them."""
     mask = np.zeros(netlist.num_cells, dtype=bool)
     mask[cells] = True
-    net_ids = netlist.nets_of_cells(cells)
-    return {
-        "movable_mask": mask,
-        "nets": [netlist.nets[i] for i in net_ids.tolist()],
-        "flat": netlist.net_subset_arrays(net_ids),
-    }
+    return {"movable_mask": mask, "net_ids": netlist.nets_of_cells(cells)}
 
 
 def _partition_block(

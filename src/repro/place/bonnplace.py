@@ -705,15 +705,9 @@ class BonnPlaceFBP:
                 )
         if level < levels:
             weight = opts.anchor_base * (2.0**level)
-            movable = netlist.movable_indices.tolist()
-            anchors_x = [(i, float(netlist.x[i]), weight) for i in movable]
-            anchors_y = [(i, float(netlist.y[i]), weight) for i in movable]
             with span("place.qp"):
                 solve_qp(
-                    netlist,
-                    opts.qp,
-                    anchors_x=anchors_x,
-                    anchors_y=anchors_y,
+                    netlist, opts.qp, anchors=(netlist.x, netlist.y, weight)
                 )
 
     # ------------------------------------------------------------------

@@ -127,24 +127,12 @@ class KraftwerkPlacer:
                     0,
                     nb - 1,
                 )
-                tx = netlist.x[movable] - opts.step * gx[ix, iy]
-                ty = netlist.y[movable] - opts.step * gy[ix, iy]
-
-                anchors_x = [
-                    (int(i), float(t), anchor_weight)
-                    for i, t in zip(movable, tx)
-                ]
-                anchors_y = [
-                    (int(i), float(t), anchor_weight)
-                    for i, t in zip(movable, ty)
-                ]
+                tx = netlist.x.copy()
+                ty = netlist.y.copy()
+                tx[movable] -= opts.step * gx[ix, iy]
+                ty[movable] -= opts.step * gy[ix, iy]
                 with span("place.qp"):
-                    solve_qp(
-                        netlist,
-                        opts.qp,
-                        anchors_x=anchors_x,
-                        anchors_y=anchors_y,
-                    )
+                    solve_qp(netlist, opts.qp, anchors=(tx, ty, anchor_weight))
                 anchor_weight *= opts.anchor_growth
         global_seconds = sp_global.wall_s
 

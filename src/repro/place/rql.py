@@ -175,20 +175,11 @@ class RQLPlacer:
                     self._clamp_movebounds(netlist, bounds)
                 netlist.clamp_into_die()
 
-                anchors_x = [
-                    (int(i), float(netlist.x[i]), anchor_weight)
-                    for i in movable
-                ]
-                anchors_y = [
-                    (int(i), float(netlist.y[i]), anchor_weight)
-                    for i in movable
-                ]
                 with span("place.qp"):
                     solve_qp(
                         netlist,
                         opts.qp,
-                        anchors_x=anchors_x,
-                        anchors_y=anchors_y,
+                        anchors=(netlist.x, netlist.y, anchor_weight),
                     )
                 if opts.respect_movebounds:
                     self._clamp_movebounds(netlist, bounds)

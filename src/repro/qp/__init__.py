@@ -12,10 +12,13 @@ per axis.  This package provides:
 * :func:`solve_qp` — global or *local* QP (a movable-subset solve with
   every other cell fixed at its current position, as used by FBP
   realization, §IV.B);
-* anchor (pseudo-net) support for force-directed baselines.
+* :func:`build_axis_systems` — the x and y systems from the flat pin
+  arrays, sharing one matrix except under b2b;
+* anchor (pseudo-net) support for force-directed baselines: per-cell
+  target arrays and one weight shared by both axes.
 """
 
 from repro.qp.solver import QPOptions, solve_qp
-from repro.qp.models import NET_MODELS, build_axis_system
+from repro.qp.models import NET_MODELS, build_axis_systems
 
-__all__ = ["solve_qp", "QPOptions", "NET_MODELS", "build_axis_system"]
+__all__ = ["solve_qp", "QPOptions", "NET_MODELS", "build_axis_systems"]

@@ -9,15 +9,15 @@ anchors floating unknowns), so CG is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import cg, spsolve
 
-from repro.netlist import Netlist, flat_pin_arrays
+from repro.netlist import Netlist
 from repro.obs import incr
-from repro.qp.models import AxisSystem, build_axis_systems_xy
+from repro.qp.models import build_axis_systems
 
 #: Unknown-count threshold below which a direct solve is used.
 DIRECT_SOLVE_LIMIT = 4000
@@ -33,20 +33,17 @@ class QPOptions:
     regularization: float = 1e-8
 
 
-def _solve_axis(system: AxisSystem, x0: np.ndarray, opts: QPOptions) -> np.ndarray:
-    n = system.matrix.shape[0]
+def _solve_axis(
+    matrix, rhs: np.ndarray, x0: np.ndarray, opts: QPOptions
+) -> np.ndarray:
+    """One axis: ``matrix`` is CSC up to ``DIRECT_SOLVE_LIMIT`` unknowns
+    (a direct solve), CSR above (Jacobi-preconditioned CG)."""
+    n = matrix.shape[0]
     if n == 0:
         return np.zeros(0)
     if n <= DIRECT_SOLVE_LIMIT:
-        # the two axes share one assembled matrix (see
-        # build_axis_systems_xy), so memoize its CSC conversion on the
-        # object; the matrix is never mutated after assembly
-        csc = getattr(system.matrix, "_csc_cache", None)
-        if csc is None:
-            csc = system.matrix.tocsc()
-            system.matrix._csc_cache = csc
-        return spsolve(csc, system.rhs)
-    diag = system.matrix.diagonal()
+        return spsolve(matrix, rhs)
+    diag = matrix.diagonal()
     diag[diag <= 0] = 1.0
     inv_diag = 1.0 / diag
 
@@ -62,8 +59,8 @@ def _solve_axis(system: AxisSystem, x0: np.ndarray, opts: QPOptions) -> np.ndarr
         iters += 1
 
     solution, info = cg(
-        system.matrix,
-        system.rhs,
+        matrix,
+        rhs,
         x0=x0,
         rtol=opts.cg_tol,
         maxiter=opts.cg_maxiter,
@@ -83,53 +80,49 @@ def solve_qp(
     netlist: Netlist,
     options: Optional[QPOptions] = None,
     movable_mask: Optional[np.ndarray] = None,
-    anchors_x: Optional[Sequence[Tuple[int, float, float]]] = None,
-    anchors_y: Optional[Sequence[Tuple[int, float, float]]] = None,
+    net_ids: Optional[np.ndarray] = None,
+    anchors: Optional[tuple] = None,
     apply: bool = True,
-    nets=None,
-    flat: Optional[tuple] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize quadratic netlength over the movable cells.
 
     Cells outside ``movable_mask`` (and fixed cells) stay at their
     current positions and act as fixed pins — passing the cells of a
-    coarse window gives the *local QP* of FBP realization (§IV.B).
+    coarse window and the ``net_ids`` incident to them gives the *local
+    QP* of FBP realization (§IV.B).  ``anchors`` is ``(targets_x,
+    targets_y, weight)``, see :func:`build_axis_systems`.
 
     Returns the new full-length coordinate arrays; when ``apply`` is
     True (default) the netlist is updated in place.
     """
     opts = options or QPOptions()
-    if movable_mask is None:
-        movable_mask = ~netlist.fixed_mask
-
-    new_x = netlist.x.copy()
-    new_y = netlist.y.copy()
-    # the flat pin arrays are position-independent, so both axis
-    # assemblies share one subset extraction (or the caller's, e.g.
-    # repartitioning passes Netlist.net_subset_arrays output) — and
-    # for the position-independent models the whole assembled matrix
-    # is shared across the two axes (only the rhs differs)
-    if flat is None and nets is not None and opts.net_model != "b2b":
-        flat = flat_pin_arrays(nets)
-    sys_x, sys_y = build_axis_systems_xy(
+    sys_x, sys_y = build_axis_systems(
         netlist,
         model=opts.net_model,
         movable_mask=movable_mask,
-        anchors_x=anchors_x,
-        anchors_y=anchors_y,
+        net_ids=net_ids,
+        anchors=anchors,
         regularization=opts.regularization,
-        nets=nets,
-        flat=flat,
     )
-    movable_indices = np.nonzero(movable_mask)[0]
-    for system, current, out in (
-        (sys_x, netlist.x, new_x),
-        (sys_y, netlist.y, new_y),
+    matrix_x, matrix_y = sys_x.matrix, sys_y.matrix
+    if 0 < matrix_x.shape[0] <= DIRECT_SOLVE_LIMIT:
+        # except under b2b the axes share one matrix: convert it once
+        matrix_x = matrix_x.tocsc()
+        matrix_y = (
+            matrix_x if sys_y.matrix is sys_x.matrix else matrix_y.tocsc()
+        )
+    movable_indices = np.nonzero(sys_x.unknown_of_cell >= 0)[0]
+    n_cells = sys_x.num_cell_unknowns
+    new_x = netlist.x.copy()
+    new_y = netlist.y.copy()
+    for system, matrix, current, out in (
+        (sys_x, matrix_x, netlist.x, new_x),
+        (sys_y, matrix_y, netlist.y, new_y),
     ):
-        x0 = np.zeros(system.matrix.shape[0])
-        x0[: system.num_cell_unknowns] = current[movable_indices]
-        solution = _solve_axis(system, x0, opts)
-        out[movable_indices] = solution[: system.num_cell_unknowns]
+        x0 = np.zeros(matrix.shape[0])
+        x0[:n_cells] = current[movable_indices]
+        solution = _solve_axis(matrix, system.rhs, x0, opts)
+        out[movable_indices] = solution[:n_cells]
 
     if apply:
         netlist.x = new_x

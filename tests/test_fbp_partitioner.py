@@ -49,15 +49,6 @@ class TestReport:
         report = fbp_partition(nl, bounds, grid, density_target=0.9)
         assert report.model is None
 
-    def test_schedule_flag(self):
-        nl, bounds, grid = _setup(seed=4)
-        report = fbp_partition(
-            nl, bounds, grid, density_target=0.9,
-            compute_parallel_schedule=True,
-        )
-        assert report.schedule is not None
-        assert report.schedule.num_arcs >= 0
-
     def test_explicit_cell_windows(self):
         nl, bounds, grid = _setup(seed=5)
         # assign all cells to window 0 explicitly; a low density target

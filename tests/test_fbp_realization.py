@@ -6,10 +6,7 @@ import pytest
 from repro.fbp import build_fbp_model, realize_flow
 from repro.fbp.model import ExternalArc
 from repro.flows import FlowResult
-from repro.fbp.realization import (
-    cancel_external_cycles,
-    topological_arc_order,
-)
+from repro.fbp.realization import cancel_external_cycles
 from repro.geometry import Rect
 from repro.grid import Grid
 from repro.movebounds import (
@@ -56,29 +53,6 @@ class TestCycleCancellation:
         flows = [(_arc(0, "m", 1, 2), 5.0), (_arc(1, "m", 2, 3), 3.0)]
         out = cancel_external_cycles(flows)
         assert {f for _a, f in out} == {5.0, 3.0}
-
-
-class TestTopologicalOrder:
-    def test_chain_ordered(self):
-        flows = [
-            (_arc(0, "m", 2, 3), 1.0),
-            (_arc(1, "m", 1, 2), 1.0),
-        ]
-        ordered = topological_arc_order(flows)
-        assert [a.src_window for a, _f in ordered] == [1, 2]
-
-    def test_cycle_raises(self):
-        flows = [(_arc(0, "m", 1, 2), 1.0), (_arc(1, "m", 2, 1, "W"), 1.0)]
-        with pytest.raises(RuntimeError):
-            topological_arc_order(flows)
-
-    def test_bounds_grouped(self):
-        flows = [
-            (_arc(0, "b", 1, 2), 1.0),
-            (_arc(1, "a", 2, 3), 1.0),
-        ]
-        ordered = topological_arc_order(flows)
-        assert len(ordered) == 2
 
 
 def _realize(num_cells=120, seed=0, density=0.85, bounds=None, nx=4):

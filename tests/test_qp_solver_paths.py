@@ -52,10 +52,10 @@ class TestBackends:
 
     def test_solution_energy_not_worse_than_start(self):
         """The QP optimum has lower quadratic energy than the start."""
-        from repro.qp.models import build_axis_system
+        from repro.qp.models import build_axis_systems
 
         nl = _netlist(seed=2)
-        system = build_axis_system(nl, 0)
+        system, _ = build_axis_systems(nl)
         movable = np.nonzero(~nl.fixed_mask)[0]
         x0 = np.zeros(system.matrix.shape[0])
         x0[: system.num_cell_unknowns] = nl.x[movable]

@@ -27,7 +27,10 @@ writes go through :func:`repro.runstate.store.atomic_write`
 Every entry carries the delta's canonical digest and the SHA-256 of
 the *pre*-delta placement: a crashed-and-retried transaction finds its
 own committed entry by ``(delta_digest, base_sha)`` and replays the
-stored placement bit-identically instead of re-solving.
+stored placement bit-identically instead of re-solving.  The journal
+keeps that key's index in memory — built by its first full scan,
+extended by every commit — so a lookup reads only the matching entry
+and its snapshot, whatever the session's length.
 
 Corruption (a ``corrupt`` rule at ``eco.commit``, media faults) is
 detected on read: the offending entry and its snapshot are moved into
@@ -133,6 +136,9 @@ class DeltaJournal:
     def __init__(self, run_dir: str) -> None:
         self.dir = os.path.join(run_dir, JOURNAL_DIR)
         os.makedirs(self.dir, exist_ok=True)
+        #: (delta_digest, base_sha) -> committed seqs, oldest first;
+        #: None until the first full scan
+        self._index: Optional[Dict[Tuple[str, str], List[int]]] = None
 
     # -- paths ----------------------------------------------------------
     def _entry_path(self, seq: int) -> str:
@@ -175,6 +181,10 @@ class DeltaJournal:
                 mangled[i] ^= 0xFF
             data = bytes(mangled)
         atomic_write(self._entry_path(entry.seq), data)
+        if self._index is not None:
+            self._index.setdefault(
+                (entry.delta_digest, entry.base_sha), []
+            ).append(entry.seq)
         incr("eco.journal_commits")
 
     # -- read -----------------------------------------------------------
@@ -236,7 +246,8 @@ class DeltaJournal:
 
     def entries(self) -> List[JournalEntry]:
         """Every committed entry that verifies, in transaction order;
-        corrupt entries are quarantined as they are met."""
+        corrupt entries are quarantined as they are met.  The scan
+        (re)builds the replay index."""
         out: List[JournalEntry] = []
         try:
             names = sorted(
@@ -245,11 +256,16 @@ class DeltaJournal:
                 if n.startswith("txn_") and n.endswith(".json")
             )
         except OSError:
-            return out
+            names = []
         for name in names:
             entry = self._read_entry(os.path.join(self.dir, name))
             if entry is not None:
                 out.append(entry)
+        self._index = {}
+        for entry in out:
+            self._index.setdefault(
+                (entry.delta_digest, entry.base_sha), []
+            ).append(entry.seq)
         return out
 
     def latest(
@@ -273,12 +289,24 @@ class DeltaJournal:
     ) -> Optional[Tuple[JournalEntry, PlacementSnapshot]]:
         """The committed transaction applying ``delta_digest`` on top
         of the placement ``base_sha``, if one exists — the idempotent
-        replay path of a crashed-and-retried apply."""
-        for entry in reversed(self.entries()):
-            if entry.delta_digest == delta_digest and entry.base_sha == base_sha:
+        replay path of a crashed-and-retried apply.  Reads the index's
+        candidates only, newest first; one that no longer verifies is
+        quarantined and dropped from the index."""
+        if self._index is None:
+            self.entries()
+        seqs = self._index.get((delta_digest, base_sha), [])
+        for seq in reversed(list(seqs)):
+            path = self._entry_path(seq)
+            entry = self._read_entry(path) if os.path.exists(path) else None
+            if (
+                entry is not None
+                and entry.delta_digest == delta_digest
+                and entry.base_sha == base_sha
+            ):
                 snap = self._load_snapshot(entry)
                 if snap is not None:
                     return entry, snap
+            seqs.remove(seq)
         return None
 
     # -- hygiene --------------------------------------------------------

@@ -272,7 +272,6 @@ def _realize_flow_impl(
 
     for round_arcs in schedule.rounds:
         if run_local_qp and round_arcs:
-            in_block = np.zeros(netlist.num_cells, dtype=bool)
             block_ids: Set[int] = set()
             for arc in round_arcs:
                 for w in grid.coarse_block(
@@ -280,13 +279,19 @@ def _realize_flow_impl(
                     grid.windows[arc.dst_window],
                 ):
                     block_ids.add(w.index)
-            for key, cells in members.items():
-                if key[1] in block_ids and len(cells):
+            # the member groups partition the cells: count the block's
+            # first, and build its mask only when the local QP runs
+            groups = [
+                cells for key, cells in members.items()
+                if key[1] in block_ids and len(cells)
+            ]
+            n_in_block = sum(map(len, groups))
+            if 0 < n_in_block <= local_qp_cell_limit:
+                in_block = np.zeros(netlist.num_cells, dtype=bool)
+                for cells in groups:
                     in_block[
                         np.fromiter(cells, np.int64, count=len(cells))
                     ] = True
-            n_in_block = int(in_block.sum())
-            if 0 < n_in_block <= local_qp_cell_limit:
                 net_ids = netlist.nets_of_cells(np.nonzero(in_block)[0])
                 with span("realize.local_qp"):
                     solve_qp(

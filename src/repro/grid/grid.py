@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,7 +145,11 @@ class Grid:
     # ------------------------------------------------------------------
     # regions
     # ------------------------------------------------------------------
-    def build_regions(self, decomposition: RegionDecomposition) -> None:
+    def build_regions(
+        self,
+        decomposition: RegionDecomposition,
+        windows: Optional[Iterable[int]] = None,
+    ) -> None:
         """Clip every maximal region to every window it intersects,
         populating each window's R_w.
 
@@ -154,10 +158,15 @@ class Grid:
         of produced pieces rather than |R| x |W|.  The result depends
         only on the decomposition and the grid dimensions, and every
         level of the multilevel schedule rebuilds it from scratch.
+
+        ``windows`` (window indices) clips only those windows: each
+        gets exactly the R_w of the full build, every other window an
+        empty one — for a caller that reads R_w in a few windows only
+        (the ECO engine's scoped refine).
         """
         for w in self.windows:
             w.regions = []
-        pieces, free_pieces = self._scan_pieces(decomposition)
+        pieces, free_pieces = self._scan_pieces(decomposition, windows)
         # pieces are a disjoint set's rectangles clipped to one window:
         # disjoint by construction
         for (widx, ridx), rects in pieces.items():
@@ -166,18 +175,32 @@ class Grid:
             self.windows[widx].regions.append(
                 WindowRegion(widx, region, RectSet._from_disjoint(rects), free)
             )
-        for w in self.windows:
-            w.regions.sort(key=lambda wr: wr.region.index)
+        for widx in {widx for widx, _ridx in pieces}:
+            self.windows[widx].regions.sort(key=lambda wr: wr.region.index)
 
     def _scan_pieces(
-        self, decomposition: RegionDecomposition
+        self,
+        decomposition: RegionDecomposition,
+        windows: Optional[Iterable[int]] = None,
     ) -> Tuple[
         Dict[Tuple[int, int], List[Rect]], Dict[Tuple[int, int], List[Rect]]
     ]:
         """(window, region) -> clipped rect lists for area and free
-        area, by one bisection scan over the region rectangles."""
+        area, by one bisection scan over the region rectangles — inside
+        the bounding box of ``windows`` and only for its members, when
+        given."""
         pieces: Dict[Tuple[int, int], List[Rect]] = {}
         free_pieces: Dict[Tuple[int, int], List[Rect]] = {}
+        ix_min, ix_max, iy_min, iy_max = 0, self.nx - 1, 0, self.ny - 1
+        wanted = None
+        if windows is not None:
+            wanted = set(windows)
+            if not wanted:
+                return pieces, free_pieces
+            ix_min = min(self.windows[i].ix for i in wanted)
+            ix_max = max(self.windows[i].ix for i in wanted)
+            iy_min = min(self.windows[i].iy for i in wanted)
+            iy_max = max(self.windows[i].iy for i in wanted)
         for region in decomposition:
             for source, store in (
                 (region.area, pieces),
@@ -192,13 +215,15 @@ class Grid:
                         max(bisect_right(self.ys, rect.y_lo) - 1, 0),
                         self.ny - 1,
                     )
-                    for ix in range(ix_lo, self.nx):
+                    for ix in range(max(ix_lo, ix_min), ix_max + 1):
                         if self.xs[ix] >= rect.x_hi:
                             break
-                        for iy in range(iy_lo, self.ny):
+                        for iy in range(max(iy_lo, iy_min), iy_max + 1):
                             if self.ys[iy] >= rect.y_hi:
                                 break
                             window = self.window(ix, iy)
+                            if wanted is not None and window.index not in wanted:
+                                continue
                             clipped = rect.intersection(window.rect)
                             if clipped is not None and not clipped.is_empty:
                                 store.setdefault(

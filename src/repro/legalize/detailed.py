@@ -25,7 +25,7 @@ replaced: ``tests/test_legalize_identity.py`` pins the bytes.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from statistics import median
 from typing import Dict, List, Optional, Tuple
@@ -64,12 +64,13 @@ class DetailedReport:
 
 
 class _Rows:
-    """Occupancy: per segment the sorted ``(x_left, cell)`` entries and,
-    rebuilt only when that segment changes, its row of three padded
-    arrays — ``cells`` (entries in x order, then -1) and ``gap_lo`` /
-    ``gap_hi`` (the free interval before each entry and after the last;
-    a closed one has ``gap_hi`` -inf).  Segments are sorted by (row, x),
-    so a band of rows is one slice of each array."""
+    """Occupancy: per segment the sorted ``(x_left, cell)`` entries and
+    its row of three padded arrays — ``cells`` (entries in x order,
+    then -1) and ``gap_lo`` / ``gap_hi`` (the free interval before each
+    entry and after the last; a closed one has ``gap_hi`` -inf).
+    Segments are sorted by (row, x), so a band of rows is one slice of
+    each array.  All rows are built in one array pass; a move splices
+    its entry out of one row and into another."""
 
     def __init__(self, netlist: Netlist, segments: List[RowSegment]):
         self.netlist = netlist
@@ -77,62 +78,159 @@ class _Rows:
         self.y_center = np.array([s.y_center for s in segments])
         # Python-float mirrors of the coordinates for the scalar loops
         self.x, self.y = netlist.x.tolist(), netlist.y.tolist()
-        self.width = [c.width for c in netlist.cells]
-        self.entries: List[List[Tuple[float, int]]] = [[] for _ in segments]
-        self.seg_of_cell: Dict[int, int] = {}  # in cell index order
+        _movable, half_w, half_h = netlist.cell_dims()
+        self.width = (2.0 * half_w).tolist()
         self.rebuilds = 0
-        segs_by_row: Dict[float, List[int]] = {}
-        for j, seg in enumerate(segments):
-            segs_by_row.setdefault(seg.y_lo, []).append(j)
-        for i in np.flatnonzero(netlist.std_cell_mask).tolist():
-            c = netlist.cells[i]
-            x_lo, x_hi = self.x[i] - c.width / 2, self.x[i] + c.width / 2
-            for j in segs_by_row.get(self.y[i] - c.height / 2, ()):
-                seg = segments[j]
-                if seg.x_lo - 1e-6 <= x_lo and x_hi <= seg.x_hi + 1e-6:
-                    insort(self.entries[j], (x_lo, i))
-                    self.seg_of_cell[i] = j
-                    break  # (cells off the row grid stay untouched)
-        self._allocate(max(map(len, self.entries), default=0) + 4)
+        std = np.flatnonzero(netlist.std_cell_mask)
+        x_lo = netlist.x[std] - half_w[std]
+        j = self._segment_of(
+            x_lo, netlist.x[std] + half_w[std], netlist.y[std] - half_h[std]
+        )
+        # (cells off the row grid stay untouched)
+        cell, j, x_lo = std[j >= 0], j[j >= 0], x_lo[j >= 0]
+        self.seg_of_cell: Dict[int, int] = dict(  # in cell index order
+            zip(cell.tolist(), j.tolist())
+        )
+        order = np.lexsort((cell, x_lo, j))  # == sorting (x_left, cell)
+        j, x_lo, cell = j[order], x_lo[order], cell[order]
+        flat = list(zip(x_lo.tolist(), cell.tolist()))
+        ends = np.cumsum(np.bincount(j, minlength=len(segments))).tolist()
+        self.entries: List[List[Tuple[float, int]]] = [
+            flat[a:b] for a, b in zip([0] + ends[:-1], ends)
+        ]
+        self._fill(max(map(len, self.entries), default=0) + 4, j, x_lo, cell)
+
+    def _segment_of(self, x_lo, x_hi, y_lo) -> np.ndarray:
+        """Per cell the first segment of its row (``y_lo`` equal to the
+        segment's) holding ``[x_lo, x_hi]`` within 1e-6, else -1.  The
+        segments of a row are disjoint and sorted, so their right ends
+        ascend: the candidate is the first whose right end reaches
+        ``x_hi``, found for all cells by one lexsort of cells and
+        segments on (row, right end), cells first on ties."""
+        segs = self.segments
+        if not segs:
+            return np.full(len(x_lo), -1, dtype=np.int64)
+        seg_y = np.array([s.y_lo for s in segs])
+        seg_lo = np.array([s.x_lo for s in segs]) - 1e-6
+        seg_hi = np.array([s.x_hi for s in segs]) + 1e-6
+        ns = len(segs)
+        order = np.lexsort((
+            np.r_[np.ones(ns), np.zeros(len(x_lo))],
+            np.r_[seg_hi, x_hi],
+            np.r_[seg_y, y_lo],
+        ))
+        is_seg = order < ns
+        segs_before = np.cumsum(is_seg) - is_seg
+        j = np.empty(len(x_lo), dtype=np.int64)
+        j[order[~is_seg] - ns] = segs_before[~is_seg]
+        k = np.minimum(j, ns - 1)
+        fits = (j < ns) & (seg_y[k] == y_lo) & (seg_lo[k] <= x_lo)
+        return np.where(fits, j, -1)
+
+    def _fill(self, slots: int, j, x_left, cell) -> None:
+        """Allocate ``slots`` entries per row and fill every row from
+        the entries given as flat arrays sorted by (segment, x_left,
+        cell): the cursor (end of the occupied prefix) before each
+        entry is a running maximum, so all gaps come out of one
+        ``maximum.accumulate`` over the padded rows."""
+        n_seg = len(self.segments)
+        counts = np.bincount(j, minlength=n_seg)
+        rank = np.arange(len(j)) - (np.cumsum(counts) - counts)[j]
+        shape = (n_seg, slots + 1)
+        self.cells = np.full(shape, -1, dtype=np.int64)
+        self.cells[j, rank] = cell
+        ends = np.full(shape, -_INF)
+        ends[:, 0] = [s.x_lo for s in self.segments]
+        ends[j, rank + 1] = x_left + np.asarray(self.width)[cell]
+        self.gap_lo = np.maximum.accumulate(ends, axis=1)
+        starts = np.full(shape, -_INF)
+        starts[j, rank] = x_left
+        self.gap_hi = np.where(
+            starts > self.gap_lo + 1e-9, starts, -_INF
+        )
+        last = (np.arange(n_seg), counts)
+        seg_hi = np.array([s.x_hi for s in self.segments])
+        self.gap_hi[last] = np.where(
+            self.gap_lo[last] < seg_hi - 1e-9, seg_hi, -_INF
+        )
+        self.rebuilds += n_seg
 
     def _allocate(self, slots: int) -> None:
-        shape = (len(self.segments), slots + 1)
-        self.cells = np.full(shape, -1, dtype=np.int64)
-        self.gap_lo = np.zeros(shape)
-        self.gap_hi = np.full(shape, -_INF)
-        for j in range(len(self.segments)):
-            self._rebuild(j)
+        """Rebuild every row with room for ``slots`` entries."""
+        j = np.repeat(
+            np.arange(len(self.entries)), [len(e) for e in self.entries]
+        )
+        flat = [e for entries in self.entries for e in entries]
+        self._fill(
+            slots,
+            j,
+            np.array([x for x, _c in flat], dtype=np.float64),
+            np.array([c for _x, c in flat], dtype=np.int64),
+        )
 
-    def _rebuild(self, j: int) -> None:
-        entries, seg = self.entries[j], self.segments[j]
+    def _regap(self, j: int, k: int, cursor: float) -> None:
+        """Rewrite row ``j``'s gaps from entry ``k`` on, ``cursor``
+        being the occupied end before it, until the cursor meets the
+        one stored there: the gaps depend on the entries and the
+        cursor only, so the rest of the row is already right."""
+        entries, lo, hi = self.entries[j], self.gap_lo[j], self.gap_hi[j]
+        n = len(entries)
+        while k < n:
+            if cursor == lo.item(k):
+                return
+            x_left, cell = entries[k]
+            lo[k] = cursor
+            hi[k] = x_left if x_left > cursor + 1e-9 else -_INF
+            if x_left + self.width[cell] > cursor:
+                cursor = x_left + self.width[cell]
+            k += 1
+        if cursor != lo.item(n):
+            x_hi = self.segments[j].x_hi
+            lo[n] = cursor
+            hi[n] = x_hi if cursor < x_hi - 1e-9 else -_INF
+
+    def _remove(self, j: int, entry: Tuple[float, int]) -> None:
+        entries = self.entries[j]
+        p = bisect_left(entries, entry)
+        del entries[p]
+        n = len(entries)
+        cells, lo, hi = self.cells[j], self.gap_lo[j], self.gap_hi[j]
+        cursor = lo.item(p)
+        cells[p:n] = cells[p + 1 : n + 1]
+        cells[n] = -1
+        lo[p : n + 1] = lo[p + 1 : n + 2]
+        hi[p : n + 1] = hi[p + 1 : n + 2]
+        hi[n + 1] = -_INF
+        self.rebuilds += 1
+        self._regap(j, p, cursor)
+
+    def _insert(self, j: int, entry: Tuple[float, int]) -> None:
+        entries = self.entries[j]
+        p = bisect_left(entries, entry)
+        entries.insert(p, entry)
         n = len(entries)
         if n >= self.cells.shape[1]:
             return self._allocate(2 * n)
+        cells, lo, hi = self.cells[j], self.gap_lo[j], self.gap_hi[j]
+        cells[p + 1 : n] = cells[p : n - 1]
+        lo[p + 1 : n + 1] = lo[p:n]
+        hi[p + 1 : n + 1] = hi[p:n]
+        x_left, cell = entry
+        cells[p] = cell
+        cursor = lo.item(p)
+        hi[p] = x_left if x_left > cursor + 1e-9 else -_INF
+        if x_left + self.width[cell] > cursor:
+            cursor = x_left + self.width[cell]
         self.rebuilds += 1
-        lo, hi, cursor = [], [], seg.x_lo
-        for x_left, cell in entries:
-            lo.append(cursor)
-            hi.append(x_left if x_left > cursor + 1e-9 else -_INF)
-            if x_left + self.width[cell] > cursor:
-                cursor = x_left + self.width[cell]
-        lo.append(cursor)
-        hi.append(seg.x_hi if cursor < seg.x_hi - 1e-9 else -_INF)
-        self.gap_lo[j, : n + 1] = lo
-        self.gap_hi[j] = -_INF
-        self.gap_hi[j, : n + 1] = hi
-        self.cells[j] = -1
-        self.cells[j, :n] = [c for _x, c in entries]
+        self._regap(j, p + 1, cursor)
 
     def relocate(self, cell: int, j: int, x: float, y: float) -> None:
-        old = self.seg_of_cell[cell]
         half = self.width[cell] / 2
-        self.entries[old].remove((self.x[cell] - half, cell))
+        self._remove(self.seg_of_cell[cell], (self.x[cell] - half, cell))
         self.x[cell] = self.netlist.x[cell] = x
         self.y[cell] = self.netlist.y[cell] = y
-        insort(self.entries[j], (x - half, cell))
+        self._insert(j, (x - half, cell))
         self.seg_of_cell[cell] = j
-        for k in {old, j}:
-            self._rebuild(k)
 
 
 def detailed_place(
@@ -173,11 +271,20 @@ def detailed_place(
         site = netlist.site_width
         reach = (row_radius + 0.5) * netlist.row_height
         nets_of = netlist.nets_of_cell()
-        pins = [
-            [(p.cell_index, p.offset_x, p.offset_y) for p in net.pins]
-            for net in netlist.nets
-        ]
-        weight = [net.weight for net in netlist.nets]
+        nets = netlist.nets
+        # (cell, dx, dy) pin tuples of the nets the sweep reads: the
+        # swept cells' up front, a swap partner's on demand
+        pins: List[Optional[list]] = [None] * len(nets)
+
+        def fill_pins(cell: int) -> None:
+            for n in nets_of[cell]:
+                if pins[n] is None:
+                    pins[n] = [
+                        (p.cell_index, p.offset_x, p.offset_y)
+                        for p in nets[n].pins
+                    ]
+
+        weight = [net.weight for net in nets]
         areas = {b.name: b.area for b in bounds.all_bounds()}
         priced = 0
 
@@ -315,6 +422,7 @@ def detailed_place(
             if d.flat[k] == _INF:
                 return False
             other = int(ids.flat[k])
+            fill_pins(other)
             a, b = (x[cell], y[cell]), (x[other], y[other])
             nets = dict.fromkeys(nets_of[cell] + nets_of[other])
             before = hpwl_of(nets)
@@ -336,16 +444,21 @@ def detailed_place(
         if cells is not None:
             scoped = set(int(c) for c in cells)
             sweep = [c for c in sweep if c in scoped]
+        for cell in sweep:
+            fill_pins(cell)
+        # rows sorted by y: the rows within ``reach`` of a target are
+        # one run, found by bisecting on the same ``|y - ty| <= reach``
+        y_center = rows.y_center.tolist()
 
         for _pass in range(passes):
             report.passes += 1
             changed = 0
             for cell in sweep:
                 tx, ty, boxes = scan(cell)
-                near = np.flatnonzero(np.abs(rows.y_center - ty) <= reach)
-                if not len(near):
+                j0 = bisect_left(y_center, -reach, key=lambda v: v - ty)
+                j1 = bisect_right(y_center, reach, key=lambda v: v - ty)
+                if j0 >= j1:
                     continue  # no row in reach of the target
-                j0, j1 = near[0], near[-1] + 1
                 if try_move(cell, tx, ty, boxes, j0, j1):
                     report.moves += 1
                     changed += 1

@@ -19,9 +19,14 @@ from repro.partitioning.transport import (
     partition_cells,
 )
 from repro.partitioning.recursive import RecursivePartitionReport, recursive_partition
-from repro.partitioning.repartition import enforce_blocks, repartition_pass
+from repro.partitioning.repartition import (
+    block_windows,
+    enforce_blocks,
+    repartition_pass,
+)
 
 __all__ = [
+    "block_windows",
     "enforce_blocks",
     "TransportTargets",
     "TransportProblem",

@@ -70,13 +70,19 @@ def _cells_by_window(
     return cell_window, window_cells
 
 
-def _block(grid: Grid, window_cells, bx: int, by: int, block_size: int):
-    """The windows of the block at origin ``(bx, by)`` and their cells."""
-    block = [
+def block_windows(grid: Grid, bx: int, by: int, block_size: int = 2) -> list:
+    """The windows of the block at origin ``(bx, by)``, clipped at the
+    grid border."""
+    return [
         grid.window(ix, iy)
         for iy in range(by, min(by + block_size, grid.ny))
         for ix in range(bx, min(bx + block_size, grid.nx))
     ]
+
+
+def _block(grid: Grid, window_cells, bx: int, by: int, block_size: int):
+    """The windows of the block at origin ``(bx, by)`` and their cells."""
+    block = block_windows(grid, bx, by, block_size)
     cells: List[int] = []
     for w in block:
         cells.extend(window_cells.get(w.index, ()))

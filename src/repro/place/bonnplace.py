@@ -37,7 +37,11 @@ from repro.movebounds import (
 )
 from repro.netlist import Netlist, PlacementSnapshot
 from repro.obs import incr, maybe_check, span
-from repro.partitioning import enforce_blocks, repartition_pass
+from repro.partitioning import (
+    block_windows,
+    enforce_blocks,
+    repartition_pass,
+)
 from repro.place.base import (
     InfeasiblePlacementError,
     PlacementError,
@@ -302,11 +306,16 @@ class BonnPlaceFBP:
         with span("place.incremental") as sp_global:
             entry = netlist.snapshot()
             grid = Grid(netlist.die, n, n)
-            grid.build_regions(decomposition)
-            _project_into_bounds(netlist, bounds, touched_cells)
             blocks = sorted(
                 {(ix - ix % 2, iy - iy % 2) for ix, iy in frontier}
             )
+            # the block transportation is the only reader of R_w here,
+            # so only the blocks' windows are clipped
+            grid.build_regions(decomposition, windows=[
+                w.index for bx, by in blocks
+                for w in block_windows(grid, bx, by)
+            ])
+            _project_into_bounds(netlist, bounds, touched_cells)
             with span("place.partition"):
                 ok = enforce_blocks(
                     netlist,

@@ -36,13 +36,13 @@ class QPOptions:
 def _solve_axis(
     matrix, rhs: np.ndarray, x0: np.ndarray, opts: QPOptions
 ) -> np.ndarray:
-    """One axis: ``matrix`` is CSC up to ``DIRECT_SOLVE_LIMIT`` unknowns
-    (a direct solve), CSR above (Jacobi-preconditioned CG)."""
+    """One axis: a direct solve up to ``DIRECT_SOLVE_LIMIT`` unknowns,
+    Jacobi-preconditioned CG above."""
     n = matrix.shape[0]
     if n == 0:
         return np.zeros(0)
     if n <= DIRECT_SOLVE_LIMIT:
-        return spsolve(matrix, rhs)
+        return spsolve(matrix.tocsc(), rhs)
     diag = matrix.diagonal()
     diag[diag <= 0] = 1.0
     inv_diag = 1.0 / diag
@@ -93,7 +93,9 @@ def solve_qp(
     targets_y, weight)``, see :func:`build_axis_systems`.
 
     Returns the new full-length coordinate arrays; when ``apply`` is
-    True (default) the netlist is updated in place.
+    True (default) the netlist's arrays are updated in place: its
+    unknown movable cells are clamped into the die and written, no
+    other cell is touched.
     """
     opts = options or QPOptions()
     sys_x, sys_y = build_axis_systems(
@@ -104,29 +106,38 @@ def solve_qp(
         anchors=anchors,
         regularization=opts.regularization,
     )
-    matrix_x, matrix_y = sys_x.matrix, sys_y.matrix
-    if 0 < matrix_x.shape[0] <= DIRECT_SOLVE_LIMIT:
-        # except under b2b the axes share one matrix: convert it once
-        matrix_x = matrix_x.tocsc()
-        matrix_y = (
-            matrix_x if sys_y.matrix is sys_x.matrix else matrix_y.tocsc()
-        )
-    movable_indices = np.nonzero(sys_x.unknown_of_cell >= 0)[0]
+    unknown = np.nonzero(sys_x.unknown_of_cell >= 0)[0]
     n_cells = sys_x.num_cell_unknowns
-    new_x = netlist.x.copy()
-    new_y = netlist.y.copy()
-    for system, matrix, current, out in (
-        (sys_x, matrix_x, netlist.x, new_x),
-        (sys_y, matrix_y, netlist.y, new_y),
-    ):
-        x0 = np.zeros(matrix.shape[0])
-        x0[:n_cells] = current[movable_indices]
-        solution = _solve_axis(matrix, system.rhs, x0, opts)
-        out[movable_indices] = solution[:n_cells]
+    n = sys_x.matrix.shape[0]
+    if 0 < n <= DIRECT_SOLVE_LIMIT and sys_y.matrix is sys_x.matrix:
+        # except under b2b the axes share one matrix: factor it once
+        # for both right-hand sides
+        both = spsolve(
+            sys_x.matrix.tocsc(), np.column_stack((sys_x.rhs, sys_y.rhs))
+        )
+        sol_x, sol_y = both[:n_cells, 0], both[:n_cells, 1]
+    else:
+        solutions = []
+        for system, current in ((sys_x, netlist.x), (sys_y, netlist.y)):
+            x0 = np.zeros(n)
+            x0[:n_cells] = current[unknown]
+            solution = _solve_axis(system.matrix, system.rhs, x0, opts)
+            solutions.append(solution[:n_cells])
+        sol_x, sol_y = solutions
 
     if apply:
-        netlist.x = new_x
-        netlist.y = new_y
-        netlist.clamp_into_die()
+        # only the unknowns moved: clamp the movable ones into the die
+        # and write back just those
+        movable, hw, hh = netlist.cell_dims()
+        die, fixed = netlist.die, ~movable[unknown]
+        hw, hh = hw[unknown], hh[unknown]
+        netlist.x[unknown] = np.where(
+            fixed, sol_x, np.clip(sol_x, die.x_lo + hw, die.x_hi - hw)
+        )
+        netlist.y[unknown] = np.where(
+            fixed, sol_y, np.clip(sol_y, die.y_lo + hh, die.y_hi - hh)
+        )
         return netlist.x, netlist.y
+    new_x, new_y = netlist.x.copy(), netlist.y.copy()
+    new_x[unknown], new_y[unknown] = sol_x, sol_y
     return new_x, new_y

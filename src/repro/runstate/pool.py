@@ -398,16 +398,17 @@ class WindowSolverPool:
             except queue_mod.Empty:
                 msg = None
             while msg is not None:
-                kind, wid, unit_id = msg[0], msg[1], msg[2]
+                # (not ``kind``: fail_unit's serial fallback reads that)
+                tag, wid, unit_id = msg[0], msg[1], msg[2]
                 handle = self._workers.get(wid)
-                if kind == "done":
+                if tag == "done":
                     self._loss_streak = 0  # healthy: disarm backoff
                     if unit_id not in unit_results:
                         unit_results[unit_id] = msg[3]
                     if handle is not None and handle.current is not None \
                             and handle.current[0] == unit_id:
                         handle.current = None
-                elif kind == "error":
+                elif tag == "error":
                     if handle is not None and handle.current is not None \
                             and handle.current[0] == unit_id:
                         handle.current = None

@@ -244,6 +244,39 @@ class TestCommit:
         qdir = os.path.join(str(tmp_path), "eco", "quarantine")
         assert os.path.isdir(qdir) and os.listdir(qdir)
 
+    def test_replay_lookup_opens_at_most_two_entries(
+        self, placed, tmp_path, monkeypatch
+    ):
+        """The replay index: after N commits an apply opens at most two
+        journal entry files, however long the session — none on a miss,
+        only its own on a replay."""
+        import repro.eco.journal as journal_mod
+
+        nl, bounds = placed
+        engine = EcoEngine(nl, bounds, run_dir=str(tmp_path))
+        for j in range(6):
+            engine.apply({"net_weights": {nl.nets[j].name: 2.0}})
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            if str(path).endswith(".json"):
+                opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(journal_mod, "open", spy, raising=False)
+        delta = {"net_weights": {nl.nets[6].name: 2.0}}
+        pre = nl.snapshot()
+        first = engine.apply(delta)
+        assert first.mode == "eco" and len(opened) <= 2
+        assert len(DeltaJournal(str(tmp_path)).entries()) == 7
+
+        opened.clear()
+        nl.restore(pre)
+        res = engine.apply(delta)
+        assert res.mode == "replayed" and res.txn_seq == first.txn_seq
+        assert placement_sha(nl) == first.post_sha
+        assert 1 <= len(opened) <= 2
+
     def test_dirty_seq_slot_never_reused(self, placed, tmp_path):
         nl, bounds = placed
         journal = DeltaJournal(str(tmp_path))

@@ -8,10 +8,18 @@ movable cell centred outside its scope at its pre-delta position, bit
 for bit.  Forced failures (a cell moved outside the scope, a scoped
 pass that raises) take the whole-die pass, counted once in
 ``legalize.scope_fallbacks``.  The whole-die pass itself
-(``scope=None``) is pinned by ``tests/test_legalize_identity.py``.
+(``scope=None``) is pinned by ``tests/test_legalize_identity.py``, and
+the positions after every delta by the ``eco`` entries of
+``tests/data/legalize_golden.json``.
+
+Regenerate those entries (only when a decision is changed *on
+purpose*)::
+
+    PYTHONPATH=src python -m tests.test_eco_scoped_legalize --record
 """
 
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -25,23 +33,31 @@ from repro.obs.invariants import check_movebound_containment
 from repro.place import BonnPlaceFBP
 from repro.resilience import PipelineStageError
 from repro.workloads import NetlistSpec, generate_netlist
+from tests.test_legalize_identity import (
+    _golden,
+    assert_golden,
+    placement_sha,
+    write_golden,
+)
 
 SEEDS = (0, 1, 2)
 DELTAS = 3
 CLAIM = 8
 
 
+def _base(seed):
+    """The placed ~1k-cell instance of ``seed`` and its bounds."""
+    spec = NetlistSpec(f"scoped{seed}", 1000, utilization=0.6, num_pads=16)
+    nl, _logical = generate_netlist(spec, seed=seed)
+    bounds = MoveBoundSet(nl.die)
+    BonnPlaceFBP().place(nl, bounds)
+    return nl, bounds
+
+
 @pytest.fixture(scope="module")
 def bases():
-    """One placed ~1k-cell instance per seed, shared read-only."""
-    out = {}
-    for seed in SEEDS:
-        spec = NetlistSpec(f"scoped{seed}", 1000, utilization=0.6, num_pads=16)
-        nl, _logical = generate_netlist(spec, seed=seed)
-        bounds = MoveBoundSet(nl.die)
-        BonnPlaceFBP().place(nl, bounds)
-        out[seed] = (nl, bounds)
-    return out
+    """One placed instance per seed, shared read-only."""
+    return {seed: _base(seed) for seed in SEEDS}
 
 
 def _deltas(nl, seed):
@@ -172,3 +188,35 @@ def test_forced_failures_take_the_whole_die_pass(bases, case, monkeypatch):
     assert _count("eco.fallbacks") == engine_fallbacks
     assert res.placement.legality.is_legal
     assert check_legality(nl, engine.bounds).is_legal
+
+
+def delta_shas(nl, bounds, seed):
+    """sha256 of the positions after each of the seed's deltas, applied
+    in order on one resident engine."""
+    engine = EcoEngine(nl, bounds)
+    out = []
+    for delta in _deltas(nl, seed):
+        engine.apply(delta)
+        out.append(placement_sha(nl))
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_delta_positions_reproduce_golden(bases, seed):
+    """Every delta's positions, byte for byte: the scoped refine (its
+    frontier-only region clipping included) and the scoped detailed
+    pass may get cheaper, never different."""
+    nl, bounds = copy.deepcopy(bases[seed])
+    assert_golden(delta_shas(nl, bounds, seed), "eco", f"seed{seed}")
+
+
+def record() -> None:
+    golden = _golden()
+    golden["eco"] = {f"seed{s}": delta_shas(*_base(s), s) for s in SEEDS}
+    write_golden(golden)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit(__doc__)
+    record()

@@ -194,6 +194,44 @@ class TestClippingProperties:
                 _rects_area(region.free_area), rel=1e-12
             )
 
+    @pytest.mark.parametrize("nx,ny", [(4, 4), (16, 16), (5, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_window_subset_is_the_full_build_there(self, seed, nx, ny):
+        """``build_regions(windows=S)``: every window of S holds the
+        full build's pieces in the same order, every other window none
+        (a previous full build's R_w included)."""
+        nl, dec = _clip_instance(seed)
+        full = Grid(nl.die, nx, ny)
+        full.build_regions(dec)
+
+        def pieces(w):
+            return [
+                (wr.window_index, wr.region.index,
+                 [r.as_tuple() for r in wr.area],
+                 [r.as_tuple() for r in wr.free_area])
+                for wr in w.regions
+            ]
+
+        rng = np.random.default_rng(seed)
+        blocks = [  # the scoped refine's shape: whole 2x2 blocks
+            (iy + dy) * nx + ix + dx
+            for ix, iy in ((0, 0), (nx - 2, ny - 2))
+            for dy in (0, 1) for dx in (0, 1)
+        ]
+        for subset in (
+            [],
+            [int(rng.integers(len(full)))],
+            rng.choice(len(full), size=len(full) // 2, replace=False).tolist(),
+            blocks,
+            list(range(len(full))),
+        ):
+            part = Grid(nl.die, nx, ny)
+            part.build_regions(dec)
+            part.build_regions(dec, windows=subset)
+            assert any(w.regions for w in full)
+            for w, want in zip(part, full):
+                assert pieces(w) == (pieces(want) if w.index in subset else [])
+
     @pytest.mark.parametrize("seed", range(3))
     def test_disjoint_constructor_is_the_normal_form(self, seed):
         """``RectSet._from_disjoint`` skips the disjointify pass; on the

@@ -11,6 +11,9 @@ live in ``tests/data/legalize_golden.json``.
 Regenerate (only when a decision is changed *on purpose*)::
 
     PYTHONPATH=src python tests/test_legalize_identity.py --record
+
+The ``eco`` entries belong to ``tests/test_eco_scoped_legalize.py``,
+which records them; a re-record here carries them over.
 """
 
 from __future__ import annotations
@@ -412,6 +415,13 @@ def _golden() -> dict:
         return json.load(f)
 
 
+def write_golden(golden: dict) -> None:
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w") as f:
+        json.dump(golden, f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
 def _environment() -> dict:
     import scipy
 
@@ -525,10 +535,9 @@ def record() -> None:
         for name in sorted(cases):
             with tempfile.TemporaryDirectory() as tmp:
                 golden[kind][name] = run(name, tmp)
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w") as f:
-        json.dump(golden, f, indent=1, sort_keys=True)
-        f.write("\n")
+    if os.path.exists(GOLDEN):
+        golden["eco"] = _golden().get("eco", {})
+    write_golden(golden)
 
 
 if __name__ == "__main__":

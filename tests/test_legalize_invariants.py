@@ -13,6 +13,7 @@ size, and the program's own tracer sees the layer.
 from __future__ import annotations
 
 import tracemalloc
+from bisect import insort
 
 import numpy as np
 import pytest
@@ -54,19 +55,62 @@ def rows_made(monkeypatch):
     return made
 
 
+def scalar_rows(netlist, segments):
+    """The occupancy as the per-cell scalar build made it: one
+    ``insort`` per standard cell into the first segment of its row that
+    holds it, then one cursor walk per row.  Returns ``(entries,
+    seg_of_cell, gaps)`` with ``gaps[j] = (gap_lo, gap_hi)`` lists."""
+    entries = [[] for _ in segments]
+    seg_of_cell = {}
+    segs_by_row = {}
+    for j, seg in enumerate(segments):
+        segs_by_row.setdefault(seg.y_lo, []).append(j)
+    x, y = netlist.x.tolist(), netlist.y.tolist()
+    for i in np.flatnonzero(netlist.std_cell_mask).tolist():
+        c = netlist.cells[i]
+        x_lo, x_hi = x[i] - c.width / 2, x[i] + c.width / 2
+        for j in segs_by_row.get(y[i] - c.height / 2, ()):
+            seg = segments[j]
+            if seg.x_lo - 1e-6 <= x_lo and x_hi <= seg.x_hi + 1e-6:
+                insort(entries[j], (x_lo, i))
+                seg_of_cell[i] = j
+                break
+    gaps = []
+    for seg, row in zip(segments, entries):
+        lo, hi, cursor = [], [], seg.x_lo
+        for x_left, cell in row:
+            lo.append(cursor)
+            hi.append(x_left if x_left > cursor + 1e-9 else -np.inf)
+            end = x_left + netlist.cells[cell].width
+            if end > cursor:
+                cursor = end
+        lo.append(cursor)
+        hi.append(seg.x_hi if cursor < seg.x_hi - 1e-9 else -np.inf)
+        gaps.append((lo, hi))
+    return entries, seg_of_cell, gaps
+
+
 def assert_rows_match_rebuild(rows, netlist):
-    fresh = _Rows(netlist, rows.segments)
+    """``rows`` — built in one array pass and spliced on every move —
+    equals the scalar build of the current placement, and so does a
+    fresh one-pass build."""
+    entries, seg_of_cell, gaps = scalar_rows(netlist, rows.segments)
     assert rows.x == netlist.x.tolist() and rows.y == netlist.y.tolist()
-    assert rows.entries == fresh.entries
-    assert list(rows.seg_of_cell.items()) == list(fresh.seg_of_cell.items())
-    for j, entries in enumerate(rows.entries):
-        n = len(entries)
-        for name, pad in (("cells", -1), ("gap_lo", None), ("gap_hi", -np.inf)):
-            used, want = getattr(rows, name)[j], getattr(fresh, name)[j]
-            live = n if name == "cells" else n + 1
-            assert used[:live].tolist() == want[:live].tolist(), (name, j)
-            if pad is not None:
-                assert (used[live:] == pad).all(), (name, j)
+    for built in (rows, _Rows(netlist, rows.segments)):
+        assert built.entries == entries
+        assert list(built.seg_of_cell.items()) == list(seg_of_cell.items())
+        for j, row in enumerate(entries):
+            n = len(row)
+            lo, hi = gaps[j]
+            for name, want, pad in (
+                ("cells", [c for _x, c in row], -1),
+                ("gap_lo", lo, None),
+                ("gap_hi", hi, -np.inf),
+            ):
+                used = getattr(built, name)[j]
+                assert used[: len(want)].tolist() == want, (name, j)
+                if pad is not None:
+                    assert (used[len(want):] == pad).all(), (name, j)
 
 
 def small_instance(k: int):
@@ -140,6 +184,33 @@ def test_row_arrays_grow_when_a_segment_fills_up(rows_made):
     assert rows.cells.shape[1] > slots
     assert_rows_match_rebuild(rows, nl)
     assert check_legality(nl).is_legal
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_random_splices_match_the_scalar_rebuild(k):
+    """Relocations the sweep never makes — onto occupied spots, across
+    rows, to either end of a segment, back and forth — each spliced
+    into the rows, which must then equal the scalar rebuild: the early
+    stop of the gap walk holds under overlaps too."""
+    nl, _bounds, _dec, _density = small_instance(k)
+    rows = _Rows(nl, build_segments(nl))
+    rng = np.random.default_rng(k)
+    cells = list(rows.seg_of_cell)
+    for step in range(60):
+        cell = cells[int(rng.integers(len(cells)))]
+        j = int(rng.integers(len(rows.segments)))
+        seg, half = rows.segments[j], rows.width[cell] / 2
+        if seg.x_hi - seg.x_lo < 2 * half:
+            continue
+        others = rows.entries[j]
+        if step % 3 == 0 and others:  # onto another cell's spot
+            x_left = others[int(rng.integers(len(others)))][0]
+            x = min(max(x_left + half, seg.x_lo + half), seg.x_hi - half)
+        else:
+            x = float(rng.choice([seg.x_lo + half, seg.x_hi - half,
+                                  rng.uniform(seg.x_lo + half, seg.x_hi - half)]))
+        rows.relocate(cell, j, x, seg.y_center)
+        assert_rows_match_rebuild(rows, nl)
 
 
 class TestMacrosAsObstacles:

@@ -99,14 +99,14 @@ def _mb_instance(seed: int, num_cells: int = 600, windows: int = 8):
     return nl, mbs, grid
 
 
-def _partition(nl, bounds, grid, pool=0, realize_tiles=None):
+def _partition(nl, bounds, grid, pool=0, realize_tiles=None, **pool_options):
     kwargs = dict(
         density_target=0.9,
         run_local_qp=False,
         realize_tiles=realize_tiles,
     )
     if pool:
-        with WindowSolverPool(pool) as p, activated(p):
+        with WindowSolverPool(pool, **pool_options) as p, activated(p):
             return fbp_partition(nl, bounds, grid, **kwargs)
     return fbp_partition(nl, bounds, grid, **kwargs)
 
@@ -376,6 +376,28 @@ class TestRealizeIdentity:
         reset_faults()
         assert rep_p.feasible
         assert counters.get("pool.worker_deaths", 0) > before
+        assert _state(nl_p, rep_p) == _state(nl_s, rep_s)
+
+    def test_unit_failed_out_of_the_pool_is_solved_in_process(self):
+        """A realize unit that exhausts ``max_failures`` is solved by the
+        supervisor's serial fallback as a realize unit, whatever message
+        the supervisor read last (here: the stalled worker's ``start``
+        heartbeat, read before its deadline reaps it)."""
+        nl_s, bounds_s, grid_s = _instance(7)
+        rep_s = _partition(nl_s, bounds_s, grid_s)
+        reset_faults()
+        install_fault_plan("worker.stall=stall:60@1")
+        counters = get_tracer().counters
+        before = counters.get("pool.serial_fallbacks", 0)
+        nl_p, bounds_p, grid_p = _instance(7)
+        try:
+            rep_p = _partition(
+                nl_p, bounds_p, grid_p, pool=2, realize_tiles=4,
+                max_failures=1, task_timeout=0.5,
+            )
+        finally:
+            reset_faults()
+        assert counters.get("pool.serial_fallbacks", 0) > before
         assert _state(nl_p, rep_p) == _state(nl_s, rep_s)
 
     def test_tile_units_partition_specs(self):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from repro.legalize import (
     check_legality,
@@ -52,6 +51,10 @@ def solve_poisson_neumann(rhs: np.ndarray) -> np.ndarray:
     The rhs is mean-shifted (compatibility condition); the result's
     mean is arbitrary and set to zero.
     """
+    # imported here: only this baseline uses scipy.fft (which loads
+    # scipy.special), and a ``place`` with another placer never runs it
+    from scipy.fft import dctn, idctn
+
     n, m = rhs.shape
     f = rhs - rhs.mean()
     fh = dctn(f, type=2, norm="ortho")

@@ -13,10 +13,11 @@ committed transactions of the incremental re-place engine::
 
 Commit protocol (two atomic writes, strictly ordered):
 
-1. the post-delta placement snapshot (``.ckpt``, the PR-3 snapshot
-   codec: embedded SHA-256, magic, exact float64 round-trip);
-2. the journal entry (``.json``) that *references* the snapshot by
-   file name and hash — this write is the commit point.
+1. the post-delta placement snapshot (``.ckpt``, the run-state
+   snapshot codec: embedded SHA-256, magic, exact float64 round-trip);
+2. the journal entry (``.json``, a sealed record) that *references*
+   the snapshot by file name and hash — this write is the commit
+   point.
 
 A SIGKILL between the two leaves an unreferenced snapshot (harmless:
 recovery ignores it), so at every instant the journal describes either
@@ -35,13 +36,14 @@ and its snapshot, whatever the session's length.
 Corruption (a ``corrupt`` rule at ``eco.commit``, media faults) is
 detected on read: the offending entry and its snapshot are moved into
 ``quarantine/`` and recovery falls back to the next older committed
-transaction — or the pre-delta base when none survive.
+transaction — or the pre-delta base when none survive.  The record
+format, the verification and the quarantine are the shared ones of
+:mod:`repro.runstate.store` ("Sealed records" in docs/resilience.md).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -54,13 +56,19 @@ from repro.resilience.faultinject import inject
 from repro.runstate.store import (
     CorruptRunStateError,
     atomic_write,
-    decode_snapshot,
     encode_snapshot,
+    flip_bytes,
+    quarantine,
+    read_snapshot,
+    seal,
+    unseal,
 )
 
 __all__ = ["JOURNAL_DIR", "JournalEntry", "DeltaJournal", "placement_sha"]
 
 JOURNAL_DIR = "eco"
+#: the counter every quarantined journal file increments
+_COUNTER = "eco.journal_quarantined"
 _FLOAT = "<f8"
 
 
@@ -147,6 +155,11 @@ class DeltaJournal:
     def _snapshot_path(self, seq: int) -> str:
         return os.path.join(self.dir, f"txn_{seq:06d}.ckpt")
 
+    def _quarantine_path(self, path: str) -> str:
+        return os.path.join(
+            self.dir, self.QUARANTINE_DIR, os.path.basename(path)
+        )
+
     # -- write ----------------------------------------------------------
     def commit(
         self,
@@ -167,19 +180,9 @@ class DeltaJournal:
         # transaction re-solves and next_seq() skips the dirty slot
         inject("eco.commit.entry")
 
-        body = entry.to_dict()
-        canonical = json.dumps(body, sort_keys=True).encode()
-        data = json.dumps(
-            {"entry": body, "sha256": hashlib.sha256(canonical).hexdigest()},
-            sort_keys=True,
-            indent=1,
-        ).encode()
+        data = seal("entry", entry.to_dict())
         if corrupt:
-            mangled = bytearray(data)
-            mid = len(mangled) // 2
-            for i in range(mid, min(mid + 8, len(mangled))):
-                mangled[i] ^= 0xFF
-            data = bytes(mangled)
+            data = flip_bytes(data)
         atomic_write(self._entry_path(entry.seq), data)
         if self._index is not None:
             self._index.setdefault(
@@ -210,39 +213,19 @@ class DeltaJournal:
     def _read_entry(self, path: str) -> Optional[JournalEntry]:
         try:
             with open(path, "rb") as f:
-                outer = json.loads(f.read())
-            body = outer["entry"]
-            digest = outer["sha256"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            self._quarantine(path, f"entry undecodable: {exc}")
-            return None
-        canonical = json.dumps(body, sort_keys=True).encode()
-        if hashlib.sha256(canonical).hexdigest() != digest:
-            self._quarantine(path, "entry body != embedded sha256")
-            return None
-        try:
-            return JournalEntry.from_dict(body)
-        except (ValueError, KeyError, TypeError) as exc:
-            self._quarantine(path, f"entry malformed: {exc}")
+                raw = f.read()
+            return unseal("entry", raw, JournalEntry.from_dict)
+        except (OSError, CorruptRunStateError) as exc:
+            quarantine(path, self._quarantine_path(path), str(exc), _COUNTER)
             return None
 
     def _load_snapshot(self, entry: JournalEntry) -> Optional[PlacementSnapshot]:
         path = os.path.join(self.dir, entry.snapshot_file)
         try:
-            with open(path, "rb") as f:
-                data = f.read()
-        except OSError as exc:
-            self._quarantine(path, f"snapshot unreadable: {exc}")
-            return None
-        if hashlib.sha256(data).hexdigest() != entry.snapshot_sha:
-            self._quarantine(path, "snapshot file hash != journal record")
-            return None
-        try:
-            snap, _seq = decode_snapshot(data)
+            return read_snapshot(path, entry.snapshot_sha)[0]
         except CorruptRunStateError as exc:
-            self._quarantine(path, str(exc))
+            quarantine(path, self._quarantine_path(path), str(exc), _COUNTER)
             return None
-        return snap
 
     def entries(self) -> List[JournalEntry]:
         """Every committed entry that verifies, in transaction order;
@@ -279,8 +262,12 @@ class DeltaJournal:
                 return entry, snap
             # entry verified but its snapshot did not: pull the entry
             # too, or recovery would keep trusting a headless commit
-            self._quarantine(
-                self._entry_path(entry.seq), "snapshot lost; entry retired"
+            path = self._entry_path(entry.seq)
+            quarantine(
+                path,
+                self._quarantine_path(path),
+                "snapshot lost; entry retired",
+                _COUNTER,
             )
         return None
 
@@ -308,19 +295,3 @@ class DeltaJournal:
                     return entry, snap
             seqs.remove(seq)
         return None
-
-    # -- hygiene --------------------------------------------------------
-    def _quarantine(self, path: str, reason: str) -> None:
-        qdir = os.path.join(self.dir, self.QUARANTINE_DIR)
-        os.makedirs(qdir, exist_ok=True)
-        dest = os.path.join(qdir, os.path.basename(path))
-        try:
-            os.replace(path, dest)
-        except OSError:
-            pass
-        incr("eco.journal_quarantined")
-        try:
-            with open(dest + ".reason", "w") as f:
-                f.write(reason + "\n")
-        except OSError:
-            pass

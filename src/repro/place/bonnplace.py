@@ -48,7 +48,6 @@ from repro.place.base import (
     PlacerResult,
 )
 from repro.qp import QPOptions, solve_qp
-from repro.resilience.checkpoint import ScheduleCheckpointer
 from repro.resilience.diagnose import diagnose_infeasibility, relax_to_feasible
 from repro.resilience.errors import (
     InfeasibleInputError,
@@ -422,39 +421,11 @@ class BonnPlaceFBP:
     ) -> PlacerResult:
         opts = self.options
         density = opts.density_target
-        levels = self.num_levels(netlist)
-        n = 2**levels
         with span("place.incremental") as sp_global:
-            grid = Grid(netlist.die, n, n)
-            grid.build_regions(decomposition)
-            with span("place.partition"):
-                report = fbp_partition(
-                    netlist,
-                    bounds,
-                    grid,
-                    density_target=density,
-                    qp_options=opts.qp,
-                    run_local_qp=opts.run_local_qp,
-                    shard_tiles=opts.shard_tiles,
-                    realize_tiles=opts.realize_tiles,
-                )
-            self.level_reports.append(report)
-            if not report.feasible:
-                raise PlacementError(
-                    "FBP infeasible during incremental refine "
-                    "(should not happen after the Theorem-2 check)",
-                    stage="place.partition",
-                    level=levels,
-                )
-            if opts.final_reflow:
-                with span("place.repartition"):
-                    repartition_pass(
-                        netlist,
-                        bounds,
-                        grid,
-                        density_target=density,
-                        qp_options=opts.qp,
-                    )
+            self._partition_step(
+                netlist, bounds, decomposition, self.num_levels(netlist),
+                density, passes=int(opts.final_reflow),
+            )
         global_seconds = sp_global.wall_s
 
         legal_seconds = 0.0
@@ -574,11 +545,10 @@ class BonnPlaceFBP:
     ) -> None:
         """The multilevel QP + FBP loop on an unclustered netlist.
 
-        Levels run under a :class:`ScheduleCheckpointer`: the placement
-        is snapshotted after every completed level, and a retryable
-        solver/stage failure restores the last snapshot and re-runs the
-        failed level once before giving up — so a transient fault costs
-        one level, not the whole run.
+        The placement is snapshotted in memory after every completed
+        level, and a retryable solver/stage failure restores that
+        snapshot and re-runs the failed level once before giving up —
+        so a transient fault costs one level, not the whole run.
 
         With a :class:`DurableRunState` attached, every completed level
         (and the initial QP, as level 0) is additionally persisted to
@@ -608,8 +578,10 @@ class BonnPlaceFBP:
             start_level = resumed
             incr("place.resumed_runs")
 
-        ckpt = ScheduleCheckpointer(netlist)
-        ckpt.save(start_level)
+        # the placement after level - 1: the one a failed level restarts
+        # from (only the latest is kept, never a stack of levels)
+        snapshot = netlist.snapshot()
+        incr("place.checkpoint.saved")
         retried = set()
         level = start_level + 1
         while level <= levels:
@@ -633,12 +605,14 @@ class BonnPlaceFBP:
                     exc.context["failed_after_retry"] = True
                     raise
                 retried.add(level)
-                ckpt.restore_latest()
+                netlist.restore(snapshot)
+                incr("place.checkpoint.restored")
                 # level_reports only holds levels run by this process
-                del self.level_reports[ckpt.last_level - start_level:]
+                del self.level_reports[level - 1 - start_level:]
                 incr("place.level_retries")
                 continue
-            ckpt.save(level)
+            snapshot = netlist.snapshot()
+            incr("place.checkpoint.saved")
             if rs is not None:
                 rs.save_level(level, netlist)
             level += 1
@@ -678,40 +652,12 @@ class BonnPlaceFBP:
         opts = self.options
         inject("stage.place.level")
         incr("place.levels")
-        n = 2**level
-        grid = Grid(netlist.die, n, n)
-        grid.build_regions(decomposition)
-        with span("place.partition"):
-            report = fbp_partition(
-                netlist,
-                bounds,
-                grid,
-                density_target=density,
-                qp_options=opts.qp,
-                run_local_qp=opts.run_local_qp,
-                shard_tiles=opts.shard_tiles,
-                realize_tiles=opts.realize_tiles,
-            )
-        self.level_reports.append(report)
-        if not report.feasible:
-            raise PlacementError(
-                f"FBP infeasible at level {level} "
-                f"(should not happen after the Theorem-2 check)",
-                stage="place.partition",
-                level=level,
-            )
         passes = opts.repartition_passes
         if level == levels and opts.final_reflow:
             passes = max(passes, 1)
-        for _ in range(passes):
-            with span("place.repartition"):
-                repartition_pass(
-                    netlist,
-                    bounds,
-                    grid,
-                    density_target=density,
-                    qp_options=opts.qp,
-                )
+        self._partition_step(
+            netlist, bounds, decomposition, level, density, passes
+        )
         if level < levels:
             weight = opts.anchor_base * (2.0**level)
             with span("place.qp"):
@@ -754,8 +700,25 @@ class BonnPlaceFBP:
         self.level_reports = list(sub.level_reports)
         clustering.uncluster()
         # flat refinement: one partitioning pass at the finest grid
-        levels = self.num_levels(netlist)
-        grid = Grid(netlist.die, 2**levels, 2**levels)
+        self._partition_step(
+            netlist, bounds, decomposition, self.num_levels(netlist),
+            density, passes=int(opts.final_reflow),
+        )
+
+    def _partition_step(
+        self,
+        netlist: Netlist,
+        bounds: MoveBoundSet,
+        decomposition,
+        level: int,
+        density: float,
+        passes: int,
+    ) -> None:
+        """FBP partitioning on the 2^level grid, then ``passes``
+        repartitioning (reflow) passes on the same grid."""
+        opts = self.options
+        n = 2**level
+        grid = Grid(netlist.die, n, n)
         grid.build_regions(decomposition)
         with span("place.partition"):
             report = fbp_partition(
@@ -769,7 +732,14 @@ class BonnPlaceFBP:
                 realize_tiles=opts.realize_tiles,
             )
         self.level_reports.append(report)
-        if opts.final_reflow:
+        if not report.feasible:
+            raise PlacementError(
+                f"FBP infeasible at level {level} "
+                f"(should not happen after the Theorem-2 check)",
+                stage="place.partition",
+                level=level,
+            )
+        for _ in range(passes):
             with span("place.repartition"):
                 repartition_pass(
                     netlist,

@@ -1,5 +1,5 @@
 """Resilience layer: classified failures, solver budgets and
-fallbacks, infeasibility diagnosis, checkpointing, fault injection.
+fallbacks, infeasibility diagnosis, fault injection.
 
 Five pieces (see docs/resilience.md):
 
@@ -12,9 +12,8 @@ Five pieces (see docs/resilience.md):
 * :mod:`repro.resilience.diagnose` / :mod:`repro.resilience.validate`
   — min-cut infeasibility diagnosis (condition (1) witness), graceful
   capacity relaxation, and up-front input validation;
-* :mod:`repro.resilience.faultinject` / :mod:`repro.resilience.checkpoint`
-  — the deterministic fault-injection harness (``REPRO_FAULT_PLAN``)
-  and level checkpoint/resume of the recursive FBP schedule.
+* :mod:`repro.resilience.faultinject` — the deterministic
+  fault-injection harness (``REPRO_FAULT_PLAN``).
 """
 
 from repro.resilience.budget import (
@@ -23,7 +22,6 @@ from repro.resilience.budget import (
     get_default_budget,
     set_default_budget,
 )
-from repro.resilience.checkpoint import LevelCheckpoint, ScheduleCheckpointer
 from repro.resilience.diagnose import (
     InfeasibilityDiagnosis,
     diagnose_infeasibility,
@@ -96,7 +94,4 @@ __all__ = [
     "install_fault_plan",
     "reset_faults",
     "active_plan",
-    # checkpointing
-    "ScheduleCheckpointer",
-    "LevelCheckpoint",
 ]

@@ -40,8 +40,9 @@ Plan syntax (env ``REPRO_FAULT_PLAN`` or :func:`install_fault_plan`)::
   - ``stall:SECONDS`` sleep ``SECONDS`` at the site (a hung worker or
     a wedged I/O path; deadline supervision must recover),
   - ``corrupt``  do not raise; make :func:`corruption` return True at
-    this site (the checkpoint writer flips payload bytes, exercising
-    checksum detection and quarantine on the next read).
+    this site (the writer flips bytes with
+    :func:`repro.runstate.store.flip_bytes`, exercising checksum
+    detection and quarantine on the next read).
 
 * ``@n`` — fire only on the n-th hit of the site (1-based);
   ``#k`` — fire on the first k hits, then disarm.  Default: every hit.
@@ -252,8 +253,9 @@ def perturbation(site: str) -> float:
 def corruption(site: str) -> bool:
     """True when a planned ``corrupt`` rule fires at ``site``.
 
-    The caller (the checkpoint writer) is responsible for actually
-    mangling the bytes it is about to persist.
+    The caller (the writer at ``ckpt.corrupt``, ``eco.commit`` or
+    ``svc.result.corrupt``) is responsible for actually mangling the
+    bytes it is about to persist.
     """
     plan = active_plan()
     if not plan.rules:

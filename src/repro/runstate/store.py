@@ -1,16 +1,18 @@
 """Durable, crash-safe run state for the multilevel placer.
 
-The PR-2 :class:`~repro.resilience.checkpoint.ScheduleCheckpointer` is
-in-memory: it survives a transient *level* failure, not process death.
 This module persists each completed level's placement snapshot to a
 *run directory* so that a killed run (SIGKILL, OOM, machine fault) can
 be resumed from the last durable level and reproduce the uninterrupted
-result bit-for-bit.
+result bit-for-bit.  It also owns the record format every durable file
+of the package shares — :func:`atomic_write`, the sealed-JSON envelope
+(:func:`seal` / :func:`unseal`), :func:`quarantine`,
+:func:`flip_bytes` and :func:`read_snapshot`; see "Sealed records" in
+docs/resilience.md for its five users.
 
 Layout of a run directory::
 
     <run_dir>/
-        manifest.json            # versioned run manifest, checksummed
+        manifest.json            # versioned run manifest, sealed
         snapshots/
             level_0000.ckpt      # placement after the initial QP
             level_0001.ckpt      # placement after level 1
@@ -52,7 +54,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,6 +74,11 @@ __all__ = [
     "config_hash",
     "encode_snapshot",
     "decode_snapshot",
+    "flip_bytes",
+    "quarantine",
+    "read_snapshot",
+    "seal",
+    "unseal",
 ]
 
 SNAPSHOT_MAGIC = "repro-snap-v1"
@@ -154,6 +161,97 @@ def decode_snapshot(data: bytes) -> Tuple[PlacementSnapshot, int]:
     return PlacementSnapshot(x, y), level
 
 
+def read_snapshot(path: str, sha256: str) -> Tuple[PlacementSnapshot, int]:
+    """Read the snapshot file at ``path``, check its bytes against the
+    ``sha256`` its referencing record holds, and decode it.  Raises
+    :class:`CorruptRunStateError` (caused by the ``OSError`` when the
+    file cannot be read) on any failure."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise CorruptRunStateError(
+            f"snapshot unreadable: {exc}", stage="runstate.decode"
+        ) from exc
+    if hashlib.sha256(data).hexdigest() != sha256:
+        raise CorruptRunStateError(
+            "snapshot file hash != its record", stage="runstate.decode"
+        )
+    return decode_snapshot(data)
+
+
+def flip_bytes(data: bytes, start: int = 0) -> bytes:
+    """Simulated media corruption for the ``corrupt`` fault sites:
+    invert 8 bytes at the middle of ``data[start:]`` (byte 0 when that
+    part is empty).  Applied after sealing, so the reader must refuse
+    the file."""
+    mangled = bytearray(data)
+    mid = start + (len(data) - start) // 2
+    for i in range(mid, min(mid + 8, len(mangled))):
+        mangled[i] ^= 0xFF
+    if mid >= len(mangled):
+        mangled[0] ^= 0xFF
+    return bytes(mangled)
+
+
+# ----------------------------------------------------------------------
+# sealed records: the one JSON envelope of every durable record
+# ----------------------------------------------------------------------
+def _digest(body: Any) -> str:
+    canonical = json.dumps(body, sort_keys=True).encode()
+    return hashlib.sha256(canonical).hexdigest()
+
+
+def seal(key: str, body: Any) -> bytes:
+    """``{key: body, "sha256": <SHA-256 of the canonical body>}``, the
+    bytes every durable JSON record is written as."""
+    return json.dumps(
+        {key: body, "sha256": _digest(body)}, sort_keys=True, indent=1
+    ).encode()
+
+
+def unseal(key: str, raw: bytes, parse: Callable[[Any], Any]) -> Any:
+    """Inverse of :func:`seal`: verify the checksum and return
+    ``parse(body)``.  An undecodable envelope, a body that does not
+    match its checksum and a verified body that ``parse`` rejects all
+    raise :class:`CorruptRunStateError`."""
+    try:
+        outer = json.loads(raw)
+        body = outer[key]
+        digest = outer["sha256"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptRunStateError(
+            f"{key} unreadable: {exc}", stage="runstate.unseal"
+        ) from exc
+    if _digest(body) != digest:
+        raise CorruptRunStateError(
+            f"{key} checksum mismatch (body != embedded sha256)",
+            stage="runstate.unseal",
+        )
+    try:
+        return parse(body)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptRunStateError(
+            f"{key} malformed: {exc}", stage="runstate.unseal"
+        ) from exc
+
+
+def quarantine(path: str, dest: str, reason: str, counter: str) -> None:
+    """Move a refused file to ``dest`` (never read again), leave a
+    ``<dest>.reason`` note for a human, and count it in ``counter``."""
+    os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
+    try:
+        os.replace(path, dest)
+    except OSError:
+        pass  # already gone — absence is what quarantine ensures
+    incr(counter)
+    try:
+        with open(dest + ".reason", "w") as f:
+            f.write(reason + "\n")
+    except OSError:
+        pass
+
+
 # ----------------------------------------------------------------------
 # manifest
 # ----------------------------------------------------------------------
@@ -210,6 +308,12 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "RunManifest":
+        if int(d.get("version", -1)) != MANIFEST_VERSION:
+            raise PipelineStageError(
+                f"run manifest version {d.get('version')!r} unsupported "
+                f"(expected {MANIFEST_VERSION})",
+                stage="runstate.manifest",
+            )
         m = cls(
             instance=str(d["instance"]),
             config_hash=str(d["config_hash"]),
@@ -228,7 +332,7 @@ class RunManifest:
 # ----------------------------------------------------------------------
 # atomic I/O
 # ----------------------------------------------------------------------
-def _atomic_write(path: str, data: bytes) -> None:
+def atomic_write(path: str, data: bytes) -> None:
     """write → flush → fsync → rename → fsync(dir)."""
     directory = os.path.dirname(path) or "."
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -253,11 +357,6 @@ def _atomic_write(path: str, data: bytes) -> None:
         os.close(dir_fd)
 
 
-#: public name of the durability primitive — the service job store and
-#: the ECO delta journal commit through the exact same sequence
-atomic_write = _atomic_write
-
-
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
@@ -280,6 +379,11 @@ class RunStateStore:
     def _snapshot_path(self, level: int) -> str:
         return os.path.join(
             self.run_dir, self.SNAPSHOT_DIR, f"level_{level:04d}.ckpt"
+        )
+
+    def _quarantine_path(self, path: str) -> str:
+        return os.path.join(
+            self.run_dir, self.QUARANTINE_DIR, os.path.basename(path)
         )
 
     # -- manifest -------------------------------------------------------
@@ -320,48 +424,26 @@ class RunStateStore:
                 stage="runstate.manifest",
             ) from exc
         try:
-            outer = json.loads(raw)
-            body = outer["manifest"]
-            digest = outer["sha256"]
-        except (ValueError, KeyError, TypeError) as exc:
-            # torn or garbled: quarantine before refusing, so the next
-            # attempt in this directory starts fresh instead of
-            # tripping over the same bad bytes forever
-            self._quarantine(path, f"manifest undecodable: {exc}")
+            self.manifest = unseal("manifest", raw, RunManifest.from_dict)
+        except CorruptRunStateError as exc:
+            # quarantine before refusing, so the next attempt in this
+            # directory starts fresh instead of tripping over the same
+            # bad bytes forever
+            quarantine(
+                path, self._quarantine_path(path), str(exc),
+                "runstate.quarantined",
+            )
             raise PipelineStageError(
-                f"run manifest unreadable at {path}: {exc} "
-                f"(quarantined)",
+                f"run manifest refused at {path}: {exc} (quarantined)",
                 stage="runstate.manifest",
             ) from exc
-        canonical = json.dumps(body, sort_keys=True).encode()
-        if hashlib.sha256(canonical).hexdigest() != digest:
-            self._quarantine(path, "manifest body != embedded sha256")
-            raise PipelineStageError(
-                f"run manifest checksum mismatch at {path} (quarantined)",
-                stage="runstate.manifest",
-            )
-        if int(body.get("version", -1)) != MANIFEST_VERSION:
-            raise PipelineStageError(
-                f"run manifest version {body.get('version')!r} unsupported "
-                f"(expected {MANIFEST_VERSION})",
-                stage="runstate.manifest",
-            )
-        self.manifest = RunManifest.from_dict(body)
         return self.manifest
 
     def _write_manifest(self) -> None:
         assert self.manifest is not None
-        body = self.manifest.to_dict()
-        canonical = json.dumps(body, sort_keys=True).encode()
-        outer = {
-            "manifest": body,
-            "sha256": hashlib.sha256(canonical).hexdigest(),
-        }
+        data = seal("manifest", self.manifest.to_dict())
         with span("runstate.write_manifest"):
-            _atomic_write(
-                self._manifest_path(),
-                json.dumps(outer, sort_keys=True, indent=1).encode(),
-            )
+            atomic_write(self._manifest_path(), data)
 
     # -- snapshots ------------------------------------------------------
     def save_level(self, level: int, netlist: Netlist) -> LevelRecord:
@@ -372,19 +454,12 @@ class RunStateStore:
         inject("ckpt.write")
         data = encode_snapshot(netlist.snapshot(), level)
         if corruption("ckpt.corrupt"):
-            # flip bytes *after* checksumming: simulates media/DMA
-            # corruption the reader must catch
-            payload_at = data.index(b"\n") + 1
-            mid = payload_at + max(0, (len(data) - payload_at) // 2)
-            corrupted = bytearray(data)
-            for i in range(mid, min(mid + 8, len(corrupted))):
-                corrupted[i] ^= 0xFF
-            if len(corrupted) == payload_at:  # empty payload: break header
-                corrupted[0] ^= 0xFF
-            data = bytes(corrupted)
+            # flip payload bytes *after* checksumming: simulates
+            # media/DMA corruption the reader must catch
+            data = flip_bytes(data, start=data.index(b"\n") + 1)
         path = self._snapshot_path(level)
         with span("runstate.write_snapshot"):
-            _atomic_write(path, data)
+            atomic_write(path, data)
         incr("runstate.snapshots_written")
         incr("runstate.bytes_written", len(data))
 
@@ -407,46 +482,25 @@ class RunStateStore:
         self._write_manifest()
         return record
 
-    def _quarantine(self, path: str, reason: str) -> None:
-        qdir = os.path.join(self.run_dir, self.QUARANTINE_DIR)
-        os.makedirs(qdir, exist_ok=True)
-        dest = os.path.join(qdir, os.path.basename(path))
-        try:
-            os.replace(path, dest)
-        except OSError:
-            pass  # already gone — absence is what quarantine ensures
-        incr("runstate.quarantined")
-        # a sidecar note so a human can see why the file was pulled
-        try:
-            with open(dest + ".reason", "w") as f:
-                f.write(reason + "\n")
-        except OSError:
-            pass
-
     def load_level(self, record: LevelRecord) -> Optional[PlacementSnapshot]:
         """Load + verify one level's snapshot; quarantine on any
         corruption and return None."""
         path = os.path.join(self.run_dir, record.file)
         try:
-            with open(path, "rb") as f:
-                data = f.read()
-        except OSError as exc:
-            incr("runstate.snapshot_missing")
-            self._quarantine(path, f"unreadable: {exc}")
-            return None
-        if hashlib.sha256(data).hexdigest() != record.sha256:
-            self._quarantine(path, "file hash != manifest record")
-            return None
-        try:
-            snap, level = decode_snapshot(data)
+            snap, level = read_snapshot(path, record.sha256)
+            if level != record.level or len(snap.x) != record.num_cells:
+                raise CorruptRunStateError(
+                    f"snapshot says level={level} n={len(snap.x)}, "
+                    f"manifest says level={record.level} "
+                    f"n={record.num_cells}",
+                    stage="runstate.decode",
+                )
         except CorruptRunStateError as exc:
-            self._quarantine(path, str(exc))
-            return None
-        if level != record.level or len(snap.x) != record.num_cells:
-            self._quarantine(
-                path,
-                f"snapshot says level={level} n={len(snap.x)}, manifest "
-                f"says level={record.level} n={record.num_cells}",
+            if isinstance(exc.__cause__, OSError):
+                incr("runstate.snapshot_missing")
+            quarantine(
+                path, self._quarantine_path(path), str(exc),
+                "runstate.quarantined",
             )
             return None
         return snap

@@ -1,6 +1,7 @@
 """Durable job table of the placement service.
 
-Every accepted job is one checksummed JSON record under
+Every accepted job is one sealed JSON record (the shared record
+format of :mod:`repro.runstate.store`) under
 ``<state_dir>/jobs/`` plus one private run directory under
 ``<state_dir>/runs/<job_id>/`` that the job's child process owns
 (``runstate`` snapshots, the placed output, and the checksummed
@@ -33,8 +34,6 @@ Lifecycle states::
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -42,7 +41,13 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs import incr
 from repro.resilience.errors import PipelineStageError
-from repro.runstate.store import _atomic_write
+from repro.runstate.store import (
+    CorruptRunStateError,
+    atomic_write,
+    quarantine,
+    seal,
+    unseal,
+)
 from repro.service.protocol import JobSpec
 
 __all__ = [
@@ -185,15 +190,8 @@ class JobStore:
 
     # -- durable record I/O --------------------------------------------
     def save(self, record: JobRecord) -> None:
-        body = record.to_dict()
-        canonical = json.dumps(body, sort_keys=True).encode()
-        outer = {
-            "job": body,
-            "sha256": hashlib.sha256(canonical).hexdigest(),
-        }
-        _atomic_write(
-            self.record_path(record.job_id),
-            json.dumps(outer, sort_keys=True, indent=1).encode(),
+        atomic_write(
+            self.record_path(record.job_id), seal("job", record.to_dict())
         )
         incr("svc.records_written")
 
@@ -201,35 +199,12 @@ class JobStore:
         path = self.record_path(job_id)
         try:
             with open(path, "rb") as f:
-                outer = json.loads(f.read())
-            body = outer["job"]
-            digest = outer["sha256"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+                raw = f.read()
+            return unseal("job", raw, JobRecord.from_dict)
+        except (OSError, CorruptRunStateError) as exc:
             raise PipelineStageError(
-                f"job record unreadable at {path}: {exc}", stage="svc.jobs"
+                f"job record refused at {path}: {exc}", stage="svc.jobs"
             ) from exc
-        canonical = json.dumps(body, sort_keys=True).encode()
-        if hashlib.sha256(canonical).hexdigest() != digest:
-            raise PipelineStageError(
-                f"job record checksum mismatch at {path}", stage="svc.jobs"
-            )
-        return JobRecord.from_dict(body)
-
-    def _quarantine(self, job_id: str, reason: str) -> None:
-        qdir = os.path.join(self.state_dir, self.QUARANTINE_DIR)
-        os.makedirs(qdir, exist_ok=True)
-        path = self.record_path(job_id)
-        dest = os.path.join(qdir, os.path.basename(path))
-        try:
-            os.replace(path, dest)
-        except OSError:
-            pass
-        try:
-            with open(dest + ".reason", "w") as f:
-                f.write(reason + "\n")
-        except OSError:
-            pass
-        incr("svc.records_quarantined")
 
     def load_all(self) -> List[JobRecord]:
         """Every verifiable record, sorted by seq (admission order).
@@ -248,6 +223,10 @@ class JobStore:
             try:
                 records.append(self.load(job_id))
             except PipelineStageError as exc:
-                self._quarantine(job_id, str(exc))
+                dest = os.path.join(self.state_dir, self.QUARANTINE_DIR, name)
+                quarantine(
+                    self.record_path(job_id), dest, str(exc),
+                    "svc.records_quarantined",
+                )
         records.sort(key=lambda r: (r.seq, r.job_id))
         return records

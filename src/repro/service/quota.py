@@ -6,9 +6,9 @@ cycle silently refilled every tenant's quota — a crash-looping daemon
 (or a tenant inducing one) could launder unlimited solver time.
 
 :class:`QuotaLedger` persists the meter in the daemon state directory
-as a checksummed JSON file written through the same
-``write → flush → fsync → rename → fsync(dir)`` sequence as the job
-table and the ECO delta journal
+as a sealed JSON record (:func:`repro.runstate.store.seal`) written
+through the same ``write → flush → fsync → rename → fsync(dir)``
+sequence as the job table and the ECO delta journal
 (:func:`repro.runstate.store.atomic_write`).  The controller loads it
 on construction (daemon restart included) and commits after every
 charge; a torn or corrupted ledger is quarantined aside (``.corrupt``)
@@ -18,13 +18,17 @@ tenant on a bad ledger would turn a media fault into a total outage.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from typing import Dict
 
 from repro.obs import incr
-from repro.runstate.store import atomic_write
+from repro.runstate.store import (
+    CorruptRunStateError,
+    atomic_write,
+    quarantine,
+    seal,
+    unseal,
+)
 
 __all__ = ["QuotaLedger", "QUOTA_FILE"]
 
@@ -42,44 +46,23 @@ class QuotaLedger:
         corrupt file is moved aside for post-mortem, never trusted)."""
         try:
             with open(self.path, "rb") as f:
-                outer = json.loads(f.read())
-            body = outer["used"]
-            digest = outer["sha256"]
+                raw = f.read()
         except OSError:
             return {}
-        except (ValueError, KeyError, TypeError):
-            self._quarantine("ledger undecodable")
-            return {}
-        canonical = json.dumps(body, sort_keys=True).encode()
-        if hashlib.sha256(canonical).hexdigest() != digest:
-            self._quarantine("ledger body != embedded sha256")
-            return {}
         try:
-            return {str(k): float(v) for k, v in body.items()}
-        except (AttributeError, ValueError, TypeError):
-            self._quarantine("ledger malformed")
+            return unseal("used", raw, _meter)
+        except CorruptRunStateError as exc:
+            quarantine(
+                self.path, self.path + ".corrupt", str(exc),
+                "svc.quota_quarantined",
+            )
             return {}
 
     def save(self, used: Dict[str, float]) -> None:
         """Atomically commit the meter (called after every charge)."""
-        body = {str(k): float(v) for k, v in used.items()}
-        canonical = json.dumps(body, sort_keys=True).encode()
-        data = json.dumps(
-            {
-                "used": body,
-                "sha256": hashlib.sha256(canonical).hexdigest(),
-            },
-            sort_keys=True,
-            indent=1,
-        ).encode()
-        atomic_write(self.path, data)
+        atomic_write(self.path, seal("used", _meter(used)))
         incr("svc.quota_persisted")
 
-    def _quarantine(self, reason: str) -> None:
-        incr("svc.quota_quarantined")
-        try:
-            os.replace(self.path, self.path + ".corrupt")
-            with open(self.path + ".corrupt.reason", "w") as f:
-                f.write(reason + "\n")
-        except OSError:
-            pass
+
+def _meter(used) -> Dict[str, float]:
+    return {str(k): float(v) for k, v in used.items()}

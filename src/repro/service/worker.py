@@ -33,7 +33,6 @@ pool's serial fallback):
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from typing import Any, Dict, Optional, Tuple
@@ -42,7 +41,13 @@ from repro.obs import span
 from repro.resilience.budget import SolverBudget, set_default_budget
 from repro.resilience.errors import PipelineStageError, ReproError
 from repro.resilience.faultinject import corruption, inject
-from repro.runstate.store import _atomic_write
+from repro.runstate.store import (
+    CorruptRunStateError,
+    atomic_write,
+    flip_bytes,
+    seal,
+    unseal,
+)
 from repro.service.protocol import JobSpec, error_payload
 
 __all__ = [
@@ -284,22 +289,12 @@ def write_result(
     ``allow_faults=False`` is the in-daemon fallback path: injected
     ``svc.result.corrupt`` rules must not be able to wedge the
     terminal safety net."""
-    body = {"payload": payload, "error": error}
-    canonical = json.dumps(body, sort_keys=True).encode()
-    data = json.dumps(
-        {"result": body, "sha256": hashlib.sha256(canonical).hexdigest()},
-        sort_keys=True,
-        indent=1,
-    ).encode()
+    data = seal("result", {"payload": payload, "error": error})
     if allow_faults and corruption("svc.result.corrupt"):
         # flip bytes after checksumming: the daemon's read must detect
         # the mismatch and treat the attempt as failed
-        mangled = bytearray(data)
-        mid = len(mangled) // 2
-        for i in range(mid, min(mid + 8, len(mangled))):
-            mangled[i] ^= 0xFF
-        data = bytes(mangled)
-    _atomic_write(os.path.join(job_dir, RESULT_FILE), data)
+        data = flip_bytes(data)
+    atomic_write(os.path.join(job_dir, RESULT_FILE), data)
 
 
 def read_result(
@@ -308,18 +303,14 @@ def read_result(
     """Load + verify ``result.json``; ``(payload, error)`` on a valid
     commit, None when absent or failing verification (the attempt did
     not complete — retry)."""
-    path = os.path.join(job_dir, RESULT_FILE)
     try:
-        with open(path, "rb") as f:
-            outer = json.loads(f.read())
-        body = outer["result"]
-        digest = outer["sha256"]
-    except (OSError, ValueError, KeyError, TypeError):
+        with open(os.path.join(job_dir, RESULT_FILE), "rb") as f:
+            raw = f.read()
+        return unseal(
+            "result", raw, lambda r: (r.get("payload"), r.get("error"))
+        )
+    except (OSError, CorruptRunStateError):
         return None
-    canonical = json.dumps(body, sort_keys=True).encode()
-    if hashlib.sha256(canonical).hexdigest() != digest:
-        return None
-    return body.get("payload"), body.get("error")
 
 
 def clear_result(job_dir: str) -> None:

@@ -121,3 +121,27 @@ class TestClustering:
             BonnPlaceOptions(cluster_ratio=4.0)
         ).place(nl, MoveBoundSet(nl.die))
         assert res.legality.is_legal
+
+    def test_infeasible_flat_refinement_raises(self, monkeypatch):
+        """The flat refinement after unclustering checks its FBP report
+        like every level does: an infeasible pass is a PlacementError,
+        never an unpartitioned placement returned as a result."""
+        from repro.movebounds import MoveBoundSet
+        from repro.place import PlacementError
+        from repro.place import bonnplace
+
+        nl = _netlist(seed=4, num_cells=300)
+        real = bonnplace.fbp_partition
+
+        def infeasible_on_flat(netlist, *args, **kwargs):
+            report = real(netlist, *args, **kwargs)
+            if netlist is nl:  # the refinement, not the clustered levels
+                report.feasible = False
+            return report
+
+        monkeypatch.setattr(bonnplace, "fbp_partition", infeasible_on_flat)
+        placer = BonnPlaceFBP(
+            BonnPlaceOptions(cluster_ratio=4.0, legalize=False)
+        )
+        with pytest.raises(PlacementError, match="infeasible"):
+            placer.place(nl, MoveBoundSet(nl.die))

@@ -21,7 +21,6 @@ from repro.resilience import (
     InfeasibleInputError,
     PipelineStageError,
     ResilientSolver,
-    ScheduleCheckpointer,
     SolverBudgetExceeded,
     SolverNumericsError,
     inject,
@@ -183,45 +182,6 @@ class TestFallbackEdges:
         assert res.cost == pytest.approx(ref.cost, abs=0.1)
 
 
-class TestCheckpointer:
-    def test_save_restore_roundtrip(self):
-        nl = Netlist(DIE)
-        for i in range(4):
-            nl.add_cell(f"c{i}", 1.0, 1.0)
-        nl.finalize()
-        ckpt = ScheduleCheckpointer(nl)
-        nl.x[:] = 1.0
-        ckpt.save(1)
-        nl.x[:] = 9.0
-        assert ckpt.restore_latest() == 1
-        assert np.all(nl.x == 1.0)
-        assert ckpt.restores == 1
-
-    def test_empty_restore_raises(self):
-        nl = Netlist(DIE)
-        nl.finalize()
-        with pytest.raises(PipelineStageError, match="no checkpoint"):
-            ScheduleCheckpointer(nl).restore_latest()
-
-    def test_memory_bounded_to_latest_level(self):
-        # Saving L levels must keep one snapshot, not L (the retry
-        # protocol only ever restores the most recent level).
-        nl = Netlist(DIE)
-        for i in range(4):
-            nl.add_cell(f"c{i}", 1.0, 1.0)
-        nl.finalize()
-        ckpt = ScheduleCheckpointer(nl)
-        for level in range(1, 8):
-            nl.x[:] = float(level)
-            ckpt.save(level)
-        assert ckpt.saves == 7
-        assert ckpt.last_level == 7
-        assert not hasattr(ckpt, "checkpoints")  # no growing stack
-        nl.x[:] = -1.0
-        assert ckpt.restore_latest() == 7
-        assert np.all(nl.x == 7.0)
-
-
 def _small_instance(num_cells=120, seed=0):
     from repro.workloads import NetlistSpec, generate_netlist
 
@@ -232,6 +192,10 @@ def _small_instance(num_cells=120, seed=0):
 
 class TestPlacerRecovery:
     def test_transient_level_fault_recovers_via_checkpoint(self):
+        ref, ref_bounds = _small_instance()
+        BonnPlaceFBP(BonnPlaceOptions(max_levels=2, legalize=False)).place(
+            ref, ref_bounds
+        )
         nl, bounds = _small_instance()
         install_fault_plan("stage.place.level=stage@2")
         placer = BonnPlaceFBP(
@@ -240,6 +204,9 @@ class TestPlacerRecovery:
         result = placer.place(nl, bounds)  # level 2 fails once, retried
         assert result.hpwl > 0
         assert len(placer.level_reports) == 2
+        # the retry restarts from the restored level-1 placement, so it
+        # ends exactly where the unfaulted run does
+        assert np.array_equal(nl.x, ref.x) and np.array_equal(nl.y, ref.y)
 
     def test_persistent_level_fault_names_level(self):
         nl, bounds = _small_instance(seed=1)

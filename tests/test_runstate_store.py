@@ -20,6 +20,7 @@ from repro.netlist import Netlist, PlacementSnapshot
 from repro.resilience.errors import PipelineStageError
 from repro.runstate import (
     CorruptRunStateError,
+    RunManifest,
     RunStateStore,
     config_hash,
     decode_snapshot,
@@ -194,6 +195,24 @@ class TestManifest:
         assert not os.path.exists(path)
         qfile = os.path.join(str(tmp_path), "quarantine", "manifest.json")
         assert os.path.exists(qfile)
+        assert os.path.exists(qfile + ".reason")
+
+    def test_verified_but_malformed_manifest_quarantined(self, tmp_path):
+        # a body whose checksum verifies but which is not a manifest
+        # (no "completed") is refused like a corrupt one: a structured
+        # error and a quarantined file, not a raw KeyError
+        body = RunManifest("rt", "cfg", levels=2).to_dict()
+        del body["completed"]
+        digest = hashlib.sha256(
+            json.dumps(body, sort_keys=True).encode()
+        ).hexdigest()
+        path = os.path.join(str(tmp_path), "manifest.json")
+        with open(path, "w") as f:
+            json.dump({"manifest": body, "sha256": digest}, f)
+        with pytest.raises(PipelineStageError, match="malformed"):
+            RunStateStore(str(tmp_path)).load_manifest()
+        assert not os.path.exists(path)
+        qfile = os.path.join(str(tmp_path), "quarantine", "manifest.json")
         assert os.path.exists(qfile + ".reason")
 
     def test_missing_manifest_is_error(self, tmp_path):

@@ -6,6 +6,7 @@ in ``test_service_chaos.py`` behind the ``slow`` marker; this module
 must stay quick enough for the default test lane.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -242,6 +243,23 @@ class TestJobStore:
         assert [r.job_id for r in loaded] == ["j000001"]
         qdir = os.path.join(str(tmp_path), "quarantine")
         assert os.listdir(qdir)
+
+    def test_verified_but_malformed_record_quarantined(self, tmp_path):
+        # the checksum verifies, the body does not parse ("seq" is not
+        # an int): quarantined and skipped like a corrupt record, not a
+        # raw ValueError out of load_all (and daemon recovery)
+        store = JobStore(str(tmp_path))
+        store.save(_record(store.next_job_id(), 0))
+        body = _record("j000002", 1).to_dict()
+        body["seq"] = "x"
+        digest = hashlib.sha256(
+            json.dumps(body, sort_keys=True).encode()
+        ).hexdigest()
+        with open(store.record_path("j000002"), "w") as f:
+            json.dump({"job": body, "sha256": digest}, f)
+        assert [r.job_id for r in store.load_all()] == ["j000001"]
+        qfile = os.path.join(str(tmp_path), "quarantine", "j000002.json")
+        assert os.path.exists(qfile + ".reason")
 
     def test_tampered_record_rejected(self, tmp_path):
         store = JobStore(str(tmp_path))

@@ -11,24 +11,17 @@ HiGHS' model status to an infeasible verdict,
 acceptance check on an answer HiGHS calls optimal.
 
 The bindings (``scipy.optimize._highspy._core``) are private to scipy,
-and :func:`_highs` loads them from their file in scipy's package
-directory; both are why ``pyproject.toml`` pins the scipy release they
-are written against (:data:`SCIPY_FLOOR`).  Going to them directly
+and :func:`_highs` loads them from their file
+(:func:`repro.scipy_ext.load_extension`).  Going to them directly
 rather than through ``linprog`` skips input cleaning and result
 assembly that cost more than HiGHS' run on the small window LPs, and
 loading the one extension by file skips importing the rest of
-``scipy.optimize``, which nothing else in a ``place`` needs
-(docs/performance.md, "What a place process pays outside placement").
+``scipy.optimize``, which nothing else in a ``place`` needs.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,10 +29,8 @@ import numpy as np
 
 from repro.resilience.budget import SolverBudget
 from repro.resilience.errors import SolverBudgetExceeded, SolverNumericsError
+from repro.scipy_ext import load_extension
 
-#: the oldest scipy whose private HiGHS bindings (``_highspy._core``)
-#: :func:`run_highs` is written against; ``pyproject.toml`` declares it
-SCIPY_FLOOR = "1.17"
 #: scipy's acceptance tolerance for a solution HiGHS calls optimal
 #: (``sqrt(tol) * 10`` with ``linprog``'s default ``tol=1e-9``)
 ACCEPT_TOL = float(np.sqrt(1e-9) * 10)
@@ -49,48 +40,13 @@ ACCEPT_TOL = float(np.sqrt(1e-9) * 10)
 _CORE = "scipy.optimize._highspy._core"
 
 
-def _core_file() -> Optional[str]:
-    """The path of the bindings' extension file in scipy's package
-    directory, or ``None`` where no such file is found."""
-    spec = importlib.util.find_spec("scipy")
-    for root in (spec and spec.submodule_search_locations) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
-
-
 @functools.cache
 def _highs():
     """scipy's HiGHS bindings, loaded on first use so that a run the
-    transportation front end answers entirely never loads them.
-
-    The extension is loaded from its file and registered in
-    ``sys.modules`` under :data:`_CORE`, so a later ``import
-    scipy.optimize`` reuses this module object.  Its parent packages
-    stay unloaded and never get it as an attribute: reach it by import
-    (``import ... as``, ``from ... import``), not as
-    ``scipy.optimize._highspy._core``.  Where the file is not found,
-    the package import loads it (and ``scipy.optimize`` with it)."""
-    try:
-        if _CORE not in sys.modules:
-            path = _core_file()
-            if path is not None:
-                spec = importlib.util.spec_from_file_location(_CORE, path)
-                module = importlib.util.module_from_spec(spec)
-                sys.modules[_CORE] = module
-                try:
-                    spec.loader.exec_module(module)
-                except BaseException:
-                    del sys.modules[_CORE]
-                    raise
-        return importlib.import_module(_CORE)
-    except ImportError as exc:
-        raise ImportError(
-            "the flow LPs run HiGHS through scipy's bundled bindings "
-            f"({_CORE}): needs scipy>={SCIPY_FLOOR}"
-        ) from exc
+    transportation front end answers entirely never loads them."""
+    return load_extension(
+        _CORE, "the flow LPs run HiGHS through scipy's bundled bindings"
+    )
 
 
 @dataclass

@@ -16,6 +16,10 @@ per axis.  This package provides:
   arrays, sharing one matrix except under b2b;
 * anchor (pseudo-net) support for force-directed baselines: per-cell
   target arrays and one weight shared by both axes.
+
+The matrices are CSR arrays run through scipy's compiled kernels, each
+loaded by file on import (no scipy package), bit-identical to scipy's
+``coo_matrix(...).tocsr()``, ``spsolve`` and ``cg``.
 """
 
 from repro.qp.solver import QPOptions, solve_qp

@@ -6,8 +6,8 @@ For one axis, the energy is
 
 where each spring connects two pins with offsets o from their cell
 centers; fixed cells and terminals contribute to the right-hand side.
-Minimizing E gives the SPD linear system ``A x = b`` assembled here in
-COO form.
+Minimizing E gives the SPD linear system ``A x = b`` assembled here
+from COO triplets into a :class:`CSR` record.
 
 Models
 ------
@@ -30,6 +30,10 @@ Every model is assembled from the flat pin arrays
 right-hand side per axis.  Except under b2b, spring endpoints and
 weights come from the topology alone, so the x and y systems share one
 matrix object and differ only in the rhs.
+
+The matrices are :class:`CSR` records built and multiplied by scipy's
+``_sparsetools`` kernels, loaded by file on import (no scipy package),
+and bit-identical to scipy's (``tests/test_qp_kernels.py``).
 """
 
 from __future__ import annotations
@@ -38,9 +42,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
 
 from repro.netlist import Netlist
+from repro.scipy_ext import load_extension
+
+_sparsetools = load_extension(
+    "scipy.sparse._sparsetools",
+    "the QP runs on scipy's compiled sparse kernels",
+)
 
 NET_MODELS = ("clique", "star", "hybrid", "b2b")
 
@@ -48,11 +57,54 @@ NET_MODELS = ("clique", "star", "hybrid", "b2b")
 B2B_MIN_DIST = 1e-3
 
 
+@dataclass(frozen=True)
+class CSR:
+    """A sparse matrix in compressed sparse row form, in scipy's layout
+    (``csr_matrix((data, indices, indptr), shape)``)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: Tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if np.shape(x) != (self.shape[1],):
+            raise ValueError(f"cannot multiply {self.shape} by {np.shape(x)}")
+        y = np.zeros(self.shape[0])
+        _sparsetools.csr_matvec(
+            *self.shape, self.indptr, self.indices, self.data, x, y
+        )
+        return y
+
+    def diagonal(self) -> np.ndarray:
+        y = np.empty(min(self.shape))
+        _sparsetools.csr_diagonal(
+            0, *self.shape, self.indptr, self.indices, self.data, y
+        )
+        return y
+
+    def tocsc(self) -> "CSR":
+        """The matrix's CSC arrays, which are the CSR arrays of its
+        transpose (hence the swapped shape)."""
+        m, n = self.shape
+        indptr = np.empty(n + 1, dtype=self.indptr.dtype)
+        indices = np.empty(self.nnz, dtype=self.indices.dtype)
+        data = np.empty(self.nnz)
+        _sparsetools.csr_tocsc(
+            m, n, self.indptr, self.indices, self.data, indptr, indices, data
+        )
+        return CSR(indptr, indices, data, (n, m))
+
+
 @dataclass
 class AxisSystem:
     """Sparse SPD system for one axis, over movable + auxiliary unknowns."""
 
-    matrix: csr_matrix
+    matrix: CSR
     rhs: np.ndarray
     #: unknown index of each movable cell (cell index -> column), -1 if fixed
     unknown_of_cell: np.ndarray
@@ -200,9 +252,9 @@ def _matrix(
     regularization: float,
     anchor_u: np.ndarray,
     anchor_w: np.ndarray,
-) -> csr_matrix:
+) -> CSR:
     """Springs, then the regularization diagonal, then the anchors'
-    diagonal, as one COO matrix."""
+    diagonal, as one matrix."""
     pos_i = s.ui >= 0
     pos_j = s.uj >= 0
     both = pos_i & pos_j
@@ -220,10 +272,38 @@ def _matrix(
     rows.append(anchor_u)
     cols.append(anchor_u)
     vals.append(anchor_w)
-    return coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknowns, n_unknowns),
-    ).tocsr()
+    return _csr(
+        np.concatenate(rows),
+        np.concatenate(cols),
+        np.concatenate(vals),
+        n_unknowns,
+    )
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> CSR:
+    """``coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()``, call
+    for call as scipy 1.17 makes it, so duplicates are summed in the
+    order its sort (unstable past 16 entries a row) leaves them."""
+    nnz = len(vals)
+    idx = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+    if nnz == 0:
+        return CSR(np.zeros(n + 1, idx), np.zeros(0, idx), np.zeros(0), (n, n))
+    # the kernel writes where the indices say: scipy's bounds check
+    if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n:
+        raise ValueError("a COO index is outside the matrix")
+    indptr = np.empty(n + 1, dtype=idx)
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)
+    _sparsetools.coo_tocsr(
+        n, n, nnz, rows.astype(idx), cols.astype(idx), vals,
+        indptr, indices, data,
+    )
+    if not _sparsetools.csr_has_canonical_format(n, indptr, indices):
+        if not _sparsetools.csr_has_sorted_indices(n, indptr, indices):
+            _sparsetools.csr_sort_indices(n, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(n, n, indptr, indices, data)
+        indices, data = indices[: indptr[-1]], data[: indptr[-1]]
+    return CSR(indptr, indices, data, (n, n))
 
 
 def _rhs(

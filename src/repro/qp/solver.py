@@ -4,6 +4,11 @@ Direct sparse factorization below a size threshold, Jacobi-
 preconditioned conjugate gradients above it.  The systems are SPD by
 construction (net springs are PSD; a tiny diagonal regularization
 anchors floating unknowns), so CG is safe.
+
+:func:`spsolve` calls SuperLU's ``gssv`` as scipy 1.17's ``spsolve``
+does (the ``_superlu`` extension, loaded by file on import), and
+:func:`cg` is scipy 1.17's ``cg`` loop on the CSR matvec: both are
+bit-identical to scipy's (``tests/test_qp_kernels.py``).
 """
 
 from __future__ import annotations
@@ -12,12 +17,17 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import cg, spsolve
 
 from repro.netlist import Netlist
 from repro.obs import incr
-from repro.qp.models import build_axis_systems
+from repro.qp.models import CSR, build_axis_systems
+from repro.resilience.errors import SolverNumericsError
+from repro.scipy_ext import load_extension
+
+_superlu = load_extension(
+    "scipy.sparse.linalg._dsolve._superlu",
+    "the QP's direct solve runs scipy's SuperLU",
+)
 
 #: Unknown-count threshold below which a direct solve is used.
 DIRECT_SOLVE_LIMIT = 4000
@@ -33,8 +43,68 @@ class QPOptions:
     regularization: float = 1e-8
 
 
+def spsolve(matrix: CSR, b: np.ndarray) -> np.ndarray:
+    """``scipy.sparse.linalg.spsolve(matrix.tocsc(), b)`` for a dense
+    ``b`` of one or more columns; a singular matrix raises
+    :class:`SolverNumericsError` where scipy warns and returns NaN."""
+    csc = matrix.tocsc()
+    x, info = _superlu.gssv(
+        matrix.shape[1], csc.nnz, csc.data,
+        csc.indices.astype(np.intc, copy=False),
+        csc.indptr.astype(np.intc, copy=False),
+        b, 1, options={"ColPerm": None},
+    )
+    if info != 0:
+        raise SolverNumericsError(
+            f"the QP matrix is singular (SuperLU info {info})",
+            stage="qp",
+            solver="superlu",
+        )
+    return x.ravel() if b.ndim == 1 else x
+
+
+def cg(
+    a: CSR,
+    b: np.ndarray,
+    x0: np.ndarray,
+    rtol: float,
+    maxiter: int,
+    inv_diag: np.ndarray,
+) -> Tuple[np.ndarray, int]:
+    """``scipy.sparse.linalg.cg(a, b, x0, rtol=rtol, maxiter=maxiter,
+    M=diags(inv_diag))``: the solution and the number of iterations
+    (``maxiter`` when not converged; the result is still usable as a
+    placement iterate)."""
+    x = np.array(x0, dtype=np.float64)
+    bnrm2 = np.linalg.norm(b)
+    atol = rtol * float(bnrm2)
+    if bnrm2 == 0:
+        return b, 0
+    r = b - a @ x if x.any() else b.copy()
+    rho_prev = p = None
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, iteration
+        # the preconditioner as scipy's diagonal matvec computes it:
+        # each product added to a zero, which turns -0.0 into 0.0
+        z = inv_diag * r
+        z += 0.0
+        rho_cur = np.dot(r, z)
+        if iteration > 0:
+            p *= rho_cur / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = a @ p
+        alpha = rho_cur / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho_cur
+    return x, maxiter
+
+
 def _solve_axis(
-    matrix, rhs: np.ndarray, x0: np.ndarray, opts: QPOptions
+    matrix: CSR, rhs: np.ndarray, x0: np.ndarray, opts: QPOptions
 ) -> np.ndarray:
     """One axis: a direct solve up to ``DIRECT_SOLVE_LIMIT`` unknowns,
     Jacobi-preconditioned CG above."""
@@ -42,37 +112,13 @@ def _solve_axis(
     if n == 0:
         return np.zeros(0)
     if n <= DIRECT_SOLVE_LIMIT:
-        return spsolve(matrix.tocsc(), rhs)
+        return spsolve(matrix, rhs)
     diag = matrix.diagonal()
     diag[diag <= 0] = 1.0
-    inv_diag = 1.0 / diag
-
-    # the Jacobi preconditioner as a sparse diagonal matrix: applied
-    # by scipy's C matvec (a diagonal row is one product, so the
-    # result is bit-identical to ``inv_diag * v``) without the python
-    # LinearOperator callback layers on every iteration
-    m = diags(inv_diag)
-    iters = 0
-
-    def count_iteration(_xk: np.ndarray) -> None:
-        nonlocal iters
-        iters += 1
-
-    solution, info = cg(
-        matrix,
-        rhs,
-        x0=x0,
-        rtol=opts.cg_tol,
-        maxiter=opts.cg_maxiter,
-        M=m,
-        callback=count_iteration,
+    solution, iters = cg(
+        matrix, rhs, x0, opts.cg_tol, opts.cg_maxiter, 1.0 / diag
     )
     incr("qp.cg_iters", iters)
-    if info > 0:
-        # not fully converged — still usable as a placement iterate
-        pass
-    elif info < 0:
-        raise RuntimeError(f"CG failed with code {info}")
     return solution
 
 
@@ -113,7 +159,7 @@ def solve_qp(
         # except under b2b the axes share one matrix: factor it once
         # for both right-hand sides
         both = spsolve(
-            sys_x.matrix.tocsc(), np.column_stack((sys_x.rhs, sys_y.rhs))
+            sys_x.matrix, np.column_stack((sys_x.rhs, sys_y.rhs))
         )
         sol_x, sol_y = both[:n_cells, 0], both[:n_cells, 1]
     else:

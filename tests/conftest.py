@@ -29,6 +29,16 @@ def small_netlist(die100) -> Netlist:
     return nl
 
 
+def scipy_csr(matrix):
+    """scipy's own ``csr_matrix`` over the arrays of a
+    :class:`repro.qp.models.CSR` record (shared, not copied)."""
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix(
+        (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
+    )
+
+
 def build_random_netlist(
     num_cells: int = 120,
     num_nets: int = 90,

@@ -6,6 +6,7 @@ import pytest
 from repro.geometry import Rect
 from repro.netlist import Netlist, Pin
 from repro.qp import NET_MODELS, QPOptions, build_axis_systems, solve_qp
+from tests.conftest import scipy_csr
 
 DIE = Rect(0, 0, 10, 10)
 
@@ -62,7 +63,7 @@ class TestSystemAssembly:
     def test_spd(self):
         nl = chain_netlist()
         system, _ = build_axis_systems(nl)
-        a = system.matrix.toarray()
+        a = scipy_csr(system.matrix).toarray()
         assert np.allclose(a, a.T)
         eigenvalues = np.linalg.eigvalsh(a)
         assert eigenvalues.min() > 0
@@ -325,7 +326,8 @@ class TestAssemblyOracle:
         for axis, system in enumerate(systems):
             a, b = _oracle_system(nl, model, axis, mask, ids, anchors, reg)
             assert system.matrix.shape == a.shape
-            assert np.allclose(system.matrix.toarray(), a, rtol=1e-12)
+            dense = scipy_csr(system.matrix).toarray()
+            assert np.allclose(dense, a, rtol=1e-12)
             assert np.allclose(system.rhs, b, rtol=1e-12)
             assert system.num_cell_unknowns == int(mask.sum())
         if model == "b2b":

@@ -7,6 +7,7 @@ import repro.qp.solver as solver_mod
 from repro.geometry import Rect
 from repro.netlist import Netlist, Pin
 from repro.qp import QPOptions, solve_qp
+from repro.resilience.errors import SolverNumericsError
 from tests.conftest import build_random_netlist
 
 DIE = Rect(0, 0, 100, 100)
@@ -49,6 +50,20 @@ class TestBackends:
         nl.finalize()
         x, y = solve_qp(nl)  # zero unknowns: no crash
         assert len(x) == 1
+
+    def test_singular_system_raises_and_writes_nothing(self):
+        # two net-less movable cells without regularization: the matrix
+        # is all zero, and no NaN may reach the netlist
+        nl = Netlist(DIE)
+        nl.add_cell("a", 1, 1, x=10, y=10)
+        nl.add_cell("b", 1, 1, x=20, y=20)
+        nl.add_cell("f", 1, 1, x=50, y=50, fixed=True)
+        nl.finalize()
+        with pytest.raises(SolverNumericsError) as info:
+            solve_qp(nl, QPOptions(regularization=0.0))
+        assert info.value.stage == "qp"
+        assert nl.x.tolist() == [10.0, 20.0, 50.0]
+        assert nl.y.tolist() == [10.0, 20.0, 50.0]
 
     def test_solution_energy_not_worse_than_start(self):
         """The QP optimum has lower quadratic energy than the start."""

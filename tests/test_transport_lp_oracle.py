@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_matrix
 
 from repro.flows import highs
-from repro.flows.highs import SCIPY_FLOOR
+from repro.scipy_ext import SCIPY_FLOOR
 from repro.flows.transportation import _solve_lp
 from repro.resilience.budget import SolverBudget
 from repro.resilience.errors import SolverBudgetExceeded

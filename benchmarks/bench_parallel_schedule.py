@@ -25,6 +25,7 @@ from repro.grid import Grid
 from repro.metrics import Table
 from repro.movebounds import MoveBoundSet, decompose_regions
 from repro.place import BonnPlaceFBP
+from repro.runstate import WindowSolverPool, activated
 from repro.workloads import NetlistSpec, generate_netlist
 
 from harness import emit, emit_perf, full_run
@@ -87,10 +88,13 @@ def _pool_placement(num_cells, seed, workers):
     spec = NetlistSpec("poolbench", num_cells, utilization=0.5, num_pads=8)
     nl, _logical = generate_netlist(spec, seed=seed)
     placer = BonnPlaceFBP()
-    placer.options.pool_workers = workers
     placer.options.legalize = False
     t0 = time.perf_counter()
-    result = placer.place(nl, MoveBoundSet(nl.die))
+    if workers:
+        with WindowSolverPool(workers) as pool, activated(pool):
+            result = placer.place(nl, MoveBoundSet(nl.die))
+    else:
+        result = placer.place(nl, MoveBoundSet(nl.die))
     seconds = time.perf_counter() - t0
     return nl.x.copy(), nl.y.copy(), result.hpwl, seconds
 

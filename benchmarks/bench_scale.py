@@ -19,9 +19,9 @@ Modes:
   the flat solve is exactly what stops scaling past ~100k cells),
 * ``shard`` — tile-sharded solve (``repro.fbp.sharding``), all sizes,
 * ``pool``  — sharded solve through a 2-worker supervised pool,
-* ``mono-pN`` — monolithic solve with an N-worker pool and
-  ``REPRO_POOL_MIN_WORK=0``, forcing the tile-parallel realization
-  dispatch; the serial ``mono`` arm is its pool-0 counterpart.
+* ``mono-pN`` — monolithic solve with an N-worker pool and the pool's
+  min-work threshold at 0, forcing the pooled realization dispatch;
+  the serial ``mono`` arm is its pool-0 counterpart.
 
 Contracts asserted before the record is written:
 
@@ -135,7 +135,10 @@ def run_arm(size: int, mode: str) -> dict:
         # force realize dispatch through the pool even though the
         # batch is below the min-work threshold — the arm exists to
         # prove pooled realization identity, not to win wall-clock
-        os.environ["REPRO_POOL_MIN_WORK"] = "0"
+        # (each arm runs in its own child process)
+        from repro.runstate import pool as pool_mod
+
+        pool_mod._POOL_MIN_WORK = 0
 
     t2 = time.perf_counter()
     if pool_workers:

@@ -93,8 +93,6 @@ def cmd_place(args: argparse.Namespace) -> int:
     if hasattr(placer, "options"):
         if args.shard_tiles is not None:
             placer.options.shard_tiles = args.shard_tiles
-        if args.realize_tiles is not None:
-            placer.options.realize_tiles = args.realize_tiles
     if args.run_dir:
         if not hasattr(placer, "run_state"):
             raise SystemExit(
@@ -396,11 +394,11 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument(
         "--pool-workers",
         type=int,
-        default=int(os.environ.get("REPRO_POOL_WORKERS", "0")),
+        default=0,
         metavar="N",
-        help="solve the independent per-window transportation problems "
-        "on N supervised worker processes (0 = serial; parallel and "
-        "serial are bit-identical; env REPRO_POOL_WORKERS)",
+        help="solve the independent per-window transportation and "
+        "realization problems on N supervised worker processes "
+        "(0 = serial; parallel and serial are bit-identical)",
     )
     p.add_argument(
         "--shard-tiles",
@@ -411,17 +409,6 @@ def main(argv: Optional[list] = None) -> int:
         "window tiles solved independently (exact when no flow crosses "
         "tile cuts, reported approximation otherwise; default: "
         "monolithic solve)",
-    )
-    p.add_argument(
-        "--realize-tiles",
-        type=int,
-        default=None,
-        metavar="N",
-        help="group the final per-window realization solves into an "
-        "N x N grid of spatial dispatch units for the worker pool "
-        "(default: min(8, grid size); 0/1 = in-process serial; "
-        "parallel and serial are bit-identical; only meaningful with "
-        "--pool-workers)",
     )
     p.add_argument(
         "--pool-task-timeout",

@@ -50,7 +50,6 @@ def fbp_partition(
     cell_windows: Optional[np.ndarray] = None,
     keep_model: bool = False,
     shard_tiles: Optional[int] = None,
-    realize_tiles: Optional[int] = None,
 ) -> FBPReport:
     """One flow-based partitioning pass on the current placement.
 
@@ -64,11 +63,6 @@ def fbp_partition(
     zero-cut-flow regime, reported approximation otherwise; falls back
     to the monolithic solve whenever the tiling cannot express the
     instance).
-
-    ``realize_tiles`` controls the tile-parallel dispatch of the final
-    per-window realization solves through an active worker pool
-    (``None`` = auto; bit-identical to the serial path either way; see
-    :func:`repro.fbp.realization.realize_flow`).
     """
     shard_report = None
     with span("fbp.flow") as sp_flow:
@@ -109,7 +103,6 @@ def fbp_partition(
             result,
             qp_options=qp_options,
             run_local_qp=run_local_qp,
-            realize_tiles=realize_tiles,
         )
     report.realization_seconds = sp_realize.wall_s
     maybe_check(

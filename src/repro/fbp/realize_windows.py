@@ -1,4 +1,4 @@
-"""Tile-parallel, vectorized window realization (paper §III / §IV.B).
+"""Vectorized window realization (paper §III / §IV.B).
 
 The final step of realization partitions every window's cells among
 its admissible regions (a small transportation problem per window) and
@@ -8,12 +8,11 @@ own region geometry — so this module packages each window as a
 self-contained, picklable :class:`WindowSpec` and realizes batches of
 specs with a pure function, :func:`realize_unit`.  That enables:
 
-* **tile-parallel dispatch** — specs grouped by the same spatial
-  window-tiles as :func:`repro.fbp.sharding.tile_of_windows` are
-  shipped as units through the supervised
-  :class:`~repro.runstate.pool.WindowSolverPool`, and the merged
-  output is bit-identical to the serial path at any pool size (the
-  merge is in sorted window order, independent of tiling or schedule),
+* **pooled dispatch** — with a supervised
+  :class:`~repro.runstate.pool.WindowSolverPool` active, contiguous
+  runs of the window-ordered specs are shipped as units, and the
+  concatenated output is bit-identical to the serial path at any pool
+  size,
 * **a closed-form fast path** — the common single-region window whose
   region admits every cell present needs no LP at all: the
   transportation assignment is forced (everything goes to the one
@@ -47,7 +46,6 @@ from repro.flows import (
     solve_transportation_with_relaxation,
 )
 from repro.geometry import rect_array
-from repro.obs import incr
 from repro.partitioning.transport import spread_into_rects, transport_costs
 
 __all__ = [
@@ -55,7 +53,6 @@ __all__ = [
     "WindowOutcome",
     "build_window_specs",
     "realize_unit",
-    "tile_units",
 ]
 
 
@@ -261,20 +258,3 @@ def realize_unit(
         )
     return out
 
-
-def tile_units(
-    specs: Sequence[WindowSpec], grid, tiles: int
-) -> List[List[WindowSpec]]:
-    """Group specs into dispatch units by spatial window tile — the
-    same ``tiles x tiles`` decomposition as the sharded flow solve.
-    Units are ordered by tile id; the merge sorts outcomes back into
-    window order, so the tiling never affects output bits."""
-    from repro.fbp.sharding import tile_of_windows
-
-    wtile = tile_of_windows(grid, tiles, tiles)
-    units: Dict[int, List[WindowSpec]] = {}
-    for spec in specs:
-        units.setdefault(int(wtile[spec.widx]), []).append(spec)
-    grouped = [units[t] for t in sorted(units)]
-    incr("realize.tile_units", len(grouped))
-    return grouped

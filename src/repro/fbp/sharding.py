@@ -61,8 +61,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from repro.fbp.model import OPPOSITE, ExternalArc, FBPModel, build_fbp_model
 from repro.fbp.realization import cancel_external_cycles
@@ -150,6 +148,11 @@ class _TileGraph:
     def run_dijkstra(self, sources: Sequence[tuple]) -> None:
         """Shortest paths from every listed source key (skipping keys
         the graph never saw — their distances read as unreachable)."""
+        # imported here: only the sharded solve uses scipy.sparse (an
+        # unsharded place never loads it)
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
         self.src_row = {}
         present = [k for k in sources if k in self.index]
         n = len(self.index)

@@ -58,13 +58,7 @@ from repro.resilience.errors import (
 )
 from repro.resilience.faultinject import inject
 from repro.resilience.validate import validate_instance
-from repro.runstate import (
-    DurableRunState,
-    WindowSolverPool,
-    activated,
-    config_hash,
-    get_active_pool,
-)
+from repro.runstate import DurableRunState, config_hash
 
 
 @dataclass
@@ -90,20 +84,10 @@ class BonnPlaceOptions:
     #: uniformly (up to ``max_relax``x) instead of raising
     relax_infeasible: bool = False
     max_relax: float = 8.0
-    #: supervised parallel window-solver pool size for the per-window
-    #: transportation solves (0 = serial; parallel and serial runs are
-    #: bit-identical)
-    pool_workers: int = 0
-    #: per-task deadline of the pool (None = budget-derived default)
-    pool_task_timeout: Optional[float] = None
     #: shard each level's FBP MinCostFlow into an N x N tile grid
     #: (None/<=1 = monolithic solve; exact when no flow crosses tile
     #: cuts, reported approximation otherwise — see repro.fbp.sharding)
     shard_tiles: Optional[int] = None
-    #: tile-parallel realization dispatch when a pool is active:
-    #: windows grouped into N x N spatial units (None = auto
-    #: ``min(8, nx, ny)``; 0/1 = serial; bit-identical either way)
-    realize_tiles: Optional[int] = None
 
 
 def projected_position(
@@ -223,23 +207,9 @@ class BonnPlaceFBP:
     ) -> PlacerResult:
         """Run global placement + legalization on the netlist in place.
 
-        With ``options.pool_workers > 0`` the per-window transportation
-        solves run on a supervised worker pool for the duration of the
-        run (unless a pool is already active, e.g. CLI-installed).
+        The per-window solves run on the active worker pool, if a
+        caller installed one (:func:`repro.runstate.activated`).
         """
-        opts = self.options
-        if opts.pool_workers > 0 and get_active_pool() is None:
-            with WindowSolverPool(
-                opts.pool_workers, task_timeout=opts.pool_task_timeout
-            ) as pool, activated(pool):
-                return self._place_impl(netlist, bounds)
-        return self._place_impl(netlist, bounds)
-
-    def _place_impl(
-        self,
-        netlist: Netlist,
-        bounds: Optional[MoveBoundSet] = None,
-    ) -> PlacerResult:
         opts = self.options
         if bounds is None:
             bounds = MoveBoundSet(netlist.die)
@@ -631,11 +601,6 @@ class BonnPlaceFBP:
             density=density,
             levels=levels,
         )
-        # parallelism knobs do not change the result (bit-identical by
-        # construction) — a resume may legally change them
-        payload.pop("pool_workers", None)
-        payload.pop("pool_task_timeout", None)
-        payload.pop("realize_tiles", None)
         return payload
 
     def _run_level(
@@ -729,7 +694,6 @@ class BonnPlaceFBP:
                 qp_options=opts.qp,
                 run_local_qp=opts.run_local_qp,
                 shard_tiles=opts.shard_tiles,
-                realize_tiles=opts.realize_tiles,
             )
         self.level_reports.append(report)
         if not report.feasible:

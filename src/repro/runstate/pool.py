@@ -14,20 +14,24 @@ parallel speedups.  This pool executes batches of such solves across
   fault or a real OOM kill) or a stalled worker (deadline exceeded,
   e.g. ``worker.stall``) is killed and replaced, and its in-flight
   task is requeued,
-* a task that fails ``max_failures`` times is solved *serially in the
+* a task that fails ``_MAX_FAILURES`` times is solved *serially in the
   supervisor process* — the pool degrades to correct-but-slow, it
   never loses a window.
 
-Determinism: workers execute
+Determinism: every dispatch unit runs a module-level pure function —
 :func:`~repro.flows.transportation.solve_transportation_with_relaxation`
-(one window per dispatch unit) or
-:func:`~repro.fbp.realize_windows.realize_unit` (one tile of windows),
-pure functions of their inputs, and the supervisor merges results by
+(one window) or :func:`~repro.fbp.realize_windows.realize_unit` (a
+contiguous run of windows) — and the supervisor merges results by
 unit index.  Scheduling order, worker count, crashes, and requeues
 therefore cannot change the output — pool size 1, pool size 8, a
 crashing pool, and the plain serial path are bit-identical.  A unit
 lost to a crash is re-solved from scratch, so partial progress can
 never leak into the merged results.
+
+A caller installs a pool once (``with WindowSolverPool(n) as pool,
+activated(pool):``, as ``python -m repro place --pool-workers N``
+does); :func:`solve_transport_batch` and :func:`solve_realize_batch`
+route through it when a batch is worth the IPC.
 
 Fault-injection sites (fire *inside* the worker process; plans are
 inherited across ``fork``):
@@ -39,12 +43,11 @@ inherited across ``fork``):
 
 from __future__ import annotations
 
-import os
 import queue as queue_mod
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,49 +88,28 @@ _DEFAULT_TASK_TIMEOUT = 60.0
 #: so it cannot affect output bits, only where they are computed.
 _POOL_MIN_WORK = 32768
 
+#: crashes/stalls/errors a single unit may suffer before the
+#: supervisor solves it serially in-process
+_MAX_FAILURES = 2
 
-def _pool_min_work() -> int:
-    """The active min-work threshold (``REPRO_POOL_MIN_WORK``
-    overrides; 0 disables short-circuiting, for tests that must force
-    dispatch)."""
-    raw = os.environ.get("REPRO_POOL_MIN_WORK")
-    if raw is None:
-        return _POOL_MIN_WORK
-    try:
-        return int(raw)
-    except ValueError:
-        return _POOL_MIN_WORK
-
-
-def _solve_unit(kind: str, payload: tuple):
-    """Solve one dispatch unit of either kind; the single pure
-    function both workers and the supervisor's serial fallback run, so
-    every execution path produces identical bits.
-
-    ``"transport"`` payloads are ``(task, chain)`` and return the
-    task's ``(result, stage)``; ``"realize"`` payloads are
-    ``(specs, chain)`` (see
-    :func:`repro.fbp.realize_windows.realize_unit`).
-    """
-    if kind == "realize":
-        from repro.fbp.realize_windows import realize_unit
-
-        specs, chain = payload
-        return realize_unit(specs, chain=chain)
-    (supplies, caps, costs), chain = payload
-    return solve_transportation_with_relaxation(
-        supplies, caps, costs, chain=chain
-    )
+#: replacement workers are respawned under exponential backoff: after
+#: ``n`` consecutive worker deaths/stalls the next spawn waits
+#: ``min(_RESPAWN_BACKOFF_CAP, _RESPAWN_BACKOFF_BASE * 2^(n-1))``
+#: seconds, and a completed unit resets the streak.  This keeps a
+#: crash-looping fault (every pickup dies) from fork-spinning the host
+#: while it burns down to the serial fallback; the added wall time is
+#: bounded by the cap per death and changes no output bits.
+_RESPAWN_BACKOFF_BASE = 0.05
+_RESPAWN_BACKOFF_CAP = 1.0
 
 
 def _worker_main(worker_id: int, task_q, result_q) -> None:
     """Worker loop: pull one unit, solve, report, repeat.
 
-    Messages on ``result_q``:
+    Items on ``task_q`` are ``(unit_id, fn, args)``: the unit's result
+    is ``fn(*args)``.  Messages on ``result_q``:
     ``("start", wid, unit_id)`` — heartbeat at unit pickup;
-    ``("done", wid, unit_id, results)`` — solved, ``results`` is the
-    unit's result (the task's ``(result, stage)`` for transport units,
-    a :class:`WindowOutcome` list for realize units);
+    ``("done", wid, unit_id, results)`` — solved;
     ``("error", wid, unit_id, repr)`` — solver raised (the supervisor
     treats it as a unit failure, not a worker death).
     """
@@ -135,12 +117,12 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
         item = task_q.get()
         if item is None:
             return
-        unit_id, kind, payload = item
+        unit_id, fn, args = item
         result_q.put(("start", worker_id, unit_id))
         try:
             inject("worker.kill")
             inject("worker.stall")
-            results = _solve_unit(kind, payload)
+            results = fn(*args)
             result_q.put(("done", worker_id, unit_id, results))
         except BaseException as exc:  # noqa: BLE001 — must not kill loop
             try:
@@ -173,26 +155,12 @@ class WindowSolverPool:
         Per-task deadline in seconds.  Default: twice the process-wide
         solver budget's wall limit (plus grace) when one is set, else
         60 s.
-    max_failures:
-        Crashes/stalls/errors a single task may suffer before the
-        supervisor solves it serially in-process.
-    respawn_backoff_base / respawn_backoff_cap:
-        Replacement workers are respawned under exponential backoff:
-        after ``n`` consecutive worker deaths/stalls the next spawn
-        waits ``min(cap, base * 2^(n-1))`` seconds.  A completed unit
-        resets the streak.  This keeps a crash-looping fault (every
-        pickup dies) from fork-spinning the host while it burns down
-        to the serial fallback; the added wall time is bounded by
-        ``cap`` per death and changes no output bits.
     """
 
     def __init__(
         self,
         num_workers: int,
         task_timeout: Optional[float] = None,
-        max_failures: int = 2,
-        respawn_backoff_base: float = 0.05,
-        respawn_backoff_cap: float = 1.0,
     ) -> None:
         import multiprocessing as mp
 
@@ -204,9 +172,6 @@ class WindowSolverPool:
         # to the platform default elsewhere
         self._ctx = mp.get_context("fork" if "fork" in methods else None)
         self.num_workers = num_workers
-        self.max_failures = max_failures
-        self.respawn_backoff_base = respawn_backoff_base
-        self.respawn_backoff_cap = respawn_backoff_cap
         self._explicit_timeout = task_timeout
         self._result_q = self._ctx.Queue()
         self._workers: Dict[int, _WorkerHandle] = {}
@@ -249,8 +214,8 @@ class WindowSolverPool:
         replacement waits min(cap, base * 2^(streak-1)) seconds."""
         self._loss_streak += 1
         delay = min(
-            self.respawn_backoff_cap,
-            self.respawn_backoff_base * (2.0 ** (self._loss_streak - 1)),
+            _RESPAWN_BACKOFF_CAP,
+            _RESPAWN_BACKOFF_BASE * (2.0 ** (self._loss_streak - 1)),
         )
         self._next_respawn = max(
             self._next_respawn, time.monotonic() + delay
@@ -309,22 +274,14 @@ class WindowSolverPool:
         tasks: Sequence[TransportTask],
         chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
     ) -> List[Tuple[TransportResult, int]]:
-        """Solve every task; returns results in task order.
-
-        Crashed/stalled workers are replaced and their tasks requeued;
-        tasks failing ``max_failures`` times are solved in-process.  The
-        returned list is index-aligned with ``tasks`` regardless of
-        completion order or schedule.
-        """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        n = len(tasks)
-        if n == 0:
-            return []
-        payloads = [(task, chain) for task in tasks]
+        """Solve every task; returns results in task order, whatever
+        the completion order or schedule."""
         with span("pool.solve_batch"):
-            out = self._run_units("transport", payloads)
-        incr("pool.tasks", n)
+            out = self._run_units(
+                solve_transportation_with_relaxation,
+                [(*task, chain) for task in tasks],
+            )
+        incr("pool.tasks", len(tasks))
         return out
 
     def solve_realize_units(
@@ -334,40 +291,41 @@ class WindowSolverPool:
     ) -> List[list]:
         """Realize spec units (see
         :func:`repro.fbp.realize_windows.realize_unit`); returns one
-        :class:`WindowOutcome` list per unit, in unit order.  Same
-        supervision, requeue, and serial-fallback machinery as
-        :meth:`solve_batch`."""
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if not units:
-            return []
-        payloads = [(list(u), chain) for u in units]
+        :class:`WindowOutcome` list per unit, in unit order."""
+        from repro.fbp.realize_windows import realize_unit
+
         with span("pool.realize_batch"):
-            out = self._run_units("realize", payloads)
+            out = self._run_units(
+                realize_unit, [(list(u), chain) for u in units]
+            )
         incr("pool.realize_units", len(units))
         return out
 
-    def _run_units(self, kind: str, payloads: Sequence[tuple]) -> List:
-        """Run every ``(kind, payload)`` unit under supervision and
-        return their results in unit order.  Crashed/stalled workers
-        are replaced and their units requeued whole; units failing
-        ``max_failures`` times are solved in-process."""
+    def _run_units(self, fn: Callable, payloads: Sequence[tuple]) -> List:
+        """Run ``fn(*payload)`` for every payload under supervision and
+        return the results in payload order.  ``fn`` must be a
+        module-level function (workers receive it by reference).
+        Crashed/stalled workers are replaced and their units requeued
+        whole; units failing ``_MAX_FAILURES`` times are solved
+        in-process."""
+        if self._closed:
+            raise RuntimeError("pool is closed")
+        if not payloads:
+            return []
         self._ensure_workers()
-        items = [(u, kind, payloads[u]) for u in range(len(payloads))]
+        items = [(u, fn, payloads[u]) for u in range(len(payloads))]
         pending: List[tuple] = list(items)
         failures = [0] * len(items)
         unit_results: Dict[int, object] = {}
 
         def fail_unit(unit_id: int) -> None:
             failures[unit_id] += 1
-            if failures[unit_id] >= self.max_failures:
+            if failures[unit_id] >= _MAX_FAILURES:
                 # terminal: solve the whole unit serially right here —
                 # correctness over speed, and bit-identical by
                 # construction (same pure function the worker runs)
                 incr("pool.serial_fallbacks")
-                unit_results[unit_id] = _solve_unit(
-                    kind, payloads[unit_id]
-                )
+                unit_results[unit_id] = fn(*payloads[unit_id])
             else:
                 incr("pool.requeues")
                 pending.append(items[unit_id])
@@ -398,7 +356,6 @@ class WindowSolverPool:
             except queue_mod.Empty:
                 msg = None
             while msg is not None:
-                # (not ``kind``: fail_unit's serial fallback reads that)
                 tag, wid, unit_id = msg[0], msg[1], msg[2]
                 handle = self._workers.get(wid)
                 if tag == "done":
@@ -474,6 +431,23 @@ def activated(pool: Optional[WindowSolverPool]):
         _active_pool = previous
 
 
+def _pool_for(
+    items: Sequence, work: Callable
+) -> Optional[WindowSolverPool]:
+    """The active pool when the batch is worth the IPC, else None.
+
+    A batch needs at least two items and ``_POOL_MIN_WORK`` summed
+    ``work(item)``; below that threshold the round-trip costs more
+    than the solves, and the in-process path is identical."""
+    pool = get_active_pool()
+    if pool is None or len(items) < 2:
+        return None
+    if sum(map(work, items)) < _POOL_MIN_WORK:
+        incr("pool.serial_shortcircuits")
+        return None
+    return pool
+
+
 def solve_transport_batch(
     tasks: Sequence[TransportTask],
     chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
@@ -481,15 +455,9 @@ def solve_transport_batch(
     """Solve a batch of window transportation problems through the
     active pool when one is installed (and the batch is worth the IPC),
     else serially.  Output is identical either way."""
-    pool = get_active_pool()
-    if pool is not None and len(tasks) > 1:
-        work = sum(int(costs.size) for _s, _c, costs in tasks)
-        if work < _pool_min_work():
-            # below the min-work threshold the IPC round-trip costs
-            # more than the solves; the in-process path is identical
-            incr("pool.serial_shortcircuits")
-        else:
-            return pool.solve_batch(tasks, chain=chain)
+    pool = _pool_for(tasks, lambda task: int(task[2].size))
+    if pool is not None:
+        return pool.solve_batch(tasks, chain=chain)
     return [
         solve_transportation_with_relaxation(
             supplies, caps, costs, chain=chain
@@ -500,44 +468,26 @@ def solve_transport_batch(
 
 def solve_realize_batch(
     specs: Sequence,
-    grid,
     chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
-    tiles: Optional[int] = None,
 ) -> List:
-    """Realize a batch of window specs — tile-parallel through the
+    """Realize a batch of window specs (in window order) through the
     active pool when one is installed (and the batch is worth the
-    IPC), serially in-process otherwise.  Outcomes come back sorted by
-    window index, so the result is bit-identical across pool sizes and
-    tilings.
+    IPC), serially in-process otherwise.
 
-    ``tiles``: windows are grouped into ``tiles x tiles`` spatial
-    dispatch units (the same decomposition
-    :func:`repro.fbp.sharding.tile_of_windows` gives the sharded flow
-    solve); ``None`` picks ``min(8, nx, ny)``, ``0``/``1`` force the
-    serial path.  The min-work threshold counts only non-trivial
-    windows — closed-form windows never justify a worker round-trip.
+    The pool gets ``min(num_workers, len(specs))`` contiguous units;
+    their outcomes concatenate back in window order, so the result is
+    bit-identical across pool sizes.  Only non-trivial windows count
+    as work — closed-form windows never justify a worker round-trip.
     """
-    from repro.fbp.realize_windows import realize_unit, tile_units
+    from repro.fbp.realize_windows import realize_unit
 
-    if not specs:
-        return []
-    pool = get_active_pool()
-    if pool is not None and len(specs) > 1:
-        n_tiles = tiles if tiles is not None else min(8, grid.nx, grid.ny)
-        if n_tiles > 1:
-            work = sum(
-                len(s.cells) * len(s.caps)
-                for s in specs
-                if not s.trivial
-            )
-            if work < _pool_min_work():
-                incr("pool.serial_shortcircuits")
-            else:
-                units = tile_units(specs, grid, n_tiles)
-                if len(units) > 1:
-                    incr("realize.pool_dispatched", len(units))
-                    results = pool.solve_realize_units(units, chain=chain)
-                    merged = [oc for unit in results for oc in unit]
-                    merged.sort(key=lambda oc: oc.widx)
-                    return merged
-    return realize_unit(specs, chain=chain)
+    pool = _pool_for(
+        specs, lambda s: 0 if s.trivial else len(s.cells) * len(s.caps)
+    )
+    if pool is None:
+        return realize_unit(specs, chain=chain)
+    k = min(pool.num_workers, len(specs))
+    cuts = [u * len(specs) // k for u in range(k + 1)]
+    units = [specs[a:b] for a, b in zip(cuts, cuts[1:])]
+    results = pool.solve_realize_units(units, chain=chain)
+    return [oc for unit in results for oc in unit]

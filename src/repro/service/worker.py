@@ -140,6 +140,21 @@ def _apply_movebound_patch(netlist, bounds, patch) -> None:
         )
 
 
+def _configured(placer, opts: Dict[str, Any]):
+    """``placer`` with a job's placer options applied: ``density``,
+    ``relax_infeasible`` and ``legalize``, on every path that places."""
+    po = getattr(placer, "options", None)
+    if po is None:
+        return placer
+    if "density" in opts:
+        po.density_target = float(opts["density"])
+    if opts.get("relax_infeasible"):
+        po.relax_infeasible = True
+    if "legalize" in opts:
+        po.legalize = bool(opts["legalize"])
+    return placer
+
+
 def execute_job(spec: JobSpec, job_dir: str) -> Dict[str, Any]:
     """Run one job to completion and return its result payload.
 
@@ -177,14 +192,9 @@ def execute_job(spec: JobSpec, job_dir: str) -> Dict[str, Any]:
     from repro.place import PLACERS
     from repro.runstate import DurableRunState
 
-    placer = PLACERS[spec.options.get("placer", "fbp")]()
-    opts = spec.options
-    if hasattr(placer, "options"):
-        po = placer.options
-        if opts.get("relax_infeasible"):
-            po.relax_infeasible = True
-        if "legalize" in opts:
-            po.legalize = bool(opts["legalize"])
+    placer = _configured(
+        PLACERS[spec.options.get("placer", "fbp")](), spec.options
+    )
     if hasattr(placer, "run_state"):
         # resume=True: fresh when the run dir is empty, bit-identical
         # continuation from the manifest after any crashed attempt
@@ -229,14 +239,7 @@ def _execute_replace_eco(
     from repro.place import BonnPlaceFBP
 
     opts = spec.options
-    placer = BonnPlaceFBP()
-    po = placer.options
-    if "density" in opts:
-        po.density_target = float(opts["density"])
-    if opts.get("relax_infeasible"):
-        po.relax_infeasible = True
-    if "legalize" in opts:
-        po.legalize = bool(opts["legalize"])
+    placer = _configured(BonnPlaceFBP(), opts)
 
     engine = EcoEngine(
         netlist,

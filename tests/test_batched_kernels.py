@@ -308,13 +308,13 @@ class TestPoolBatched:
         assert after.get("pool.requeues", 0) > before.get("pool.requeues", 0)
 
     def test_every_worker_crash_falls_back_serially(self):
-        """Permanent crashes: every task exhausts max_failures and is
+        """Permanent crashes: every task exhausts the failure limit and is
         solved serially in the supervisor — identical bits."""
         tasks = make_batch("square", 90, 3) + make_batch("rect_wide", 90, 2)
         want = solve_serial(tasks)
         install_fault_plan("worker.kill=kill")
         before = dict(_counters())
-        with WindowSolverPool(2, max_failures=2) as pool:
+        with WindowSolverPool(2) as pool:
             got = pool.solve_batch(tasks)
         assert_results_identical(got, want)
         after = _counters()

@@ -196,7 +196,7 @@ class TestFanInRounding:
         "each arc ships within half a cell of its flow, and those "
         "errors add up in a window fed by several arcs: here 4 arcs "
         "leave the centre 5.0 over, the largest cell is 3.0 "
-        "(ROADMAP item 6)"
+        "(ROADMAP item 11(b))"
     ))
     def test_overflow_within_the_largest_cell(self):
         assert self._fan_in().max_overflow <= 3.0 + 1e-6

@@ -6,9 +6,10 @@ and SuperLU of the QP, each of which
 :func:`repro.scipy_ext.load_extension` loads from its file.
 ``scipy.fft`` (and ``scipy.special`` with it) serves only the
 Kraftwerk baseline's Poisson step; ``scipy.spatial`` only the workload
-generators.  No scipy package may come in through an import of the
-CLI, the FBP placer or the ECO engine, nor at any point of a ``python
--m repro place`` run.  Each check runs in a fresh interpreter, since
+generators; ``scipy.sparse.csgraph`` only the sharded flow solve's
+Dijkstra.  No scipy package may come in through an import of the CLI,
+the FBP placer, the ECO engine or the sharded solve, nor at any point
+of a ``python -m repro place`` run.  Each check runs in a fresh interpreter, since
 the test process itself has long loaded all of scipy.
 """
 
@@ -111,7 +112,12 @@ def loaded_after(statement):
 
 @pytest.mark.parametrize(
     "statement",
-    ["import repro.cli", "import repro.place.bonnplace", "import repro.eco"],
+    [
+        "import repro.cli",
+        "import repro.place.bonnplace",
+        "import repro.eco",
+        "import repro.fbp.sharding",
+    ],
 )
 def test_import_loads_no_unused_scipy_package(statement):
     assert loaded_after(statement) == []

@@ -1,4 +1,4 @@
-"""Tile-parallel, vectorized realization: identity and fault contract.
+"""Pooled, vectorized realization: identity and fault contract.
 
 The contract under test (see ``repro/fbp/realize_windows.py``):
 
@@ -6,9 +6,9 @@ The contract under test (see ``repro/fbp/realize_windows.py``):
   reproduces the scalar reference loop kept below bit for bit, and the
   cost kernel (``transport_costs``) reproduces per-target
   ``RectSet.distances_to_points`` with ``inf`` masking;
-* serial, pool-1, pool-4 and any realize-tile decomposition produce
-  byte-identical placements — on synthetic, movebound-heavy, and
-  Bookshelf instances;
+* serial, pool-1 and pool-4 produce byte-identical placements — on
+  synthetic, movebound-heavy, and Bookshelf instances — and a pool of
+  N cuts the window-ordered specs into at most N contiguous units;
 * a ``worker.kill`` fault landing on a realize unit changes nothing
   (the unit is requeued whole and re-realized from scratch);
 * the fast path (closed-form single-region windows) realizes every
@@ -29,11 +29,7 @@ from repro.bookshelf import load_instance
 from repro.cli import main
 from repro.fbp import realize_windows
 from repro.fbp.partitioner import fbp_partition
-from repro.fbp.realize_windows import (
-    WindowSpec,
-    realize_unit,
-    tile_units,
-)
+from repro.fbp.realize_windows import WindowSpec, realize_unit
 from repro.geometry import Rect, RectSet, rect_array
 from repro.grid import Grid
 from repro.movebounds import MoveBoundSet, decompose_regions
@@ -43,12 +39,16 @@ from repro.resilience import install_fault_plan, reset_faults
 from repro.runstate import (
     WindowSolverPool,
     activated,
+    solve_realize_batch,
     solve_transport_batch,
 )
+from repro.runstate import pool as pool_mod
 from repro.workloads.generator import NetlistSpec, generate_netlist
 from tests.conftest import build_random_netlist
 
 DIE = Rect(0, 0, 100, 100)
+
+DEFAULT_MIN_WORK = pool_mod._POOL_MIN_WORK
 
 
 @pytest.fixture(autouse=True)
@@ -62,8 +62,8 @@ def _clean_faults():
 def _force_dispatch(monkeypatch):
     """Disable the min-work short-circuit: these tests must exercise
     actual pool dispatch on small instances.  The short-circuit tests
-    below delete the variable again to restore default behaviour."""
-    monkeypatch.setenv("REPRO_POOL_MIN_WORK", "0")
+    below restore ``DEFAULT_MIN_WORK``."""
+    monkeypatch.setattr(pool_mod, "_POOL_MIN_WORK", 0)
 
 
 def _instance(seed: int, num_cells: int = 1500):
@@ -99,14 +99,10 @@ def _mb_instance(seed: int, num_cells: int = 600, windows: int = 8):
     return nl, mbs, grid
 
 
-def _partition(nl, bounds, grid, pool=0, realize_tiles=None, **pool_options):
-    kwargs = dict(
-        density_target=0.9,
-        run_local_qp=False,
-        realize_tiles=realize_tiles,
-    )
+def _partition(nl, bounds, grid, pool=0, task_timeout=None):
+    kwargs = dict(density_target=0.9, run_local_qp=False)
     if pool:
-        with WindowSolverPool(pool, **pool_options) as p, activated(p):
+        with WindowSolverPool(pool, task_timeout) as p, activated(p):
             return fbp_partition(nl, bounds, grid, **kwargs)
     return fbp_partition(nl, bounds, grid, **kwargs)
 
@@ -296,14 +292,15 @@ class TestCostKernel:
 
 
 # ----------------------------------------------------------------------
-# serial vs pool-N vs tiling: byte-identical
+# serial vs pool-N: byte-identical
 # ----------------------------------------------------------------------
 class TestRealizeIdentity:
     def test_pool_and_tiling_invariant(self):
+        """Pool sizes 0, 1 and 4, hence 1, 1 and 4 dispatch units."""
         baseline = None
-        for pool, tiles in ((0, None), (1, 4), (4, 2), (4, 8)):
+        for pool in (0, 1, 4):
             nl, bounds, grid = _instance(3)
-            rep = _partition(nl, bounds, grid, pool=pool, realize_tiles=tiles)
+            rep = _partition(nl, bounds, grid, pool=pool)
             assert rep.feasible
             state = _state(nl, rep)
             if baseline is None:
@@ -313,9 +310,9 @@ class TestRealizeIdentity:
 
     def test_movebound_instance_invariant(self):
         baseline = None
-        for pool, tiles in ((0, None), (4, 4)):
+        for pool in (0, 4):
             nl, bounds, grid = _mb_instance(3)
-            rep = _partition(nl, bounds, grid, pool=pool, realize_tiles=tiles)
+            rep = _partition(nl, bounds, grid, pool=pool)
             assert rep.feasible
             state = _state(nl, rep)
             if baseline is None:
@@ -372,19 +369,22 @@ class TestRealizeIdentity:
         counters = get_tracer().counters
         before = counters.get("pool.worker_deaths", 0)
         nl_p, bounds_p, grid_p = _instance(7)
-        rep_p = _partition(nl_p, bounds_p, grid_p, pool=2, realize_tiles=4)
+        rep_p = _partition(nl_p, bounds_p, grid_p, pool=2)
         reset_faults()
         assert rep_p.feasible
         assert counters.get("pool.worker_deaths", 0) > before
         assert _state(nl_p, rep_p) == _state(nl_s, rep_s)
 
-    def test_unit_failed_out_of_the_pool_is_solved_in_process(self):
-        """A realize unit that exhausts ``max_failures`` is solved by the
+    def test_unit_failed_out_of_the_pool_is_solved_in_process(
+        self, monkeypatch
+    ):
+        """A realize unit that exhausts ``_MAX_FAILURES`` is solved by the
         supervisor's serial fallback as a realize unit, whatever message
         the supervisor read last (here: the stalled worker's ``start``
         heartbeat, read before its deadline reaps it)."""
         nl_s, bounds_s, grid_s = _instance(7)
         rep_s = _partition(nl_s, bounds_s, grid_s)
+        monkeypatch.setattr(pool_mod, "_MAX_FAILURES", 1)
         reset_faults()
         install_fault_plan("worker.stall=stall:60@1")
         counters = get_tracer().counters
@@ -392,16 +392,17 @@ class TestRealizeIdentity:
         nl_p, bounds_p, grid_p = _instance(7)
         try:
             rep_p = _partition(
-                nl_p, bounds_p, grid_p, pool=2, realize_tiles=4,
-                max_failures=1, task_timeout=0.5,
+                nl_p, bounds_p, grid_p, pool=2, task_timeout=0.5
             )
         finally:
             reset_faults()
         assert counters.get("pool.serial_fallbacks", 0) > before
         assert _state(nl_p, rep_p) == _state(nl_s, rep_s)
 
-    def test_tile_units_partition_specs(self):
-        nl, _bounds, grid = _instance(2)
+    def test_pool_units_cover_specs_in_window_order(self):
+        """A pool of N gets at most N non-empty contiguous units: every
+        spec once, in window order, and the outcomes come back in
+        window order."""
 
         def dummy(widx):
             e = np.empty(0)
@@ -414,13 +415,25 @@ class TestRealizeIdentity:
                 free_rects=(r,), spread_rects=(r,), trivial=True,
             )
 
-        specs = [dummy(w) for w in range(0, grid.nx * grid.ny, 3)]
-        units = tile_units(specs, grid, 2)
-        assert 1 < len(units) <= 4
-        flat = [s.widx for u in units for s in u]
-        assert sorted(flat) == [s.widx for s in specs]
-        # every window lands in exactly one unit
-        assert len(set(flat)) == len(flat)
+        class RecordingPool:
+            def __init__(self, num_workers):
+                self.num_workers = num_workers
+                self.units = None
+
+            def solve_realize_units(self, units, chain):
+                self.units = units
+                return [realize_unit(u, chain=chain) for u in units]
+
+        specs = [dummy(w) for w in range(0, 64, 3)]
+        order = [s.widx for s in specs]
+        for workers in (1, 3, 4, 50):
+            pool = RecordingPool(workers)
+            with activated(pool):
+                outcomes = solve_realize_batch(specs)
+            assert 1 <= len(pool.units) <= workers
+            assert all(len(u) for u in pool.units)
+            assert [s.widx for u in pool.units for s in u] == order
+            assert [oc.widx for oc in outcomes] == order
 
 
 # ----------------------------------------------------------------------
@@ -436,11 +449,12 @@ class TestBookshelfIdentity:
     def test_cli_pool_tiles_byte_identical(
         self, instance_dir, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_POOL_MIN_WORK", "0")
+        """Serial vs ``--pool-workers 2`` with dispatch forced (the
+        autouse ``_force_dispatch``)."""
         outs = {}
         for tag, extra in {
             "serial": [],
-            "pooled": ["--pool-workers", "2", "--realize-tiles", "4"],
+            "pooled": ["--pool-workers", "2"],
         }.items():
             out = str(tmp_path / tag)
             code = main(
@@ -469,7 +483,7 @@ class TestSerialShortcircuit:
         return tasks
 
     def test_small_batch_short_circuits(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_MIN_WORK", raising=False)
+        monkeypatch.setattr(pool_mod, "_POOL_MIN_WORK", DEFAULT_MIN_WORK)
         counters = get_tracer().counters
         tasks = self._tasks()
         want = solve_transport_batch(tasks)
@@ -481,8 +495,7 @@ class TestSerialShortcircuit:
             assert sg == sw
             assert rg.flow.tobytes() == rw.flow.tobytes()
 
-    def test_env_zero_forces_dispatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_MIN_WORK", "0")
+    def test_zero_min_work_forces_dispatch(self):
         counters = get_tracer().counters
         tasks = self._tasks(seed=1)
         before = counters.get("pool.tasks", 0)
@@ -494,10 +507,10 @@ class TestSerialShortcircuit:
         """All-trivial windows carry zero LP work: dispatching them
         through the pool is pure overhead, so at the default threshold
         they stay in-process even with an active pool."""
-        monkeypatch.delenv("REPRO_POOL_MIN_WORK", raising=False)
+        monkeypatch.setattr(pool_mod, "_POOL_MIN_WORK", DEFAULT_MIN_WORK)
         counters = get_tracer().counters
-        before = counters.get("realize.pool_dispatched", 0)
+        before = counters.get("pool.realize_units", 0)
         nl, bounds, grid = _instance(9)
-        rep = _partition(nl, bounds, grid, pool=2, realize_tiles=4)
+        rep = _partition(nl, bounds, grid, pool=2)
         assert rep.feasible
-        assert counters.get("realize.pool_dispatched", 0) == before
+        assert counters.get("pool.realize_units", 0) == before

@@ -224,6 +224,19 @@ class TestManifest:
         assert config_hash(a) == config_hash(dict(reversed(list(a.items()))))
         assert config_hash(a) != config_hash({**a, "levels": 5})
 
+    def test_default_placer_config_hash_is_pinned(self):
+        """Run directories written by earlier versions resume only while
+        the default options hash the same: a change to this literal
+        makes every existing run directory refuse ``--resume``, so it
+        may change only on purpose."""
+        from types import SimpleNamespace
+
+        from repro.place import BonnPlaceFBP
+
+        shape = SimpleNamespace(num_cells=50, num_nets=60)
+        payload = BonnPlaceFBP()._config_payload(shape, 0.97, 3)
+        assert config_hash(payload) == "91f32e0b14372d54"
+
 
 # ----------------------------------------------------------------------
 # corruption -> quarantine -> fallback

@@ -307,6 +307,36 @@ class TestWorkerResults:
     def test_missing_result_is_none(self, tmp_path):
         assert read_result(str(tmp_path)) is None
 
+    @pytest.mark.parametrize(
+        "kind, extra", [("place", {}), ("replace", {"eco": False})]
+    )
+    def test_density_option_reaches_the_placer(self, tmp_path, kind, extra):
+        """A job's ``density`` places exactly as an in-process placer
+        with that ``density_target`` does, on every full-place path."""
+        from repro.bookshelf import load_instance
+        from repro.place import BonnPlaceFBP, BonnPlaceOptions
+        from repro.workloads import NetlistSpec, generate_netlist
+
+        # dense enough that 0.8 and the default 0.97 place differently
+        inst = tmp_path / "inst"
+        netlist, _logical = generate_netlist(
+            NetlistSpec(name="svc", num_cells=200, utilization=0.5), seed=3
+        )
+        save_instance(str(inst), netlist, MoveBoundSet(netlist.die))
+        job_dir = str(tmp_path / "job")
+        spec = _spec(inst, kind=kind, options={"density": 0.8, **extra})
+        run_job_to_file(spec, job_dir, allow_faults=False)
+        payload, error = read_result(job_dir)
+        assert error is None
+
+        netlist, bounds = load_instance(str(inst), "svc")
+        BonnPlaceFBP(BonnPlaceOptions(density_target=0.8)).place(
+            netlist, bounds
+        )
+        save_instance(str(tmp_path / "ref"), netlist, bounds)
+        with open(tmp_path / "ref" / "svc.pl", "rb") as f:
+            assert payload["pl_sha256"] == hashlib.sha256(f.read()).hexdigest()
+
 
 # ----------------------------------------------------------------------
 # daemon smoke (real daemon subprocess, tiny jobs)

@@ -19,6 +19,7 @@ from repro.movebounds import MoveBoundSet
 from repro.obs import get_tracer
 from repro.place import BonnPlaceFBP
 from repro.resilience import install_fault_plan, reset_faults
+from repro.runstate import pool as pool_mod
 from repro.runstate import (
     WindowSolverPool,
     activated,
@@ -155,11 +156,11 @@ class TestPoolSupervision:
     def test_repeated_crashes_fall_back_to_serial_in_process(self):
         tasks = _tasks(4, seed=6)
         want = _serial(tasks)
-        # every pickup dies: every task exhausts max_failures and is
-        # solved serially by the supervisor — slow, never wrong
+        # every pickup dies: every task exhausts the failure limit and
+        # is solved serially by the supervisor — slow, never wrong
         install_fault_plan("worker.kill=kill")
         before = dict(self._counters())
-        with WindowSolverPool(2, max_failures=2) as pool:
+        with WindowSolverPool(2) as pool:
             got = pool.solve_batch(tasks)
         _assert_identical(got, want)
         after = self._counters()
@@ -167,7 +168,8 @@ class TestPoolSupervision:
             "pool.serial_fallbacks", 0
         ) + len(tasks)
 
-    def test_respawn_backoff_paces_crash_loop(self):
+    def test_respawn_backoff_paces_crash_loop(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "_RESPAWN_BACKOFF_CAP", 0.2)
         tasks = _tasks(3, seed=8)
         want = _serial(tasks)
         # every pickup dies → every death must arm the exponential
@@ -175,12 +177,7 @@ class TestPoolSupervision:
         # fallback solves the same pure function)
         install_fault_plan("worker.kill=kill")
         before = dict(self._counters())
-        with WindowSolverPool(
-            2,
-            max_failures=2,
-            respawn_backoff_base=0.05,
-            respawn_backoff_cap=0.2,
-        ) as pool:
+        with WindowSolverPool(2) as pool:
             got = pool.solve_batch(tasks)
             assert pool._loss_streak > 0
         _assert_identical(got, want)
@@ -189,15 +186,14 @@ class TestPoolSupervision:
             "pool.respawn_backoff", 0
         )
 
-    def test_backoff_resets_after_healthy_unit(self):
+    def test_backoff_resets_after_healthy_unit(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "_RESPAWN_BACKOFF_CAP", 0.2)
         tasks = _tasks(4, seed=10)
         want = _serial(tasks)
         # a crash-loop batch arms the backoff; a healthy batch must
         # disarm it (every completed unit clears the loss streak)
         install_fault_plan("worker.kill=kill")
-        with WindowSolverPool(
-            2, max_failures=2, respawn_backoff_cap=0.2
-        ) as pool:
+        with WindowSolverPool(2) as pool:
             _assert_identical(pool.solve_batch(tasks), want)
             assert pool._loss_streak > 0
             reset_faults()
@@ -210,9 +206,12 @@ class TestEndToEndPlacement:
         spec = NetlistSpec("pooltest", 200, utilization=0.5, num_pads=8)
         nl, _logical = generate_netlist(spec, seed=seed)
         placer = BonnPlaceFBP()
-        placer.options.pool_workers = workers
         placer.options.legalize = False
-        placer.place(nl, MoveBoundSet(nl.die))
+        if workers:
+            with WindowSolverPool(workers) as pool, activated(pool):
+                placer.place(nl, MoveBoundSet(nl.die))
+        else:
+            placer.place(nl, MoveBoundSet(nl.die))
         return nl.x.tobytes(), nl.y.tobytes()
 
     def test_pooled_placement_bit_identical_to_serial(self):

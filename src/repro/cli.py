@@ -86,13 +86,22 @@ def cmd_place(args: argparse.Namespace) -> int:
 
     if args.resume and not args.run_dir:
         raise SystemExit("--resume requires --run-dir")
-    netlist, bounds = load_instance(args.dir, args.instance)
     placer = _make_placer(args.placer)
-    if args.relax_infeasible and hasattr(placer, "options"):
-        placer.options.relax_infeasible = True
-    if hasattr(placer, "options"):
-        if args.shard_tiles is not None:
-            placer.options.shard_tiles = args.shard_tiles
+    # options only the fbp placer reads: refused elsewhere, not dropped
+    given = {
+        "relax_infeasible": args.relax_infeasible or None,
+        "shard_tiles": args.shard_tiles,
+    }
+    for name, value in given.items():
+        if value is None:
+            continue
+        if not hasattr(getattr(placer, "options", None), name):
+            raise SystemExit(
+                f"--{name.replace('_', '-')} is only supported by the fbp "
+                f"placer, not {args.placer!r}"
+            )
+        setattr(placer.options, name, value)
+    netlist, bounds = load_instance(args.dir, args.instance)
     if args.run_dir:
         if not hasattr(placer, "run_state"):
             raise SystemExit(

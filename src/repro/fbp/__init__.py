@@ -11,10 +11,11 @@ The pipeline:
 2. Theorem 3: the instance is feasible iff a fractional placement with
    movebounds exists — surfaced by the solver's feasibility flag.
 3. :mod:`repro.fbp.realization` turns the abstract flow into actual
-   cell movement: external flow arcs are processed in topological
-   order; each is realized over a 2x3/3x2 *coarse window* by a local QP
-   followed by a movebound-aware transportation step whose transit
-   capacities are the current flow excess (eq. (2)).
+   cell movement: external arcs go in rounds of disjoint 2x3/3x2
+   *coarse windows*; per round one local QP (under
+   ``local_qp_cell_limit`` cells), then each arc is shipped greedily
+   (:func:`~repro.fbp.realization._ship_arc`); finally every window
+   partitions its cells among its regions by the §III step.
 4. :mod:`repro.fbp.schedule` computes the deterministic parallel
    schedule (independent arcs = disjoint coarse windows) whose
    achievable speedup the paper reports.
@@ -24,11 +25,6 @@ The pipeline:
 
 from repro.fbp.model import FBPModel, build_fbp_model
 from repro.fbp.realization import RealizationResult, realize_flow
-from repro.fbp.realize_windows import (
-    WindowOutcome,
-    WindowSpec,
-    realize_unit,
-)
 from repro.fbp.schedule import ParallelSchedule, compute_schedule
 from repro.fbp.partitioner import FBPReport, fbp_partition
 
@@ -37,9 +33,6 @@ __all__ = [
     "build_fbp_model",
     "RealizationResult",
     "realize_flow",
-    "WindowSpec",
-    "WindowOutcome",
-    "realize_unit",
     "ParallelSchedule",
     "compute_schedule",
     "FBPReport",

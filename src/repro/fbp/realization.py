@@ -42,6 +42,12 @@ from repro.flows import RELAX_CHAIN_WINDOW, FlowResult
 from repro.grid import Grid
 from repro.netlist import Netlist
 from repro.obs import incr, span
+from repro.partitioning.transport import (
+    TransportInstance,
+    TransportTargets,
+    build_instance,
+    spread_step,
+)
 from repro.qp import QPOptions, solve_qp
 from repro.resilience.faultinject import inject
 from repro.fbp.model import ExternalArc, FBPModel
@@ -321,6 +327,15 @@ def _realize_flow_impl(
     bound_names: List[str] = []
     # admissible (window, region) targets per bound, for stranding repair
     admissible_targets: Dict[str, List[Tuple[int, object]]] = {}
+
+    def admissible(w, bound: str) -> list:
+        """The regions of ``w`` with capacity whose area ``bound`` covers."""
+        return [
+            wr for wr in w.regions
+            if wr.admits(bound)
+            and model.region_capacity.get((w.index, wr.region.index), 0.0) > 0
+        ]
+
     for (bound, widx), cells in members.items():
         if not len(cells):
             continue
@@ -329,40 +344,21 @@ def _realize_flow_impl(
             code = len(bound_names)
             bound_code[bound] = code
             bound_names.append(bound)
-        has_admissible = any(
-            wr.admits(bound)
-            and model.region_capacity.get(
-                (widx, wr.region.index), 0.0
-            )
-            > 0
-            for wr in grid.windows[widx].regions
-        )
-        if has_admissible:
+        if admissible(grid.windows[widx], bound):
             arr = np.fromiter(cells, dtype=np.int64, count=len(cells))
             window_parts.setdefault(widx, []).append((arr, code))
             continue
         # whole-cell rounding stranded these cells in a window with no
         # admissible region; send each to the nearest admissible one
         if bound not in admissible_targets:
-            targets = []
-            for w in grid:
-                for wr in w.regions:
-                    if (
-                        wr.admits(bound)
-                        and model.region_capacity.get(
-                            (w.index, wr.region.index), 0.0
-                        )
-                        > 0
-                    ):
-                        targets.append((w.index, wr))
-            admissible_targets[bound] = targets
+            admissible_targets[bound] = [
+                (w.index, wr) for w in grid for wr in admissible(w, bound)
+            ]
         for c in cells:
             home = widx
             best = None
             for twidx, wr in admissible_targets[bound]:
-                d = wr.free_area.distance_to_point(
-                    netlist.x[c], netlist.y[c]
-                ) if not wr.free_area.is_empty else float("inf")
+                d = wr.free_area.distance_to_point(netlist.x[c], netlist.y[c])
                 if best is None or d < best[0]:
                     best = (d, twidx)
             if best is not None:
@@ -387,65 +383,90 @@ def _partition_windows(
 ) -> None:
     """Final intra-window partitioning (§III) of the realization.
 
-    Each window becomes a self-contained
-    :class:`~repro.fbp.realize_windows.WindowSpec` (built in
-    deterministic window order); specs are realized — through the
-    supervised worker pool when one is active, serially otherwise —
-    and the outcomes come back in window order, so the pool size
-    cannot affect output bits.
+    Each window becomes one §III instance onto its regions with
+    positive capacity, in window-region order; the run-wide bound codes
+    and a per-(region, code) memo fill its admissibility table.  The
+    instances are solved in window order (through the worker pool when
+    one is active) as realization's steps: closed form, no repair.
     """
-    from repro.fbp.realize_windows import build_window_specs
-    from repro.runstate.pool import solve_realize_batch
+    from repro.runstate.pool import solve_instance_batch
 
     netlist = model.netlist
-
-    # one (cells, codes) entry per window, cells ascending
-    entries: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    for widx in sorted(window_parts):
-        parts = window_parts[widx]
-        ids = np.concatenate([a for a, _c in parts])
-        codes = np.concatenate(
-            [np.full(len(a), c, dtype=np.int64) for a, c in parts]
-        )
-        order = np.argsort(ids)
-        entries.append((widx, ids[order], codes[order]))
-
+    grid = model.grid
+    #: per window: its index, each target's region index, its instance
+    windows: List[Tuple[int, List[int], TransportInstance]] = []
+    admit_memo: Dict[Tuple[int, int], bool] = {}
     with span("realize.specs"):
-        specs, skipped = build_window_specs(model, entries, bound_names)
-    # windows with no region capacity: relaxed, cells left in place
-    out.relaxed_windows.extend(skipped)
-    incr("realize.windows", len(specs))
-    incr(
-        "realize.trivial_windows", sum(1 for s in specs if s.trivial)
-    )
+        for widx in sorted(window_parts):
+            regions = [
+                wr for wr in grid.windows[widx].regions
+                if model.region_capacity.get((widx, wr.region.index), 0.0) > 0
+            ]
+            if not regions:
+                # no region capacity: relaxed, cells left in place
+                out.relaxed_windows.append(widx)
+                continue
+            parts = window_parts[widx]
+            ids = np.concatenate([a for a, _c in parts])
+            codes = np.concatenate(
+                [np.full(len(a), c, dtype=np.int64) for a, c in parts]
+            )
+            order = np.argsort(ids)
+            codes = codes[order]
+            admits = np.empty((len(bound_names), len(regions)), dtype=bool)
+            present = np.unique(codes).tolist()
+            for b, wr in enumerate(regions):
+                for code in present:
+                    key = (wr.region.index, code)
+                    if key not in admit_memo:
+                        admit_memo[key] = bool(wr.admits(bound_names[code]))
+                    admits[code, b] = admit_memo[key]
+            keys = [wr.region.index for wr in regions]
+            targets = TransportTargets(
+                keys,
+                np.array([model.region_capacity[(widx, r)] for r in keys]),
+                [wr.free_area for wr in regions],
+                [wr.admits for wr in regions],
+            )
+            inst = build_instance(netlist, ids[order], targets, codes, admits)
+            windows.append((widx, keys, inst))
+    instances = [inst for _w, _k, inst in windows]
+    incr("realize.windows", len(instances))
+    incr("realize.trivial_windows", sum(i.trivial for i in instances))
 
     with span("realize.solve"):
-        outcomes = solve_realize_batch(specs, chain=RELAX_CHAIN_WINDOW)
+        steps = solve_instance_batch(
+            instances, RELAX_CHAIN_WINDOW, realize=True
+        )
 
     with span("realize.merge"):
-        for spec, oc in zip(specs, outcomes):
-            netlist.x[oc.cells] = oc.new_x
-            netlist.y[oc.cells] = oc.new_y
-            if oc.stage > 0:
-                out.relaxed_windows.append(oc.widx)
-            region_idx = np.asarray(spec.region_idx, dtype=np.int64)
-            ridx = region_idx[oc.assignment]
+        for (widx, keys, inst), step in zip(windows, steps):
+            if not step.feasible:
+                # a cell no region admits: relaxed, cells left in place
+                out.relaxed_windows.append(widx)
+                continue
+            netlist.x[inst.cells], netlist.y[inst.cells] = spread_step(
+                inst, step.target
+            )
+            if step.relaxed:
+                out.relaxed_windows.append(widx)
+            ridx = np.asarray(keys, dtype=np.int64)[step.target]
             out.assignment.update(
                 zip(
-                    oc.cells.tolist(),
-                    zip([oc.widx] * len(oc.cells), ridx.tolist()),
+                    inst.cells.tolist(),
+                    zip([widx] * len(inst.cells), ridx.tolist()),
                 )
             )
             # overflow accounting of the final assignment — same float
             # accumulation order as the former global dict walk (cells
             # ascending within the window, regions in first-appearance
             # order, one window's regions never split across windows)
-            loads = np.zeros(len(spec.caps))
-            np.add.at(loads, oc.assignment, spec.sizes)
-            _vals, first = np.unique(oc.assignment, return_index=True)
-            for b in oc.assignment[np.sort(first)]:
+            loads = np.zeros(len(inst.caps))
+            np.add.at(loads, step.target, inst.sizes)
+            _vals, first = np.unique(step.target, return_index=True)
+            for b in step.target[np.sort(first)]:
                 over = float(loads[b]) - model.region_capacity.get(
-                    (oc.widx, spec.region_idx[int(b)]), 0.0
+                    (widx, keys[int(b)]), 0.0
                 )
                 if over > 0:
                     out.total_overflow += over

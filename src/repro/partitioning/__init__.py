@@ -1,8 +1,10 @@
 """Partitioning algorithms besides FBP.
 
-* :mod:`repro.partitioning.transport` — the shared §III primitive:
+* :mod:`repro.partitioning.transport` — the shared §III step:
   movebound-aware transportation of a cell set onto capacitated
-  targets, with almost-integral rounding.
+  targets, with almost-integral rounding; one instance type
+  (:class:`TransportInstance`) and one solve (:func:`solve_instances`)
+  for every caller.
 * :mod:`repro.partitioning.recursive` — the classical recursive
   2x2 partitioning of BonnPlace [5] (the paper's predecessor and our
   ablation baseline), including the drawback the paper highlights:
@@ -12,11 +14,11 @@
 """
 
 from repro.partitioning.transport import (
-    TransportProblem,
+    TransportInstance,
     TransportTargets,
-    build_transport_problem,
-    complete_partition,
+    build_instance,
     partition_cells,
+    solve_instances,
 )
 from repro.partitioning.recursive import RecursivePartitionReport, recursive_partition
 from repro.partitioning.repartition import (
@@ -29,9 +31,9 @@ __all__ = [
     "block_windows",
     "enforce_blocks",
     "TransportTargets",
-    "TransportProblem",
-    "build_transport_problem",
-    "complete_partition",
+    "TransportInstance",
+    "build_instance",
+    "solve_instances",
     "partition_cells",
     "RecursivePartitionReport",
     "recursive_partition",

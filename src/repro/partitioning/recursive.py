@@ -20,9 +20,8 @@ from repro.grid import Grid
 from repro.movebounds import MoveBoundSet, RegionDecomposition
 from repro.partitioning.transport import (
     block_targets,
-    build_transport_problem,
-    complete_partition,
-    spread_outcome,
+    build_instance,
+    spread_step,
 )
 from repro.fbp.model import fixed_cell_usage
 from repro.netlist import Netlist
@@ -73,15 +72,11 @@ def recursive_partition(
         for cell, (ix, iy) in assignment.items():
             parents.setdefault((ix, iy), []).append(cell)
 
-        # The per-parent-window solves are independent (each parent
-        # owns a disjoint cell set, and costs only involve the parent's
-        # own cells): build every problem first, solve them as a batch
-        # — through the supervised worker pool when one is active —
-        # then round/spread in deterministic parent order.
-        from repro.runstate.pool import solve_transport_batch
+        # the per-parent steps are independent (disjoint cell sets):
+        # one batch, through the worker pool when one is active
+        from repro.runstate.pool import solve_instance_batch
 
-        batch: List[tuple] = []  # (targets, problem)
-        tasks: List[tuple] = []
+        batch = []  # (targets, instance)
         for (pix, piy), cells in sorted(parents.items()):
             report.windows_processed += 1
             children = [
@@ -90,28 +85,27 @@ def recursive_partition(
                 for dx in (0, 1)
             ]
             targets = block_targets(children, usage, density_target)
-            problem = build_transport_problem(netlist, cells, targets)
-            if problem is None:
-                continue
-            batch.append((targets, problem))
-            tasks.append(
-                (problem.supplies, problem.capacities, problem.costs)
+            batch.append(
+                (targets, build_instance(netlist, sorted(cells), targets))
             )
 
-        solved = solve_transport_batch(tasks, chain=RELAX_CHAIN_PARTITION)
+        steps = solve_instance_batch(
+            [inst for _t, inst in batch], chain=RELAX_CHAIN_PARTITION
+        )
 
         new_assignment: Dict[int, Tuple[int, int]] = {}
-        for (targets, problem), (tr, stage) in zip(batch, solved):
-            outcome = complete_partition(problem, targets, tr, stage)
-            if not outcome.feasible:
+        for (targets, inst), step in zip(batch, steps):
+            if not step.feasible:
                 report.local_infeasibilities += 1
                 continue
-            if outcome.relaxed:
+            if step.relaxed:
                 report.relaxations += 1
-            for cell, (widx, _wr) in outcome.assignment.items():
-                child = grid.windows[widx]
+            for cell, t in zip(inst.cells.tolist(), step.target.tolist()):
+                child = grid.windows[targets.keys[t][0]]
                 new_assignment[cell] = (child.ix, child.iy)
-            spread_outcome(netlist, outcome, targets)
+            netlist.x[inst.cells], netlist.y[inst.cells] = spread_step(
+                inst, step.target
+            )
         assignment = new_assignment
 
     netlist.clamp_into_die()

@@ -35,7 +35,7 @@ from repro.partitioning.transport import (
     PartitionOutcome,
     block_targets,
     partition_cells,
-    spread_outcome,
+    spread_step,
 )
 from repro.qp import QPOptions, solve_qp
 
@@ -115,7 +115,10 @@ def _partition_block(
     outcome = partition_cells(netlist, cells, targets)
     if not outcome.feasible:
         return None
-    spread_outcome(netlist, outcome, targets)
+    inst = outcome.instance
+    netlist.x[inst.cells], netlist.y[inst.cells] = spread_step(
+        inst, outcome.target
+    )
     return outcome
 
 

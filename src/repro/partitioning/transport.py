@@ -1,9 +1,10 @@
-"""The §III partitioning primitive.
+"""The §III partitioning step.
 
-Given a set of cells and a set of capacitated *targets* (window
-regions, subwindows, temporary transit regions, legalization regions),
-compute a minimum-movement assignment subject to capacities and
-movebound admissibility:
+Given a set of cells and a set of capacitated *targets* (a window's
+regions in realization's final step, the regions of a block of
+windows in reflow, ECO repair and recursive partitioning, the
+legalization regions), compute a minimum-movement assignment subject
+to capacities and movebound admissibility:
 
     cost(c, target) = L1 distance,  or +inf when the cell's movebound
     does not cover the target,
@@ -15,18 +16,15 @@ most one cell).  The overflow is then repaired by relocating whole
 cells (:func:`_repair_overflow`): an array pass per eviction that takes
 the decisions of a scan over every (member, target) pair, in its order.
 
-Every caller of the step shares its three kernels, written once here:
-
-* :func:`transport_costs` — the (cells x targets) cost matrix; used by
-  :func:`build_transport_problem` (legalization regions, reflow, ECO
-  blocks, recursive partitioning) and FBP's final realization
-  (:func:`repro.fbp.realize_windows.realize_unit`);
-* :func:`spread_into_rects` — the spread of one target's cells into
-  its rectangles; called per region by ``realize_unit`` and, through
-  :func:`spread_outcome`, by the reflow / ECO blocks
-  (:mod:`repro.partitioning.repartition`) and recursive partitioning;
-* :func:`block_targets` — the targets of a block of windows, for the
-  same two callers.
+One instance type serves every caller: :func:`build_instance` makes a
+picklable :class:`TransportInstance` from a cell set and its
+:class:`TransportTargets`, :func:`solve_instances` solves a list of
+them (a pure function, run by pool workers and in-process alike), and
+:func:`spread_step` spreads each target's cells into its rectangles.
+Realization's windows and recursive partitioning batch their instances
+through :func:`repro.runstate.pool.solve_instance_batch`; legalization
+and the reflow / ECO blocks (over :func:`block_targets`) call
+:func:`partition_cells`, which keys the result back to its targets.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ import numpy as np
 
 from repro.flows import (
     RELAX_CHAIN_PARTITION,
-    TransportResult,
     round_almost_integral,
     solve_transportation_with_relaxation,
 )
@@ -48,6 +45,9 @@ from repro.movebounds import DEFAULT_BOUND
 from repro.netlist import Netlist
 from repro.obs import incr
 from repro.resilience.errors import InfeasibleInputError
+
+#: a relaxation chain: ``(capacity multiplier, supply fraction)`` stages
+Chain = Tuple[Tuple[float, float], ...]
 
 
 @dataclass
@@ -72,62 +72,157 @@ class TransportTargets:
 
 
 @dataclass
-class PartitionOutcome:
-    """Assignment of each cell to a target key."""
+class TransportInstance:
+    """One §III step as arrays: cell arrays aligned with ``cells``
+    (ascending ids), target arrays in the targets' order."""
 
-    feasible: bool
-    assignment: Dict[int, object] = field(default_factory=dict)
-    cost: float = float("inf")
-    overflow: float = 0.0
-    relaxed: bool = False
+    cells: np.ndarray  # int64, ascending
+    #: per cell: its row of ``admits``
+    codes: np.ndarray
+    #: (bound codes, targets): may a cell of that code use the target
+    admits: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    sizes: np.ndarray
+    half_w: np.ndarray
+    half_h: np.ndarray
+    caps: np.ndarray
+    #: per target: its (R, 4) :func:`~repro.geometry.rect_array`, for
+    #: the costs and the spread
+    rects: Tuple[np.ndarray, ...]
+
+    @property
+    def trivial(self) -> bool:
+        """One target, with rectangles, admitting every cell: the
+        assignment is forced."""
+        return (
+            len(self.caps) == 1
+            and len(self.rects[0]) > 0
+            and bool(self.admits[self.codes, 0].all())
+        )
 
 
 @dataclass
-class TransportProblem:
-    """The pure-array form of one partitioning step, ready to solve.
+class StepResult:
+    """The solve of one :class:`TransportInstance`."""
 
-    Separating problem construction (needs the netlist) from the solve
-    (a pure function of the arrays) lets the parallel window-solver
-    pool ship batches of independent problems to worker processes and
-    merge results in deterministic order.
-    """
+    #: the stage of the relaxation chain that was solved (0: exact)
+    stage: int
+    #: per cell: the index of its target; None when no stage is feasible
+    target: Optional[np.ndarray]
+    #: the transportation's cost (NaN where the closed form answered)
+    cost: float = float("inf")
 
-    cells: List[int]  # sorted cell indices
-    supplies: np.ndarray
-    capacities: np.ndarray
-    costs: np.ndarray
+    @property
+    def feasible(self) -> bool:
+        return self.target is not None
+
+    @property
+    def relaxed(self) -> bool:
+        return self.stage > 0
 
 
-def build_transport_problem(
+@dataclass
+class PartitionOutcome(StepResult):
+    """A :class:`StepResult` keyed back to its targets: ``assignment``
+    maps each cell to its target's key (empty when infeasible)."""
+
+    instance: Optional[TransportInstance] = None
+    assignment: Dict[int, object] = field(default_factory=dict)
+
+
+def build_instance(
     netlist: Netlist,
-    cell_indices: Sequence[int],
+    cells: Sequence[int],
     targets: TransportTargets,
-) -> Optional[TransportProblem]:
-    """Assemble supplies/capacities/costs for one partitioning step
-    (None when there are no cells to assign)."""
-    cells = sorted(cell_indices)
-    if not cells:
-        return None
-    supplies = netlist.cell_sizes()[np.asarray(cells, dtype=np.int64)]
-    # each target answers admissibility once per distinct movebound
-    # name; the per-cell mask is then a single gather
-    unique_bounds, codes = np.unique(
-        [netlist.cells[i].movebound or DEFAULT_BOUND for i in cells],
-        return_inverse=True,
+    codes: Optional[np.ndarray] = None,
+    admits: Optional[np.ndarray] = None,
+) -> TransportInstance:
+    """The instance assigning ``cells`` (ascending) to ``targets``.
+
+    A caller with a bound-code table of its own passes the cells'
+    ``codes`` and the (codes x targets) ``admits`` table; otherwise
+    each distinct movebound name asks every target's ``admits`` once.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    if codes is None:
+        bound_of = [netlist.cells[i].movebound for i in cells.tolist()]
+        names, codes = np.unique(
+            [b or DEFAULT_BOUND for b in bound_of], return_inverse=True
+        )
+        admits = np.array(
+            [[ok(str(b)) for ok in targets.admits] for b in names],
+            dtype=bool,
+        ).reshape(len(names), len(targets.keys))
+    _mv, half_w, half_h = netlist.cell_dims()
+    return TransportInstance(
+        cells=cells,
+        codes=codes,
+        admits=admits,
+        xs=np.asarray(netlist.x[cells], dtype=np.float64),
+        ys=np.asarray(netlist.y[cells], dtype=np.float64),
+        sizes=netlist.cell_sizes()[cells],
+        half_w=half_w[cells],
+        half_h=half_h[cells],
+        caps=np.asarray(targets.capacities, dtype=np.float64),
+        rects=tuple(rect_array(area) for area in targets.areas),
     )
-    admit = np.array(
-        [[ok(str(b)) for ok in targets.admits] for b in unique_bounds],
-        dtype=bool,
-    ).reshape(len(unique_bounds), len(targets.keys))
-    costs = transport_costs(
-        np.asarray(netlist.x[cells], dtype=np.float64),
-        np.asarray(netlist.y[cells], dtype=np.float64),
-        admit[codes],
-        [rect_array(area) for area in targets.areas],
-    )
-    return TransportProblem(
-        cells, supplies, targets.capacities.astype(float), costs
-    )
+
+
+def _trivial_stage(total, cap, chain: Chain) -> Optional[int]:
+    """First relaxation stage whose scaled capacity covers ``total``
+    (the closed form of a one-column transportation feasibility check:
+    ``cap * mult + frac * total`` is exactly the capacity the solver
+    builds at that stage)."""
+    for stage, (mult, frac) in enumerate(chain):
+        if total <= cap * mult + frac * total:
+            return stage
+    return None
+
+
+def solve_instances(
+    instances: Sequence[TransportInstance],
+    chain: Chain = RELAX_CHAIN_PARTITION,
+    realize: bool = False,
+) -> List[StepResult]:
+    """Solve each instance over ``chain`` (the first feasible stage),
+    round against the exact capacities and move whole cells out of the
+    targets the rounding overfilled.
+
+    ``realize`` marks realization's final windows, which keep their
+    rounding debt (the caller accounts it) and need no LP when
+    :attr:`~TransportInstance.trivial`: the assignment is forced and
+    the stage is the first whose capacity covers the supply
+    (:func:`_trivial_stage`).  That is the LP route's assignment
+    (rounding a one-column flow can only pick column 0); only the stage
+    could differ, for a supply within the LP's feasibility tolerance of
+    a stage's capacity.
+    """
+    out: List[StepResult] = []
+    for inst in instances:
+        stage = None
+        if realize and inst.trivial:
+            stage = _trivial_stage(inst.sizes.sum(), inst.caps[0], chain)
+        if stage is not None:
+            forced = np.zeros(len(inst.cells), dtype=np.int64)
+            out.append(StepResult(stage, forced, cost=math.nan))
+            continue
+        costs = transport_costs(
+            inst.xs, inst.ys, inst.admits[inst.codes], inst.rects
+        )
+        tr, stage = solve_transportation_with_relaxation(
+            inst.sizes, inst.caps, costs, chain=chain
+        )
+        if not tr.feasible:
+            out.append(StepResult(stage, None))
+            continue
+        target, overflow = round_almost_integral(
+            tr, inst.sizes, inst.caps, costs
+        )
+        if not realize and overflow > 0:
+            _repair_overflow(target, inst.sizes, inst.caps, costs)
+        out.append(StepResult(stage, target, tr.cost))
+    return out
 
 
 def transport_costs(
@@ -215,22 +310,24 @@ def spread_into_rects(
     return new_x, new_y
 
 
-def spread_outcome(
-    netlist: Netlist, outcome: PartitionOutcome, targets: TransportTargets
-) -> None:
-    """Spread each target's assigned cells into the target's area."""
-    _mv, half_w, half_h = netlist.cell_dims()
-    groups: Dict[int, List[int]] = {}
-    for cell, key in outcome.assignment.items():
-        groups.setdefault(id(key), []).append(cell)
-    for key, area in zip(targets.keys, targets.areas):
-        if id(key) not in groups:
-            continue
-        ci = np.asarray(groups[id(key)], dtype=np.int64)
-        netlist.x[ci], netlist.y[ci] = spread_into_rects(
-            ci, netlist.x[ci], netlist.y[ci], half_w[ci], half_h[ci],
-            rect_array(area),
+def spread_step(
+    inst: TransportInstance, target: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """New positions of the instance's cells: each target's cells
+    spread into its rectangles from their positions in the instance."""
+    new_x = inst.xs.copy()
+    new_y = inst.ys.copy()
+    for b in np.unique(target):
+        local = np.nonzero(target == b)[0]
+        new_x[local], new_y[local] = spread_into_rects(
+            inst.cells[local],
+            inst.xs[local],
+            inst.ys[local],
+            inst.half_w[local],
+            inst.half_h[local],
+            inst.rects[int(b)],
         )
+    return new_x, new_y
 
 
 def block_targets(
@@ -238,7 +335,7 @@ def block_targets(
 ) -> TransportTargets:
     """The targets of a block of windows: every region with free
     capacity ``capacity - usage > 0``, keyed ``(window index, region)``;
-    its cells spread into its free area, else the region's area."""
+    its cells spread into its free area."""
     keys: List[Tuple[int, object]] = []
     caps: List[float] = []
     for w in windows:
@@ -253,65 +350,34 @@ def block_targets(
     return TransportTargets(
         keys,
         np.array(caps),
-        [r.free_area if not r.free_area.is_empty else r.area for r in regions],
+        [r.free_area for r in regions],
         [r.admits for r in regions],
     )
-
-
-def complete_partition(
-    problem: TransportProblem,
-    targets: TransportTargets,
-    tr: TransportResult,
-    relax_stage: int,
-) -> PartitionOutcome:
-    """Turn a solved transportation instance into a whole-cell
-    assignment (rounding + overflow repair against the *exact*
-    capacities)."""
-    if not tr.feasible:
-        return PartitionOutcome(False)
-    supplies, caps, costs = (
-        problem.supplies,
-        problem.capacities,
-        problem.costs,
-    )
-    assignment, overflow = round_almost_integral(tr, supplies, caps, costs)
-    if overflow > 0:
-        overflow = _repair_overflow(assignment, supplies, caps, costs)
-    out = PartitionOutcome(
-        True, {}, tr.cost, overflow, relaxed=relax_stage > 0
-    )
-    for a, i in enumerate(problem.cells):
-        out.assignment[i] = targets.keys[assignment[a]]
-    return out
 
 
 def partition_cells(
     netlist: Netlist,
     cell_indices: Sequence[int],
     targets: TransportTargets,
-    relax_on_failure: bool = True,
 ) -> PartitionOutcome:
     """Assign cells to targets minimizing L1 movement under capacities
-    and movebound admissibility.
+    and movebound admissibility: one repaired step under the
+    partitioning chain.
 
     When the exact instance is infeasible (e.g. rounding debt from an
-    earlier step) and ``relax_on_failure`` is set, capacities are
-    relaxed by 10 % and then unboundedly, so the caller always gets an
-    assignment plus a ``relaxed`` flag instead of an exception.
+    earlier step), capacities are relaxed by 10 % and then unboundedly,
+    so the caller gets an assignment plus a ``relaxed`` flag instead of
+    an exception.
     """
-    problem = build_transport_problem(netlist, cell_indices, targets)
-    if problem is None:
-        return PartitionOutcome(True, {}, 0.0)
-    chain = RELAX_CHAIN_PARTITION if relax_on_failure else (
-        RELAX_CHAIN_PARTITION[:1]
-    )
-    tr, stage = solve_transportation_with_relaxation(
-        problem.supplies,
-        problem.capacities,
-        problem.costs,
-        chain=chain,
-    )
-    return complete_partition(problem, targets, tr, stage)
+    if not len(cell_indices):
+        return PartitionOutcome(0, np.empty(0, dtype=np.int64), 0.0)
+    inst = build_instance(netlist, sorted(cell_indices), targets)
+    (step,) = solve_instances([inst])
+    out = PartitionOutcome(step.stage, step.target, step.cost, inst)
+    if step.feasible:
+        keys = [targets.keys[t] for t in step.target.tolist()]
+        out.assignment = dict(zip(inst.cells.tolist(), keys))
+    return out
 
 
 def _repair_overflow(

@@ -338,6 +338,26 @@ class BonnPlaceFBP:
             legality=legality,
         )
 
+    def _legalize(
+        self,
+        netlist: Netlist,
+        bounds: MoveBoundSet,
+        decomposition: RegionDecomposition,
+        density: float,
+        scope: Optional[RectSet] = None,
+        cells: Optional[List[int]] = None,
+    ) -> None:
+        """Legalize (inside ``scope``, else on the whole die), then run
+        the detailed passes (over ``cells``, else all cells)."""
+        legalize_with_movebounds(netlist, bounds, decomposition, scope)
+        if self.options.detailed_passes > 0:
+            detailed_place(
+                netlist, bounds, decomposition,
+                passes=self.options.detailed_passes,
+                density_target=density,
+                cells=cells,
+            )
+
     def _legalize_frontier(
         self,
         netlist: Netlist,
@@ -353,17 +373,11 @@ class BonnPlaceFBP:
         The whole-die pass (``legalize.scope_fallbacks``) takes over
         when a cell moved since ``entry`` is a macro or centred outside
         the scope, when the scoped pass raises, or its audit fails."""
-        opts = self.options
-
         def run(scope: Optional[RectSet]) -> LegalityReport:
-            legalize_with_movebounds(netlist, bounds, decomposition, scope)
-            if opts.detailed_passes > 0:
-                detailed_place(
-                    netlist, bounds, decomposition,
-                    passes=opts.detailed_passes,
-                    density_target=opts.density_target,
-                    cells=cells,
-                )
+            self._legalize(
+                netlist, bounds, decomposition,
+                self.options.density_target, scope, cells,
+            )
             return check_legality(netlist, bounds)
 
         x, y = netlist.x, netlist.y
@@ -401,13 +415,7 @@ class BonnPlaceFBP:
         legal_seconds = 0.0
         if opts.legalize:
             with span("place.legalize") as sp_legal:
-                legalize_with_movebounds(netlist, bounds, decomposition)
-                if opts.detailed_passes > 0:
-                    detailed_place(
-                        netlist, bounds, decomposition,
-                        passes=opts.detailed_passes,
-                        density_target=density,
-                    )
+                self._legalize(netlist, bounds, decomposition, density)
             legal_seconds = sp_legal.wall_s
             maybe_check("movebound.containment", netlist, bounds)
         legality = check_legality(netlist, bounds)
@@ -475,13 +483,7 @@ class BonnPlaceFBP:
         if opts.legalize:
             with span("place.legalize") as sp_legal:
                 try:
-                    legalize_with_movebounds(netlist, bounds, decomposition)
-                    if opts.detailed_passes > 0:
-                        detailed_place(
-                            netlist, bounds, decomposition,
-                            passes=opts.detailed_passes,
-                            density_target=density,
-                        )
+                    self._legalize(netlist, bounds, decomposition, density)
                     legalized = True
                 except ReproError:
                     # a relaxed run placed more area than physically

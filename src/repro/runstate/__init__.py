@@ -23,7 +23,7 @@ from repro.runstate.pool import (
     WindowSolverPool,
     activated,
     get_active_pool,
-    solve_realize_batch,
+    solve_instance_batch,
     solve_transport_batch,
 )
 from repro.runstate.state import DurableRunState
@@ -54,5 +54,5 @@ __all__ = [
     "get_active_pool",
     "activated",
     "solve_transport_batch",
-    "solve_realize_batch",
+    "solve_instance_batch",
 ]

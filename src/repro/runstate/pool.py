@@ -20,9 +20,10 @@ parallel speedups.  This pool executes batches of such solves across
 
 Determinism: every dispatch unit runs a module-level pure function —
 :func:`~repro.flows.transportation.solve_transportation_with_relaxation`
-(one window) or :func:`~repro.fbp.realize_windows.realize_unit` (a
-contiguous run of windows) — and the supervisor merges results by
-unit index.  Scheduling order, worker count, crashes, and requeues
+(one raw transportation task) or
+:func:`~repro.partitioning.transport.solve_instances` (a contiguous
+run of §III instances) — and the supervisor merges results by unit
+index.  Scheduling order, worker count, crashes, and requeues
 therefore cannot change the output — pool size 1, pool size 8, a
 crashing pool, and the plain serial path are bit-identical.  A unit
 lost to a crash is re-solved from scratch, so partial progress can
@@ -30,7 +31,7 @@ never leak into the merged results.
 
 A caller installs a pool once (``with WindowSolverPool(n) as pool,
 activated(pool):``, as ``python -m repro place --pool-workers N``
-does); :func:`solve_transport_batch` and :func:`solve_realize_batch`
+does); :func:`solve_transport_batch` and :func:`solve_instance_batch`
 route through it when a batch is worth the IPC.
 
 Fault-injection sites (fire *inside* the worker process; plans are
@@ -52,6 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.flows.transportation import (
+    RELAX_CHAIN_PARTITION,
     RELAX_CHAIN_WINDOW,
     TransportResult,
     solve_transportation_with_relaxation,
@@ -66,7 +68,7 @@ __all__ = [
     "get_active_pool",
     "activated",
     "solve_transport_batch",
-    "solve_realize_batch",
+    "solve_instance_batch",
 ]
 
 #: (supplies, capacities, costs) of one window's transportation problem
@@ -287,16 +289,18 @@ class WindowSolverPool:
     def solve_realize_units(
         self,
         units: Sequence[Sequence],
-        chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
+        chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_PARTITION,
+        realize: bool = False,
     ) -> List[list]:
-        """Realize spec units (see
-        :func:`repro.fbp.realize_windows.realize_unit`); returns one
-        :class:`WindowOutcome` list per unit, in unit order."""
-        from repro.fbp.realize_windows import realize_unit
+        """Solve units of §III instances (see
+        :func:`repro.partitioning.transport.solve_instances`); returns
+        one :class:`StepResult` list per unit, in unit order."""
+        from repro.partitioning.transport import solve_instances
 
         with span("pool.realize_batch"):
             out = self._run_units(
-                realize_unit, [(list(u), chain) for u in units]
+                solve_instances,
+                [(list(u), chain, realize) for u in units],
             )
         incr("pool.realize_units", len(units))
         return out
@@ -466,28 +470,31 @@ def solve_transport_batch(
     ]
 
 
-def solve_realize_batch(
-    specs: Sequence,
-    chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_WINDOW,
+def solve_instance_batch(
+    instances: Sequence,
+    chain: Tuple[Tuple[float, float], ...] = RELAX_CHAIN_PARTITION,
+    realize: bool = False,
 ) -> List:
-    """Realize a batch of window specs (in window order) through the
+    """Solve a batch of §III instances (see
+    :func:`repro.partitioning.transport.solve_instances`) through the
     active pool when one is installed (and the batch is worth the
     IPC), serially in-process otherwise.
 
-    The pool gets ``min(num_workers, len(specs))`` contiguous units;
-    their outcomes concatenate back in window order, so the result is
-    bit-identical across pool sizes.  Only non-trivial windows count
-    as work — closed-form windows never justify a worker round-trip.
+    The pool gets ``min(num_workers, len(instances))`` contiguous
+    units; their results concatenate back in batch order, so the
+    result is bit-identical across pool sizes.  Instances the closed
+    form answers count no work — they never justify a worker
+    round-trip.
     """
-    from repro.fbp.realize_windows import realize_unit
+    from repro.partitioning.transport import solve_instances
 
-    pool = _pool_for(
-        specs, lambda s: 0 if s.trivial else len(s.cells) * len(s.caps)
-    )
+    pool = _pool_for(instances, lambda i: (
+        0 if realize and i.trivial else len(i.cells) * len(i.caps)
+    ))
     if pool is None:
-        return realize_unit(specs, chain=chain)
-    k = min(pool.num_workers, len(specs))
-    cuts = [u * len(specs) // k for u in range(k + 1)]
-    units = [specs[a:b] for a, b in zip(cuts, cuts[1:])]
-    results = pool.solve_realize_units(units, chain=chain)
-    return [oc for unit in results for oc in unit]
+        return solve_instances(instances, chain, realize)
+    k = min(pool.num_workers, len(instances))
+    cuts = [u * len(instances) // k for u in range(k + 1)]
+    units = [instances[a:b] for a, b in zip(cuts, cuts[1:])]
+    results = pool.solve_realize_units(units, chain, realize)
+    return [r for unit in results for r in unit]

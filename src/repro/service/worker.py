@@ -110,6 +110,11 @@ def validate_options(options: Dict[str, Any]) -> None:
             lambda v: math.isfinite(v) and v > 0.0,
             "finite and > 0",
         ),
+        (  # only the fbp placer reads it: refused, not silently dropped
+            "relax_infeasible",
+            lambda v: not v or options.get("placer", "fbp") == "fbp",
+            "false unless the placer is 'fbp'",
+        ),
     )
     for key, ok, want in checks:
         if key in options and not ok(options[key]):

@@ -27,6 +27,22 @@ class TestPlacerChoices:
         nl, _ = load_instance(out, "Dagmar")
         assert nl.hpwl() > 0
 
+    @pytest.mark.parametrize(
+        "flag", [["--relax-infeasible"], ["--shard-tiles", "2"]]
+    )
+    @pytest.mark.parametrize("placer", ["rql", "kraftwerk", "recursive"])
+    def test_fbp_only_option_refused(
+        self, instance_dir, placer, flag, tmp_path
+    ):
+        # the option would be set on options nothing reads: refused
+        # before placing, and nothing is written
+        with pytest.raises(SystemExit, match="only supported by the fbp"):
+            main([
+                "place", "Dagmar", "--dir", instance_dir,
+                "--out", str(tmp_path), "--placer", placer,
+            ] + flag)
+        assert not list(tmp_path.iterdir())
+
     def test_score_after_place(self, instance_dir, tmp_path):
         out = str(tmp_path)
         main(["place", "Dagmar", "--dir", instance_dir, "--out", out])

@@ -1,11 +1,18 @@
-"""Tests for the §III partitioning primitive (partition_cells)."""
+"""Tests for the §III partitioning step (partition_cells and the
+shared solve, solve_instances)."""
 
 import numpy as np
 import pytest
 
+from repro.flows import RELAX_CHAIN_PARTITION
 from repro.geometry import Rect, RectSet
 from repro.netlist import Netlist
-from repro.partitioning import TransportTargets, partition_cells
+from repro.partitioning import (
+    TransportTargets,
+    build_instance,
+    partition_cells,
+    solve_instances,
+)
 
 DIE = Rect(0, 0, 100, 100)
 
@@ -80,8 +87,9 @@ class TestBasics:
     def test_infeasible_without_relaxation(self):
         nl = _netlist([(10, 10, 5, None)])
         targets = _targets([("tiny", 1.0, Rect(0, 0, 20, 20), None)])
-        out = partition_cells(nl, [0], targets, relax_on_failure=False)
-        assert not out.feasible
+        inst = build_instance(nl, [0], targets)
+        (step,) = solve_instances([inst], chain=RELAX_CHAIN_PARTITION[:1])
+        assert not step.feasible and step.target is None
 
     def test_mixed_bounds_share_target(self):
         nl = _netlist([(10, 10, 1, "a"), (12, 12, 1, "b"), (14, 14, 1, None)])

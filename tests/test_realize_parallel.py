@@ -1,25 +1,26 @@
 """Pooled, vectorized realization: identity and fault contract.
 
-The contract under test (see ``repro/fbp/realize_windows.py``):
+The contract under test (see ``repro/partitioning/transport.py`` and
+``repro/runstate/pool.py::solve_instance_batch``):
 
 * the §III spreader (``partitioning.transport.spread_into_rects``)
   reproduces the scalar reference loop kept below bit for bit, and the
   cost kernel (``transport_costs``) reproduces per-target
   ``RectSet.distances_to_points`` with ``inf`` masking;
 * serial, pool-1 and pool-4 produce byte-identical placements — on
-  synthetic, movebound-heavy, and Bookshelf instances — and a pool of
-  N cuts the window-ordered specs into at most N contiguous units;
+  synthetic, movebound-heavy, and Bookshelf instances, and for
+  recursive partitioning — and a pool of N cuts the window-ordered
+  instances into at most N contiguous units;
 * a ``worker.kill`` fault landing on a realize unit changes nothing
   (the unit is requeued whole and re-realized from scratch);
-* the fast path (closed-form single-region windows) realizes every
-  window exactly as the general LP route does;
+* the closed form (single-region windows) realizes every window
+  exactly as the general LP route does;
 * small batches short-circuit pool dispatch deterministically
   (``pool.serial_shortcircuits``) with identical output.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -27,19 +28,25 @@ import pytest
 
 from repro.bookshelf import load_instance
 from repro.cli import main
-from repro.fbp import realize_windows
 from repro.fbp.partitioner import fbp_partition
-from repro.fbp.realize_windows import WindowSpec, realize_unit
+from repro.flows import RELAX_CHAIN_WINDOW
 from repro.geometry import Rect, RectSet, rect_array
 from repro.grid import Grid
 from repro.movebounds import MoveBoundSet, decompose_regions
 from repro.obs import get_tracer
-from repro.partitioning.transport import spread_into_rects, transport_costs
+from repro.partitioning import recursive_partition
+from repro.partitioning.transport import (
+    TransportInstance,
+    solve_instances,
+    spread_into_rects,
+    spread_step,
+    transport_costs,
+)
 from repro.resilience import install_fault_plan, reset_faults
 from repro.runstate import (
     WindowSolverPool,
     activated,
-    solve_realize_batch,
+    solve_instance_batch,
     solve_transport_batch,
 )
 from repro.runstate import pool as pool_mod
@@ -329,33 +336,33 @@ class TestRealizeIdentity:
         assert counters.get("realize.trivial_windows", 0) > before
 
     def test_fast_path_equals_general_route(self, monkeypatch):
-        """The specs of real partitions, realized as built and with
-        every ``trivial`` flag cleared (all through the LP): identical
-        positions and assignments, bit for bit.  The 7 x 7 movebound
-        grid has multi-region windows, so a ``trivial`` flag set where
-        the assignment is not forced would show here."""
+        """The trivial instances of real partitions, solved by the
+        closed form and by the LP route: identical positions and
+        assignments, bit for bit.  The 7 x 7 movebound grid has
+        multi-region windows, so a ``trivial`` instance whose
+        assignment is not forced would show here."""
         built = []
-        build_specs = realize_windows.build_window_specs
+        batch = pool_mod.solve_instance_batch
 
-        def capture(*args):
-            specs, skipped = build_specs(*args)
-            built.append(specs)
-            return specs, skipped
+        def capture(instances, *args, **kwargs):
+            built.append(instances)
+            return batch(instances, *args, **kwargs)
 
-        monkeypatch.setattr(realize_windows, "build_window_specs", capture)
+        monkeypatch.setattr(pool_mod, "solve_instance_batch", capture)
         for nl, bounds, grid in (_instance(5), _mb_instance(5, windows=7)):
             assert _partition(nl, bounds, grid).feasible
-        assert any(s.trivial for specs in built for s in specs)
-        assert any(len(s.caps) > 1 for specs in built for s in specs)
-        for specs in built:
-            fast = realize_unit(specs)
-            general = realize_unit(
-                [dataclasses.replace(s, trivial=False) for s in specs]
-            )
-            for f, g in zip(fast, general, strict=True):
-                assert f.new_x.tobytes() == g.new_x.tobytes()
-                assert f.new_y.tobytes() == g.new_y.tobytes()
-                assert f.assignment.tobytes() == g.assignment.tobytes()
+        trivial = [i for insts in built for i in insts if i.trivial]
+        assert trivial
+        assert any(len(i.caps) > 1 for insts in built for i in insts)
+        fast = solve_instances(trivial, RELAX_CHAIN_WINDOW, realize=True)
+        general = solve_instances(trivial, RELAX_CHAIN_WINDOW)
+        for inst, f, g in zip(trivial, fast, general, strict=True):
+            assert math.isnan(f.cost) and not math.isnan(g.cost)
+            assert f.target.tobytes() == g.target.tobytes()
+            fx, fy = spread_step(inst, f.target)
+            gx, gy = spread_step(inst, g.target)
+            assert fx.tobytes() == gx.tobytes()
+            assert fy.tobytes() == gy.tobytes()
 
     def test_worker_kill_mid_realization_is_invisible(self):
         nl_s, bounds_s, grid_s = _instance(7)
@@ -401,18 +408,16 @@ class TestRealizeIdentity:
 
     def test_pool_units_cover_specs_in_window_order(self):
         """A pool of N gets at most N non-empty contiguous units: every
-        spec once, in window order, and the outcomes come back in
-        window order."""
+        instance once, in batch order, and the results come back in
+        batch order."""
 
         def dummy(widx):
             e = np.empty(0)
             z = np.empty(0, dtype=np.int64)
-            r = np.empty((0, 4))
-            return WindowSpec(
-                widx=widx, cells=z, codes=z, xs=e, ys=e, sizes=e,
-                half_w=e, half_h=e, region_idx=(0,),
-                caps=np.array([1.0]), admits=np.ones((1, 1), dtype=bool),
-                free_rects=(r,), spread_rects=(r,), trivial=True,
+            return TransportInstance(
+                cells=z, codes=z, admits=np.ones((1, 1), dtype=bool),
+                xs=e, ys=e, sizes=e, half_w=e, half_h=e,
+                caps=np.array([1.0 + widx]), rects=(np.empty((0, 4)),),
             )
 
         class RecordingPool:
@@ -420,20 +425,20 @@ class TestRealizeIdentity:
                 self.num_workers = num_workers
                 self.units = None
 
-            def solve_realize_units(self, units, chain):
+            def solve_realize_units(self, units, chain, realize):
                 self.units = units
-                return [realize_unit(u, chain=chain) for u in units]
+                return [[id(inst) for inst in u] for u in units]
 
-        specs = [dummy(w) for w in range(0, 64, 3)]
-        order = [s.widx for s in specs]
+        instances = [dummy(w) for w in range(0, 64, 3)]
+        order = [id(inst) for inst in instances]
         for workers in (1, 3, 4, 50):
             pool = RecordingPool(workers)
             with activated(pool):
-                outcomes = solve_realize_batch(specs)
+                results = solve_instance_batch(instances)
             assert 1 <= len(pool.units) <= workers
             assert all(len(u) for u in pool.units)
-            assert [s.widx for u in pool.units for s in u] == order
-            assert [oc.widx for oc in outcomes] == order
+            assert [id(i) for u in pool.units for i in u] == order
+            assert results == order
 
 
 # ----------------------------------------------------------------------
@@ -508,9 +513,53 @@ class TestSerialShortcircuit:
         through the pool is pure overhead, so at the default threshold
         they stay in-process even with an active pool."""
         monkeypatch.setattr(pool_mod, "_POOL_MIN_WORK", DEFAULT_MIN_WORK)
+        built = []
+        batch = pool_mod.solve_instance_batch
+
+        def capture(instances, *args, **kwargs):
+            built.append(instances)
+            return batch(instances, *args, **kwargs)
+
+        monkeypatch.setattr(pool_mod, "solve_instance_batch", capture)
         counters = get_tracer().counters
         before = counters.get("pool.realize_units", 0)
         nl, bounds, grid = _instance(9)
         rep = _partition(nl, bounds, grid, pool=2)
         assert rep.feasible
+        assert built and all(i.trivial for insts in built for i in insts)
         assert counters.get("pool.realize_units", 0) == before
+
+
+# ----------------------------------------------------------------------
+# recursive partitioning: serial vs pool-N, byte-identical
+# ----------------------------------------------------------------------
+class TestRecursiveIdentity:
+    @staticmethod
+    def _run(pool):
+        nl, mbs, _grid = _mb_instance(4)
+        decomposition = decompose_regions(DIE, mbs, nl.blockages)
+        if pool:
+            with WindowSolverPool(pool) as p, activated(p):
+                rep = recursive_partition(
+                    nl, mbs, decomposition, 3, density_target=0.9
+                )
+        else:
+            rep = recursive_partition(
+                nl, mbs, decomposition, 3, density_target=0.9
+            )
+        return (
+            _positions(nl),
+            sorted(rep.final_assignment.items()),
+            rep.local_infeasibilities,
+            rep.relaxations,
+        )
+
+    @pytest.mark.parametrize("pool", [1, 4])
+    def test_pooled_equals_serial(self, pool):
+        """With ``_POOL_MIN_WORK`` at 0 (the autouse ``_force_dispatch``)
+        every level's batch goes through the pool."""
+        serial = self._run(0)
+        counters = get_tracer().counters
+        before = counters.get("pool.realize_units", 0)
+        assert self._run(pool) == serial
+        assert counters.get("pool.realize_units", 0) > before

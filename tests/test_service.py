@@ -115,10 +115,12 @@ class TestProtocol:
             # an int may stand in for a float, a JSON boolean may not
             {"density": True},
             {"max_hpwl_drift": True},
+            # an option the chosen placer never reads
+            {"placer": "rql", "relax_infeasible": True},
         ):
             spec = JobSpec(kind="place", instance="x", dir="/x",
                            options=options)
-            (key,) = options
+            key = list(options)[-1]
             with pytest.raises(PipelineStageError, match=key) as ei:
                 spec.validate()
             assert ei.value.stage == "svc.accept"

@@ -5,8 +5,10 @@ Files written for an instance ``name`` into a directory:
 ``name.aux``
     Index file listing the other files (Bookshelf convention).
 ``name.nodes``
+    ``NumNodes : <n>``, then
     ``<cell> <width> <height> [terminal] [movebound=<mb>]`` per line.
 ``name.nets``
+    ``NumNets : <m>``, then per net
     ``NetDegree : <k> <netname> [weight]`` followed by one pin per
     line: ``<cell> : <dx> <dy>`` (offsets from the cell center) or
     ``PAD : <x> <y>`` for fixed terminals.
@@ -19,16 +21,36 @@ Files written for an instance ``name`` into a directory:
     One movebound per line:
     ``<name> <inclusive|exclusive> <x_lo> <y_lo> <x_hi> <y_hi> [...]``
     (coordinate quadruples repeat for multi-rectangle areas).
+
+The nets go straight between these files and the netlist's pin table
+(:meth:`~repro.netlist.Netlist.pin_table`): the writer formats the
+table's columns and the reader parses into
+:meth:`~repro.netlist.Netlist.add_nets_bulk`, so no
+:class:`~repro.netlist.Net` or :class:`~repro.netlist.Pin` record is
+made on either side.
+
+The reader refuses malformed input with an
+:class:`~repro.resilience.errors.InfeasibleInputError` of stage
+``bookshelf.load`` naming the file and the line: bytes that are not
+UTF-8, a record with the wrong fields or numbers, a name no node has,
+a net with more or fewer pin lines than its ``NetDegree``, a
+``NumNodes`` / ``NumNets`` header that does not count the records
+after it, and a last line without its newline (a cut file).  A node
+missing from the ``.pl`` sits at the die center, and a ``.mb`` line of
+fewer than six fields is skipped.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from typing import List, Optional, Tuple
+from array import array
+from typing import Iterator, List, Optional, Tuple
 
 from repro.geometry import Rect, RectSet
 from repro.movebounds import MoveBound, MoveBoundSet
-from repro.netlist import Netlist, Pin
+from repro.netlist import FIXED_PIN, Netlist
+from repro.resilience.errors import InfeasibleInputError
 
 
 def save_instance(
@@ -51,25 +73,19 @@ def save_instance(
                 extras += f" movebound={cell.movebound}"
             f.write(f"{cell.name} {cell.width} {cell.height}{extras}\n")
 
+    # a pad's pin cell is -1, which names the last entry: "PAD"
+    cell_names = [cell.name for cell in netlist.cells] + ["PAD"]
     with open(base + ".nets", "w") as f:
         f.write(f"NumNets : {netlist.num_nets}\n")
-        for net in netlist.nets:
-            f.write(f"NetDegree : {net.degree} {net.name} {net.weight}\n")
-            for pin in net.pins:
-                if pin.is_fixed_terminal:
-                    f.write(f"  PAD : {pin.offset_x} {pin.offset_y}\n")
-                else:
-                    cell = netlist.cells[pin.cell_index]
-                    f.write(
-                        f"  {cell.name} : {pin.offset_x} {pin.offset_y}\n"
-                    )
+        f.writelines(_net_lines(netlist, cell_names))
 
     with open(base + ".pl", "w") as f:
-        for cell in netlist.cells:
-            f.write(
-                f"{cell.name} {netlist.x[cell.index]} "
-                f"{netlist.y[cell.index]}\n"
+        f.writelines(
+            f"{cell} {x} {y}\n"
+            for cell, x, y in zip(
+                cell_names, netlist.x.tolist(), netlist.y.tolist()
             )
+        )
 
     with open(base + ".scl", "w") as f:
         die = netlist.die
@@ -103,109 +119,246 @@ def save_instance(
         f.write("RowBasedPlacement : " + " ".join(files) + "\n")
 
 
+def _net_lines(netlist: Netlist, cell_names: List[str]) -> Iterator[str]:
+    """The ``.nets`` records after the header, from the pin table."""
+    ptr, cell, dx, dy, weight = netlist.pin_table()
+    ptr, cell, dx, dy = ptr.tolist(), cell.tolist(), dx.tolist(), dy.tolist()
+    for i, (net, w) in enumerate(zip(netlist.net_names, weight.tolist())):
+        a, b = ptr[i], ptr[i + 1]
+        yield f"NetDegree : {b - a} {net} {w}\n"
+        for k in range(a, b):
+            yield f"  {cell_names[cell[k]]} : {dx[k]} {dy[k]}\n"
+
+
+# ----------------------------------------------------------------------
+# reading
+# ----------------------------------------------------------------------
+def _refuse(path: str, line: int, what: str) -> InfeasibleInputError:
+    return InfeasibleInputError(
+        f"{path}:{line}: {what}", stage="bookshelf.load"
+    )
+
+
+def _classified(path: str, line: int, exc: Exception) -> InfeasibleInputError:
+    """``exc``, raised reading ``line`` of ``path``, as a refusal."""
+    if isinstance(exc, InfeasibleInputError) and exc.stage == "bookshelf.load":
+        return exc
+    return _refuse(path, line, f"{type(exc).__name__}: {exc}")
+
+
+def _records(path: str) -> Iterator[Tuple[int, List[str]]]:
+    """``(line number, fields)`` of each non-blank line of ``path``."""
+    with open(path, "rb") as f:
+        for n, raw in enumerate(f, 1):
+            if not raw.endswith(b"\n"):
+                raise _refuse(path, n, "the last line has no newline: "
+                              "the file is cut")
+            try:
+                fields = raw.decode().split()
+            except UnicodeDecodeError:
+                raise _refuse(path, n, "not UTF-8 text") from None
+            if fields:
+                yield n, fields
+
+
+def _header(path: str, n: int, fields: List[str], key: str) -> int:
+    """The count a ``<key> : <count>`` header line declares."""
+    if fields[0] != key or len(fields) != 3 or fields[1] != ":":
+        raise _refuse(path, n, f"expected the header '{key} : <count>'")
+    return int(fields[2])
+
+
+def _read_scl(path: str) -> Tuple[Rect, float, float, List[Rect]]:
+    die: Optional[Rect] = None
+    row_height = site_width = 1.0
+    blockages: List[Rect] = []
+    n = 0
+    try:
+        for n, fields in _records(path):
+            if fields[0] == "Die":
+                if die is not None:
+                    raise _refuse(path, n, "a second Die line")
+                if (
+                    len(fields) != 9
+                    or fields[5] != "RowHeight"
+                    or fields[7] != "SiteWidth"
+                ):
+                    raise _refuse(path, n, "expected 'Die <x_lo> <y_lo> "
+                                  "<x_hi> <y_hi> RowHeight <h> SiteWidth <w>'")
+                die = Rect(*map(float, fields[1:5]))
+                row_height = float(fields[6])
+                site_width = float(fields[8])
+            elif fields[0] == "Blockage" and len(fields) == 5:
+                blockages.append(Rect(*map(float, fields[1:5])))
+            else:
+                raise _refuse(path, n, f"unknown record {fields[0]!r}")
+    except ValueError as exc:
+        raise _classified(path, n, exc) from None
+    if die is None:
+        raise _refuse(path, n, "no Die line")
+    return die, row_height, site_width, blockages
+
+
+def _read_nodes(path: str, netlist: Netlist) -> None:
+    """Add the ``.nodes`` cells, all in one call: growing the netlist a
+    cell at a time copies the coordinate arrays once per cell."""
+    names: List[str] = []
+    widths = array("d")
+    heights = array("d")
+    fixed: List[bool] = []
+    movebounds: List[Optional[str]] = []
+    seen = set()
+    declared, n = None, 0
+    try:
+        for n, fields in _records(path):
+            if declared is None:
+                declared = _header(path, n, fields, "NumNodes")
+                continue
+            name = fields[0]
+            w, h = float(fields[1]), float(fields[2])
+            if not (0 < w < math.inf and 0 < h < math.inf):
+                raise _refuse(path, n, f"node {name!r} needs a positive "
+                              "width and height")
+            if name in seen:
+                raise _refuse(path, n, f"duplicate node {name!r}")
+            seen.add(name)
+            terminal, movebound = False, None
+            for token in fields[3:]:
+                if token == "terminal":
+                    terminal = True
+                elif token.startswith("movebound="):
+                    movebound = token[len("movebound="):]
+                else:
+                    raise _refuse(path, n, f"unknown attribute {token!r}")
+            names.append(name)
+            widths.append(w)
+            heights.append(h)
+            fixed.append(terminal)
+            movebounds.append(movebound)
+    except (ValueError, IndexError) as exc:
+        raise _classified(path, n, exc) from None
+    if declared is None:
+        raise _refuse(path, n, "no NumNodes header")
+    if declared != len(names):
+        raise _refuse(path, n, f"NumNodes says {declared}, "
+                      f"but {len(names)} nodes follow")
+    netlist.add_cells(
+        names, widths, heights, fixed=fixed, movebound=movebounds
+    )
+
+
+def _read_pl(path: str, netlist: Netlist) -> None:
+    """Set the positions the ``.pl`` names, one line per node."""
+    cells, xs, ys = [], array("d"), array("d")
+    placed = set()
+    n = 0
+    try:
+        for n, fields in _records(path):
+            if len(fields) != 3:
+                raise _refuse(path, n, "expected '<node> <x> <y>'")
+            if fields[0] in placed:
+                raise _refuse(path, n, f"node {fields[0]!r} placed twice")
+            placed.add(fields[0])
+            cells.append(netlist.cell_index(fields[0]))
+            xs.append(float(fields[1]))
+            ys.append(float(fields[2]))
+    except KeyError:
+        raise _refuse(path, n, f"no node is named {fields[0]!r}") from None
+    except ValueError as exc:
+        raise _classified(path, n, exc) from None
+    netlist.x[cells] = xs
+    netlist.y[cells] = ys
+
+
+def _read_nets(path: str, netlist: Netlist) -> None:
+    """Parse the ``.nets`` straight into the netlist's pin table."""
+    names: List[str] = []
+    member_lists: List[List[int]] = []
+    weights = array("d")
+    dx, dy = array("d"), array("d")
+    index = netlist.cell_index
+    members: List[int] = []
+    degree, opened = 0, 0  # the open net's NetDegree and its line
+    declared, n = None, 0
+
+    def close() -> None:
+        if len(members) != degree:
+            raise _refuse(path, opened, f"net {names[-1]!r} has "
+                          f"{len(members)} pin lines for NetDegree {degree}")
+
+    try:
+        for n, fields in _records(path):
+            head = fields[0]
+            if declared is None:
+                declared = _header(path, n, fields, "NumNets")
+            elif head == "NetDegree":
+                close()
+                if len(fields) not in (4, 5) or fields[1] != ":":
+                    raise _refuse(path, n, "expected 'NetDegree : <k> "
+                                  "<net> [weight]'")
+                degree, opened = int(fields[2]), n
+                names.append(fields[3])
+                weights.append(float(fields[4]) if len(fields) == 5 else 1.0)
+                members = []
+                member_lists.append(members)
+            elif len(fields) == 4 and fields[1] == ":":
+                if len(members) == degree:
+                    raise _refuse(path, n, "a pin line beyond its net's "
+                                  "NetDegree")
+                members.append(FIXED_PIN if head == "PAD" else index(head))
+                dx.append(float(fields[2]))
+                dy.append(float(fields[3]))
+            else:
+                raise _refuse(path, n, "expected a NetDegree or a pin line "
+                              "'<node> : <dx> <dy>'")
+        close()
+    except KeyError:
+        raise _refuse(path, n, f"no node is named {head!r}") from None
+    except ValueError as exc:
+        raise _classified(path, n, exc) from None
+    if declared is None:
+        raise _refuse(path, n, "no NumNets header")
+    if declared != len(names):
+        raise _refuse(path, n, f"NumNets says {declared}, "
+                      f"but {len(names)} nets follow")
+    netlist.add_nets_bulk(names, member_lists, weights, (dx, dy))
+
+
+def _read_mb(path: str, die: Rect) -> MoveBoundSet:
+    bounds = MoveBoundSet(die)
+    n = 0
+    try:
+        for n, fields in _records(path):
+            if len(fields) < 6:
+                continue
+            coords = list(map(float, fields[2:]))
+            if len(coords) % 4:
+                raise _refuse(path, n, "coordinates come in quadruples")
+            rects = [
+                Rect(*coords[i : i + 4]) for i in range(0, len(coords), 4)
+            ]
+            bounds.add(MoveBound(fields[0], RectSet(rects), fields[1]))
+    except ValueError as exc:
+        raise _classified(path, n, exc) from None
+    return bounds
+
+
 def load_instance(
     directory: str, name: str
 ) -> Tuple[Netlist, MoveBoundSet]:
-    """Read an instance previously written by :func:`save_instance`."""
+    """Read an instance previously written by :func:`save_instance`;
+    malformed input raises :class:`InfeasibleInputError` (stage
+    ``bookshelf.load``)."""
     base = os.path.join(directory, name)
-
-    # die first (the Netlist constructor needs it)
-    die: Optional[Rect] = None
-    row_height = 1.0
-    site_width = 1.0
-    blockages: List[Rect] = []
-    with open(base + ".scl") as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "Die":
-                die = Rect(*map(float, parts[1:5]))
-                row_height = float(parts[6])
-                site_width = float(parts[8])
-            elif parts[0] == "Blockage":
-                blockages.append(Rect(*map(float, parts[1:5])))
-    if die is None:
-        raise ValueError(f"{base}.scl has no Die line")
-
+    die, row_height, site_width, blockages = _read_scl(base + ".scl")
     netlist = Netlist(die, row_height, site_width, name=name)
     for rect in blockages:
         netlist.add_blockage(rect)
-
-    positions = {}
-    with open(base + ".pl") as f:
-        for line in f:
-            parts = line.split()
-            if len(parts) == 3:
-                positions[parts[0]] = (float(parts[1]), float(parts[2]))
-
-    # (name, width, height, x, y, fixed, movebound) per cell, added in
-    # one call: growing the netlist a cell at a time copies the
-    # coordinate arrays once per cell
-    nodes = []
-    with open(base + ".nodes") as f:
-        for line in f:
-            parts = line.split()
-            if not parts or parts[0] == "NumNodes":
-                continue
-            movebound = None
-            for token in parts[3:]:
-                if token.startswith("movebound="):
-                    movebound = token.split("=", 1)[1]
-            x, y = positions.get(parts[0], die.center)
-            nodes.append(
-                (
-                    parts[0],
-                    float(parts[1]),
-                    float(parts[2]),
-                    x,
-                    y,
-                    "terminal" in parts[3:],
-                    movebound,
-                )
-            )
-    names, widths, heights, xs, ys, fixed, movebounds = (
-        zip(*nodes) if nodes else [()] * 7
-    )
-    netlist.add_cells(
-        names, widths, heights, x=xs, y=ys, fixed=fixed, movebound=movebounds
-    )
+    _read_nodes(base + ".nodes", netlist)
     netlist.finalize()
-
-    with open(base + ".nets") as f:
-        net_name = None
-        weight = 1.0
-        pins: List[Pin] = []
-        for line in f:
-            parts = line.split()
-            if not parts or parts[0] == "NumNets":
-                continue
-            if parts[0] == "NetDegree":
-                if net_name is not None:
-                    netlist.add_net(net_name, pins, weight)
-                net_name = parts[3]
-                weight = float(parts[4]) if len(parts) > 4 else 1.0
-                pins = []
-            elif parts[0] == "PAD":
-                pins.append(Pin.terminal(float(parts[2]), float(parts[3])))
-            else:
-                idx = netlist.cell_index(parts[0])
-                pins.append(Pin(idx, float(parts[2]), float(parts[3])))
-        if net_name is not None:
-            netlist.add_net(net_name, pins, weight)
-
+    _read_pl(base + ".pl", netlist)
+    _read_nets(base + ".nets", netlist)
     bounds = MoveBoundSet(die)
     if os.path.exists(base + ".mb"):
-        with open(base + ".mb") as f:
-            for line in f:
-                parts = line.split()
-                if len(parts) < 6:
-                    continue
-                bname, kind = parts[0], parts[1]
-                coords = list(map(float, parts[2:]))
-                rects = [
-                    Rect(*coords[i : i + 4])
-                    for i in range(0, len(coords), 4)
-                ]
-                bounds.add(MoveBound(bname, RectSet(rects), kind))
+        bounds = _read_mb(base + ".mb", die)
     return netlist, bounds

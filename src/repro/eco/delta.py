@@ -262,9 +262,10 @@ def validate_structure(
         _check_cell(c, DEFAULT_BOUND)
 
     if delta.net_weights:
-        by_name = {n.name: n for n in netlist.nets}
         for net_name, w in delta.net_weights.items():
-            if net_name not in by_name:
+            try:
+                netlist.net_index(net_name)
+            except KeyError:
                 _fail(f"unknown net {net_name!r}", delta)
             if not math.isfinite(w) or w <= 0:
                 _fail(

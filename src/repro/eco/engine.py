@@ -366,10 +366,12 @@ class EcoEngine:
         for c in delta.unassign:
             _move(c, None)
         if delta.net_weights:
-            by_name = {n.name: i for i, n in enumerate(netlist.nets)}
-            weights = {by_name[n]: w for n, w in delta.net_weights.items()}
+            weights = {
+                netlist.net_index(n): w for n, w in delta.net_weights.items()
+            }
+            held = netlist.pin_table()[4]
             for i in weights:
-                staged.prev_weights.setdefault(i, netlist.nets[i].weight)
+                staged.prev_weights.setdefault(i, float(held[i]))
             netlist.set_net_weights(weights)
         if delta.density_target is not None:
             staged.prev_density = self.placer.options.density_target

@@ -123,7 +123,11 @@ def run_highs(
     # a model HiGHS cannot load reads kModelError, and a failed run
     # reports neither iterations nor a solution, as in ``linprog``
     status, iterations, solved = h.HighsModelStatus.kModelError, 0, False
-    if highs.passModel(lp) != h.HighsStatus.kError:
+    loaded = highs.passModel(lp) != h.HighsStatus.kError
+    # HiGHS holds its own copy of the model now: drop this one, which
+    # would otherwise stay alive through the solve
+    del lp, matrix
+    if loaded:
         ran = highs.run() != h.HighsStatus.kError
         status = highs.getModelStatus()
         info = highs.getInfo()

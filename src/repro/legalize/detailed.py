@@ -271,20 +271,18 @@ def detailed_place(
         site = netlist.site_width
         reach = (row_radius + 0.5) * netlist.row_height
         nets_of = netlist.nets_of_cell()
-        nets = netlist.nets
+        ptr, pc, pdx, pdy, weight = (
+            a.tolist() for a in netlist.pin_table()
+        )
         # (cell, dx, dy) pin tuples of the nets the sweep reads: the
         # swept cells' up front, a swap partner's on demand
-        pins: List[Optional[list]] = [None] * len(nets)
+        pins: List[Optional[list]] = [None] * len(weight)
 
         def fill_pins(cell: int) -> None:
             for n in nets_of[cell]:
                 if pins[n] is None:
-                    pins[n] = [
-                        (p.cell_index, p.offset_x, p.offset_y)
-                        for p in nets[n].pins
-                    ]
-
-        weight = [net.weight for net in nets]
+                    a, b = ptr[n], ptr[n + 1]
+                    pins[n] = list(zip(pc[a:b], pdx[a:b], pdy[a:b]))
         areas = {b.name: b.area for b in bounds.all_bounds()}
         priced = 0
 

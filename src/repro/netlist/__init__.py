@@ -3,7 +3,7 @@
 The placer works on a :class:`~repro.netlist.netlist.Netlist`, which owns
 
 * the cell list (movable standard cells, macros and fixed pads),
-* the net hypergraph with pin offsets,
+* the net hypergraph with pin offsets, as one CSR pin table,
 * the die rectangle, placement blockages, and row geometry,
 * the current placement as numpy coordinate arrays (cell centers).
 
@@ -11,9 +11,9 @@ Half-perimeter wirelength (HPWL) and pin-position evaluation live here
 because every other subsystem consumes them.
 """
 
-from repro.netlist.elements import Cell, Pin, Net
-from repro.netlist.netlist import Netlist, PlacementSnapshot, flat_pin_arrays
+from repro.netlist.elements import FIXED_PIN, Cell, Pin, Net
+from repro.netlist.netlist import Netlist, PlacementSnapshot
 
 __all__ = [
-    "Cell", "Pin", "Net", "Netlist", "PlacementSnapshot", "flat_pin_arrays"
+    "FIXED_PIN", "Cell", "Pin", "Net", "Netlist", "PlacementSnapshot"
 ]

@@ -9,9 +9,13 @@ Conventions:
 * A pin belongs either to a cell (``cell_index >= 0``) with an offset
   from the cell center, or is a fixed terminal (``cell_index == -1``)
   with absolute coordinates stored in the offset fields.
-* Cells and nets are read-only records: a Netlist changes them only
-  through :meth:`Netlist.set_cells` / :meth:`Netlist.set_net_weights`,
-  which replace the record and keep its derived arrays right.
+* Cells are read-only records: a Netlist changes them only through
+  :meth:`Netlist.set_cells`, which replaces the record and keeps the
+  derived arrays right.
+* :class:`Pin` and :class:`Net` are not what a Netlist stores: its
+  nets are one CSR pin table.  They are construction inputs
+  (:meth:`Netlist.add_net`) and on-demand views (``netlist.nets[i]``
+  builds one from the table), so changing one changes no netlist.
 """
 
 from __future__ import annotations

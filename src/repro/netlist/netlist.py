@@ -5,21 +5,34 @@ geometry, plus the *current placement* as numpy arrays of cell-center
 coordinates.  Placements are cheap to snapshot and restore, which the
 partitioning and legalization code uses heavily.
 
-Cells and nets are read-only; :meth:`Netlist.set_cells` and
-:meth:`Netlist.set_net_weights` are the only ways to change them, and
-they keep every derived array (dimensions, sizes, masks, the flat pin
-table) right.  The arrays the accessors hand out are read-only too.
+The nets are one CSR pin table (:meth:`Netlist.pin_table`): ``net_ptr``
+delimits each net's rows of ``pin_cell`` (-1 for a pad), ``pin_dx`` and
+``pin_dy``, and ``net_weight`` / ``net_names`` hold one entry per net.
+No :class:`Net` or :class:`Pin` object is kept: they are construction
+inputs of :meth:`Netlist.add_net` and what :attr:`Netlist.nets` builds
+on demand.  :meth:`Netlist.add_nets_bulk` appends columns without any;
+appended nets wait in a buffer that the next read compacts.  Every
+per-net array the placer reads (``pin_arrays``, ``cell_nets_csr``,
+``span_layout``, ``net_subset_arrays``) is derived from the table by
+array operations.
+
+Cells are read-only records and net weights change only through
+:meth:`Netlist.set_cells` and :meth:`Netlist.set_net_weights`, which
+keep every derived array (dimensions, sizes, masks, the pin arrays)
+right.  The arrays the accessors hand out are read-only too.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry import Rect, RectSet
-from repro.netlist.elements import Cell, Net, Pin
+from repro.netlist.elements import FIXED_PIN, Cell, Net, Pin
 
 
 @dataclass
@@ -49,31 +62,66 @@ def _frozen(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
-def flat_pin_arrays(nets: Iterable[Net]) -> tuple:
-    """``(ptr, pin_cell, off_x, off_y, weights)`` of the nets with two
-    or more pins, one row per net whose pins start at ``ptr[row]`` —
-    the :meth:`Netlist.pin_arrays` layout, for any net list."""
-    ptr = [0]
-    pin_cell: List[int] = []
-    off_x: List[float] = []
-    off_y: List[float] = []
-    weights: List[float] = []
-    for net in nets:
-        if net.degree < 2:
-            continue
-        for pin in net.pins:
-            pin_cell.append(pin.cell_index)
-            off_x.append(pin.offset_x)
-            off_y.append(pin.offset_y)
-        ptr.append(len(pin_cell))
-        weights.append(net.weight)
-    return (
-        np.array(ptr[:-1], dtype=np.int64),
-        np.array(pin_cell, dtype=np.int64),
-        np.array(off_x),
-        np.array(off_y),
-        np.array(weights),
-    )
+_EMPTY_TABLE = _frozen(
+    np.zeros(1, dtype=np.int64),
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0),
+    np.zeros(0),
+    np.zeros(0),
+)
+
+
+class NetView(Sequence):
+    """The nets of a :class:`Netlist` as a read-only sequence of
+    :class:`Net` records, each built from the pin table when it is asked
+    for: no record is kept, so changing one changes nothing."""
+
+    __slots__ = ("_netlist",)
+
+    def __init__(self, netlist: "Netlist") -> None:
+        self._netlist = netlist
+
+    def __len__(self) -> int:
+        return self._netlist.num_nets
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        ptr, cell, dx, dy, weight = self._netlist.pin_table()
+        a, b = int(ptr[i]), int(ptr[i + 1])
+        return Net(
+            self._netlist.net_names[i],
+            list(map(Pin, cell[a:b].tolist(), dx[a:b].tolist(),
+                     dy[a:b].tolist())),
+            float(weight[i]),
+        )
+
+    def __iter__(self):
+        ptr, cell, dx, dy, weight = self._netlist.pin_table()
+        ptr, cell, dx, dy = ptr.tolist(), cell.tolist(), dx.tolist(), dy.tolist()
+        for i, (name, w) in enumerate(
+            zip(self._netlist.net_names, weight.tolist())
+        ):
+            a, b = ptr[i], ptr[i + 1]
+            yield Net(name, list(map(Pin, cell[a:b], dx[a:b], dy[a:b])), w)
+
+
+class _CsrLists(Sequence):
+    """Row ``c`` of a CSR ``(start, ids)`` pair as a list."""
+
+    __slots__ = ("rows", "start", "ids")
+
+    def __init__(self, start: np.ndarray, ids: np.ndarray) -> None:
+        self.rows = range(len(start) - 1)
+        self.start, self.ids = start.tolist(), ids.tolist()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, c) -> list:
+        c = self.rows[c]
+        return self.ids[self.start[c]:self.start[c + 1]]
 
 
 class Netlist:
@@ -103,9 +151,15 @@ class Netlist:
         self.row_height = row_height
         self.site_width = site_width
         self.cells: List[Cell] = []
-        self.nets: List[Net] = []
         self.blockages: RectSet = RectSet()
         self._cell_by_name: Dict[str, int] = {}
+        # the nets: one name each, and the pin table (see pin_table);
+        # nets added since the table was last read wait in
+        # _pending_nets as (degrees, cells, dx, dy, weights) chunks
+        self._net_names: List[str] = []
+        self._pin_table: tuple = _EMPTY_TABLE
+        self._pending_nets: list = []
+        self._net_by_name: Optional[Dict[str, int]] = None
         self.x: np.ndarray = np.zeros(0)
         self.y: np.ndarray = np.zeros(0)
         # lazy derived arrays, dropped by _forget on any change
@@ -113,9 +167,16 @@ class Netlist:
         self._size_cache: Optional[np.ndarray] = None
         self._mask_cache: Optional[tuple] = None
         self._hpwl_cache: Optional[tuple] = None
-        self._nets_cache: Optional[list] = None
         self._cell_nets_csr_cache: Optional[tuple] = None
         self._net_row_cache: Optional[np.ndarray] = None
+
+    def __setstate__(self, state: dict) -> None:
+        # a copy (copy.deepcopy, pickle) comes back with every array
+        # writeable: freeze the pin table, which holds the nets, again,
+        # and let the derived arrays be rebuilt frozen
+        self.__dict__.update(state)
+        self._pin_table = _frozen(*self._pin_table)
+        self._forget(dims=True, pins=True)
 
     def _forget(self, dims: bool = False, pins: bool = False) -> None:
         """Drop the derived arrays of the cells (``dims``) and of the
@@ -123,7 +184,7 @@ class Netlist:
         if dims:
             self._dim_cache = self._size_cache = self._mask_cache = None
         if pins:
-            self._hpwl_cache = self._nets_cache = None
+            self._hpwl_cache = None
             self._cell_nets_csr_cache = self._net_row_cache = None
 
     # ------------------------------------------------------------------
@@ -230,58 +291,68 @@ class Netlist:
         names: Sequence[str],
         member_lists: Sequence[Sequence[int]],
         weights=None,
+        offsets=None,
     ) -> None:
-        """Bulk :meth:`add_net` for center-pin nets.
+        """Append many nets to the pin table in one call.
 
-        Each entry of ``member_lists`` is a sequence of cell indices;
-        every pin sits at its cell center (offset 0, the generator's
-        convention).  Index validation runs once over the flattened
-        members instead of per pin.
+        Each entry of ``member_lists`` is a sequence of pin cells (cell
+        indices, ``FIXED_PIN`` = -1 for a pad), or ``member_lists`` is
+        one 2-D array of them.  ``offsets`` is ``(dx, dy)``, one flat
+        sequence per axis with an entry for every pin in member order
+        (a pad's is its absolute position); without it every pin sits
+        at its cell center.  ``weights`` defaults to 1.  Nothing is
+        added when a net is rejected.
         """
         if len(member_lists) != len(names):
             raise ValueError("names and member_lists length mismatch")
-        member_lists = [
-            m if isinstance(m, list)
-            else m.tolist() if isinstance(m, np.ndarray)
-            else list(m)
-            for m in member_lists
-        ]
-        nonempty = [m for m in member_lists if m]
-        if nonempty:
-            lo = min(map(min, nonempty))
-            hi = max(map(max, nonempty))
-            if lo < 0 or hi >= len(self.cells):
-                raise ValueError(
-                    f"bulk net references cell index "
-                    f"{hi if hi >= len(self.cells) else lo}, "
-                    f"but only {len(self.cells)} cells exist"
-                )
-        # Pins are frozen and a center pin only depends on its cell, so
-        # nets share one Pin instance per cell — ~4x fewer dataclass
-        # constructions and proportionally less memory at 10^6 nets.
-        pins = list(map(Pin, range(len(self.cells))))
-        if weights is None:
-            self.nets.extend(
-                Net(nm, [pins[c] for c in m])
-                for nm, m in zip(names, member_lists)
-            )
+        if isinstance(member_lists, np.ndarray) and member_lists.ndim == 2:
+            degrees = np.full(len(names), member_lists.shape[1], np.int64)
+            cells = member_lists.astype(np.int64).reshape(-1)
         else:
-            self.nets.extend(
-                Net(nm, [pins[c] for c in m], float(w))
-                for nm, m, w in zip(names, member_lists, weights)
+            degrees = np.fromiter(
+                map(len, member_lists), np.int64, count=len(names)
             )
+            cells = np.fromiter(
+                chain.from_iterable(member_lists),
+                np.int64,
+                count=int(degrees.sum()),
+            )
+        if len(cells) and (
+            cells.min() < FIXED_PIN or cells.max() >= len(self.cells)
+        ):
+            bad = cells.min() if cells.min() < FIXED_PIN else cells.max()
+            raise ValueError(
+                f"a net references cell index {bad}, "
+                f"but only {len(self.cells)} cells exist"
+            )
+        if offsets is None:
+            dx = dy = np.zeros(len(cells))
+        else:
+            dx, dy = (np.array(o, dtype=np.float64) for o in offsets)
+            if dx.shape != cells.shape or dy.shape != cells.shape:
+                raise ValueError("offsets must give one value per pin")
+        weights = (
+            np.ones(len(names))
+            if weights is None
+            else np.array(weights, dtype=np.float64)
+        )
+        if weights.shape != degrees.shape:
+            raise ValueError("names and weights length mismatch")
+        self._net_names.extend(names)
+        self._pending_nets.append((degrees, cells, dx, dy, weights))
+        self._net_by_name = None
         self._forget(pins=True)
 
     def add_net(self, name: str, pins: Iterable[Pin], weight: float = 1.0) -> Net:
+        """Append one net; returns its record (a construction input,
+        not the netlist's state)."""
         net = Net(name, list(pins), weight)
-        for pin in net.pins:
-            if pin.cell_index >= len(self.cells):
-                raise ValueError(
-                    f"net {name!r} references cell index {pin.cell_index}, "
-                    f"but only {len(self.cells)} cells exist"
-                )
-        self.nets.append(net)
-        self._forget(pins=True)
+        self.add_nets_bulk(
+            [name],
+            [[p.cell_index for p in net.pins]],
+            [weight],
+            ([p.offset_x for p in net.pins], [p.offset_y for p in net.pins]),
+        )
         return net
 
     def set_cells(self, indices: Iterable[int], **changes) -> None:
@@ -298,10 +369,18 @@ class Netlist:
 
     def set_net_weights(self, weights: Dict[int, float]) -> None:
         """Give the nets ``weights`` maps (net index -> weight) their
-        new weights.  Only the pin table carries weights; the net
-        topology, and every array derived from it, stays."""
-        for i, w in weights.items():
-            self.nets[i] = replace(self.nets[i], weight=float(w))
+        new weights.  The weight column is replaced, not written, so a
+        table read before keeps its weights; the net topology, and
+        every array derived from it alone, stays."""
+        if not weights:
+            return
+        ptr, cell, dx, dy, old = self.pin_table()
+        new = old.copy()
+        idx = np.fromiter(weights.keys(), np.int64, count=len(weights))
+        new[idx] = np.fromiter(
+            weights.values(), np.float64, count=len(weights)
+        )
+        self._pin_table = _frozen(ptr, cell, dx, dy, new)
         self._hpwl_cache = None
 
     def add_blockage(self, rect: Rect) -> None:
@@ -309,6 +388,14 @@ class Netlist:
 
     def cell_index(self, name: str) -> int:
         return self._cell_by_name[name]
+
+    def net_index(self, name: str) -> int:
+        """The index of the net named ``name`` (the last one, if names
+        repeat); ``KeyError`` if there is none."""
+        if self._net_by_name is None:
+            names = self._net_names
+            self._net_by_name = dict(zip(names, range(len(names))))
+        return self._net_by_name[name]
 
     def finalize(self) -> None:
         """Freeze coordinate arrays into contiguous float64 storage.
@@ -329,7 +416,38 @@ class Netlist:
 
     @property
     def num_nets(self) -> int:
-        return len(self.nets)
+        return len(self._net_names)
+
+    @property
+    def nets(self) -> NetView:
+        """The nets as :class:`Net` records, built on demand."""
+        return NetView(self)
+
+    @property
+    def net_names(self) -> List[str]:
+        """The net names in index order (the netlist's own list: read,
+        never change it)."""
+        return self._net_names
+
+    def pin_table(self) -> tuple:
+        """``(net_ptr, pin_cell, pin_dx, pin_dy, net_weight)``: the
+        netlist's nets as one CSR table (read-only arrays).  Net ``i``'s
+        pins are rows ``net_ptr[i]:net_ptr[i + 1]`` of the pin columns;
+        a pin sits on cell ``pin_cell`` at offset ``(pin_dx, pin_dy)``
+        from its center, or is a pad (``pin_cell == -1``) at absolute
+        ``(pin_dx, pin_dy)``.  Nets added since the last read are
+        appended here, in one concatenation."""
+        if self._pending_nets:
+            ptr, *columns = self._pin_table
+            degrees, *appended = zip(*self._pending_nets)
+            ends = ptr[-1] + np.cumsum(np.concatenate(degrees))
+            self._pin_table = _frozen(
+                np.concatenate([ptr, ends]),
+                *(np.concatenate([col, *new])
+                  for col, new in zip(columns, appended)),
+            )
+            self._pending_nets = []
+        return self._pin_table
 
     def _masks(self) -> tuple:
         """Cached (fixed mask, movable indices, standard-cell mask,
@@ -419,9 +537,23 @@ class Netlist:
         return Rect(min(xs), min(ys), max(xs), max(ys))
 
     def pin_arrays(self) -> tuple:
-        """Cached :func:`flat_pin_arrays` of all nets."""
+        """Cached ``(ptr, pin_cell, off_x, off_y, weights)`` of the nets
+        with two or more pins: :meth:`pin_table` without the shorter
+        nets, one row per net whose pins start at ``ptr[row]``."""
         if self._hpwl_cache is None:
-            self._hpwl_cache = _frozen(*flat_pin_arrays(self.nets))
+            ptr, cell, dx, dy, weight = self.pin_table()
+            degrees = np.diff(ptr)
+            keep = degrees >= 2
+            if keep.all():
+                self._hpwl_cache = (ptr[:-1], cell, dx, dy, weight)
+            else:
+                pins = np.repeat(keep, degrees)
+                kept = degrees[keep]
+                rows = np.zeros(len(kept), dtype=np.int64)
+                np.cumsum(kept[:-1], out=rows[1:])
+                self._hpwl_cache = _frozen(
+                    rows, cell[pins], dx[pins], dy[pins], weight[keep]
+                )
         return self._hpwl_cache
 
     def net_spans(self, rows=None) -> np.ndarray:
@@ -455,36 +587,30 @@ class Netlist:
             return 0.0
         return float(np.dot(weights, self.net_spans()))
 
-    def nets_of_cell(self) -> list:
-        """Cached net indices incident to each cell (topological)."""
-        if self._nets_cache is None:
-            out: List[List[int]] = [[] for _ in range(self.num_cells)]
-            for nidx, net in enumerate(self.nets):
-                for pin in net.pins:
-                    if pin.cell_index >= 0:
-                        out[pin.cell_index].append(nidx)
-            self._nets_cache = out
-        return self._nets_cache
+    def nets_of_cell(self) -> Sequence:
+        """Net indices incident to each cell: ``nets_of_cell()[c]`` is
+        the list form of :meth:`cell_nets_csr`'s row ``c``."""
+        return _CsrLists(*self.cell_nets_csr())
 
     def cell_nets_csr(self) -> tuple:
         """Cached CSR ``(start, net_ids)`` of net indices incident to
         each cell — ``net_ids[start[c]:start[c+1]]`` are cell ``c``'s
-        nets, in the same order ``nets_of_cell`` lists them."""
+        nets, once per pin the cell has on them, in net order."""
         if self._cell_nets_csr_cache is None:
-            lists = self.nets_of_cell()
-            start = np.zeros(len(lists) + 1, dtype=np.int64)
+            ptr, cell = self.pin_table()[:2]
+            net_of_pin = np.repeat(
+                np.arange(self.num_nets, dtype=np.int64), np.diff(ptr)
+            )
+            order = np.argsort(cell, kind="stable")
+            on_cell = cell >= 0
+            start = np.zeros(self.num_cells + 1, dtype=np.int64)
             np.cumsum(
-                np.fromiter(
-                    (len(ln) for ln in lists), np.int64, count=len(lists)
-                ),
+                np.bincount(cell[on_cell], minlength=self.num_cells),
                 out=start[1:],
             )
-            ids = np.fromiter(
-                (n for ln in lists for n in ln),
-                np.int64,
-                count=int(start[-1]),
-            )
-            self._cell_nets_csr_cache = (start, ids)
+            # the pads sort first
+            ids = net_of_pin[order[len(cell) - int(start[-1]):]]
+            self._cell_nets_csr_cache = _frozen(start, ids)
         return self._cell_nets_csr_cache
 
     def nets_of_cells(self, cells) -> np.ndarray:
@@ -498,13 +624,10 @@ class Netlist:
         """Net index -> row in the ``pin_arrays`` layout (degree < 2
         nets, which that layout drops, map to -1)."""
         if self._net_row_cache is None:
-            rows = np.full(self.num_nets, -1, dtype=np.int64)
-            r = 0
-            for nidx, net in enumerate(self.nets):
-                if net.degree >= 2:
-                    rows[nidx] = r
-                    r += 1
-            (self._net_row_cache,) = _frozen(rows)
+            keep = np.diff(self.pin_table()[0]) >= 2
+            (self._net_row_cache,) = _frozen(
+                np.where(keep, np.cumsum(keep) - 1, -1)
+            )
         return self._net_row_cache
 
     def _row_pins(self, rows: np.ndarray) -> tuple:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.geometry import Rect
-from repro.netlist import Netlist, Pin
+from repro.netlist import FIXED_PIN, Netlist
 
 
 @dataclass
@@ -164,19 +164,20 @@ def generate_netlist(
                     member_lists.append(members.tolist())
         netlist.add_nets_bulk(names, member_lists)
 
-    # macros join a few local nets each
+    # macros join a few local nets each, and boundary pads are fixed
+    # terminals wired to the logically closest cells: center pins but
+    # for the pad, whose offsets are its position
+    names, member_lists, dx, dy = [], [], [], []
     for m in range(spec.num_macros):
         idx = spec.num_cells + m
         lx = (netlist.x[idx] - die.x_lo) / die.width
         ly = (netlist.y[idx] - die.y_lo) / die.height
         _d, near = tree.query((lx, ly), k=min(6, spec.num_cells))
         near = np.atleast_1d(near)
-        netlist.add_net(
-            f"mnet{m}",
-            [Pin(idx)] + [Pin(int(c)) for c in near[:3]],
-        )
-
-    # boundary pads: fixed terminals wired to the logically closest cells
+        names.append(f"mnet{m}")
+        member_lists.append([idx] + near[:3].tolist())
+        dx += [0.0] * len(member_lists[-1])
+        dy += [0.0] * len(member_lists[-1])
     for p in range(spec.num_pads):
         t = p / max(spec.num_pads, 1)
         edge = p % 4
@@ -192,8 +193,9 @@ def generate_netlist(
         ly = (py - die.y_lo) / die.height
         _d, near = tree.query((lx, ly), k=min(4, spec.num_cells))
         near = np.atleast_1d(near)
-        netlist.add_net(
-            f"pad{p}",
-            [Pin.terminal(px, py)] + [Pin(int(c)) for c in near[:2]],
-        )
+        names.append(f"pad{p}")
+        member_lists.append([FIXED_PIN] + near[:2].tolist())
+        dx += [px] + [0.0] * (len(member_lists[-1]) - 1)
+        dy += [py] + [0.0] * (len(member_lists[-1]) - 1)
+    netlist.add_nets_bulk(names, member_lists, offsets=(dx, dy))
     return netlist, logical

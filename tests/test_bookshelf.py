@@ -1,5 +1,7 @@
 """Round-trip tests for the Bookshelf-style I/O."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.bookshelf import load_instance, save_instance
 from repro.geometry import Rect
 from repro.movebounds import EXCLUSIVE, MoveBoundSet
 from repro.netlist import Netlist, Pin
-from repro.workloads import movebound_instance
+from repro.workloads import NetlistSpec, generate_netlist, movebound_instance
 
 
 def _build():
@@ -90,3 +92,58 @@ class TestRoundTrip:
         nl2, mbs2 = load_instance(str(tmp_path), "Rabe")
         assert nl2.hpwl() == pytest.approx(inst.netlist.hpwl())
         assert len(mbs2) == len(inst.bounds)
+
+
+def _files(directory, name):
+    return {
+        f: open(os.path.join(directory, f), "rb").read()
+        for f in sorted(os.listdir(directory))
+        if f.startswith(name + ".")
+    }
+
+
+def _generated(kind):
+    if kind == "flat":
+        nl, _logical = generate_netlist(
+            NetlistSpec("flat", 400, num_pads=12, num_macros=2), seed=4
+        )
+        bounds = MoveBoundSet(nl.die)
+    else:
+        inst = movebound_instance("Rabe", seed=1)
+        nl, bounds = inst.netlist, inst.bounds
+    nl.add_net("lone", [Pin(3, 0.25, -0.5)])  # a degree-1 net
+    nl.add_net("pads", [Pin.terminal(0.0, 1.5), Pin.terminal(2.0, 0.0)])
+    nl.set_net_weights({0: 2.5, 7: 0.125, nl.num_nets - 1: 3.0})
+    nl.add_blockage(Rect(nl.die.x_lo, nl.die.y_lo, nl.die.x_lo + 4.0,
+                         nl.die.y_lo + 2.0))
+    return nl, bounds
+
+
+@pytest.mark.parametrize("kind", ["flat", "movebound"])
+def test_save_load_save_gives_the_same_bytes(tmp_path, kind):
+    nl, bounds = _generated(kind)
+    first, second = str(tmp_path / "a"), str(tmp_path / "b")
+    save_instance(first, nl, bounds)
+    nl2, bounds2 = load_instance(first, nl.name)
+    save_instance(second, nl2, bounds2)
+    assert _files(first, nl.name) == _files(second, nl.name)
+    assert (kind == "movebound") == os.path.exists(
+        os.path.join(first, f"{nl.name}.mb")
+    )
+    assert list(nl2.nets) == list(nl.nets)
+    assert nl2.hpwl() == nl.hpwl()
+
+
+def test_offsets_and_weights_are_written_as_floats(tmp_path):
+    """The pin table holds floats: a net built with int offsets and
+    weight writes ``1.0``, not ``1``."""
+    nl = Netlist(Rect(0, 0, 10, 10), name="ints")
+    nl.add_cell("a", 2, 1, x=5, y=5)
+    nl.add_net("n", [Pin(0, 1, 0), Pin.terminal(3, 4)], weight=2)
+    save_instance(str(tmp_path), nl)
+    assert (tmp_path / "ints.nets").read_text() == (
+        "NumNets : 1\n"
+        "NetDegree : 2 n 2.0\n"
+        "  a : 1.0 0.0\n"
+        "  PAD : 3.0 4.0\n"
+    )

@@ -334,6 +334,26 @@ class TestDegradation:
             engine.apply(_good_delta(nl))
         assert _state_fingerprint(nl, engine.bounds) == before
 
+    def test_net_weight_rollback_restores_weights_and_positions(
+        self, placed
+    ):
+        """A weight delta whose solve fails leaves the weights and every
+        position bit for bit as they were, through the table's weight
+        column and the name lookup alike."""
+        nl, bounds = placed
+        before = _state_fingerprint(nl, bounds)
+        x, y = nl.x.copy(), nl.y.copy()
+        names = [nl.nets[3].name, nl.nets[9].name]
+        install_fault_plan("eco.apply=stage")
+        engine = EcoEngine(
+            nl, bounds, options=EcoOptions(allow_fallback=False)
+        )
+        with pytest.raises(PipelineStageError):
+            engine.apply({"net_weights": {names[0]: 4.0, names[1]: 0.5}})
+        assert _state_fingerprint(nl, engine.bounds) == before
+        assert nl.x.tobytes() == x.tobytes() and nl.y.tobytes() == y.tobytes()
+        assert [nl.net_index(n) for n in names] == [3, 9]
+
     def test_fault_inside_rollback_still_restores(self, placed):
         nl, bounds = placed
         before = _state_fingerprint(nl, bounds)

@@ -1,15 +1,22 @@
 """The Netlist owns its cell and net state.
 
-Cells and nets are read-only records; ``add_cells`` / ``add_net`` /
-``set_cells`` / ``set_net_weights`` are the only ways to change them.
-After any sequence of those calls every derived array must equal, bit
-for bit, the one a netlist rebuilt from scratch with the same cells and
-nets computes — whatever was cached before the change.  And no module
-outside ``repro/netlist/`` may reach into the Netlist's private state.
+Cells are read-only records and nets live in one CSR pin table;
+``add_cells`` / ``add_net`` / ``add_nets_bulk`` / ``set_cells`` /
+``set_net_weights`` are the only ways to change them.  After any
+sequence of those calls every derived array must equal, bit for bit,
+the one a netlist rebuilt from scratch with the same cells and nets
+computes — whatever was cached before the change — and the pin table
+and its derived arrays must equal what per-net loops over the
+:class:`Net` records the calls put in compute.  No :class:`Pin` or
+:class:`Net` is made by bulk construction or by loading an instance.
+And no module outside ``repro/netlist/`` may reach into the Netlist's
+private state.
 """
 
+import copy
+import pickle
 import re
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +25,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.geometry import Rect
-from repro.netlist import Cell, Net, Netlist, Pin
+from repro.bookshelf import load_instance, save_instance
+from repro.netlist import FIXED_PIN, Cell, Net, Netlist, Pin
+from repro.workloads import NetlistSpec, generate_netlist
 
 DIE = Rect(0, 0, 30, 20)
 ROW = 1.0
@@ -84,13 +93,36 @@ def _add_cells(nl, data, count):
     )
 
 
-def _add_net(nl, data):
+def _draw_pins(nl, data) -> list:
     members = data.draw(st.lists(st.integers(0, nl.num_cells - 1),
                                  min_size=1, max_size=5))
     pins = [Pin(c, data.draw(st.floats(-0.5, 0.5)), 0.25) for c in members]
     if data.draw(st.booleans()):
         pins.append(Pin.terminal(data.draw(st.floats(0.0, DIE.x_hi)), 3.0))
-    nl.add_net(f"n{nl.num_nets}", pins, data.draw(st.floats(0.1, 4.0)))
+    return pins
+
+
+def _add_net(nl, data, records):
+    net = Net(f"n{nl.num_nets}", _draw_pins(nl, data),
+              data.draw(st.floats(0.1, 4.0)))
+    nl.add_net(net.name, net.pins, net.weight)
+    records.append(net)
+
+
+def _add_nets_bulk(nl, data, records):
+    nets = [
+        Net(f"n{nl.num_nets + k}", _draw_pins(nl, data),
+            data.draw(st.floats(0.1, 4.0)))
+        for k in range(data.draw(st.integers(0, 4)))
+    ]
+    nl.add_nets_bulk(
+        [n.name for n in nets],
+        [[p.cell_index for p in n.pins] for n in nets],
+        [n.weight for n in nets],
+        ([p.offset_x for n in nets for p in n.pins],
+         [p.offset_y for n in nets for p in n.pins]),
+    )
+    records.extend(nets)
 
 
 def _set_cells(nl, data):
@@ -107,10 +139,72 @@ def _set_cells(nl, data):
     nl.set_cells(indices, **{change: value})
 
 
-def _set_net_weights(nl, data):
+def _set_net_weights(nl, data, records):
     nets = data.draw(st.lists(st.integers(0, nl.num_nets - 1),
                               min_size=1, max_size=6, unique=True))
-    nl.set_net_weights({i: data.draw(st.floats(0.1, 4.0)) for i in nets})
+    weights = {i: data.draw(st.floats(0.1, 4.0)) for i in nets}
+    nl.set_net_weights(weights)
+    for i, w in weights.items():
+        records[i] = replace(records[i], weight=w)
+
+
+def _from_records(nl: Netlist, nets: list) -> dict:
+    """The pin table and every array derived from it, computed by
+    per-net loops over ``nets`` (the layout the Netlist documents)."""
+    ptr, cell, dx, dy, weight = [0], [], [], [], []
+    rows, row_ptr, row_pins, row_weight = [], [], [], []
+    of_cell = [[] for _ in range(nl.num_cells)]
+    for i, net in enumerate(nets):
+        for pin in net.pins:
+            cell.append(pin.cell_index)
+            dx.append(pin.offset_x)
+            dy.append(pin.offset_y)
+            if pin.cell_index >= 0:
+                of_cell[pin.cell_index].append(i)
+        ptr.append(len(cell))
+        weight.append(net.weight)
+        rows.append(len(row_ptr) if net.degree >= 2 else -1)
+        if net.degree >= 2:
+            row_ptr.append(len(row_pins))
+            row_pins.extend(range(ptr[-2], ptr[-1]))
+            row_weight.append(net.weight)
+    cell, dx, dy = (np.array(a, dtype=t) for a, t in
+                    ((cell, np.int64), (dx, float), (dy, float)))
+    return {
+        "pin_table": (np.array(ptr, dtype=np.int64), cell, dx, dy,
+                      np.array(weight, dtype=float)),
+        "pin_arrays": (np.array(row_ptr, dtype=np.int64), cell[row_pins],
+                       dx[row_pins], dy[row_pins],
+                       np.array(row_weight, dtype=float)),
+        "cell_nets_csr": (
+            np.cumsum([0] + [len(c) for c in of_cell], dtype=np.int64),
+            np.array([n for c in of_cell for n in c], dtype=np.int64),
+        ),
+        "span_layout": (np.array(row_weight, dtype=float),
+                        np.array(rows, dtype=np.int64)),
+        "nets_of_cell": of_cell,
+        "net_names": [n.name for n in nets],
+    }
+
+
+def _table_state(nl: Netlist) -> dict:
+    return {
+        "pin_table": nl.pin_table(),
+        "pin_arrays": nl.pin_arrays(),
+        "cell_nets_csr": nl.cell_nets_csr(),
+        "span_layout": nl.span_layout(),
+        "nets_of_cell": list(nl.nets_of_cell()),
+        "net_names": list(nl.net_names),
+    }
+
+
+def _same(a, b) -> bool:
+    """Equal structure, dtypes and bits."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, (tuple, list)) and a and isinstance(a[0], np.ndarray):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 @given(st.data())
@@ -118,23 +212,34 @@ def _set_net_weights(nl, data):
           suppress_health_check=[HealthCheck.too_slow])
 def test_derived_arrays_equal_a_rebuild_after_every_change(data):
     nl = Netlist(DIE, row_height=ROW, site_width=0.5)
+    records: list = []  # the Net records the calls put in
     _add_cells(nl, data, data.draw(st.integers(1, 6)))
     for _step in range(data.draw(st.integers(1, 10))):
-        ops = ["add_cells", "add_net", "set_cells"]
+        ops = ["add_cells", "add_net", "add_nets_bulk", "set_cells"]
         if nl.num_nets:
             ops.append("set_net_weights")
         op = data.draw(st.sampled_from(ops))
         if op == "add_cells":
             _add_cells(nl, data, data.draw(st.integers(1, 4)))
         elif op == "add_net":
-            _add_net(nl, data)
+            _add_net(nl, data, records)
+        elif op == "add_nets_bulk":
+            _add_nets_bulk(nl, data, records)
         elif op == "set_cells":
             _set_cells(nl, data)
         else:
-            _set_net_weights(nl, data)
-        # reading everything here warms every cache, so the next
-        # change has to keep them right
-        assert _derived(nl) == _derived(_rebuild(nl))
+            _set_net_weights(nl, data, records)
+        # reading everything here (some of it only now and then, so a
+        # change also meets a table not read since the last one) warms
+        # every cache, so the next change has to keep them right
+        if data.draw(st.booleans()):
+            assert _derived(nl) == _derived(_rebuild(nl))
+            state, want = _table_state(nl), _from_records(nl, records)
+            assert all(_same(state[k], want[k]) for k in want), op
+    assert list(nl.nets) == records
+    assert [nl.nets[i] for i in range(-len(records), len(records))] == (
+        records + records
+    )
 
 
 def _small() -> Netlist:
@@ -159,11 +264,16 @@ def test_records_are_read_only(record, field):
         setattr(obj, field, getattr(obj, field))
 
 
-def test_derived_arrays_are_read_only():
+@pytest.mark.parametrize("clone", [
+    lambda nl: nl, copy.deepcopy, lambda nl: pickle.loads(pickle.dumps(nl)),
+], ids=["netlist", "deepcopy", "pickle"])
+def test_derived_arrays_are_read_only(clone):
     nl = _small()
+    nl.pin_arrays(), nl.cell_dims(), nl.cell_nets_csr()
+    nl = clone(nl)
     arrays = [nl.cell_sizes(), nl.fixed_mask, nl.movable_indices,
               nl.std_cell_mask, nl.macro_indices, *nl.cell_dims(),
-              *nl.pin_arrays()]
+              *nl.pin_arrays(), *nl.pin_table(), *nl.cell_nets_csr()]
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = a
@@ -198,6 +308,66 @@ def test_new_weights_reach_a_built_pin_table():
     assert table[4].tolist() == [1.0, 5.0]
     assert nl.nets[1].weight == 9.0
     assert nl.hpwl() > before
+
+
+def test_a_net_record_is_built_from_the_table():
+    nl = _small()
+    assert nl.nets[2] == Net("n2", [Pin(1), Pin(FIXED_PIN, 20.0, 5.0)], 2.0)
+    assert nl.nets[-1] == nl.nets[2] and nl.nets[1:] == list(nl.nets)[1:]
+    assert nl.nets[2] is not nl.nets[2]  # a view: nothing is kept
+    with pytest.raises(IndexError):
+        nl.nets[3]
+    assert list(nl.nets_of_cell()) == [[0, 1], [0, 2], [0]]
+    assert [nl.net_index(n) for n in ("n0", "n1", "n2")] == [0, 1, 2]
+    with pytest.raises(KeyError):
+        nl.net_index("n3")
+    nl.add_net("n3", [Pin(2), Pin(0)])  # a new net is found by name
+    assert nl.net_index("n3") == 3
+
+
+def test_bulk_nets_may_have_pads_offsets_and_weights():
+    nl = _small()
+    nl.add_nets_bulk(
+        ["b0", "b1"], [[0, FIXED_PIN], [2]], [0.5, 3.0],
+        ([0.25, 7.0, -1.0], [0.0, 8.0, 0.5]),
+    )
+    assert nl.nets[3] == Net("b0", [Pin(0, 0.25), Pin.terminal(7.0, 8.0)],
+                             0.5)
+    assert nl.nets[4] == Net("b1", [Pin(2, -1.0, 0.5)], 3.0)
+    for bad in ([[0, 3]], [[-2]]):
+        with pytest.raises(ValueError, match="references cell index"):
+            nl.add_nets_bulk(["x"], bad)
+    with pytest.raises(ValueError, match="one value per pin"):
+        nl.add_nets_bulk(["x"], [[0, 1]], offsets=([0.0], [0.0]))
+    assert nl.num_nets == 5  # a rejected batch adds nothing
+
+
+@pytest.fixture
+def record_count(monkeypatch):
+    """How many Pin and Net records get built while the test runs."""
+    made = {"Pin": 0, "Net": 0}
+    for cls in (Pin, Net):
+        real = cls.__init__
+
+        def counted(self, *args, _real=real, _name=cls.__name__, **kw):
+            made[_name] += 1
+            _real(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_bulk_construction_and_loading_build_no_record(tmp_path,
+                                                       record_count):
+    spec = NetlistSpec("rec", 300, num_pads=8, num_macros=2)
+    nl, _logical = generate_netlist(spec, seed=3)
+    save_instance(str(tmp_path), nl)
+    loaded, _bounds = load_instance(str(tmp_path), "rec")
+    loaded.pin_arrays(), loaded.cell_nets_csr(), loaded.hpwl()
+    assert record_count == {"Pin": 0, "Net": 0}
+    assert loaded.num_nets == nl.num_nets > 300
+    nl.nets[0]  # the view builds them on demand, and the count sees it
+    assert record_count["Net"] == 1 and record_count["Pin"] >= 2
 
 
 # ----------------------------------------------------------------------

@@ -264,19 +264,26 @@ def test_records_are_read_only(record, field):
         setattr(obj, field, getattr(obj, field))
 
 
-@pytest.mark.parametrize("clone", [
-    lambda nl: nl, copy.deepcopy, lambda nl: pickle.loads(pickle.dumps(nl)),
-], ids=["netlist", "deepcopy", "pickle"])
-def test_derived_arrays_are_read_only(clone):
-    nl = _small()
-    nl.pin_arrays(), nl.cell_dims(), nl.cell_nets_csr()
-    nl = clone(nl)
+def _assert_derived_arrays_read_only(nl):
     arrays = [nl.cell_sizes(), nl.fixed_mask, nl.movable_indices,
               nl.std_cell_mask, nl.macro_indices, *nl.cell_dims(),
               *nl.pin_arrays(), *nl.pin_table(), *nl.cell_nets_csr()]
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = a
+
+
+def test_derived_arrays_are_read_only():
+    _assert_derived_arrays_read_only(_small())
+
+
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy, lambda nl: pickle.loads(pickle.dumps(nl)),
+], ids=["deepcopy", "pickle"])
+def test_derived_arrays_of_a_copy_are_read_only(clone):
+    nl = _small()
+    nl.pin_arrays(), nl.cell_dims(), nl.cell_nets_csr()
+    _assert_derived_arrays_read_only(clone(nl))
 
 
 def test_set_cells_takes_only_the_changeable_fields():

@@ -32,7 +32,9 @@ made on either side.
 The reader refuses malformed input with an
 :class:`~repro.resilience.errors.InfeasibleInputError` of stage
 ``bookshelf.load`` naming the file and the line: bytes that are not
-UTF-8, a record with the wrong fields or numbers, a name no node has,
+UTF-8, a record with the wrong fields, a number that is not finite (or
+not positive, for a net weight, a row height, a site width and a node's
+width and height), a name no node has,
 a net with more or fewer pin lines than its ``NetDegree``, a
 ``NumNodes`` / ``NumNets`` header that does not count the records
 after it, and a last line without its newline (a cut file).  A node
@@ -161,6 +163,17 @@ def _records(path: str) -> Iterator[Tuple[int, List[str]]]:
                 yield n, fields
 
 
+def _number(path: str, n: int, token: str, positive: bool = False) -> float:
+    """``token`` as a finite number; one above 0 if ``positive`` (a
+    row height, a site width, a node's width or height).  The per-pin
+    loops check their numbers inline, the same way, without a call."""
+    value = float(token)
+    if not math.isfinite(value) or (positive and value <= 0):
+        kind = "a positive number" if positive else "a finite number"
+        raise _refuse(path, n, f"{token!r} is not {kind}")
+    return value
+
+
 def _header(path: str, n: int, fields: List[str], key: str) -> int:
     """The count a ``<key> : <count>`` header line declares."""
     if fields[0] != key or len(fields) != 3 or fields[1] != ":":
@@ -185,11 +198,13 @@ def _read_scl(path: str) -> Tuple[Rect, float, float, List[Rect]]:
                 ):
                     raise _refuse(path, n, "expected 'Die <x_lo> <y_lo> "
                                   "<x_hi> <y_hi> RowHeight <h> SiteWidth <w>'")
-                die = Rect(*map(float, fields[1:5]))
-                row_height = float(fields[6])
-                site_width = float(fields[8])
+                die = Rect(*(_number(path, n, t) for t in fields[1:5]))
+                row_height = _number(path, n, fields[6], positive=True)
+                site_width = _number(path, n, fields[8], positive=True)
             elif fields[0] == "Blockage" and len(fields) == 5:
-                blockages.append(Rect(*map(float, fields[1:5])))
+                blockages.append(
+                    Rect(*(_number(path, n, t) for t in fields[1:5]))
+                )
             else:
                 raise _refuse(path, n, f"unknown record {fields[0]!r}")
     except ValueError as exc:
@@ -215,10 +230,8 @@ def _read_nodes(path: str, netlist: Netlist) -> None:
                 declared = _header(path, n, fields, "NumNodes")
                 continue
             name = fields[0]
-            w, h = float(fields[1]), float(fields[2])
-            if not (0 < w < math.inf and 0 < h < math.inf):
-                raise _refuse(path, n, f"node {name!r} needs a positive "
-                              "width and height")
+            w = _number(path, n, fields[1], positive=True)
+            h = _number(path, n, fields[2], positive=True)
             if name in seen:
                 raise _refuse(path, n, f"duplicate node {name!r}")
             seen.add(name)
@@ -251,7 +264,7 @@ def _read_pl(path: str, netlist: Netlist) -> None:
     """Set the positions the ``.pl`` names, one line per node."""
     cells, xs, ys = [], array("d"), array("d")
     placed = set()
-    n = 0
+    inf, n = math.inf, 0
     try:
         for n, fields in _records(path):
             if len(fields) != 3:
@@ -260,8 +273,11 @@ def _read_pl(path: str, netlist: Netlist) -> None:
                 raise _refuse(path, n, f"node {fields[0]!r} placed twice")
             placed.add(fields[0])
             cells.append(netlist.cell_index(fields[0]))
-            xs.append(float(fields[1]))
-            ys.append(float(fields[2]))
+            x, y = float(fields[1]), float(fields[2])
+            if not (-inf < x < inf and -inf < y < inf):
+                raise _refuse(path, n, "a position is not a finite number")
+            xs.append(x)
+            ys.append(y)
     except KeyError:
         raise _refuse(path, n, f"no node is named {fields[0]!r}") from None
     except ValueError as exc:
@@ -279,7 +295,7 @@ def _read_nets(path: str, netlist: Netlist) -> None:
     index = netlist.cell_index
     members: List[int] = []
     degree, opened = 0, 0  # the open net's NetDegree and its line
-    declared, n = None, 0
+    declared, inf, n = None, math.inf, 0
 
     def close() -> None:
         if len(members) != degree:
@@ -298,7 +314,11 @@ def _read_nets(path: str, netlist: Netlist) -> None:
                                   "<net> [weight]'")
                 degree, opened = int(fields[2]), n
                 names.append(fields[3])
-                weights.append(float(fields[4]) if len(fields) == 5 else 1.0)
+                w = float(fields[4]) if len(fields) == 5 else 1.0
+                if not 0 < w < inf:
+                    raise _refuse(path, n, f"net weight {fields[4]!r} is "
+                                  "not a positive number")
+                weights.append(w)
                 members = []
                 member_lists.append(members)
             elif len(fields) == 4 and fields[1] == ":":
@@ -306,8 +326,12 @@ def _read_nets(path: str, netlist: Netlist) -> None:
                     raise _refuse(path, n, "a pin line beyond its net's "
                                   "NetDegree")
                 members.append(FIXED_PIN if head == "PAD" else index(head))
-                dx.append(float(fields[2]))
-                dy.append(float(fields[3]))
+                x, y = float(fields[2]), float(fields[3])
+                if not (-inf < x < inf and -inf < y < inf):
+                    raise _refuse(path, n, "a pin offset is not a finite "
+                                  "number")
+                dx.append(x)
+                dy.append(y)
             else:
                 raise _refuse(path, n, "expected a NetDegree or a pin line "
                               "'<node> : <dx> <dy>'")
@@ -331,7 +355,7 @@ def _read_mb(path: str, die: Rect) -> MoveBoundSet:
         for n, fields in _records(path):
             if len(fields) < 6:
                 continue
-            coords = list(map(float, fields[2:]))
+            coords = [_number(path, n, t) for t in fields[2:]]
             if len(coords) % 4:
                 raise _refuse(path, n, "coordinates come in quadruples")
             rects = [

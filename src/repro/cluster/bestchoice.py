@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.netlist import Netlist, Pin
+from repro.netlist import Net, Netlist, Pin
 
 
 @dataclass
@@ -67,6 +67,7 @@ class Clustering:
 
 def _pair_scores_for(
     netlist: Netlist,
+    nets: List[Net],
     cell: int,
     nets_of_cell: Dict[int, List[int]],
     cluster_sizes: np.ndarray,
@@ -76,7 +77,7 @@ def _pair_scores_for(
     weights: Dict[int, float] = {}
     root_u = find(cell)
     for nidx in nets_of_cell.get(cell, ()):
-        net = netlist.nets[nidx]
+        net = nets[nidx]
         if net.degree < 2 or net.degree > 10:
             continue
         contribution = net.weight / net.degree
@@ -129,8 +130,10 @@ def bestchoice_cluster(
         avg = float(np.mean(cluster_sizes[movable])) if movable else 1.0
         max_cluster_size = avg * cluster_ratio * 4
 
+    # the records are built from the pin table once, not per lookup
+    nets = list(netlist.nets)
     nets_of_cell: Dict[int, List[int]] = {}
-    for nidx, net in enumerate(netlist.nets):
+    for nidx, net in enumerate(nets):
         for pin in net.pins:
             if pin.cell_index >= 0:
                 nets_of_cell.setdefault(pin.cell_index, []).append(nidx)
@@ -138,7 +141,7 @@ def bestchoice_cluster(
     heap: List[Tuple[float, int, int]] = []
     for i in movable:
         best = _pair_scores_for(
-            netlist, i, nets_of_cell, cluster_sizes, find
+            netlist, nets, i, nets_of_cell, cluster_sizes, find
         )
         if best is not None:
             heapq.heappush(heap, (-best[0], i, best[1]))
@@ -154,7 +157,7 @@ def bestchoice_cluster(
             continue
         # lazy re-validation: the stored pairing may be stale
         best = _pair_scores_for(
-            netlist, ru, nets_of_cell, cluster_sizes, find
+            netlist, nets, ru, nets_of_cell, cluster_sizes, find
         )
         if best is None:
             continue
@@ -171,7 +174,7 @@ def bestchoice_cluster(
         )
         num_clusters -= 1
         nxt = _pair_scores_for(
-            netlist, ru, nets_of_cell, cluster_sizes, find
+            netlist, nets, ru, nets_of_cell, cluster_sizes, find
         )
         if nxt is not None:
             heapq.heappush(heap, (-nxt[0], ru, nxt[1]))
@@ -227,8 +230,10 @@ def bestchoice_cluster(
         for i in group:
             cluster_of[i] = cluster_index[root]
 
-    # induced nets: collapse intra-cluster pins, drop degenerate nets
-    for net in netlist.nets:
+    # induced nets: collapse intra-cluster pins, drop degenerate nets;
+    # they go into the clustered pin table in one call
+    names, member_lists, weights, dx, dy = [], [], [], [], []
+    for net in nets:
         seen: Set[int] = set()
         pins: List[Pin] = []
         for pin in net.pins:
@@ -241,6 +246,11 @@ def bestchoice_cluster(
             seen.add(k)
             pins.append(Pin(k))
         if len(pins) >= 2:
-            clustered.add_net(net.name, pins, net.weight)
+            names.append(net.name)
+            member_lists.append([p.cell_index for p in pins])
+            weights.append(net.weight)
+            dx.extend(p.offset_x for p in pins)
+            dy.extend(p.offset_y for p in pins)
+    clustered.add_nets_bulk(names, member_lists, weights, (dx, dy))
 
     return Clustering(netlist, clustered, cluster_of, members)

@@ -296,27 +296,22 @@ class Netlist:
         """Append many nets to the pin table in one call.
 
         Each entry of ``member_lists`` is a sequence of pin cells (cell
-        indices, ``FIXED_PIN`` = -1 for a pad), or ``member_lists`` is
-        one 2-D array of them.  ``offsets`` is ``(dx, dy)``, one flat
-        sequence per axis with an entry for every pin in member order
-        (a pad's is its absolute position); without it every pin sits
-        at its cell center.  ``weights`` defaults to 1.  Nothing is
-        added when a net is rejected.
+        indices, ``FIXED_PIN`` = -1 for a pad).  ``offsets`` is
+        ``(dx, dy)``, one flat sequence per axis with an entry for every
+        pin in member order (a pad's is its absolute position); without
+        it every pin sits at its cell center.  ``weights`` defaults to 1.
+        Nothing is added when a net is rejected.
         """
         if len(member_lists) != len(names):
             raise ValueError("names and member_lists length mismatch")
-        if isinstance(member_lists, np.ndarray) and member_lists.ndim == 2:
-            degrees = np.full(len(names), member_lists.shape[1], np.int64)
-            cells = member_lists.astype(np.int64).reshape(-1)
-        else:
-            degrees = np.fromiter(
-                map(len, member_lists), np.int64, count=len(names)
-            )
-            cells = np.fromiter(
-                chain.from_iterable(member_lists),
-                np.int64,
-                count=int(degrees.sum()),
-            )
+        degrees = np.fromiter(
+            map(len, member_lists), np.int64, count=len(names)
+        )
+        cells = np.fromiter(
+            chain.from_iterable(member_lists),
+            np.int64,
+            count=int(degrees.sum()),
+        )
         if len(cells) and (
             cells.min() < FIXED_PIN or cells.max() >= len(self.cells)
         ):

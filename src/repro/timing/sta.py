@@ -51,12 +51,14 @@ class TimingReport:
         ]
 
 
-def _build_dag(netlist: Netlist) -> Tuple[List[List[Tuple[int, int]]], int]:
+def _build_dag(
+    netlist: Netlist, nets: List[Net]
+) -> Tuple[List[List[Tuple[int, int]]], int]:
     """Successor lists: for each cell, (net index, sink cell) arcs,
     with DFS cycle-breaking.  Returns (successors, broken_arc_count)."""
     n = netlist.num_cells
     successors: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for nidx, net in enumerate(netlist.nets):
+    for nidx, net in enumerate(nets):
         if net.degree < 2:
             continue
         driver = net.pins[0]
@@ -102,11 +104,13 @@ def _build_dag(netlist: Netlist) -> Tuple[List[List[Tuple[int, int]]], int]:
 def analyze_timing(netlist: Netlist) -> TimingReport:
     """Longest-path arrival times and per-net criticalities."""
     n = netlist.num_cells
-    successors, broken = _build_dag(netlist)
+    # the records are built from the pin table once, not per pass
+    nets = list(netlist.nets)
+    successors, broken = _build_dag(netlist, nets)
 
     # net delays from the current placement
     net_delay = np.zeros(netlist.num_nets)
-    for nidx, net in enumerate(netlist.nets):
+    for nidx, net in enumerate(nets):
         if net.degree >= 2:
             box = netlist.net_bbox(net)
             net_delay[nidx] = box.width + box.height
@@ -128,7 +132,7 @@ def analyze_timing(netlist: Netlist) -> TimingReport:
 
     # primary-input launch: terminal- or fixed-driven nets set arrivals
     arrival = np.zeros(n)
-    for net in netlist.nets:
+    for net in nets:
         if net.degree < 2:
             continue
         driver = net.pins[0]
@@ -188,7 +192,7 @@ def reweight_nets(
     (pass the same array every round to avoid compounding).
     """
     if base_weights is None:
-        base_weights = [net.weight for net in netlist.nets]
+        base_weights = netlist.pin_table()[4].tolist()
     netlist.set_net_weights({
         nidx: base_weights[nidx]
         * (1.0 + alpha * report.net_criticality.get(nidx, 0.0) ** exponent)
@@ -215,7 +219,7 @@ def timing_driven_place(
         placer_factory = BonnPlaceFBP
     if bounds is None:
         bounds = MoveBoundSet(netlist.die)
-    base_weights = [net.weight for net in netlist.nets]
+    base_weights = netlist.pin_table()[4].tolist()
 
     placer_factory().place(netlist, bounds)
     first = analyze_timing(netlist)

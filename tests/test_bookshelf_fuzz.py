@@ -35,6 +35,9 @@ def original(tmp_path_factory):
         NetlistSpec(NAME, 10, num_pads=3, num_macros=1), seed=5
     )
     nl.add_net("single", [Pin(0, 0.5, -0.5)], weight=2.5)
+    x, y = nl.x.copy(), nl.y.copy()
+    x[0] = y[0] = 4.5  # a .pl line the checks below can find
+    nl.set_positions(x, y)
     nl.set_net_weights({1: 3.0})
     nl.add_blockage(Rect(0.0, 0.0, 1.0, 1.0))
     nl.set_cells([2, 3], movebound="mb")
@@ -122,6 +125,17 @@ def test_a_nets_file_cut_after_its_header_is_always_refused(
     ("nets", b"  c0 :", b"  zz :", "no node is named 'zz'"),
     ("pl", b"c1 ", b"c0 ", "placed twice"),
     ("pl", b"c1 ", b"c1 x", "ValueError"),
+    ("pl", b"c0 4.5 ", b"c0 nan ", "a position is not a finite"),
+    ("nets", b"  PAD : 0.0 ", b"  PAD : inf ", "a pin offset is not a"),
+    ("nets", b"single 2.5", b"single nan", "'nan' is not a positive"),
+    ("nets", b"single 2.5", b"single 0", "'0' is not a positive"),
+    ("nets", b"single 2.5", b"single -1", "'-1' is not a positive"),
+    ("nodes", b"c0 2.0", b"c0 -2.0", "'-2.0' is not a positive"),
+    ("scl", b"Die 0.0", b"Die nan", "'nan' is not a finite number"),
+    ("scl", b"RowHeight 1.0", b"RowHeight 0", "'0' is not a positive"),
+    ("scl", b"SiteWidth 0.25", b"SiteWidth inf", "'inf' is not a positive"),
+    ("scl", b"Blockage 0.0", b"Blockage -inf", "not a finite number"),
+    ("mb", b"inclusive ", b"inclusive nan ", "'nan' is not a finite"),
     ("scl", b"Die", b"Dye", "unknown record"),
     ("nodes", b" terminal", b" terminus", "unknown attribute"),
 ])

@@ -207,6 +207,12 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _assert_matches_a_rebuild(nl, records, what):
+    assert _derived(nl) == _derived(_rebuild(nl)), what
+    state, want = _table_state(nl), _from_records(nl, records)
+    assert all(_same(state[k], want[k]) for k in want), what
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -233,9 +239,8 @@ def test_derived_arrays_equal_a_rebuild_after_every_change(data):
         # change also meets a table not read since the last one) warms
         # every cache, so the next change has to keep them right
         if data.draw(st.booleans()):
-            assert _derived(nl) == _derived(_rebuild(nl))
-            state, want = _table_state(nl), _from_records(nl, records)
-            assert all(_same(state[k], want[k]) for k in want), op
+            _assert_matches_a_rebuild(nl, records, op)
+    _assert_matches_a_rebuild(nl, records, "final state")
     assert list(nl.nets) == records
     assert [nl.nets[i] for i in range(-len(records), len(records))] == (
         records + records

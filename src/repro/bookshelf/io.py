@@ -51,7 +51,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.geometry import Rect, RectSet
 from repro.movebounds import MoveBound, MoveBoundSet
-from repro.netlist import FIXED_PIN, Netlist
+from repro.netlist import DEFAULT_BOUND, FIXED_PIN, Netlist
 from repro.resilience.errors import InfeasibleInputError
 
 
@@ -65,18 +65,22 @@ def save_instance(
     name = netlist.name
     base = os.path.join(directory, name)
 
+    codes, bound_names = netlist.movebound_groups()
+    tags = ["" if b == DEFAULT_BOUND else f" movebound={b}"
+            for b in bound_names]
     with open(base + ".nodes", "w") as f:
         f.write(f"NumNodes : {netlist.num_cells}\n")
-        for cell in netlist.cells:
-            extras = ""
-            if cell.fixed:
-                extras += " terminal"
-            if cell.movebound:
-                extras += f" movebound={cell.movebound}"
-            f.write(f"{cell.name} {cell.width} {cell.height}{extras}\n")
+        f.writelines(
+            f"{name} {w} {h}{' terminal' if fixed else ''}{tags[code]}\n"
+            for name, w, h, fixed, code in zip(
+                netlist.cell_names, netlist.width.tolist(),
+                netlist.height.tolist(), netlist.fixed_mask.tolist(),
+                codes.tolist(),
+            )
+        )
 
     # a pad's pin cell is -1, which names the last entry: "PAD"
-    cell_names = [cell.name for cell in netlist.cells] + ["PAD"]
+    cell_names = netlist.cell_names + ["PAD"]
     with open(base + ".nets", "w") as f:
         f.write(f"NumNets : {netlist.num_nets}\n")
         f.writelines(_net_lines(netlist, cell_names))
@@ -379,7 +383,6 @@ def load_instance(
     for rect in blockages:
         netlist.add_blockage(rect)
     _read_nodes(base + ".nodes", netlist)
-    netlist.finalize()
     _read_pl(base + ".pl", netlist)
     _read_nets(base + ".nets", netlist)
     bounds = MoveBoundSet(die)

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.netlist import Net, Netlist, Pin
+from repro.netlist import DEFAULT_BOUND, Net, Netlist, Pin
 
 
 @dataclass
@@ -57,23 +57,23 @@ class Clustering:
     def uncluster(self) -> None:
         """Copy cluster positions back to the flat netlist (members land
         on their cluster's center; a flat placement pass refines)."""
-        for k, member_list in enumerate(self.members):
-            for i in member_list:
-                if not self.flat.cells[i].fixed:
-                    self.flat.x[i] = self.clustered.x[k]
-                    self.flat.y[i] = self.clustered.y[k]
+        movable = ~self.flat.fixed_mask
+        self.flat.x[movable] = self.clustered.x[self.cluster_of[movable]]
+        self.flat.y[movable] = self.clustered.y[self.cluster_of[movable]]
         self.flat.clamp_into_die()
 
 
 def _pair_scores_for(
-    netlist: Netlist,
+    fixed: List[bool],
+    bound: List[int],
     nets: List[Net],
     cell: int,
     nets_of_cell: Dict[int, List[int]],
     cluster_sizes: np.ndarray,
     find,
 ) -> Optional[Tuple[float, int]]:
-    """Best (score, neighbor) for `cell`, or None if isolated."""
+    """Best (score, neighbor) for `cell`, or None if isolated; a
+    neighbor is movable and has the cell's movebound code."""
     weights: Dict[int, float] = {}
     root_u = find(cell)
     for nidx in nets_of_cell.get(cell, ()):
@@ -87,12 +87,7 @@ def _pair_scores_for(
             root_v = find(pin.cell_index)
             if root_v == root_u:
                 continue
-            if netlist.cells[root_v].fixed:
-                continue
-            if (
-                netlist.cells[root_v].movebound
-                != netlist.cells[root_u].movebound
-            ):
+            if fixed[root_v] or bound[root_v] != bound[root_u]:
                 continue
             weights[root_v] = weights.get(root_v, 0.0) + contribution
     best: Optional[Tuple[float, int]] = None
@@ -132,6 +127,9 @@ def bestchoice_cluster(
 
     # the records are built from the pin table once, not per lookup
     nets = list(netlist.nets)
+    fixed = netlist.fixed_mask.tolist()
+    codes, bound_names = netlist.movebound_groups()
+    bound = codes.tolist()
     nets_of_cell: Dict[int, List[int]] = {}
     for nidx, net in enumerate(nets):
         for pin in net.pins:
@@ -141,7 +139,7 @@ def bestchoice_cluster(
     heap: List[Tuple[float, int, int]] = []
     for i in movable:
         best = _pair_scores_for(
-            netlist, nets, i, nets_of_cell, cluster_sizes, find
+            fixed, bound, nets, i, nets_of_cell, cluster_sizes, find
         )
         if best is not None:
             heapq.heappush(heap, (-best[0], i, best[1]))
@@ -157,7 +155,7 @@ def bestchoice_cluster(
             continue
         # lazy re-validation: the stored pairing may be stale
         best = _pair_scores_for(
-            netlist, nets, ru, nets_of_cell, cluster_sizes, find
+            fixed, bound, nets, ru, nets_of_cell, cluster_sizes, find
         )
         if best is None:
             continue
@@ -174,7 +172,7 @@ def bestchoice_cluster(
         )
         num_clusters -= 1
         nxt = _pair_scores_for(
-            netlist, nets, ru, nets_of_cell, cluster_sizes, find
+            fixed, bound, nets, ru, nets_of_cell, cluster_sizes, find
         )
         if nxt is not None:
             heapq.heappush(heap, (-nxt[0], ru, nxt[1]))
@@ -193,42 +191,35 @@ def bestchoice_cluster(
     for i in range(n):
         members_by_root.setdefault(find(i), []).append(i)
 
-    cluster_index: Dict[int, int] = {}
-    members: List[List[int]] = []
-    for root in sorted(members_by_root):
-        group = members_by_root[root]
-        rep = netlist.cells[root]
-        total = float(sum(netlist.cells[i].size for i in group))
-        if rep.fixed:
-            width, height = rep.width, rep.height
-        else:
-            height = netlist.row_height
-            width = max(total / height, netlist.site_width)
-        cx = float(
-            np.average(netlist.x[group],
-                       weights=cluster_sizes[group] if len(group) > 1 else None)
-        ) if len(group) > 1 else float(netlist.x[root])
-        cy = float(
-            np.average(netlist.y[group],
-                       weights=cluster_sizes[group] if len(group) > 1 else None)
-        ) if len(group) > 1 else float(netlist.y[root])
-        cell = clustered.add_cell(
-            f"k{len(members)}",
-            width,
-            height,
-            x=cx,
-            y=cy,
-            fixed=rep.fixed,
-            movebound=rep.movebound,
-        )
-        cluster_index[root] = cell.index
-        members.append(group)
-    clustered.finalize()
+    roots = sorted(members_by_root)
+    members = [members_by_root[root] for root in roots]
+    widths, heights = netlist.width.tolist(), netlist.height.tolist()
+    sizes = netlist.cell_sizes().tolist()
+    row_h, site = netlist.row_height, netlist.site_width
+    names_or_none = [None if b == DEFAULT_BOUND else b for b in bound_names]
+
+    def center(coord: np.ndarray, root: int, group: List[int]) -> float:
+        """The group's size-weighted mean coordinate."""
+        if len(group) == 1:
+            return float(coord[root])
+        return float(np.average(coord[group], weights=cluster_sizes[group]))
+
+    # a fixed cluster keeps its cell's shape; a movable one is a row
+    # high and preserves the members' area
+    clustered.add_cells(
+        [f"k{k}" for k in range(len(roots))],
+        [widths[r] if fixed[r] else max(sum(sizes[i] for i in g) / row_h, site)
+         for r, g in zip(roots, members)],
+        [heights[r] if fixed[r] else row_h for r in roots],
+        x=[center(netlist.x, r, g) for r, g in zip(roots, members)],
+        y=[center(netlist.y, r, g) for r, g in zip(roots, members)],
+        fixed=[fixed[r] for r in roots],
+        movebound=[names_or_none[bound[r]] for r in roots],
+    )
 
     cluster_of = np.empty(n, dtype=np.int64)
-    for root, group in members_by_root.items():
-        for i in group:
-            cluster_of[i] = cluster_index[root]
+    for k, group in enumerate(members):
+        cluster_of[group] = k
 
     # induced nets: collapse intra-cluster pins, drop degenerate nets;
     # they go into the clustered pin table in one call

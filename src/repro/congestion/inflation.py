@@ -68,8 +68,8 @@ def inflate_cells(
     congestion = congestion_map(netlist, nb)
     dmap = DensityMap(netlist, nb, nb)
     result = InflationResult()
+    widths, sizes = netlist.width.tolist(), netlist.cell_sizes().tolist()
     for index in netlist.movable_indices.tolist():
-        cell = netlist.cells[index]
         i, j = dmap.bin_of(netlist.x[index], netlist.y[index])
         c = congestion[i, j]
         if c <= threshold:
@@ -77,10 +77,10 @@ def inflate_cells(
         factor = min(1.0 + strength * (c - threshold), max_factor)
         if factor <= 1.0 + 1e-9:
             continue
-        result.original_widths[index] = cell.width
-        result.added_area += cell.size * (factor - 1.0)
+        result.original_widths[index] = widths[index]
+        result.added_area += sizes[index] * (factor - 1.0)
         result.max_factor = max(result.max_factor, factor)
-        netlist.set_cells([index], width=cell.width * factor)
+        netlist.set_cells([index], width=widths[index] * factor)
         result.inflated_cells += 1
     return result
 

@@ -238,7 +238,7 @@ def validate_structure(
             idx = netlist.cell_index(name)
         except KeyError:
             _fail(f"unknown cell {name!r}", delta)
-        if netlist.cells[idx].fixed:
+        if netlist.fixed_mask[idx]:
             _fail(f"cell {name!r} is fixed; a delta cannot move it", delta)
         if name in assigned:
             _fail(

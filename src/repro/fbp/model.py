@@ -229,12 +229,8 @@ def build_fbp_model(
     group_stats: Dict[Tuple[str, int], Tuple[float, float, float]] = {}
     mv_idx = netlist.movable_indices
     if len(mv_idx):
-        bound_arr = np.array(
-            [c.movebound or DEFAULT_BOUND for c in netlist.cells],
-            dtype=object,
-        )[mv_idx]
-        uniq_bounds, bcode = np.unique(bound_arr, return_inverse=True)
-        combined = bcode.astype(np.int64) * len(grid) + np.asarray(
+        bcode, uniq_bounds = netlist.movebound_groups()
+        combined = bcode[mv_idx] * len(grid) + np.asarray(
             cell_windows, dtype=np.int64
         )[mv_idx]
         order = np.argsort(combined, kind="stable")
@@ -250,7 +246,7 @@ def build_fbp_model(
         ends = np.concatenate((starts[1:], [len(sorted_comb)]))
         for gi, (s, e) in enumerate(zip(starts, ends)):
             code = int(sorted_comb[s])
-            key = (str(uniq_bounds[code // len(grid)]), code % len(grid))
+            key = (uniq_bounds[code // len(grid)], code % len(grid))
             model.group_cells[key] = sorted_idx[s:e].tolist()
             group_stats[key] = (
                 float(wsum[gi]),

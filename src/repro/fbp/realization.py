@@ -34,7 +34,7 @@ turns this abstract flow into actual cell movement:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -318,13 +318,11 @@ def _realize_flow_impl(
     # ------------------------------------------------------------------
     # final intra-window partitioning (§III, with movebound costs)
     # ------------------------------------------------------------------
-    # group member cells per home window as (cell array, bound code)
-    # parts; the per-cell python walk of the former implementation only
-    # survives for the rare stranded groups (window with no admissible
-    # region), everything else is bulk array work
-    window_parts: Dict[int, List[Tuple[np.ndarray, int]]] = {}
-    bound_code: Dict[str, int] = {}
-    bound_names: List[str] = []
+    # group member cells per home window as cell-array parts; the
+    # per-cell python walk of the former implementation only survives
+    # for the rare stranded groups (window with no admissible region),
+    # everything else is bulk array work
+    window_parts: Dict[int, List[np.ndarray]] = {}
     # admissible (window, region) targets per bound, for stranding repair
     admissible_targets: Dict[str, List[Tuple[int, object]]] = {}
 
@@ -339,14 +337,9 @@ def _realize_flow_impl(
     for (bound, widx), cells in members.items():
         if not len(cells):
             continue
-        code = bound_code.get(bound)
-        if code is None:
-            code = len(bound_names)
-            bound_code[bound] = code
-            bound_names.append(bound)
         if admissible(grid.windows[widx], bound):
             arr = np.fromiter(cells, dtype=np.int64, count=len(cells))
-            window_parts.setdefault(widx, []).append((arr, code))
+            window_parts.setdefault(widx, []).append(arr)
             continue
         # whole-cell rounding stranded these cells in a window with no
         # admissible region; send each to the nearest admissible one
@@ -365,11 +358,11 @@ def _realize_flow_impl(
                 home = best[1]
                 out.rounding_error += float(sizes[c])
             window_parts.setdefault(home, []).append(
-                (np.array([c], dtype=np.int64), code)
+                np.array([c], dtype=np.int64)
             )
 
     with span("realize.partition"):
-        _partition_windows(model, out, window_parts, bound_names)
+        _partition_windows(model, out, window_parts)
 
     netlist.clamp_into_die()
     return out
@@ -378,21 +371,22 @@ def _realize_flow_impl(
 def _partition_windows(
     model: FBPModel,
     out: RealizationResult,
-    window_parts: Dict[int, List[Tuple[np.ndarray, int]]],
-    bound_names: Sequence[str],
+    window_parts: Dict[int, List[np.ndarray]],
 ) -> None:
     """Final intra-window partitioning (§III) of the realization.
 
     Each window becomes one §III instance onto its regions with
-    positive capacity, in window-region order; the run-wide bound codes
-    and a per-(region, code) memo fill its admissibility table.  The
-    instances are solved in window order (through the worker pool when
-    one is active) as realization's steps: closed form, no repair.
+    positive capacity, in window-region order; the netlist's movebound
+    group codes and a per-(region, code) memo fill its admissibility
+    table.  The instances are solved in window order (through the
+    worker pool when one is active) as realization's steps: closed
+    form, no repair.
     """
     from repro.runstate.pool import solve_instance_batch
 
     netlist = model.netlist
     grid = model.grid
+    bound_of, bound_names = netlist.movebound_groups()
     #: per window: its index, each target's region index, its instance
     windows: List[Tuple[int, List[int], TransportInstance]] = []
     admit_memo: Dict[Tuple[int, int], bool] = {}
@@ -406,13 +400,8 @@ def _partition_windows(
                 # no region capacity: relaxed, cells left in place
                 out.relaxed_windows.append(widx)
                 continue
-            parts = window_parts[widx]
-            ids = np.concatenate([a for a, _c in parts])
-            codes = np.concatenate(
-                [np.full(len(a), c, dtype=np.int64) for a, c in parts]
-            )
-            order = np.argsort(ids)
-            codes = codes[order]
+            ids = np.sort(np.concatenate(window_parts[widx]))
+            codes = bound_of[ids]
             admits = np.empty((len(bound_names), len(regions)), dtype=bool)
             present = np.unique(codes).tolist()
             for b, wr in enumerate(regions):
@@ -428,7 +417,7 @@ def _partition_windows(
                 [wr.free_area for wr in regions],
                 [wr.admits for wr in regions],
             )
-            inst = build_instance(netlist, ids[order], targets, codes, admits)
+            inst = build_instance(netlist, ids, targets, admits)
             windows.append((widx, keys, inst))
     instances = [inst for _w, _k, inst in windows]
     incr("realize.windows", len(instances))

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional
 
+import numpy as np
+
 from repro.geometry import RectSet
 from repro.movebounds import (
-    DEFAULT_BOUND,
     MoveBoundSet,
     RegionDecomposition,
     decompose_regions,
@@ -54,13 +55,15 @@ class FeasibilityReport:
 def _cluster_sizes(
     netlist: Netlist, bounds: MoveBoundSet
 ) -> Dict[str, float]:
-    """Total movable-cell area per movebound name (default included)."""
-    sizes: Dict[str, float] = {}
-    for i in netlist.movable_indices.tolist():
-        cell = netlist.cells[i]
-        name = cell.movebound if cell.movebound is not None else DEFAULT_BOUND
-        sizes[name] = sizes.get(name, 0.0) + cell.size
-    return sizes
+    """Total movable-cell area per movebound name (default included),
+    in the order the names first occur; each total sums its cells in
+    index order."""
+    codes, names = netlist.movebound_groups()
+    mv = netlist.movable_indices
+    weights = netlist.cell_sizes()[mv]
+    sizes = np.bincount(codes[mv], weights, len(names)).tolist()
+    present, first = np.unique(codes[mv], return_index=True)
+    return {names[k]: sizes[k] for k in present[np.argsort(first)].tolist()}
 
 
 def check_feasibility(
@@ -134,13 +137,13 @@ def check_feasibility_cell_level(
         dinic.add_edge(("r", region.index), "t", cap)
         for name in list(region.signature):
             admissible.setdefault(name, []).append(region.index)
+    codes, names = netlist.movebound_groups()
+    codes, sizes = codes.tolist(), netlist.cell_sizes().tolist()
     for i in netlist.movable_indices.tolist():
-        cell = netlist.cells[i]
-        name = cell.movebound if cell.movebound is not None else DEFAULT_BOUND
-        dinic.add_edge("s", ("c", cell.index), cell.size)
-        total += cell.size
-        for ridx in admissible.get(name, ()):
-            dinic.add_edge(("c", cell.index), ("r", ridx), float("inf"))
+        dinic.add_edge("s", ("c", i), sizes[i])
+        total += sizes[i]
+        for ridx in admissible.get(names[codes[i]], ()):
+            dinic.add_edge(("c", i), ("r", ridx), float("inf"))
     routed = dinic.max_flow("s", "t")
     feasible = routed >= total - 1e-6 * max(total, 1.0)
     return FeasibilityReport(feasible, total, routed)

@@ -231,7 +231,7 @@ def flatten_to_movebounds(
     Modules with fewer than `min_cells` cells stay unconstrained (their
     cells place freely).  The resulting instance is validated with the
     Theorem-2 feasibility check; an infeasible floorplan raises.
-    Mutates ``cell.movebound`` on the netlist.
+    Sets the cells' movebounds on the netlist.
     """
     if not 0 < fill <= 1:
         raise ValueError("fill must be in (0, 1]")
@@ -239,19 +239,16 @@ def flatten_to_movebounds(
     members: Dict[str, List[int]] = {}
     skipped: List[str] = []
     demands: Dict[str, float] = {}
+    fixed, sizes = netlist.fixed_mask.tolist(), netlist.cell_sizes().tolist()
     for module in modules:
-        cells = [
-            i for i in module.all_cells() if not netlist.cells[i].fixed
-        ]
+        cells = [i for i in module.all_cells() if not fixed[i]]
         if len(cells) < min_cells:
             skipped.append(module.name)
             continue
         if module.name in members:
             raise ValueError(f"duplicate module name {module.name!r}")
         members[module.name] = cells
-        demands[module.name] = sum(
-            netlist.cells[i].size for i in cells
-        )
+        demands[module.name] = sum(sizes[i] for i in cells)
 
     affinity = _module_affinity(netlist, members)
     areas = _slicing_layout(netlist.die, demands, netlist, fill, affinity)

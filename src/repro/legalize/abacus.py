@@ -39,7 +39,7 @@ class _Cluster:
     weight: float = 0.0
     q: float = 0.0  # sum of w_i * (x_i' - offset_i)
     width: float = 0.0
-    cells: List[int] = field(default_factory=list)
+    cells: List[Tuple[int, float]] = field(default_factory=list)  # (i, w)
 
 
 def _place_row(
@@ -52,13 +52,14 @@ def _place_row(
     Returns the total squared displacement; writes positions (centers).
     """
     clusters: List[_Cluster] = []
-    for i in cells:
-        w = netlist.cells[i].width
-        weight = max(netlist.cells[i].size, 1e-9)
+    widths = netlist.width[cells].tolist()
+    sizes = netlist.cell_sizes()[cells].tolist()
+    for i, w, size in zip(cells, widths, sizes):
+        weight = max(size, 1e-9)
         x_pref = netlist.x[i] - w / 2  # preferred left edge
         x_pref = min(max(x_pref, segment.x_lo), segment.x_hi - w)
         cluster = _Cluster(x=x_pref, weight=weight, q=weight * x_pref, width=w)
-        cluster.cells.append(i)
+        cluster.cells.append((i, w))
         clusters.append(cluster)
         # merge while overlapping the previous cluster
         while len(clusters) > 1:
@@ -92,8 +93,7 @@ def _place_row(
                 x = segment.x_lo + math.floor(
                     (segment.x_hi - cluster.width - segment.x_lo) / site
                 ) * site
-        for i in cluster.cells:
-            w = netlist.cells[i].width
+        for i, w in cluster.cells:
             old_x, old_y = netlist.x[i], netlist.y[i]
             netlist.x[i] = x + w / 2
             netlist.y[i] = segment.y_lo + netlist.row_height / 2
@@ -235,7 +235,7 @@ def _assign_to_segments(
     decreasing over all cells as the last resort.
     """
     n, k = len(cells), len(segs)
-    supplies = np.array([netlist.cells[i].width for i in cells])
+    supplies = netlist.width[cells]
     caps = np.array([s.width for s in segs])
     x, y = netlist.x[cells], netlist.y[cells]
     seg_lo = np.array([s.x_lo for s in segs])
@@ -334,10 +334,10 @@ def abacus_legalize(
     tall = [i for i in cells if not std[i]]
     if tall:
         raise ValueError(
-            f"cell {netlist.cells[tall[0]].name!r} is taller than a row; "
+            f"cell {netlist.cell_names[tall[0]]!r} is taller than a row; "
             "legalize macros separately"
         )
-    total_width = sum(netlist.cells[i].width for i in cells)
+    total_width = sum(netlist.width[cells].tolist())
     seg_capacity = sum(s.width for s in segments)
     if total_width > seg_capacity + 1e-6:
         raise ValueError(

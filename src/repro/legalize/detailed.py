@@ -79,7 +79,7 @@ class _Rows:
         # Python-float mirrors of the coordinates for the scalar loops
         self.x, self.y = netlist.x.tolist(), netlist.y.tolist()
         _movable, half_w, half_h = netlist.cell_dims()
-        self.width = (2.0 * half_w).tolist()
+        self.width = netlist.width.tolist()
         self.rebuilds = 0
         std = np.flatnonzero(netlist.std_cell_mask)
         x_lo = netlist.x[std] - half_w[std]
@@ -141,7 +141,7 @@ class _Rows:
         self.cells[j, rank] = cell
         ends = np.full(shape, -_INF)
         ends[:, 0] = [s.x_lo for s in self.segments]
-        ends[j, rank + 1] = x_left + np.asarray(self.width)[cell]
+        ends[j, rank + 1] = x_left + self.netlist.width[cell]
         self.gap_lo = np.maximum.accumulate(ends, axis=1)
         starts = np.full(shape, -_INF)
         starts[j, rank] = x_left
@@ -267,7 +267,6 @@ def detailed_place(
         ]
         rows = _Rows(netlist, build_segments(netlist, obstacles=macros))
         x, y, width = rows.x, rows.y, rows.width
-        all_widths = np.array(width)
         site = netlist.site_width
         reach = (row_radius + 0.5) * netlist.row_height
         nets_of = netlist.nets_of_cell()
@@ -284,6 +283,9 @@ def detailed_place(
                     a, b = ptr[n], ptr[n + 1]
                     pins[n] = list(zip(pc[a:b], pdx[a:b], pdy[a:b]))
         areas = {b.name: b.area for b in bounds.all_bounds()}
+        codes, names = netlist.movebound_groups()
+        bound_of = [names[c] for c in codes.tolist()]
+        height = netlist.height.tolist()
         priced = 0
 
         dmap = None
@@ -348,10 +350,9 @@ def detailed_place(
         # not depend on their order, so the cheapest run first: HPWL, then
         # the bound's few rectangles, then the scan over all regions
         def admissible(cell: int, xc: float, yc: float) -> bool:
-            c = netlist.cells[cell]
-            name = c.movebound or DEFAULT_BOUND
-            if c.movebound or len(bounds):
-                hw, hh = c.width / 2, c.height / 2
+            name = bound_of[cell]
+            if name != DEFAULT_BOUND or len(bounds):
+                hw, hh = width[cell] / 2, height[cell] / 2
                 if name not in areas or not areas[name].contains_rect(
                     Rect(xc - hw, yc - hh, xc + hw, yc + hh)
                 ):
@@ -369,15 +370,16 @@ def detailed_place(
             # moving within the same bin never changes its utilization
             if dmap.bin_of(x[cell], y[cell]) == (i, j):
                 return True
-            size = netlist.cells[cell].size
+            size = width[cell] * height[cell]
             return (dmap.usage[i, j] + size) / cap <= density_target + 1e-9
 
         def commit(cell: int, j: int, xc: float, yc: float) -> None:
             if dmap is not None:
                 src, dst = dmap.bin_of(x[cell], y[cell]), dmap.bin_of(xc, yc)
                 if src != dst:
-                    dmap.usage[src] -= netlist.cells[cell].size
-                    dmap.usage[dst] += netlist.cells[cell].size
+                    size = width[cell] * height[cell]
+                    dmap.usage[src] -= size
+                    dmap.usage[dst] += size
             rows.relocate(cell, j, xc, yc)
 
         def try_move(cell, tx, ty, boxes, j0, j1) -> bool:
@@ -414,7 +416,7 @@ def detailed_place(
             # partner: the same-width cell nearest the target, first on ties
             ids = rows.cells[j0:j1]
             d = np.abs(netlist.x[ids] - tx) + np.abs(netlist.y[ids] - ty)
-            same = np.abs(all_widths[ids] - width[cell]) <= 1e-9
+            same = np.abs(netlist.width[ids] - width[cell]) <= 1e-9
             d[~(same & (ids >= 0) & (ids != cell))] = _INF
             k = int(np.argmin(d))
             if d.flat[k] == _INF:

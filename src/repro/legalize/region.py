@@ -64,28 +64,30 @@ def _legalize_macros(netlist: Netlist, macros: List[int]) -> int:
         for i in np.flatnonzero(netlist.fixed_mask).tolist()
     ] + list(netlist.blockages)
     # big ones first
-    macros = sorted(macros, key=lambda i: -netlist.cells[i].size)
+    sizes = netlist.cell_sizes().tolist()
+    macros = sorted(macros, key=lambda i: -sizes[i])
+    widths, heights = netlist.width.tolist(), netlist.height.tolist()
     for i in macros:
-        cell = netlist.cells[i]
+        w, ht = widths[i], heights[i]
         best: Optional[Tuple[float, float, float]] = None
         # spiral search over row-aligned candidate positions
-        y0 = die.y_lo + round((netlist.y[i] - cell.height / 2 - die.y_lo) / h) * h
+        y0 = die.y_lo + round((netlist.y[i] - ht / 2 - die.y_lo) / h) * h
         for ky in range(0, 2 * int(die.height / h) + 1):
             sign = 1 if ky % 2 == 0 else -1
             y = y0 + sign * ((ky + 1) // 2) * h
-            if y < die.y_lo or y + cell.height > die.y_hi:
+            if y < die.y_lo or y + ht > die.y_hi:
                 continue
-            if best is not None and abs(y - (netlist.y[i] - cell.height / 2)) > best[0]:
+            if best is not None and abs(y - (netlist.y[i] - ht / 2)) > best[0]:
                 break
-            step = max(netlist.site_width, cell.width / 8)
-            x0 = netlist.x[i] - cell.width / 2
+            step = max(netlist.site_width, w / 8)
+            x0 = netlist.x[i] - w / 2
             for kx in range(0, 2 * int(die.width / step) + 1):
                 sx = 1 if kx % 2 == 0 else -1
                 x = x0 + sx * ((kx + 1) // 2) * step
-                if x < die.x_lo or x + cell.width > die.x_hi:
+                if x < die.x_lo or x + w > die.x_hi:
                     continue
-                cand = Rect(x, y, x + cell.width, y + cell.height)
-                cost = abs(x - x0) + abs(y - (netlist.y[i] - cell.height / 2))
+                cand = Rect(x, y, x + w, y + ht)
+                cost = abs(x - x0) + abs(y - (netlist.y[i] - ht / 2))
                 if best is not None and cost >= best[0]:
                     if abs(x - x0) > best[0]:
                         break
@@ -95,12 +97,12 @@ def _legalize_macros(netlist: Netlist, macros: List[int]) -> int:
                 best = (cost, x, y)
         if best is None:
             raise PipelineStageError(
-                f"cannot legalize macro {cell.name!r}",
+                f"cannot legalize macro {netlist.cell_names[i]!r}",
                 stage="legalize.macros",
             )
         _cost, x, y = best
-        netlist.x[i] = x + cell.width / 2
-        netlist.y[i] = y + cell.height / 2
+        netlist.x[i] = x + w / 2
+        netlist.y[i] = y + ht / 2
         placed.append(netlist.cell_rect(i))
         # obstacle for the rest; restored by caller
         netlist.set_cells([i], fixed=True)

@@ -117,8 +117,8 @@ def total_segment_capacity(segments: Sequence[RowSegment]) -> float:
 
 def max_std_cell_width(netlist: Netlist) -> float:
     """Widest movable standard cell (row-height) in the design."""
-    half_widths = netlist.cell_dims()[1][netlist.std_cell_mask]
-    return max((2.0 * half_widths).tolist(), default=netlist.site_width)
+    widths = netlist.width[netlist.std_cell_mask].tolist()
+    return max(widths, default=netlist.site_width)
 
 
 def usable_row_capacity(

@@ -29,12 +29,13 @@ def tetris_legalize(
     """
     segs = sorted(segments, key=lambda s: (s.y_lo, s.x_lo))
     frontier = [s.x_lo for s in segs]
-    cells = [i for i in cell_indices if not netlist.cells[i].fixed]
+    fixed, widths = netlist.fixed_mask.tolist(), netlist.width.tolist()
+    cells = [i for i in cell_indices if not fixed[i]]
     cells.sort(key=lambda i: netlist.x[i])
 
     total = 0.0
     for i in cells:
-        w = netlist.cells[i].width
+        w = widths[i]
         x, y = netlist.x[i], netlist.y[i]
         ranked = sorted(
             range(len(segs)), key=lambda j: abs(segs[j].y_center - y)
@@ -54,7 +55,7 @@ def tetris_legalize(
                 break
         if best is None:
             raise ValueError(
-                f"tetris: no room for cell {netlist.cells[i].name!r}"
+                f"tetris: no room for cell {netlist.cell_names[i]!r}"
             )
         _cost, j, pos = best
         site = netlist.site_width

@@ -10,18 +10,15 @@ uniform — every cell has exactly one movebound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
 import numpy as np
 
 from repro.geometry import Rect, RectSet
-from repro.netlist import Netlist
+from repro.netlist import DEFAULT_BOUND, Netlist
 
 INCLUSIVE = "inclusive"
 EXCLUSIVE = "exclusive"
-
-#: Name of the implicit movebound of unconstrained cells.
-DEFAULT_BOUND = "__default__"
 
 
 @dataclass
@@ -172,15 +169,14 @@ class MoveBoundSet:
 
     def bound_of(self, netlist: Netlist, cell_index: int) -> MoveBound:
         """The movebound governing a cell (default if unconstrained)."""
-        name = netlist.cells[cell_index].movebound
-        if name is None:
-            return self.default_bound()
-        if name not in self._bounds:
+        codes, names = netlist.movebound_groups()
+        name = names[codes[cell_index]]
+        if name not in self._bounds and name != DEFAULT_BOUND:
             raise KeyError(
-                f"cell {netlist.cells[cell_index].name!r} references "
+                f"cell {netlist.cell_names[cell_index]!r} references "
                 f"unknown movebound {name!r}"
             )
-        return self._bounds[name]
+        return self.get(name)
 
     def encoding_rects(self) -> List[Rect]:
         """All rectangles encoding the movebounds (the ``l`` of Lemma 1)."""
@@ -201,14 +197,12 @@ class MoveBoundSet:
         movable, hw, hh = netlist.cell_dims()
         if not movable.any():
             return []
-        default = self.default_bound()
-        groups: Dict[Optional[str], List[int]] = {}
-        for i in np.nonzero(movable)[0].tolist():
-            groups.setdefault(netlist.cells[i].movebound, []).append(i)
+        codes, names = netlist.movebound_groups()
+        mv = np.flatnonzero(movable)
         bad = np.zeros(netlist.num_cells, dtype=bool)
-        for name, members in groups.items():
-            ci = np.asarray(members, dtype=np.int64)
-            bound = default if name is None else self._bounds[name]
+        for code in np.unique(codes[mv]).tolist():
+            ci, name = mv[codes[mv] == code], names[code]
+            bound = self.get(name)
             xl = netlist.x[ci] - hw[ci]
             xh = netlist.x[ci] + hw[ci]
             yl = netlist.y[ci] - hh[ci]

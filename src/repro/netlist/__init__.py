@@ -2,7 +2,7 @@
 
 The placer works on a :class:`~repro.netlist.netlist.Netlist`, which owns
 
-* the cell list (movable standard cells, macros and fixed pads),
+* the cells (movable standard cells, macros and fixed pads) as columns,
 * the net hypergraph with pin offsets, as one CSR pin table,
 * the die rectangle, placement blockages, and row geometry,
 * the current placement as numpy coordinate arrays (cell centers).
@@ -11,9 +11,10 @@ Half-perimeter wirelength (HPWL) and pin-position evaluation live here
 because every other subsystem consumes them.
 """
 
-from repro.netlist.elements import FIXED_PIN, Cell, Pin, Net
+from repro.netlist.elements import DEFAULT_BOUND, FIXED_PIN, Cell, Pin, Net
 from repro.netlist.netlist import Netlist, PlacementSnapshot
 
 __all__ = [
-    "FIXED_PIN", "Cell", "Pin", "Net", "Netlist", "PlacementSnapshot"
+    "DEFAULT_BOUND", "FIXED_PIN", "Cell", "Pin", "Net", "Netlist",
+    "PlacementSnapshot",
 ]

@@ -9,13 +9,12 @@ Conventions:
 * A pin belongs either to a cell (``cell_index >= 0``) with an offset
   from the cell center, or is a fixed terminal (``cell_index == -1``)
   with absolute coordinates stored in the offset fields.
-* Cells are read-only records: a Netlist changes them only through
-  :meth:`Netlist.set_cells`, which replaces the record and keeps the
-  derived arrays right.
-* :class:`Pin` and :class:`Net` are not what a Netlist stores: its
-  nets are one CSR pin table.  They are construction inputs
-  (:meth:`Netlist.add_net`) and on-demand views (``netlist.nets[i]``
-  builds one from the table), so changing one changes no netlist.
+* :class:`Cell`, :class:`Pin` and :class:`Net` are not what a Netlist
+  stores: its cells are columns (width, height, fixed, movebound code)
+  and its nets one CSR pin table.  The records are construction inputs
+  (:meth:`Netlist.add_net`) and on-demand views (``netlist.cells[i]``
+  and ``netlist.nets[i]`` build one from the columns), so changing one
+  changes no netlist; :meth:`Netlist.set_cells` changes the cells.
 """
 
 from __future__ import annotations
@@ -24,6 +23,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 FIXED_PIN = -1
+
+#: Name of the implicit movebound of the cells without one.
+DEFAULT_BOUND = "__default__"
 
 
 @dataclass(frozen=True, slots=True)

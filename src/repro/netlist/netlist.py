@@ -16,23 +16,27 @@ per-net array the placer reads (``pin_arrays``, ``cell_nets_csr``,
 ``span_layout``, ``net_subset_arrays``) is derived from the table by
 array operations.
 
-Cells are read-only records and net weights change only through
-:meth:`Netlist.set_cells` and :meth:`Netlist.set_net_weights`, which
-keep every derived array (dimensions, sizes, masks, the pin arrays)
-right.  The arrays the accessors hand out are read-only too.
+The cells are columns too: :attr:`Netlist.width`, :attr:`Netlist.height`,
+:attr:`Netlist.fixed_mask` and the movebound codes behind
+:meth:`Netlist.movebound_groups`.  No :class:`Cell` is kept either:
+:attr:`Netlist.cells` builds one on demand.  Cells and net weights
+change only through :meth:`Netlist.set_cells` and
+:meth:`Netlist.set_net_weights`, which keep every derived array
+(dimensions, sizes, masks, groups, the pin arrays) right.  The arrays
+the accessors hand out are read-only.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry import Rect, RectSet
-from repro.netlist.elements import FIXED_PIN, Cell, Net, Pin
+from repro.netlist.elements import DEFAULT_BOUND, FIXED_PIN, Cell, Net, Pin
 
 
 @dataclass
@@ -71,40 +75,27 @@ _EMPTY_TABLE = _frozen(
 )
 
 
-class NetView(Sequence):
-    """The nets of a :class:`Netlist` as a read-only sequence of
-    :class:`Net` records, each built from the pin table when it is asked
-    for: no record is kept, so changing one changes nothing."""
+class _Records(Sequence):
+    """A read-only sequence of records, each built from a netlist's
+    columns when it is asked for (``rows(a, b)`` yields those of rows
+    ``a:b``): no record is kept, so changing one changes nothing."""
 
-    __slots__ = ("_netlist",)
+    __slots__ = ("_size", "_rows")
 
-    def __init__(self, netlist: "Netlist") -> None:
-        self._netlist = netlist
+    def __init__(self, size: Callable[[], int], rows: Callable) -> None:
+        self._size, self._rows = size, rows
 
     def __len__(self) -> int:
-        return self._netlist.num_nets
+        return self._size()
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        i = range(len(self))[i]
-        ptr, cell, dx, dy, weight = self._netlist.pin_table()
-        a, b = int(ptr[i]), int(ptr[i + 1])
-        return Net(
-            self._netlist.net_names[i],
-            list(map(Pin, cell[a:b].tolist(), dx[a:b].tolist(),
-                     dy[a:b].tolist())),
-            float(weight[i]),
-        )
+        k = range(len(self))[i]
+        return next(self._rows(k, k + 1))
 
     def __iter__(self):
-        ptr, cell, dx, dy, weight = self._netlist.pin_table()
-        ptr, cell, dx, dy = ptr.tolist(), cell.tolist(), dx.tolist(), dy.tolist()
-        for i, (name, w) in enumerate(
-            zip(self._netlist.net_names, weight.tolist())
-        ):
-            a, b = ptr[i], ptr[i + 1]
-            yield Net(name, list(map(Pin, cell[a:b], dx[a:b], dy[a:b])), w)
+        return self._rows(0, len(self))
 
 
 class _CsrLists(Sequence):
@@ -150,12 +141,19 @@ class Netlist:
         self.die = die
         self.row_height = row_height
         self.site_width = site_width
-        self.cells: List[Cell] = []
         self.blockages: RectSet = RectSet()
+        # the cells: one name each and the (width, height, fixed, bound)
+        # columns, a bound code indexing _bound_code's names (None first)
+        self._cell_names: List[str] = []
         self._cell_by_name: Dict[str, int] = {}
+        self._cell_table: tuple = _frozen(
+            np.zeros(0), np.zeros(0), np.zeros(0, bool), np.zeros(0, np.int64)
+        )
+        self._bound_code: Dict[Optional[str], int] = {None: 0}
         # the nets: one name each, and the pin table (see pin_table);
         # nets added since the table was last read wait in
-        # _pending_nets as (degrees, cells, dx, dy, weights) chunks
+        # _pending_nets as (degrees, cells, dx, dy, weights) chunks:
+        # arrays from add_nets_bulk, lists that add_net appends to
         self._net_names: List[str] = []
         self._pin_table: tuple = _EMPTY_TABLE
         self._pending_nets: list = []
@@ -163,18 +161,17 @@ class Netlist:
         self.x: np.ndarray = np.zeros(0)
         self.y: np.ndarray = np.zeros(0)
         # lazy derived arrays, dropped by _forget on any change
-        self._dim_cache: Optional[tuple] = None
-        self._size_cache: Optional[np.ndarray] = None
-        self._mask_cache: Optional[tuple] = None
+        self._cell_cache: Optional[tuple] = None
         self._hpwl_cache: Optional[tuple] = None
         self._cell_nets_csr_cache: Optional[tuple] = None
         self._net_row_cache: Optional[np.ndarray] = None
 
     def __setstate__(self, state: dict) -> None:
-        # a copy (copy.deepcopy, pickle) comes back with every array
-        # writeable: freeze the pin table, which holds the nets, again,
-        # and let the derived arrays be rebuilt frozen
+        # a copy (deepcopy, pickle) comes back with writeable arrays:
+        # freeze the pin table and copies of the cell columns (set_cells
+        # cannot write a pickle's buffer); derived arrays rebuild frozen
         self.__dict__.update(state)
+        self._cell_table = _frozen(*map(np.array, self._cell_table))
         self._pin_table = _frozen(*self._pin_table)
         self._forget(dims=True, pins=True)
 
@@ -182,7 +179,7 @@ class Netlist:
         """Drop the derived arrays of the cells (``dims``) and of the
         net hypergraph (``pins``); the next read rebuilds them."""
         if dims:
-            self._dim_cache = self._size_cache = self._mask_cache = None
+            self._cell_cache = None
         if pins:
             self._hpwl_cache = None
             self._cell_nets_csr_cache = self._net_row_cache = None
@@ -201,10 +198,11 @@ class Netlist:
         fixed: bool = False,
         movebound: Optional[str] = None,
     ) -> Cell:
-        """Create a cell; position defaults to the die center."""
-        return self.add_cells(
+        """Create a cell (at the die center unless placed); its record."""
+        self.add_cells(
             [name], width, height, x=x, y=y, fixed=fixed, movebound=movebound
-        )[0]
+        )
+        return self.cells[-1]
 
     def add_cells(
         self,
@@ -216,25 +214,25 @@ class Netlist:
         y=None,
         fixed=False,
         movebound=None,
-    ) -> List[Cell]:
+    ) -> None:
         """Bulk :meth:`add_cell`: append many cells in one call.
 
-        ``widths``/``heights`` broadcast against ``names``; positions
-        default to the die center; ``fixed`` and ``movebound`` are one
-        value for all cells or one per cell.  Validation and coordinate
-        growth are vectorized — one array concatenation instead of one
-        ``np.append`` per cell, which is what makes million-cell
-        construction linear instead of quadratic.  Nothing is added
-        when a cell is rejected.
+        ``widths``/``heights`` (positive and finite) broadcast against
+        ``names``; positions default to the die center; ``fixed`` and
+        ``movebound`` are one value for all cells or one per cell.
+        Validation and growth are vectorized — one concatenation per
+        column instead of one ``np.append`` per cell, which is what
+        makes million-cell construction linear instead of quadratic.
+        Nothing is added when a cell is rejected.
         """
         n = len(names)
-        widths = np.broadcast_to(
-            np.asarray(widths, dtype=np.float64), (n,)
-        )
-        heights = np.broadcast_to(
-            np.asarray(heights, dtype=np.float64), (n,)
-        )
-        bad = (widths <= 0) | (heights <= 0)
+
+        def column(values, dtype=np.float64) -> np.ndarray:
+            return np.broadcast_to(np.asarray(values, dtype=dtype), (n,))
+
+        widths, heights = column(widths), column(heights)
+        dims = np.stack([widths, heights])  # NaN fails every comparison
+        bad = ~((0 < dims) & (dims < np.inf)).all(axis=0)
         if (
             bad.any()
             or len(set(names)) != n
@@ -251,40 +249,21 @@ class Netlist:
                     )
                 seen.add(nm)
         cx, cy = self.die.center
-        xs = (
-            np.full(n, cx)
-            if x is None
-            else np.broadcast_to(np.asarray(x, dtype=np.float64), (n,))
-        )
-        ys = (
-            np.full(n, cy)
-            if y is None
-            else np.broadcast_to(np.asarray(y, dtype=np.float64), (n,))
-        )
-        fixed = np.broadcast_to(np.asarray(fixed, dtype=bool), (n,))
+        xs, ys = column(cx if x is None else x), column(cy if y is None else y)
         if movebound is None or isinstance(movebound, str):
             movebound = [movebound] * n
-        base = len(self.cells)
-        new_cells = [
-            Cell(nm, w, h, fixed=f, movebound=mb, index=base + i)
-            for i, (nm, w, h, f, mb) in enumerate(
-                zip(
-                    names,
-                    widths.tolist(),
-                    heights.tolist(),
-                    fixed.tolist(),
-                    movebound,
-                )
-            )
-        ]
-        self._cell_by_name.update(
-            (c.name, c.index) for c in new_cells
+        codes = self._bound_code
+        bound = [codes.setdefault(mb, len(codes)) for mb in movebound]
+        new = (widths, heights, column(fixed, bool), column(bound, np.int64))
+        base = self.num_cells
+        self._cell_names.extend(names)
+        self._cell_by_name.update(zip(names, range(base, base + n)))
+        self._cell_table = _frozen(
+            *map(np.concatenate, zip(self._cell_table, new))
         )
-        self.cells.extend(new_cells)
         self.x = np.concatenate([self.x, xs])
         self.y = np.concatenate([self.y, ys])
         self._forget(dims=True, pins=True)
-        return new_cells
 
     def add_nets_bulk(
         self,
@@ -312,14 +291,8 @@ class Netlist:
             np.int64,
             count=int(degrees.sum()),
         )
-        if len(cells) and (
-            cells.min() < FIXED_PIN or cells.max() >= len(self.cells)
-        ):
-            bad = cells.min() if cells.min() < FIXED_PIN else cells.max()
-            raise ValueError(
-                f"a net references cell index {bad}, "
-                f"but only {len(self.cells)} cells exist"
-            )
+        if len(cells):
+            self._check_pin_cells(cells.min(), cells.max())
         if offsets is None:
             dx = dy = np.zeros(len(cells))
         else:
@@ -339,27 +312,55 @@ class Netlist:
         self._forget(pins=True)
 
     def add_net(self, name: str, pins: Iterable[Pin], weight: float = 1.0) -> Net:
-        """Append one net; returns its record (a construction input,
-        not the netlist's state)."""
+        """Append one net to a list chunk of the pending nets; returns
+        its record (a construction input, not the netlist's state)."""
         net = Net(name, list(pins), weight)
-        self.add_nets_bulk(
-            [name],
-            [[p.cell_index for p in net.pins]],
-            [weight],
-            ([p.offset_x for p in net.pins], [p.offset_y for p in net.pins]),
-        )
+        cells = [p.cell_index for p in net.pins]
+        if cells:
+            self._check_pin_cells(min(cells), max(cells))
+        pending = self._pending_nets
+        if not pending or not isinstance(pending[-1][0], list):
+            pending.append(([], [], [], [], []))
+        degrees, pin_cell, dx, dy, weights = pending[-1]
+        degrees.append(len(cells))
+        pin_cell += cells
+        dx += [p.offset_x for p in net.pins]
+        dy += [p.offset_y for p in net.pins]
+        weights.append(weight)
+        self._net_names.append(name)
+        self._net_by_name = None
+        self._forget(pins=True)
         return net
+
+    def _check_pin_cells(self, lo: int, hi: int) -> None:
+        """Refuse pin cells ``lo .. hi`` beyond a pad (-1) .. the last cell."""
+        if lo < FIXED_PIN or hi >= self.num_cells:
+            raise ValueError(
+                f"a net references cell index "
+                f"{lo if lo < FIXED_PIN else hi}, "
+                f"but only {self.num_cells} cells exist"
+            )
 
     def set_cells(self, indices: Iterable[int], **changes) -> None:
         """Give the cells at ``indices`` new values of ``width``,
         ``height``, ``fixed`` and/or ``movebound`` (one value for all
-        of them).  No validation: :func:`validate_instance` is the
-        check."""
-        unknown = changes.keys() - {"width", "height", "fixed", "movebound"}
+        of them), written in place into the columns.  No validation:
+        :func:`validate_instance` is the check."""
+        fields = ("width", "height", "fixed", "movebound")
+        unknown = changes.keys() - set(fields)
         if unknown:
             raise TypeError(f"cannot set cell field(s) {sorted(unknown)}")
-        for i in indices:
-            self.cells[i] = replace(self.cells[i], **changes)
+        if "movebound" in changes:
+            mb, codes = changes["movebound"], self._bound_code
+            changes["movebound"] = codes.setdefault(mb, len(codes))
+        idx = np.fromiter(indices, np.int64)
+        for field, column in zip(fields, self._cell_table):
+            if field in changes:
+                column.flags.writeable = True
+                try:
+                    column[idx] = changes[field]
+                finally:
+                    column.flags.writeable = False
         self._forget(dims=True)
 
     def set_net_weights(self, weights: Dict[int, float]) -> None:
@@ -393,12 +394,8 @@ class Netlist:
         return self._net_by_name[name]
 
     def finalize(self) -> None:
-        """Freeze coordinate arrays into contiguous float64 storage.
-
-        Call after bulk construction; add_cell keeps working afterwards
-        but repeated np.append during construction of large netlists is
-        slow, so builders batch via set_positions instead.
-        """
+        """Make the coordinate arrays contiguous float64 storage (what
+        add_cells, set_positions and restore already leave)."""
         self.x = np.ascontiguousarray(self.x, dtype=np.float64)
         self.y = np.ascontiguousarray(self.y, dtype=np.float64)
 
@@ -407,16 +404,84 @@ class Netlist:
     # ------------------------------------------------------------------
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return len(self._cell_names)
 
     @property
     def num_nets(self) -> int:
         return len(self._net_names)
 
     @property
-    def nets(self) -> NetView:
+    def cells(self) -> Sequence:
+        """The cells as :class:`Cell` records, built on demand."""
+        return _Records(lambda: self.num_cells, self._cell_records)
+
+    def _cell_records(self, a: int, b: int):
+        table = list(self._bound_code)
+        columns = (col[a:b].tolist() for col in self._cell_table)
+        for i, (name, w, h, f, code) in enumerate(
+            zip(self._cell_names[a:b], *columns), a
+        ):
+            yield Cell(name, w, h, f, table[code], i)
+
+    @property
+    def cell_names(self) -> List[str]:
+        """The cell names in index order (the netlist's own list: read,
+        never change it)."""
+        return self._cell_names
+
+    @property
+    def width(self) -> np.ndarray:
+        """The cell widths (read-only; set_cells writes them in place)."""
+        return self._cell_table[0]
+
+    @property
+    def height(self) -> np.ndarray:
+        """The cell heights (read-only, as :attr:`width`)."""
+        return self._cell_table[1]
+
+    def movebound_groups(self) -> tuple:
+        """Cached ``(codes, names)``: the cells grouped by movebound.
+        ``names`` are the distinct movebound names of the cells, sorted,
+        with :data:`DEFAULT_BOUND` for the cells without one; cell
+        ``i``'s is ``names[codes[i]]``."""
+        return self._cell_arrays()[5]
+
+    def _cell_arrays(self) -> tuple:
+        """The arrays derived from the cell columns, built together on
+        the first read after a change: ``cell_dims()``, sizes, movable
+        indices, std mask, macro indices, ``movebound_groups()``."""
+        if self._cell_cache is None:
+            width, height, fixed, bound = self._cell_table
+            movable, hh = ~fixed, height / 2
+            std = movable & (2.0 * hh <= self.row_height + 1e-9)
+            table = [n or DEFAULT_BOUND for n in self._bound_code]
+            used = np.flatnonzero(np.bincount(bound)).tolist()
+            names = sorted({table[k] for k in used})
+            rank = {name: k for k, name in enumerate(names)}
+            remap = np.array([rank.get(n, -1) for n in table], np.int64)
+            self._cell_cache = (
+                _frozen(movable, width / 2, hh),
+                *_frozen(width * height, np.flatnonzero(movable), std,
+                         np.flatnonzero(movable & ~std)),
+                (*_frozen(remap[bound]), names),
+            )
+        return self._cell_cache
+
+    @property
+    def nets(self) -> Sequence:
         """The nets as :class:`Net` records, built on demand."""
-        return NetView(self)
+        return _Records(lambda: self.num_nets, self._net_records)
+
+    def _net_records(self, a: int, b: int):
+        ptr, cell, dx, dy, weight = self.pin_table()
+        lo, hi = ptr[a], ptr[b]
+        ptr = (ptr[a:b + 1] - lo).tolist()
+        cell, dx, dy = (col[lo:hi].tolist() for col in (cell, dx, dy))
+        for k, (name, w) in enumerate(
+            zip(self._net_names[a:b], weight[a:b].tolist())
+        ):
+            p, q = ptr[k], ptr[k + 1]
+            yield Net(name, list(map(Pin, cell[p:q], dx[p:q], dy[p:q])), w)
 
     @property
     def net_names(self) -> List[str]:
@@ -434,7 +499,10 @@ class Netlist:
         appended here, in one concatenation."""
         if self._pending_nets:
             ptr, *columns = self._pin_table
-            degrees, *appended = zip(*self._pending_nets)
+            dtypes = [col.dtype for col in self._pin_table]
+            degrees, *appended = zip(*(
+                map(np.asarray, chunk, dtypes) for chunk in self._pending_nets
+            ))
             ends = ptr[-1] + np.cumsum(np.concatenate(degrees))
             self._pin_table = _frozen(
                 np.concatenate([ptr, ends]),
@@ -444,41 +512,29 @@ class Netlist:
             self._pending_nets = []
         return self._pin_table
 
-    def _masks(self) -> tuple:
-        """Cached (fixed mask, movable indices, standard-cell mask,
-        macro indices)."""
-        if self._mask_cache is None:
-            movable, _hw, hh = self.cell_dims()
-            std = movable & (2.0 * hh <= self.row_height + 1e-9)
-            self._mask_cache = _frozen(
-                ~movable,
-                np.flatnonzero(movable).astype(np.int64, copy=False),
-                std,
-                np.flatnonzero(movable & ~std).astype(np.int64, copy=False),
-            )
-        return self._mask_cache
-
     @property
     def fixed_mask(self) -> np.ndarray:
-        return self._masks()[0]
+        """The cells' fixed flags (the column, as :attr:`width`)."""
+        return self._cell_table[2]
 
     @property
     def movable_indices(self) -> np.ndarray:
         """Ascending indices of the cells that are not fixed."""
-        return self._masks()[1]
+        return self._cell_arrays()[2]
 
     @property
     def std_cell_mask(self) -> np.ndarray:
         """Movable cells no taller than a row: the row-legalized ones."""
-        return self._masks()[2]
+        return self._cell_arrays()[3]
 
     @property
     def macro_indices(self) -> np.ndarray:
         """Ascending indices of the movable cells taller than a row."""
-        return self._masks()[3]
+        return self._cell_arrays()[4]
 
     def movable_area(self) -> float:
-        return sum(c.size for c in self.cells if not c.fixed)
+        """Total area of the movable cells, summed in index order."""
+        return sum(self.cell_sizes()[self.movable_indices].tolist())
 
     def snapshot(self) -> PlacementSnapshot:
         return PlacementSnapshot(self.x.copy(), self.y.copy())
@@ -500,13 +556,9 @@ class Netlist:
         self.y = y.copy()
 
     def cell_rect(self, index: int) -> Rect:
-        c = self.cells[index]
-        return Rect(
-            self.x[index] - c.width / 2,
-            self.y[index] - c.height / 2,
-            self.x[index] + c.width / 2,
-            self.y[index] + c.height / 2,
-        )
+        hw, hh = self.width[index] / 2, self.height[index] / 2
+        x, y = self.x[index], self.y[index]
+        return Rect(x - hw, y - hh, x + hw, y + hh)
 
     def pin_position(self, pin: Pin) -> Tuple[float, float]:
         if pin.is_fixed_terminal:
@@ -648,38 +700,20 @@ class Netlist:
         return sub_ptr, pin_cell[idx], off_x[idx], off_y[idx], weights[rows]
 
     def total_cell_area(self) -> float:
-        return sum(c.size for c in self.cells)
+        """Total area of all cells, summed in index order."""
+        return sum(self.cell_sizes().tolist())
 
     def cell_sizes(self) -> np.ndarray:
-        """Cached per-cell areas — ``Cell.size`` evaluated once per
-        cell (the identical ``width * height`` product), so hot loops
-        gather instead of bouncing through the property per call."""
-        if self._size_cache is None:
-            (self._size_cache,) = _frozen(
-                np.array(
-                    [c.width * c.height for c in self.cells],
-                    dtype=np.float64,
-                )
-            )
-        return self._size_cache
+        """Cached per-cell areas, ``width * height`` (the bits of
+        ``Cell.size``)."""
+        return self._cell_arrays()[1]
 
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
     def cell_dims(self) -> tuple:
         """Cached (movable mask, half widths, half heights)."""
-        if self._dim_cache is None:
-            movable = np.array(
-                [not c.fixed for c in self.cells], dtype=bool
-            )
-            hw = np.array(
-                [c.width / 2 for c in self.cells], dtype=np.float64
-            )
-            hh = np.array(
-                [c.height / 2 for c in self.cells], dtype=np.float64
-            )
-            self._dim_cache = _frozen(movable, hw, hh)
-        return self._dim_cache
+        return self._cell_arrays()[0]
 
     def clamp_into_die(self) -> None:
         """Clamp every movable cell center so its rectangle fits the die."""

@@ -40,6 +40,7 @@ import contextlib
 import os
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
+from repro.netlist import DEFAULT_BOUND
 from repro.obs.tracer import incr
 
 __all__ = [
@@ -234,11 +235,13 @@ def check_movebound_containment(
     """
     if cells is None:
         cells = netlist.movable_indices.tolist()
+    codes, names = netlist.movebound_groups()
+    codes = codes.tolist()
     for i in cells:
-        cell = netlist.cells[i]
-        if cell.movebound is None:
+        name = names[codes[i]]
+        if name == DEFAULT_BOUND:
             continue
-        area = bounds.get(cell.movebound).area
+        area = bounds.get(name).area
         x, y = float(netlist.x[i]), float(netlist.y[i])
         if area.contains_point(x, y):
             continue
@@ -247,8 +250,8 @@ def check_movebound_containment(
             continue
         _fail(
             "movebound.containment",
-            f"cell {cell.name!r} at ({x:.4g}, {y:.4g}) lies outside "
-            f"movebound {cell.movebound!r}",
+            f"cell {netlist.cell_names[i]!r} at ({x:.4g}, {y:.4g}) lies outside "
+            f"movebound {name!r}",
         )
 
 

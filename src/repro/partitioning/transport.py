@@ -41,7 +41,6 @@ from repro.flows import (
     solve_transportation_with_relaxation,
 )
 from repro.geometry import RectSet, rect_array, rect_distances
-from repro.movebounds import DEFAULT_BOUND
 from repro.netlist import Netlist
 from repro.obs import incr
 from repro.resilience.errors import InfeasibleInputError
@@ -135,25 +134,22 @@ def build_instance(
     netlist: Netlist,
     cells: Sequence[int],
     targets: TransportTargets,
-    codes: Optional[np.ndarray] = None,
     admits: Optional[np.ndarray] = None,
 ) -> TransportInstance:
     """The instance assigning ``cells`` (ascending) to ``targets``.
 
-    A caller with a bound-code table of its own passes the cells'
-    ``codes`` and the (codes x targets) ``admits`` table; otherwise
-    each distinct movebound name asks every target's ``admits`` once.
+    The cells' codes are the netlist's movebound group codes.  A caller
+    with a (codes x targets) ``admits`` table of its own passes it;
+    otherwise each movebound of the cells asks every target's
+    ``admits`` once.
     """
     cells = np.asarray(cells, dtype=np.int64)
-    if codes is None:
-        bound_of = [netlist.cells[i].movebound for i in cells.tolist()]
-        names, codes = np.unique(
-            [b or DEFAULT_BOUND for b in bound_of], return_inverse=True
-        )
-        admits = np.array(
-            [[ok(str(b)) for ok in targets.admits] for b in names],
-            dtype=bool,
-        ).reshape(len(names), len(targets.keys))
+    all_codes, names = netlist.movebound_groups()
+    codes = all_codes[cells]
+    if admits is None:
+        admits = np.zeros((len(names), len(targets.keys)), dtype=bool)
+        for b in np.unique(codes).tolist():
+            admits[b] = [ok(names[b]) for ok in targets.admits]
     _mv, half_w, half_h = netlist.cell_dims()
     return TransportInstance(
         cells=cells,

@@ -35,7 +35,7 @@ from repro.movebounds import (
     RegionDecomposition,
     decompose_regions,
 )
-from repro.netlist import Netlist, PlacementSnapshot
+from repro.netlist import DEFAULT_BOUND, Netlist, PlacementSnapshot
 from repro.obs import incr, maybe_check, span
 from repro.partitioning import (
     block_windows,
@@ -97,15 +97,16 @@ def projected_position(
     at which its rectangle fits (first rectangle on ties), or None for
     an unbounded cell.  The ECO frontier and the projection below both
     read it, so the frontier holds the window the cell lands in."""
-    cell = netlist.cells[int(idx)]
-    if not cell.movebound:
+    codes, names = netlist.movebound_groups()
+    name = names[codes[idx]]
+    if name == DEFAULT_BOUND:
         return None
-    x = float(netlist.x[cell.index])
-    y = float(netlist.y[cell.index])
+    x, y = float(netlist.x[idx]), float(netlist.y[idx])
+    w, h = float(netlist.width[idx]), float(netlist.height[idx])
     best = None
-    for r in bounds.get(cell.movebound).area:
-        hw = min(cell.width / 2, r.width / 2)
-        hh = min(cell.height / 2, r.height / 2)
+    for r in bounds.get(name).area:
+        hw = min(w / 2, r.width / 2)
+        hh = min(h / 2, r.height / 2)
         px = min(max(x, r.x_lo + hw), r.x_hi - hw)
         py = min(max(y, r.y_lo + hh), r.y_hi - hh)
         d = abs(px - x) + abs(py - y)

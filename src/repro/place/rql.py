@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.legalize import build_segments, check_legality, tetris_legalize
 from repro.metrics.density import DensityMap, default_bin_count
-from repro.movebounds import MoveBoundSet
+from repro.movebounds import DEFAULT_BOUND, MoveBoundSet
 from repro.netlist import Netlist
 from repro.obs import incr, span
 from repro.place.base import PlacerResult
@@ -94,21 +94,19 @@ class RQLPlacer:
         area — capacity-blind, exactly the naive approach."""
         exclusive = bounds.exclusive_area()
         default_area = None
+        codes, names = netlist.movebound_groups()
+        codes = codes.tolist()
         for i in netlist.movable_indices.tolist():
-            cell = netlist.cells[i]
-            x, y = netlist.x[cell.index], netlist.y[cell.index]
-            if cell.movebound is not None:
-                area = bounds.get(cell.movebound).area
+            x, y = netlist.x[i], netlist.y[i]
+            name = names[codes[i]]
+            if name != DEFAULT_BOUND:
+                area = bounds.get(name).area
                 if not area.contains_point(x, y):
-                    netlist.x[cell.index], netlist.y[cell.index] = (
-                        area.clamp_point(x, y)
-                    )
+                    netlist.x[i], netlist.y[i] = area.clamp_point(x, y)
             elif not exclusive.is_empty and exclusive.contains_point(x, y):
                 if default_area is None:
                     default_area = bounds.default_bound().area
-                netlist.x[cell.index], netlist.y[cell.index] = (
-                    default_area.clamp_point(x, y)
-                )
+                netlist.x[i], netlist.y[i] = default_area.clamp_point(x, y)
 
     # ------------------------------------------------------------------
     def place(

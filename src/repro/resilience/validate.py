@@ -10,8 +10,9 @@ movebound nobody can reach).
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
+
+import numpy as np
 
 from repro.movebounds import DEFAULT_BOUND, MoveBoundSet
 from repro.netlist import Netlist
@@ -41,28 +42,22 @@ def instance_problems(
         )
 
     # --- cells -------------------------------------------------------
-    bad_size = [
-        c.name
-        for c in netlist.cells
-        if c.width < 0 or c.height < 0 or not math.isfinite(c.size)
-    ]
-    if bad_size:
+    names = netlist.cell_names
+    bad_size = np.flatnonzero(
+        (netlist.width < 0)
+        | (netlist.height < 0)
+        | ~np.isfinite(netlist.cell_sizes())
+    )
+    if len(bad_size):
         problems.append(
             f"{len(bad_size)} cell(s) with negative or non-finite "
-            f"dimensions (e.g. {bad_size[0]!r}); fix the .nodes entries"
+            f"dimensions (e.g. {names[bad_size[0]]!r}); fix the .nodes entries"
         )
-    nan_pos = [
-        c.name
-        for c in netlist.cells
-        if not (
-            math.isfinite(float(netlist.x[c.index]))
-            and math.isfinite(float(netlist.y[c.index]))
-        )
-    ]
-    if nan_pos:
+    nan_pos = np.flatnonzero(~(np.isfinite(netlist.x) & np.isfinite(netlist.y)))
+    if len(nan_pos):
         problems.append(
             f"{len(nan_pos)} cell(s) with NaN/inf positions "
-            f"(e.g. {nan_pos[0]!r}); re-run global placement or fix the .pl"
+            f"(e.g. {names[nan_pos[0]]!r}); re-run global placement or fix the .pl"
         )
 
     if bounds is None:
@@ -70,12 +65,10 @@ def instance_problems(
 
     # --- movebounds --------------------------------------------------
     known = set(bounds.names()) | {DEFAULT_BOUND}
-    cells_per_bound: dict = {}
-    for c in netlist.cells:
-        if c.fixed:
-            continue
-        name = c.movebound if c.movebound is not None else DEFAULT_BOUND
-        cells_per_bound[name] = cells_per_bound.get(name, 0) + 1
+    codes, bound_names = netlist.movebound_groups()
+    counts = np.bincount(codes[netlist.movable_indices],
+                         minlength=len(bound_names)).tolist()
+    cells_per_bound = {b: k for b, k in zip(bound_names, counts) if k}
     unknown = sorted(set(cells_per_bound) - known)
     if unknown:
         problems.append(

@@ -52,11 +52,12 @@ class TimingReport:
 
 
 def _build_dag(
-    netlist: Netlist, nets: List[Net]
+    fixed: List[bool], nets: List[Net]
 ) -> Tuple[List[List[Tuple[int, int]]], int]:
-    """Successor lists: for each cell, (net index, sink cell) arcs,
-    with DFS cycle-breaking.  Returns (successors, broken_arc_count)."""
-    n = netlist.num_cells
+    """Successor lists: for each cell (one ``fixed`` flag each), (net
+    index, sink cell) arcs, with DFS cycle-breaking.  Returns
+    (successors, broken_arc_count)."""
+    n = len(fixed)
     successors: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for nidx, net in enumerate(nets):
         if net.degree < 2:
@@ -64,7 +65,7 @@ def _build_dag(
         driver = net.pins[0]
         if driver.cell_index < 0:
             continue  # terminal-driven: handled as primary input later
-        if netlist.cells[driver.cell_index].fixed:
+        if fixed[driver.cell_index]:
             continue
         for pin in net.pins[1:]:
             if pin.cell_index >= 0 and pin.cell_index != driver.cell_index:
@@ -106,7 +107,8 @@ def analyze_timing(netlist: Netlist) -> TimingReport:
     n = netlist.num_cells
     # the records are built from the pin table once, not per pass
     nets = list(netlist.nets)
-    successors, broken = _build_dag(netlist, nets)
+    fixed = netlist.fixed_mask.tolist()
+    successors, broken = _build_dag(fixed, nets)
 
     # net delays from the current placement
     net_delay = np.zeros(netlist.num_nets)
@@ -138,7 +140,7 @@ def analyze_timing(netlist: Netlist) -> TimingReport:
         driver = net.pins[0]
         is_pi = driver.is_fixed_terminal or (
             driver.cell_index >= 0
-            and netlist.cells[driver.cell_index].fixed
+            and fixed[driver.cell_index]
         )
         if not is_pi:
             continue

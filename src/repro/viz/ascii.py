@@ -62,13 +62,9 @@ def render_placement(
     die = netlist.die
     shades = " .:-=+*#%@"
     counts = [[0] * width for _ in range(height)]
-    for cell in netlist.cells:
-        if cell.fixed:
-            continue
-        col = int((netlist.x[cell.index] - die.x_lo) / die.width * width)
-        row = int(
-            (die.y_hi - netlist.y[cell.index]) / die.height * height
-        )
+    for i in netlist.movable_indices.tolist():
+        col = int((netlist.x[i] - die.x_lo) / die.width * width)
+        row = int((die.y_hi - netlist.y[i]) / die.height * height)
         col = min(max(col, 0), width - 1)
         row = min(max(row, 0), height - 1)
         counts[row][col] += 1

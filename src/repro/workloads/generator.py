@@ -98,16 +98,14 @@ def generate_netlist(
         x=xs,
         y=ys,
     )
-    for m in range(spec.num_macros):
-        lx, ly = rng.random(2)
-        netlist.add_cell(
-            f"macro{m}",
-            spec.macro_size[0],
-            spec.macro_size[1],
-            x=float(die.x_lo + lx * die.width),
-            y=float(die.y_lo + ly * die.height),
-        )
-    netlist.finalize()
+    macro_at = rng.random((spec.num_macros, 2))
+    netlist.add_cells(
+        [f"macro{m}" for m in range(spec.num_macros)],
+        spec.macro_size[0],
+        spec.macro_size[1],
+        x=die.x_lo + macro_at[:, 0] * die.width,
+        y=die.y_lo + macro_at[:, 1] * die.height,
+    )
 
     # ------------------------------------------------------------------
     # nets: locality via a KD-tree on logical coordinates.

@@ -30,9 +30,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.feasibility import check_feasibility
+from repro.feasibility.check import _cluster_sizes
 from repro.geometry import Rect, RectSet
 from repro.movebounds import (
-    DEFAULT_BOUND,
     EXCLUSIVE,
     INCLUSIVE,
     MoveBound,
@@ -62,11 +62,7 @@ def _row_feasible(
     decomposition = decompose_regions(
         netlist.die, bounds, netlist.blockages
     )
-    sizes: Dict[str, float] = {}
-    for i in netlist.movable_indices.tolist():
-        cell = netlist.cells[i]
-        name = cell.movebound or DEFAULT_BOUND
-        sizes[name] = sizes.get(name, 0.0) + cell.size
+    sizes = _cluster_sizes(netlist, bounds)
     total = sum(sizes.values())
     dinic = Dinic()
     for name, size in sizes.items():
@@ -293,7 +289,7 @@ def attach_movebounds(
 ) -> MoveBoundSet:
     """Assign cells to movebounds and synthesize feasible areas.
 
-    Mutates ``cell.movebound`` on the netlist and returns the
+    Sets the cells' movebounds on the netlist and returns the
     normalized :class:`MoveBoundSet`.  Raises when no feasible layout
     is found within ``max_attempts`` grow-and-retry rounds.
     """
@@ -306,7 +302,7 @@ def attach_movebounds(
     # ------------------------------------------------------------------
     # pick member cells per spec
     # ------------------------------------------------------------------
-    assigned = np.zeros(len(netlist.cells), dtype=bool)
+    assigned = np.zeros(netlist.num_cells, dtype=bool)
     members: Dict[str, List[int]] = {}
     for spec in specs:
         count = max(2, int(round(spec.cell_fraction * len(std_cells))))
@@ -329,8 +325,9 @@ def attach_movebounds(
         netlist.set_cells(chosen, movebound=spec.name)
         members[spec.name] = chosen
 
+    sizes = netlist.cell_sizes().tolist()
     cell_area = {
-        spec.name: sum(netlist.cells[i].size for i in members[spec.name])
+        spec.name: sum(sizes[i] for i in members[spec.name])
         for spec in specs
     }
     # nested parents must also hold their children's cells

@@ -26,6 +26,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             nl.add_cell("z", 0, 1)
 
+    @pytest.mark.parametrize("widths, heights, first", [
+        ([np.nan, 1.0], 1.0, "y"),
+        ([1.0, np.inf], 1.0, "z"),
+        (1.0, [1.0, -np.inf], "z"),
+        ([np.inf, np.nan], 1.0, "y"),
+    ])
+    def test_non_finite_dims_rejected(self, nl, widths, heights, first):
+        with pytest.raises(
+            ValueError, match=f"cell '{first}' must have positive dimensions"
+        ):
+            nl.add_cells(["y", "z"], widths, heights)
+        assert nl.num_cells == 3  # a rejected batch adds nothing
+
     def test_net_bad_cell_index(self, nl):
         with pytest.raises(ValueError):
             nl.add_net("bad", [Pin(99)])

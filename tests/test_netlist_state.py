@@ -1,19 +1,22 @@
 """The Netlist owns its cell and net state.
 
-Cells are read-only records and nets live in one CSR pin table;
-``add_cells`` / ``add_net`` / ``add_nets_bulk`` / ``set_cells`` /
-``set_net_weights`` are the only ways to change them.  After any
-sequence of those calls every derived array must equal, bit for bit,
-the one a netlist rebuilt from scratch with the same cells and nets
-computes — whatever was cached before the change — and the pin table
+Cells live in columns and nets in one CSR pin table; ``add_cells`` /
+``add_net`` / ``add_nets_bulk`` / ``set_cells`` / ``set_net_weights``
+are the only ways to change them.  After any sequence of those calls
+every derived array must equal, bit for bit, the one a netlist rebuilt
+from scratch with the same cells and nets computes — whatever was
+cached before the change — the :class:`Cell` records the netlist
+builds must equal the records the calls describe, and the pin table
 and its derived arrays must equal what per-net loops over the
-:class:`Net` records the calls put in compute.  No :class:`Pin` or
-:class:`Net` is made by bulk construction or by loading an instance.
-And no module outside ``repro/netlist/`` may reach into the Netlist's
-private state.
+:class:`Net` records the calls put in compute.  No :class:`Cell`,
+:class:`Pin` or :class:`Net` is made by bulk construction, by loading
+or generating an instance, or (no Cell) by placing one.  And no module
+outside ``repro/netlist/`` may reach into the Netlist's private state,
+nor may the placer's core packages index ``netlist.cells``.
 """
 
 import copy
+import itertools
 import pickle
 import re
 from dataclasses import FrozenInstanceError, fields, replace
@@ -26,7 +29,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro.geometry import Rect
 from repro.bookshelf import load_instance, save_instance
-from repro.netlist import FIXED_PIN, Cell, Net, Netlist, Pin
+from repro.netlist import DEFAULT_BOUND, FIXED_PIN, Cell, Net, Netlist, Pin
+from repro.place import BonnPlaceFBP
 from repro.workloads import NetlistSpec, generate_netlist
 
 DIE = Rect(0, 0, 30, 20)
@@ -35,6 +39,8 @@ ROW = 1.0
 #: around the standard-cell / macro border (``height <= row + 1e-9``)
 HEIGHTS = [0.5, ROW, ROW + 5e-10, ROW + 2e-9, 2.0, 3.5]
 BOUNDS = [None, "A", "B"]
+#: movebound names no cell had before (set_cells extends the name table)
+FRESH_BOUNDS = (f"F{k}" for k in itertools.count())
 
 
 def _rebuild(nl: Netlist) -> Netlist:
@@ -57,8 +63,13 @@ def _rebuild(nl: Netlist) -> Netlist:
 
 
 def _derived(nl: Netlist) -> dict:
-    """Every derived array and metric, as bytes (so ``==`` is bitwise)."""
+    """Every column, derived array and metric, as bytes (so ``==`` is
+    bitwise), and the movebound group names."""
+    codes, names = nl.movebound_groups()
     out = {
+        "width": nl.width,
+        "height": nl.height,
+        "movebound_codes": codes,
         "cell_sizes": nl.cell_sizes(),
         "fixed_mask": nl.fixed_mask,
         "movable_indices": nl.movable_indices,
@@ -71,26 +82,39 @@ def _derived(nl: Netlist) -> dict:
         out[f"cell_dims[{k}]"] = a
     for k, a in enumerate(nl.pin_arrays()):
         out[f"pin_arrays[{k}]"] = a
-    return {name: (a.dtype.str, a.tobytes()) for name, a in out.items()}
+    state = {name: (a.dtype.str, a.tobytes()) for name, a in out.items()}
+    state["movebound_names"] = names
+    return state
 
 
-def _add_cells(nl, data, count):
+def _add_cells(nl, data, count, cells):
+    """Add ``count`` drawn cells; ``cells`` gets the records they are."""
     base = nl.num_cells
+    new = [
+        Cell(f"c{base + i}", w, h, f, mb, base + i)
+        for i, (w, h, f, mb) in enumerate(zip(
+            data.draw(st.lists(st.floats(0.1, 5.0), min_size=count,
+                               max_size=count)),
+            data.draw(st.lists(st.sampled_from(HEIGHTS), min_size=count,
+                               max_size=count)),
+            data.draw(st.lists(st.booleans(), min_size=count,
+                               max_size=count)),
+            data.draw(st.lists(st.sampled_from(BOUNDS), min_size=count,
+                               max_size=count)),
+        ))
+    ]
     nl.add_cells(
-        [f"c{base + i}" for i in range(count)],
-        data.draw(st.lists(st.floats(0.1, 5.0), min_size=count,
-                           max_size=count)),
-        data.draw(st.lists(st.sampled_from(HEIGHTS), min_size=count,
-                           max_size=count)),
+        [c.name for c in new],
+        [c.width for c in new],
+        [c.height for c in new],
         x=data.draw(st.lists(st.floats(0.0, DIE.x_hi), min_size=count,
                              max_size=count)),
         y=data.draw(st.lists(st.floats(0.0, DIE.y_hi), min_size=count,
                              max_size=count)),
-        fixed=data.draw(st.lists(st.booleans(), min_size=count,
-                                 max_size=count)),
-        movebound=data.draw(st.lists(st.sampled_from(BOUNDS),
-                                     min_size=count, max_size=count)),
+        fixed=[c.fixed for c in new],
+        movebound=[c.movebound for c in new],
     )
+    cells.extend(new)
 
 
 def _draw_pins(nl, data) -> list:
@@ -125,7 +149,9 @@ def _add_nets_bulk(nl, data, records):
     records.extend(nets)
 
 
-def _set_cells(nl, data):
+def _set_cells(nl, data, cells):
+    """Change drawn cells, and their records in ``cells`` the way the
+    records would change."""
     indices = data.draw(st.lists(st.integers(0, nl.num_cells - 1),
                                  min_size=1, max_size=6))
     change = data.draw(st.sampled_from(["width", "height", "fixed",
@@ -134,9 +160,13 @@ def _set_cells(nl, data):
         "width": st.floats(0.1, 5.0),
         "height": st.sampled_from(HEIGHTS),
         "fixed": st.booleans(),
-        "movebound": st.sampled_from(BOUNDS),
+        "movebound": st.sampled_from([*BOUNDS, "fresh"]),
     }[change])
+    if value == "fresh":
+        value = next(FRESH_BOUNDS)
     nl.set_cells(indices, **{change: value})
+    for i in indices:
+        cells[i] = replace(cells[i], **{change: value})
 
 
 def _set_net_weights(nl, data, records):
@@ -207,8 +237,14 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _assert_matches_a_rebuild(nl, records, what):
+def _assert_matches_a_rebuild(nl, cells, records, what):
     assert _derived(nl) == _derived(_rebuild(nl)), what
+    assert list(nl.cells) == cells, what
+    codes, names = nl.movebound_groups()
+    assert [names[k] for k in codes.tolist()] == [
+        c.movebound or DEFAULT_BOUND for c in cells
+    ], what
+    assert names == sorted(set(names)), what
     state, want = _table_state(nl), _from_records(nl, records)
     assert all(_same(state[k], want[k]) for k in want), what
 
@@ -218,29 +254,33 @@ def _assert_matches_a_rebuild(nl, records, what):
           suppress_health_check=[HealthCheck.too_slow])
 def test_derived_arrays_equal_a_rebuild_after_every_change(data):
     nl = Netlist(DIE, row_height=ROW, site_width=0.5)
+    cells: list = []  # the Cell records the calls describe
     records: list = []  # the Net records the calls put in
-    _add_cells(nl, data, data.draw(st.integers(1, 6)))
+    _add_cells(nl, data, data.draw(st.integers(1, 6)), cells)
     for _step in range(data.draw(st.integers(1, 10))):
         ops = ["add_cells", "add_net", "add_nets_bulk", "set_cells"]
         if nl.num_nets:
             ops.append("set_net_weights")
         op = data.draw(st.sampled_from(ops))
         if op == "add_cells":
-            _add_cells(nl, data, data.draw(st.integers(1, 4)))
+            _add_cells(nl, data, data.draw(st.integers(1, 4)), cells)
         elif op == "add_net":
             _add_net(nl, data, records)
         elif op == "add_nets_bulk":
             _add_nets_bulk(nl, data, records)
         elif op == "set_cells":
-            _set_cells(nl, data)
+            _set_cells(nl, data, cells)
         else:
             _set_net_weights(nl, data, records)
         # reading everything here (some of it only now and then, so a
         # change also meets a table not read since the last one) warms
         # every cache, so the next change has to keep them right
         if data.draw(st.booleans()):
-            _assert_matches_a_rebuild(nl, records, op)
-    _assert_matches_a_rebuild(nl, records, "final state")
+            _assert_matches_a_rebuild(nl, cells, records, op)
+    _assert_matches_a_rebuild(nl, cells, records, "final state")
+    assert [nl.cells[i] for i in range(-len(cells), len(cells))] == (
+        cells + cells
+    )
     assert list(nl.nets) == records
     assert [nl.nets[i] for i in range(-len(records), len(records))] == (
         records + records
@@ -270,7 +310,8 @@ def test_records_are_read_only(record, field):
 
 
 def _assert_derived_arrays_read_only(nl):
-    arrays = [nl.cell_sizes(), nl.fixed_mask, nl.movable_indices,
+    arrays = [nl.width, nl.height, nl.movebound_groups()[0],
+              nl.cell_sizes(), nl.fixed_mask, nl.movable_indices,
               nl.std_cell_mask, nl.macro_indices, *nl.cell_dims(),
               *nl.pin_arrays(), *nl.pin_table(), *nl.cell_nets_csr()]
     for a in arrays:
@@ -289,6 +330,19 @@ def test_derived_arrays_of_a_copy_are_read_only(clone):
     nl = _small()
     nl.pin_arrays(), nl.cell_dims(), nl.cell_nets_csr()
     _assert_derived_arrays_read_only(clone(nl))
+
+
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy, lambda nl: pickle.loads(pickle.dumps(nl, protocol=5)),
+], ids=["deepcopy", "pickle5"])
+def test_set_cells_writes_a_copy_and_only_the_copy(clone):
+    nl = _small()
+    twin = clone(nl)
+    twin.set_cells([0, 2], width=5.0, fixed=True, movebound="Z")
+    assert [(c.width, c.fixed, c.movebound) for c in twin.cells] == [
+        (5.0, True, "Z"), (4.0, False, None), (5.0, True, "Z")]
+    assert list(nl.cells) == list(_small().cells)
+    _assert_derived_arrays_read_only(twin)
 
 
 def test_set_cells_takes_only_the_changeable_fields():
@@ -356,9 +410,10 @@ def test_bulk_nets_may_have_pads_offsets_and_weights():
 
 @pytest.fixture
 def record_count(monkeypatch):
-    """How many Pin and Net records get built while the test runs."""
-    made = {"Pin": 0, "Net": 0}
-    for cls in (Pin, Net):
+    """How many Cell, Pin and Net records get built while the test
+    runs."""
+    made = {"Cell": 0, "Pin": 0, "Net": 0}
+    for cls in (Cell, Pin, Net):
         real = cls.__init__
 
         def counted(self, *args, _real=real, _name=cls.__name__, **kw):
@@ -376,10 +431,16 @@ def test_bulk_construction_and_loading_build_no_record(tmp_path,
     save_instance(str(tmp_path), nl)
     loaded, _bounds = load_instance(str(tmp_path), "rec")
     loaded.pin_arrays(), loaded.cell_nets_csr(), loaded.hpwl()
-    assert record_count == {"Pin": 0, "Net": 0}
+    loaded.add_cells(["x0", "x1"], [1.0, 2.0], 1.0, movebound=[None, "X"])
+    assert record_count == {"Cell": 0, "Pin": 0, "Net": 0}
     assert loaded.num_nets == nl.num_nets > 300
-    nl.nets[0]  # the view builds them on demand, and the count sees it
+    assert loaded.num_cells == nl.num_cells + 2
+    result = BonnPlaceFBP().place(nl)  # the whole pipeline, legalized
+    assert result.legality.is_legal and record_count["Cell"] == 0
+    # the views build them on demand, and the count sees it
+    nl.nets[0], nl.cells[0]
     assert record_count["Net"] == 1 and record_count["Pin"] >= 2
+    assert record_count["Cell"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -400,15 +461,22 @@ def _private_names() -> set:
     return names | {"_dim_arrays", "_hpwl_arrays"}
 
 
+#: the placer's core packages read the cell columns, never a record
+COLUMN_READERS = ("legalize", "fbp", "partitioning", "movebounds",
+                  "feasibility", "resilience")
+
+
 def test_no_module_reaches_into_the_netlist():
     pattern = re.compile(
         r"\.(%s)\b" % "|".join(sorted(map(re.escape, _private_names())))
     )
+    record_read = re.compile(r"\bnetlist\.cells\[")
     hits = []
     for path in sorted(SRC.rglob("*.py")):
         if NETLIST_PKG in path.parents:
             continue
+        core = path.relative_to(SRC).parts[0] in COLUMN_READERS
         for n, line in enumerate(path.read_text().splitlines(), 1):
-            if pattern.search(line):
+            if pattern.search(line) or (core and record_read.search(line)):
                 hits.append(f"{path.relative_to(SRC)}:{n}: {line.strip()}")
     assert hits == []

@@ -38,7 +38,6 @@ def build_instance():
             x=float(rng.uniform(1, 18)), y=float(rng.uniform(1, 18)),
             movebound="M",
         )
-    netlist.finalize()
     for j in range(0, 58, 2):
         netlist.add_net(f"n{j}", [Pin(j), Pin(j + 1)])
     return netlist, bounds

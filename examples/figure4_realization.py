@@ -32,7 +32,6 @@ def build_instance():
             f"c{i}", 2.0, 1.0,
             x=float(rng.uniform(1, 19)), y=float(rng.uniform(1, 19)),
         )
-    netlist.finalize()
     for j in range(300):
         a, b = rng.choice(num_cells, 2, replace=False)
         netlist.add_net(f"n{j}", [Pin(int(a)), Pin(int(b))])

@@ -354,7 +354,7 @@ class EcoEngine:
 
         def _move(name: str, target: Optional[str]) -> None:
             idx = netlist.cell_index(name)
-            prev = netlist.cells[idx].movebound
+            prev = netlist.movebound_of(idx)
             staged.prev_movebounds.setdefault(idx, prev)
             netlist.set_cells([idx], movebound=target)
 

@@ -28,29 +28,50 @@ are linear in |W| + |R| (Table I reports the ratio |E|/|V| ~ 4-5.5).
 
 Theorem 3: this instance is feasible iff a fractional placement with
 movebounds exists — the solver's feasibility flag is the check.
+
+Storage.  The model is arrays from end to end: :func:`build_fbp_model`
+emits the node and arc columns of :class:`MinCostFlowProblem` by array
+operations over all (movebound, window) pairs of a movebound at once,
+and the model keeps its cell groups (a CSR), region nodes, external
+arcs and node names as columns too.  The keys above, the
+:class:`~repro.flows.Arc` records and the :class:`ExternalArc` records
+are built on demand by the views (``problem.nodes`` / ``problem.arcs``,
+:attr:`FBPModel.external_arcs`); a flow readback is one mask or one
+``bincount``.  The rows and columns are those of the former per-arc
+builder, in its order:
+
+* nodes: the region nodes in grid order, then per movebound (sorted)
+  and window (ascending) the window's transits N/E/S/W and its cell
+  group;
+* arcs, per (movebound, window): ``E^tt`` transit-major without the
+  diagonal, ``E^tr`` transit-major, ``E^cr``, ``E^ct``; then the
+  movebound's external pairs, window-ascending, N before E, both
+  directions;
+
+and every cost is the same ``|Δx| + |Δy|`` float expression, so HiGHS
+receives the identical LP (``tests/test_fbp_lp_identity.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.flows import FlowResult, MinCostFlowProblem
-from repro.grid import Grid, Window
+from repro.grid import Grid
 from repro.grid.grid import DIRECTIONS
 from repro.movebounds import DEFAULT_BOUND, MoveBoundSet
 from repro.netlist import Netlist
+from repro.records import Records
 from repro.resilience.budget import SolverBudget
 from repro.resilience.solver import ResilientSolver
 
 #: Facing direction of each compass direction.
 OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
-
-
-def _l1(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
 @dataclass(frozen=True)
@@ -81,6 +102,10 @@ class ModelStats:
         return self.num_arcs / max(self.num_nodes, 1)
 
 
+def _ints(n: int = 0) -> np.ndarray:
+    return np.zeros(n, dtype=np.int64)
+
+
 class FBPModel:
     """A built (but not yet solved) FBP MinCostFlow instance.
 
@@ -90,10 +115,22 @@ class FBPModel:
         The underlying :class:`MinCostFlowProblem`.
     cell_windows:
         Window index per cell (the input assignment).
-    group_cells:
-        ``(bound, window)`` -> movable cell indices in that group.
-    region_arc_ids / external_arcs:
-        Arc catalogs for flow readback by the realization step.
+    bound_names:
+        The netlist's movebound group names (sorted); every bound code
+        below indexes it.
+    group_*:
+        The cell groups C_{Mw} in (bound code, window) order: group
+        ``g`` of bound ``group_bound[g]`` in window ``group_window[g]``
+        holds cells ``group_cells[group_start[g]:group_start[g + 1]]``
+        (ascending) of total area ``group_area[g]``; ``group_node[g]``
+        is its cell-group node (-1 where the bound has no windows).
+    region_*:
+        Node ``r < len(region_cap)`` is region ``region_index[r]`` of
+        window ``region_window[r]`` with capacity ``region_cap[r]``.
+    ext_*:
+        External arc ``k`` is arc ``ext_arc[k]``, from window
+        ``ext_src[k]`` to ``ext_dst[k]`` of bound ``ext_bound[k]``,
+        travelling ``DIRECTIONS[ext_dir[k]]``.
     """
 
     def __init__(
@@ -108,14 +145,17 @@ class FBPModel:
         self.grid = grid
         self.density_target = density_target
         self.problem = MinCostFlowProblem()
-        self.cell_windows: np.ndarray = np.zeros(0, dtype=np.int64)
-        self.group_cells: Dict[Tuple[str, int], List[int]] = {}
-        self.group_supply: Dict[Tuple[str, int], float] = {}
-        #: (bound, window, region_index) -> arc id, for E^cr and E^tr arcs
-        self.region_arc_ids: Dict[Tuple[str, int, int], List[int]] = {}
-        self.external_arcs: List[ExternalArc] = []
+        self.cell_windows: np.ndarray = _ints()
+        self.bound_names: List[str] = []
+        self.group_bound = self.group_window = self.group_node = _ints()
+        self.group_start = _ints(1)
+        self.group_cells = _ints()
+        self.group_area = np.zeros(0)
+        self.region_window = self.region_index = _ints()
+        self.region_cap = np.zeros(0)
+        self.ext_arc = self.ext_bound = _ints()
+        self.ext_src = self.ext_dst = self.ext_dir = _ints()
         self.stats = ModelStats()
-        self.region_capacity: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
     def solve(
@@ -134,16 +174,63 @@ class FBPModel:
         solver = ResilientSolver.for_method(method, budget)
         return solver.solve(self.problem)
 
+    # ------------------------------------------------------------------
+    # views, built on demand
+    # ------------------------------------------------------------------
+    def _external_rows(self, ids) -> List[ExternalArc]:
+        names = self.bound_names
+        return [
+            ExternalArc(a, names[b], s, t, DIRECTIONS[d])
+            for a, b, s, t, d in zip(
+                *(col[ids].tolist() for col in (
+                    self.ext_arc, self.ext_bound, self.ext_src,
+                    self.ext_dst, self.ext_dir,
+                ))
+            )
+        ]
+
+    @property
+    def external_arcs(self) -> Records:
+        """The external arcs as :class:`ExternalArc` records."""
+        return Records(
+            lambda: len(self.ext_arc),
+            lambda a, b: iter(self._external_rows(slice(a, b))),
+        )
+
+    @property
+    def group_supply(self) -> Mapping[Tuple[str, int], float]:
+        """Supply per (bound, window) cell-group node (read-only)."""
+        has = np.flatnonzero(self.group_node >= 0)
+        names = self.bound_names
+        return MappingProxyType({
+            (names[b], w): s
+            for b, w, s in zip(
+                self.group_bound[has].tolist(),
+                self.group_window[has].tolist(),
+                self.group_area[has].tolist(),
+            )
+        })
+
+    @property
+    def region_capacity(self) -> Mapping[Tuple[int, int], float]:
+        """Capacity per (window, region) node (read-only)."""
+        return MappingProxyType(dict(zip(
+            zip(self.region_window.tolist(), self.region_index.tolist()),
+            self.region_cap.tolist(),
+        )))
+
+    # ------------------------------------------------------------------
+    # flow readback
+    # ------------------------------------------------------------------
     def external_flows(
         self, result: FlowResult, tol: float = 1e-7
     ) -> List[Tuple[ExternalArc, float]]:
         """External arcs carrying flow, with their flow values."""
-        out = []
-        for arc in self.external_arcs:
-            f = result.flow_on(arc.arc_id)
-            if f > tol:
-                out.append((arc, f))
-        return out
+        flows = result.flows[self.ext_arc]
+        carrying = np.flatnonzero(flows > tol)
+        return list(zip(
+            self._external_rows(carrying), flows[carrying].tolist()
+        ))
 
     def prescribed_content(
         self, result: FlowResult
@@ -161,14 +248,22 @@ class FBPModel:
     def region_inflow(
         self, result: FlowResult
     ) -> Dict[Tuple[int, int], float]:
-        """Flow absorbed by each (window, region) across all movebounds."""
-        inflow: Dict[Tuple[int, int], float] = {}
-        for (bound, widx, ridx), arc_ids in self.region_arc_ids.items():
-            total = sum(result.flow_on(a) for a in arc_ids)
-            if total > 0:
-                key = (widx, ridx)
-                inflow[key] = inflow.get(key, 0.0) + total
-        return inflow
+        """Flow absorbed by each (window, region) across all movebounds.
+
+        Region nodes are the first nodes and only region arcs end at
+        them, so this is one ``bincount`` over the arcs' heads."""
+        n = len(self.region_cap)
+        heads = self.problem.heads
+        into = heads < n
+        inflow = np.bincount(
+            heads[into], weights=result.flows[into], minlength=n
+        )
+        got = np.flatnonzero(inflow > 0)
+        return dict(zip(
+            zip(self.region_window[got].tolist(),
+                self.region_index[got].tolist()),
+            inflow[got].tolist(),
+        ))
 
 
 def fixed_cell_usage(
@@ -200,6 +295,269 @@ def fixed_cell_usage(
     return usage
 
 
+def _node_keys(window, bound, sub, names, nodes: np.ndarray) -> list:
+    """The keys of ``nodes`` from the model's node columns: ``bound`` is
+    -1 for a region node, ``sub`` its region index, a transit's
+    direction index, or -1 for a cell group."""
+    return [
+        ("r", w, s) if b < 0
+        else ("cg", names[b], w) if s < 0
+        else ("t", names[b], w, DIRECTIONS[s])
+        for w, b, s in zip(
+            window[nodes].tolist(), bound[nodes].tolist(), sub[nodes].tolist()
+        )
+    ]
+
+
+def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(owner, rank)`` per item when owner ``i`` holds ``counts[i]``
+    consecutive items: item ``k`` is the ``rank[k]``-th of ``owner[k]``."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - first[owner]
+
+
+def _cell_groups(model: FBPModel) -> Tuple[np.ndarray, np.ndarray]:
+    """The groups C_{Mw} by one stable sort over a combined (movebound,
+    window) key: members stay in ascending cell order.  Returns each
+    group's center of gravity (x, y)."""
+    netlist, n_win = model.netlist, len(model.grid)
+    codes, names = netlist.movebound_groups()
+    model.bound_names = list(names)
+    mv_idx = netlist.movable_indices
+    if not len(mv_idx):
+        return np.zeros(0), np.zeros(0)
+    combined = codes[mv_idx] * n_win + np.asarray(
+        model.cell_windows, dtype=np.int64
+    )[mv_idx]
+    order = np.argsort(combined, kind="stable")
+    cells = mv_idx[order]
+    combined = combined[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(combined)) + 1))
+    model.group_bound, model.group_window = np.divmod(combined[starts], n_win)
+    model.group_start = np.append(starts, len(cells))
+    model.group_cells = cells
+    sizes = netlist.cell_sizes()[cells]
+    area = model.group_area = np.add.reduceat(sizes, starts)
+    model.group_node = np.full(len(starts), -1, dtype=np.int64)
+    return (
+        np.add.reduceat(sizes * netlist.x[cells], starts) / area,
+        np.add.reduceat(sizes * netlist.y[cells], starts) / area,
+    )
+
+
+@dataclass
+class _Geometry:
+    """Per-window arrays of the grid: the neighbor (-1 at the border)
+    and the boundary center (transit embedding) in each direction, and
+    the window rectangles for the bounding-box pruning."""
+
+    neighbor: np.ndarray  # (windows, 4)
+    bx: np.ndarray  # (windows, 4)
+    by: np.ndarray
+    rects: np.ndarray  # (windows, 4): x_lo, y_lo, x_hi, y_hi
+
+    @classmethod
+    def of(cls, grid: Grid) -> "_Geometry":
+        rects = np.array(
+            [(w.rect.x_lo, w.rect.y_lo, w.rect.x_hi, w.rect.y_hi)
+             for w in grid],
+            dtype=np.float64,
+        )
+        ix = np.array([w.ix for w in grid], dtype=np.int64)
+        iy = np.array([w.iy for w in grid], dtype=np.int64)
+        idx = np.arange(len(grid))
+        # N, E, S, W
+        neighbor = np.column_stack([
+            np.where(iy + 1 < grid.ny, idx + grid.nx, -1),
+            np.where(ix + 1 < grid.nx, idx + 1, -1),
+            np.where(iy > 0, idx - grid.nx, -1),
+            np.where(ix > 0, idx - 1, -1),
+        ])
+        x_lo, y_lo, x_hi, y_hi = rects.T
+        cx, cy = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
+        bx = np.column_stack([cx, x_hi, cx, x_lo])
+        by = np.column_stack([y_hi, cy, y_lo, cy])
+        return cls(neighbor, bx, by, rects)
+
+
+def _bound_windows(
+    model: FBPModel, code: int, geometry: _Geometry
+) -> np.ndarray:
+    """Windows bound ``code`` may use (a mask): bounding-box pruning
+    ([22]).  The box is widened to include windows currently holding
+    the bound's cells (an incremental placement may start them far from
+    A(M)), and kept rectangular so the transit network stays
+    connected."""
+    name = model.bound_names[code]
+    n_win = len(model.grid)
+    if name == DEFAULT_BOUND:
+        return np.ones(n_win, dtype=bool)
+    if name not in model.bounds:
+        return np.zeros(n_win, dtype=bool)
+    held = model.group_window[model.group_bound == code]
+    box = model.bounds.get(name).area.bounding_box()
+    x_lo, y_lo, x_hi, y_hi = geometry.rects[held].T
+    bx_lo = min(box.x_lo, float(x_lo.min()))
+    by_lo = min(box.y_lo, float(y_lo.min()))
+    bx_hi = max(box.x_hi, float(x_hi.max()))
+    by_hi = max(box.y_hi, float(y_hi.max()))
+    x_lo, y_lo, x_hi, y_hi = geometry.rects.T
+    mask = (x_lo < bx_hi) & (bx_lo < x_hi) & (y_lo < by_hi) & (by_lo < y_hi)
+    mask[held] = True
+    return mask
+
+
+@dataclass
+class _Regions:
+    """The region nodes, numbered first and in grid order: window,
+    region index, capacity, embedding and the region itself (for
+    admissibility)."""
+
+    window: np.ndarray
+    index: np.ndarray
+    cap: np.ndarray
+    rx: np.ndarray
+    ry: np.ndarray
+    regions: list
+
+    @classmethod
+    def of(cls, model: FBPModel) -> "_Regions":
+        usage = fixed_cell_usage(model.netlist, model.grid)
+        rows, regions = [], []
+        for window in model.grid:
+            for wr in window.regions:
+                cap = wr.capacity(model.density_target)
+                cap -= usage.get((window.index, wr.region.index), 0.0)
+                if cap <= 1e-12:
+                    continue
+                rows.append((window.index, wr.region.index, cap,
+                             *wr.centroid()))
+                regions.append(wr.region)
+        cols = list(zip(*rows)) or [()] * 5
+        window, index = (np.array(c, dtype=np.int64) for c in cols[:2])
+        cap, rx, ry = (np.array(c, dtype=np.float64) for c in cols[2:])
+        return cls(window, index, cap, rx, ry, regions)
+
+
+def _bound_block(
+    model: FBPModel,
+    code: int,
+    geometry: _Geometry,
+    regions: _Regions,
+    center: Tuple[np.ndarray, np.ndarray],
+    node_base: int,
+    arc_base: int,
+) -> Tuple[tuple, tuple, tuple]:
+    """The nodes, arcs and external arcs of one movebound's subgraph.
+
+    Returns the columns ``(supply, window, bound, sub)`` of its nodes
+    (see :func:`_node_keys`), ``(tails, heads, costs)`` of its arcs and
+    ``(arc, bound, src, dst, dir)`` of its external arcs, numbered from
+    ``node_base`` / ``arc_base``.
+    """
+    n_win = len(model.grid)
+    name = model.bound_names[code]
+    wl = np.flatnonzero(_bound_windows(model, code, geometry))
+    n = len(wl)
+    # transits: towards a neighbor the bound may use too
+    nb = geometry.neighbor[wl]
+    inside = np.zeros(n_win + 1, dtype=bool)  # [-1] = off the grid
+    inside[wl] = True
+    ex = inside[nb]
+    n_t = ex.sum(axis=1)
+    group_of = np.full(n_win, -1, dtype=np.int64)
+    mine = np.flatnonzero(model.group_bound == code)
+    group_of[model.group_window[mine]] = mine
+    g_of = group_of[wl]
+    has_g = g_of >= 0
+
+    # nodes: per window its transits N/E/S/W, then its cell group
+    slots = np.column_stack([ex, has_g])
+    rows, slot = np.nonzero(slots)
+    slot_node = np.full((n, 5), -1, dtype=np.int64)
+    slot_node[rows, slot] = node_base + np.arange(len(rows))
+    supply = np.zeros(len(rows))
+    cg = slot == 4
+    supply[cg] = model.group_area[g_of[rows[cg]]]
+    model.group_node[g_of[has_g]] = slot_node[has_g, 4]
+    node_cols = (
+        supply, wl[rows], np.full(len(rows), code), np.where(cg, -1, slot)
+    )
+
+    # admissible regions per window, in the window's order
+    admits = np.fromiter(
+        (r.admits(name) for r in regions.regions), bool, len(regions.regions)
+    )
+    adm = np.flatnonzero(admits)
+    per_window = np.bincount(regions.window[adm], minlength=n_win)
+    r_first = (np.cumsum(per_window) - per_window)[wl]
+    n_r = per_window[wl]
+
+    # arc slots per window: E^tt, E^tr, E^cr, E^ct
+    counts = np.column_stack([
+        n_t * (n_t - 1), n_t * n_r, has_g * n_r, has_g * n_t
+    ])
+    block_at = np.cumsum(counts.ravel()).reshape(n, 4) - counts
+    m = int(counts.sum())
+    tails = np.empty(m, dtype=np.int64)
+    heads = np.empty(m, dtype=np.int64)
+    costs = np.empty(m, dtype=np.float64)
+    bx, by = geometry.bx[wl], geometry.by[wl]
+    gx, gy = center[0][g_of], center[1][g_of]
+
+    def emit(block, row, rank, tail, head, cost):
+        at = block_at[row, block] + rank
+        tails[at], heads[at], costs[at] = tail, head, cost
+
+    # E^tt — ordered transit pairs, transit-major
+    pairs = ex[:, :, None] & ex[:, None, :] & ~np.eye(4, dtype=bool)
+    r, d1, d2 = np.nonzero(pairs)
+    emit(0, r, _ragged(counts[:, 0])[1], slot_node[r, d1], slot_node[r, d2],
+         np.abs(bx[r, d1] - bx[r, d2]) + np.abs(by[r, d1] - by[r, d2]))
+    # E^tr — each transit to the admissible regions
+    tr, td = np.nonzero(ex)
+    k, j = _ragged(n_r[tr])
+    r, d = tr[k], td[k]
+    reg = adm[r_first[r] + j]
+    emit(1, r, _ragged(counts[:, 1])[1], slot_node[r, d], reg,
+         np.abs(bx[r, d] - regions.rx[reg])
+         + np.abs(by[r, d] - regions.ry[reg]))
+    # E^cr — the cell group to the admissible regions
+    gr = np.flatnonzero(has_g)
+    k, j = _ragged(n_r[gr])
+    r = gr[k]
+    reg = adm[r_first[r] + j]
+    emit(2, r, j, slot_node[r, 4], reg,
+         np.abs(gx[r] - regions.rx[reg]) + np.abs(gy[r] - regions.ry[reg]))
+    # E^ct — the cell group to each transit
+    k, j = _ragged(n_t[gr])
+    r = gr[k]
+    d = td[(np.cumsum(n_t) - n_t)[r] + j]
+    emit(3, r, j, slot_node[r, 4], slot_node[r, d],
+         np.abs(gx[r] - bx[r, d]) + np.abs(gy[r] - by[r, d]))
+
+    # E^ext — zero-cost arcs between facing transits, both directions
+    er, ed = np.nonzero(ex[:, :2])  # N before E
+    row_of = np.full(n_win, -1, dtype=np.int64)
+    row_of[wl] = np.arange(n)
+    src, dst = wl[er], nb[er, ed]
+    a, b = slot_node[er, ed], slot_node[row_of[dst], ed + 2]
+    arcs = (
+        np.concatenate([tails, np.column_stack([a, b]).ravel()]),
+        np.concatenate([heads, np.column_stack([b, a]).ravel()]),
+        np.concatenate([costs, np.zeros(2 * len(er))]),
+    )
+    ext = (
+        arc_base + m + np.arange(2 * len(er)),
+        np.full(2 * len(er), code),
+        np.column_stack([src, dst]).ravel(),
+        np.column_stack([dst, src]).ravel(),
+        np.column_stack([ed, ed + 2]).ravel(),
+    )
+    return node_cols, arcs, ext
+
+
 def build_fbp_model(
     netlist: Netlist,
     bounds: MoveBoundSet,
@@ -214,228 +572,50 @@ def build_fbp_model(
     to the windows containing the current cell centers.
     """
     model = FBPModel(netlist, bounds, grid, density_target)
-    problem = model.problem
-
     if cell_windows is None:
         cell_windows = grid.assign_cells(netlist)
     model.cell_windows = cell_windows
+    center = _cell_groups(model)
 
-    # ------------------------------------------------------------------
-    # cell groups C_{Mw} — built by one stable sort over a combined
-    # (movebound, window) key instead of a per-cell dict loop, so a
-    # million-cell build stays array-speed.  Stable sort keeps members
-    # in ascending cell order, matching the former append order.
-    # ------------------------------------------------------------------
-    group_stats: Dict[Tuple[str, int], Tuple[float, float, float]] = {}
-    mv_idx = netlist.movable_indices
-    if len(mv_idx):
-        bcode, uniq_bounds = netlist.movebound_groups()
-        combined = bcode[mv_idx] * len(grid) + np.asarray(
-            cell_windows, dtype=np.int64
-        )[mv_idx]
-        order = np.argsort(combined, kind="stable")
-        sorted_idx = mv_idx[order]
-        sorted_comb = combined[order]
-        starts = np.concatenate(
-            ([0], np.nonzero(np.diff(sorted_comb))[0] + 1)
+    regions = _Regions.of(model)
+    model.region_window, model.region_index = regions.window, regions.index
+    model.region_cap = regions.cap
+    n_reg = len(regions.cap)
+
+    # per-movebound subgraphs, for the movebounds that have cells
+    geometry = _Geometry.of(grid)
+    nodes = [(-regions.cap, regions.window, np.full(n_reg, -1), regions.index)]
+    arcs = [(_ints(), _ints(), np.zeros(0))]
+    ext = [(_ints(),) * 5]
+    num_nodes, num_arcs = n_reg, 0
+    for code in np.unique(model.group_bound).tolist():
+        node_cols, arc_cols, ext_cols = _bound_block(
+            model, code, geometry, regions, center, num_nodes, num_arcs
         )
-        sizes = netlist.cell_sizes()[sorted_idx]
-        wsum = np.add.reduceat(sizes, starts)
-        wx = np.add.reduceat(sizes * netlist.x[sorted_idx], starts)
-        wy = np.add.reduceat(sizes * netlist.y[sorted_idx], starts)
-        ends = np.concatenate((starts[1:], [len(sorted_comb)]))
-        for gi, (s, e) in enumerate(zip(starts, ends)):
-            code = int(sorted_comb[s])
-            key = (uniq_bounds[code // len(grid)], code % len(grid))
-            model.group_cells[key] = sorted_idx[s:e].tolist()
-            group_stats[key] = (
-                float(wsum[gi]),
-                float(wx[gi] / wsum[gi]),
-                float(wy[gi] / wsum[gi]),
-            )
+        nodes.append(node_cols)
+        arcs.append(arc_cols)
+        ext.append(ext_cols)
+        num_nodes += len(node_cols[0])
+        num_arcs += len(arc_cols[0])
 
-    # Windows each movebound may use: bounding-box pruning ([22]).  The
-    # box is widened to include windows currently holding the bound's
-    # cells (an incremental placement may start them far from A(M)),
-    # and kept rectangular so the transit network stays connected.
-    bound_windows: Dict[str, Set[int]] = {}
-    all_window_ids = {w.index for w in grid}
-    group_windows: Dict[str, Set[int]] = {}
-    for (bound_name, widx) in model.group_cells:
-        group_windows.setdefault(bound_name, set()).add(widx)
-    for bound in bounds.all_bounds():
-        if bound.name == DEFAULT_BOUND:
-            bound_windows[bound.name] = set(all_window_ids)
-            continue
-        bbox = bound.area.bounding_box()
-        for widx in group_windows.get(bound.name, ()):
-            bbox = bbox.bbox_union(grid.windows[widx].rect)
-        ids = {
-            w.index for w in grid if w.rect.overlaps(bbox)
-        }
-        ids |= group_windows.get(bound.name, set())
-        bound_windows[bound.name] = ids
-
-    # ------------------------------------------------------------------
-    # region nodes (demand) and capacity bookkeeping
-    # ------------------------------------------------------------------
-    usage = fixed_cell_usage(netlist, grid)
-    region_nodes: Dict[int, List[Tuple[int, Tuple[float, float]]]] = {}
-    for window in grid:
-        entries = []
-        for wr in window.regions:
-            cap = wr.capacity(density_target)
-            cap -= usage.get((window.index, wr.region.index), 0.0)
-            if cap <= 1e-12:
-                continue
-            key = ("r", window.index, wr.region.index)
-            problem.add_node(key, -cap)
-            model.region_capacity[(window.index, wr.region.index)] = cap
-            entries.append((wr.region.index, wr.centroid()))
-            model.stats.num_regions += 1
-        region_nodes[window.index] = entries
-
-    # fast admissibility lookup: window -> region_index -> WindowRegion
-    wr_lookup: Dict[int, Dict[int, object]] = {
-        w.index: {wr.region.index: wr for wr in w.regions} for w in grid
-    }
-
-    # ------------------------------------------------------------------
-    # per-movebound subgraphs
-    # ------------------------------------------------------------------
-    active_bounds = sorted(
-        {b for (b, _w) in model.group_cells}
-        | {b.name for b in bounds.all_bounds() if bound_windows.get(b.name)}
+    supply, *keyed = (np.concatenate(c) for c in zip(*nodes))
+    window, bound, sub = (c.astype(np.int32) for c in keyed)
+    model.problem = MinCostFlowProblem(
+        partial(_node_keys, window, bound, sub, model.bound_names)
     )
-    # only build transit networks for movebounds that have cells
-    bounds_with_cells = sorted({b for (b, _w) in model.group_cells})
+    model.problem.add_nodes(supply)
+    model.problem.add_arcs(*(np.concatenate(c) for c in zip(*arcs)))
+    (model.ext_arc, model.ext_bound, model.ext_src, model.ext_dst,
+     model.ext_dir) = (np.concatenate(c) for c in zip(*ext))
 
-    transit_exists: Set[Tuple[str, int, str]] = set()
-    for bound_name in bounds_with_cells:
-        windows = bound_windows.get(bound_name, set())
-        for widx in sorted(windows):
-            window = grid.windows[widx]
-            for d in DIRECTIONS:
-                neighbor = grid.neighbor(window, d)
-                if neighbor is not None and neighbor.index in windows:
-                    transit_exists.add((bound_name, widx, d))
-
-    for bound_name in bounds_with_cells:
-        windows = bound_windows.get(bound_name, set())
-        for widx in sorted(windows):
-            window = grid.windows[widx]
-            transits = [
-                d for d in DIRECTIONS if (bound_name, widx, d) in transit_exists
-            ]
-            for d in transits:
-                problem.add_node(("t", bound_name, widx, d), 0.0)
-                model.stats.num_transits += 1
-            n_t = len(transits)
-            t_keys = [("t", bound_name, widx, d) for d in transits]
-            tpts = np.array(
-                [window.boundary_center(d) for d in transits],
-                dtype=np.float64,
-            ).reshape(n_t, 2)
-            # admissibility evaluated once per region (not once per
-            # transit×region pair); the arc cost matrices below
-            # broadcast coordinate-wise |Δx| + |Δy|, which is the same
-            # float expression _l1 evaluates arc by arc
-            adm = [
-                (ridx, centroid)
-                for ridx, centroid in region_nodes[widx]
-                if wr_lookup[widx][ridx].admits(bound_name)
-            ]
-            n_r = len(adm)
-            r_keys = [("r", widx, ridx) for ridx, _ in adm]
-            rpts = np.array(
-                [c for _, c in adm], dtype=np.float64
-            ).reshape(n_r, 2)
-
-            # E^tt — ordered transit pairs inside the window
-            if n_t > 1:
-                dist_tt = np.abs(
-                    tpts[:, None, 0] - tpts[None, :, 0]
-                ) + np.abs(tpts[:, None, 1] - tpts[None, :, 1])
-                i1, i2 = np.nonzero(~np.eye(n_t, dtype=bool))
-                problem.add_arcs(
-                    [t_keys[i] for i in i1],
-                    [t_keys[j] for j in i2],
-                    dist_tt[i1, i2],
-                )
-            # E^tr — transit to admissible regions (transit-major, the
-            # row-major ravel of the T x R distance matrix)
-            if n_t and n_r:
-                dist_tr = np.abs(
-                    tpts[:, None, 0] - rpts[None, :, 0]
-                ) + np.abs(tpts[:, None, 1] - rpts[None, :, 1])
-                arc_ids = iter(
-                    problem.add_arcs(
-                        [tk for tk in t_keys for _ in range(n_r)],
-                        r_keys * n_t,
-                        dist_tr.ravel(),
-                    )
-                )
-                for _ in transits:
-                    for (ridx, _c), aid in zip(adm, arc_ids):
-                        model.region_arc_ids.setdefault(
-                            (bound_name, widx, ridx), []
-                        ).append(aid)
-
-            # cell group of this window (if any)
-            key = (bound_name, widx)
-            cells = model.group_cells.get(key)
-            if cells:
-                supply, gx, gy = group_stats[key]
-                cg_key = ("cg", bound_name, widx)
-                problem.add_node(cg_key, supply)
-                model.group_supply[key] = supply
-                model.stats.num_cell_groups += 1
-                # E^cr
-                if n_r:
-                    dist_cr = np.abs(gx - rpts[:, 0]) + np.abs(
-                        gy - rpts[:, 1]
-                    )
-                    cr_ids = problem.add_arcs(
-                        [cg_key] * n_r, r_keys, dist_cr
-                    )
-                    for (ridx, _c), aid in zip(adm, cr_ids):
-                        model.region_arc_ids.setdefault(
-                            (bound_name, widx, ridx), []
-                        ).append(aid)
-                # E^ct
-                if n_t:
-                    dist_ct = np.abs(gx - tpts[:, 0]) + np.abs(
-                        gy - tpts[:, 1]
-                    )
-                    problem.add_arcs(
-                        [cg_key] * n_t, t_keys, dist_ct
-                    )
-
-        # E^ext — zero-cost arcs between facing transits
-        for widx in sorted(windows):
-            window = grid.windows[widx]
-            for d in ("N", "E"):  # each adjacency handled once, both arcs added
-                if (bound_name, widx, d) not in transit_exists:
-                    continue
-                neighbor = grid.neighbor(window, d)
-                if neighbor is None or neighbor.index not in windows:
-                    continue
-                od = OPPOSITE[d]
-                if (bound_name, neighbor.index, od) not in transit_exists:
-                    continue
-                a = ("t", bound_name, widx, d)
-                b = ("t", bound_name, neighbor.index, od)
-                aid = problem.add_arc(a, b, 0.0)
-                model.external_arcs.append(
-                    ExternalArc(aid, bound_name, widx, neighbor.index, d)
-                )
-                bid = problem.add_arc(b, a, 0.0)
-                model.external_arcs.append(
-                    ExternalArc(bid, bound_name, neighbor.index, widx, od)
-                )
-
-    model.stats.num_windows = len(grid)
-    model.stats.num_nodes = len(problem.nodes)
-    model.stats.num_arcs = len(problem.arcs)
-    model.stats.num_external_arcs = len(model.external_arcs)
+    has = model.group_node >= 0
+    model.stats = ModelStats(
+        num_nodes=num_nodes,
+        num_arcs=num_arcs,
+        num_windows=len(grid),
+        num_regions=n_reg,
+        num_cell_groups=int(has.sum()),
+        num_transits=num_nodes - n_reg - int(has.sum()),
+        num_external_arcs=len(model.ext_arc),
+    )
     return model

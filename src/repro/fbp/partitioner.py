@@ -109,6 +109,6 @@ def fbp_partition(
         "movebound.containment",
         netlist,
         bounds,
-        cells=list(report.realization.assignment),
+        cells=report.realization.cells.tolist(),
     )
     return report

@@ -34,7 +34,7 @@ turns this abstract flow into actual cell movement:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -63,8 +63,12 @@ class RealizationResult:
     rounding_error: float = 0.0
     #: windows whose final transportation needed relaxed capacities
     relaxed_windows: List[int] = field(default_factory=list)
-    #: cell -> (window index, region index) after final partitioning
-    assignment: Dict[int, Tuple[int, int]] = field(default_factory=dict)
+    #: the final partitioning: cell ``cells[k]`` went to region
+    #: ``regions[k]`` of window ``windows[k]`` (windows ascending,
+    #: cells ascending within a window)
+    cells: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
+    windows: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
+    regions: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
     local_qp_calls: int = 0
     shipped_cells: int = 0
     seconds: float = 0.0
@@ -73,6 +77,14 @@ class RealizationResult:
     #: fed by several arcs can end more than one cell over)
     total_overflow: float = 0.0
     max_overflow: float = 0.0
+
+    @property
+    def assignment(self) -> Dict[int, Tuple[int, int]]:
+        """cell -> (window index, region index), built on demand."""
+        return dict(zip(
+            self.cells.tolist(),
+            zip(self.windows.tolist(), self.regions.tolist()),
+        ))
 
 
 def cancel_external_cycles(
@@ -141,12 +153,23 @@ def _crossing_point(grid: Grid, arc: ExternalArc) -> Tuple[float, float]:
     return grid.windows[arc.src_window].boundary_center(arc.direction)
 
 
+def _ids(cells) -> np.ndarray:
+    """Member cells as ascending ids: the model's member arrays are
+    ascending already, a set (or list) is sorted."""
+    if isinstance(cells, np.ndarray):
+        return cells
+    return np.sort(np.fromiter(cells, np.int64, count=len(cells)))
+
+
 def _mutable(members: Dict[Tuple[str, int], object], key) -> Set[int]:
-    """The member set of ``key``; the model's (immutable) list is copied
-    into a set only when an arc first moves a cell out of or into it."""
+    """The member set of ``key``; the model's (immutable) member array
+    is copied into a set only when an arc first moves a cell out of or
+    into it."""
     cur = members.get(key)
     if not isinstance(cur, set):
-        cur = set(cur) if cur is not None else set()
+        cur = set() if cur is None else set(
+            np.asarray(cur, dtype=np.int64).tolist()
+        )
         members[key] = cur
     return cur
 
@@ -166,13 +189,12 @@ def _ship_arc(
     they land just inside it, keeping the coordinate parallel to the
     crossed boundary."""
     key_src = (arc.bound, arc.src_window)
-    candidates = sorted(members.get(key_src, ()))
-    if not candidates:
+    cand = _ids(members.get(key_src, ()))
+    if not len(cand):
         out.rounding_error += f
         return
     # stable argsort over ascending ids: nearest first, ties by id
     cx, cy = _crossing_point(grid, arc)
-    cand = np.asarray(candidates, dtype=np.int64)
     dist = np.abs(netlist.x[cand] - cx) + np.abs(netlist.y[cand] - cy)
     cand = cand[np.argsort(dist, kind="stable")]
     # cumsum adds left to right, so cum[k] is the area shipped after
@@ -226,7 +248,7 @@ def realize_flow(
     """Execute the full realization pass on the model's netlist.
 
     Mutates cell positions; returns accounting plus the final
-    cell -> (window, region) assignment.
+    (cell, window, region) assignment as arrays.
     """
     inject("stage.fbp.realize")
     with span("realize") as sp:
@@ -260,7 +282,14 @@ def _realize_flow_impl(
     cell_window = model.cell_windows.copy()
     # (bound, window) -> member cells, kept current while moving (the
     # common zero-external-flow pass never pays a copy, see _mutable)
-    members: Dict[Tuple[str, int], object] = dict(model.group_cells)
+    names, start = model.bound_names, model.group_start.tolist()
+    members: Dict[Tuple[str, int], object] = {
+        (names[b], w): model.group_cells[start[g]:start[g + 1]]
+        for g, (b, w) in enumerate(zip(
+            model.group_bound.tolist(), model.group_window.tolist()
+        ))
+    }
+    capacity = model.region_capacity
 
     sizes = netlist.cell_sizes()
 
@@ -293,9 +322,7 @@ def _realize_flow_impl(
             if 0 < n_in_block <= local_qp_cell_limit:
                 in_block = np.zeros(netlist.num_cells, dtype=bool)
                 for cells in groups:
-                    in_block[
-                        np.fromiter(cells, np.int64, count=len(cells))
-                    ] = True
+                    in_block[_ids(cells)] = True
                 net_ids = netlist.nets_of_cells(np.nonzero(in_block)[0])
                 with span("realize.local_qp"):
                     solve_qp(
@@ -331,15 +358,14 @@ def _realize_flow_impl(
         return [
             wr for wr in w.regions
             if wr.admits(bound)
-            and model.region_capacity.get((w.index, wr.region.index), 0.0) > 0
+            and capacity.get((w.index, wr.region.index), 0.0) > 0
         ]
 
     for (bound, widx), cells in members.items():
         if not len(cells):
             continue
         if admissible(grid.windows[widx], bound):
-            arr = np.fromiter(cells, dtype=np.int64, count=len(cells))
-            window_parts.setdefault(widx, []).append(arr)
+            window_parts.setdefault(widx, []).append(_ids(cells))
             continue
         # whole-cell rounding stranded these cells in a window with no
         # admissible region; send each to the nearest admissible one
@@ -362,7 +388,7 @@ def _realize_flow_impl(
             )
 
     with span("realize.partition"):
-        _partition_windows(model, out, window_parts)
+        _partition_windows(model, capacity, out, window_parts)
 
     netlist.clamp_into_die()
     return out
@@ -370,6 +396,7 @@ def _realize_flow_impl(
 
 def _partition_windows(
     model: FBPModel,
+    capacity: Mapping[Tuple[int, int], float],
     out: RealizationResult,
     window_parts: Dict[int, List[np.ndarray]],
 ) -> None:
@@ -394,7 +421,7 @@ def _partition_windows(
         for widx in sorted(window_parts):
             regions = [
                 wr for wr in grid.windows[widx].regions
-                if model.region_capacity.get((widx, wr.region.index), 0.0) > 0
+                if capacity.get((widx, wr.region.index), 0.0) > 0
             ]
             if not regions:
                 # no region capacity: relaxed, cells left in place
@@ -413,7 +440,7 @@ def _partition_windows(
             keys = [wr.region.index for wr in regions]
             targets = TransportTargets(
                 keys,
-                np.array([model.region_capacity[(widx, r)] for r in keys]),
+                np.array([capacity[(widx, r)] for r in keys]),
                 [wr.free_area for wr in regions],
                 [wr.admits for wr in regions],
             )
@@ -428,6 +455,7 @@ def _partition_windows(
             instances, RELAX_CHAIN_WINDOW, realize=True
         )
 
+    assigned: List[Tuple[np.ndarray, int, np.ndarray]] = []
     with span("realize.merge"):
         for (widx, keys, inst), step in zip(windows, steps):
             if not step.feasible:
@@ -439,12 +467,8 @@ def _partition_windows(
             )
             if step.relaxed:
                 out.relaxed_windows.append(widx)
-            ridx = np.asarray(keys, dtype=np.int64)[step.target]
-            out.assignment.update(
-                zip(
-                    inst.cells.tolist(),
-                    zip([widx] * len(inst.cells), ridx.tolist()),
-                )
+            assigned.append(
+                (inst.cells, widx, np.asarray(keys)[step.target])
             )
             # overflow accounting of the final assignment — same float
             # accumulation order as the former global dict walk (cells
@@ -454,9 +478,16 @@ def _partition_windows(
             np.add.at(loads, step.target, inst.sizes)
             _vals, first = np.unique(step.target, return_index=True)
             for b in step.target[np.sort(first)]:
-                over = float(loads[b]) - model.region_capacity.get(
+                over = float(loads[b]) - capacity.get(
                     (widx, keys[int(b)]), 0.0
                 )
                 if over > 0:
                     out.total_overflow += over
                     out.max_overflow = max(out.max_overflow, over)
+    if assigned:
+        cells, widx, ridx = zip(*assigned)
+        out.cells = np.concatenate(cells).astype(np.int32)
+        out.windows = np.repeat(
+            np.asarray(widx, dtype=np.int32), [len(c) for c in cells]
+        )
+        out.regions = np.concatenate(ridx).astype(np.int32)

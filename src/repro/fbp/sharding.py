@@ -351,11 +351,13 @@ def _build_tasks(
     """Assemble every tile's transportation problem (deterministic tile
     order), pricing real sinks and virtual transfer columns with the
     Dijkstra distances."""
+    group_supply = model.group_supply
+    region_capacity = model.region_capacity
     tile_sources: Dict[int, List[Tuple[str, int]]] = {}
-    for bound, widx in sorted(model.group_supply):
+    for bound, widx in sorted(group_supply):
         tile_sources.setdefault(int(wtile[widx]), []).append((bound, widx))
     tile_sinks: Dict[int, List[Tuple[int, int]]] = {}
-    for widx, ridx in sorted(model.region_capacity):
+    for widx, ridx in sorted(region_capacity):
         tile_sinks.setdefault(int(wtile[widx]), []).append((widx, ridx))
     tile_out: Dict[int, List[_Transfer]] = {}
     tile_in: Dict[int, List[_Transfer]] = {}
@@ -385,7 +387,7 @@ def _build_tasks(
         ]
         num_real = len(rows)
         supplies = [
-            model.group_supply[(bound, widx)]
+            group_supply[(bound, widx)]
             for bound, widx in tile_sources.get(tile, [])
         ]
         for tr in tile_in.get(tile, []):
@@ -396,7 +398,7 @@ def _build_tasks(
             for widx, ridx in tile_sinks.get(tile, [])
         ]
         caps = [
-            model.region_capacity[(widx, ridx)]
+            region_capacity[(widx, ridx)]
             for widx, ridx in tile_sinks.get(tile, [])
         ]
         for tr in tile_out.get(tile, []):
@@ -533,7 +535,7 @@ def _solve_sharded_impl(
     incr("shard.relaxed_tiles", len(report.relaxed_tiles))
 
     with span("shard.readback"):
-        flows = np.zeros(len(model.problem.arcs), dtype=np.float64)
+        flows = np.zeros(model.problem.num_arcs, dtype=np.float64)
         routed = 0.0
         for task, (tres, _stage) in zip(tasks, solved):
             tol = scale_eps(
@@ -567,16 +569,12 @@ def _solve_sharded_impl(
         )
     incr("shard.cut_flow_area", report.cut_flow_area)
 
-    arcs = model.problem.arcs
-    arc_costs = np.fromiter(
-        (a.cost for a in arcs), dtype=np.float64, count=len(arcs)
-    )
-    cost = float(np.dot(flows, arc_costs))
+    cost = float(np.dot(flows, model.problem.costs))
     result = FlowResult(
         feasible=True,
         cost=cost,
         flows=flows,
-        arcs=list(arcs),
+        arcs=model.problem.arcs,
         routed=routed,
         stats=SolveStats(
             method="sharded",

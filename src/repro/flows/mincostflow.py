@@ -28,6 +28,12 @@ Two backends:
     but strongly polynomial; the terminal fallback of the
     :class:`~repro.resilience.solver.ResilientSolver` chain.
 
+The instance is stored as arrays only: a balance per node and tail,
+head, cost and capacity per arc (:class:`MinCostFlowProblem`).  Node
+keys and :class:`Arc` records exist only in the read-only ``nodes`` /
+``arcs`` views, built when they are read, so a 100k-arc FBP model
+costs a few megabytes rather than one Python object per arc.
+
 Both detect infeasibility (Theorem 3's "no fractional placement
 exists") instead of silently returning partial flow.  The LP runs
 under a :class:`~repro.resilience.budget.SolverBudget` (HiGHS iteration
@@ -40,7 +46,7 @@ stalling or returning garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +55,10 @@ from repro.flows.tolerances import (
     BASE_EPS,
     FEASIBILITY_EPS,
     SIGNIFICANCE_EPS,
-    magnitude,
     scale_eps,
 )
 from repro.obs import incr, maybe_check
+from repro.records import Records
 from repro.resilience.budget import SolverBudget, get_default_budget
 from repro.resilience.errors import ReproError, SolverNumericsError
 from repro.resilience.faultinject import inject, perturbation
@@ -109,8 +115,10 @@ class FlowResult:
 
     feasible: bool
     cost: float
-    flows: np.ndarray  # flow per arc, in add_arc order
-    arcs: List[Arc]
+    flows: np.ndarray  # flow per arc, in arc order
+    #: the solved problem's arcs (its :attr:`MinCostFlowProblem.arcs`
+    #: view: records built on demand, none kept)
+    arcs: Sequence[Arc]
     routed: float  # total supply actually routed
     #: solver effort/size accounting (always present after solve())
     stats: SolveStats = field(default_factory=SolveStats)
@@ -138,22 +146,128 @@ class FlowResult:
         ]
 
 
+class _Column:
+    """A growing 1-D array: values are appended one at a time or a
+    block at a time, and read as one contiguous array."""
+
+    __slots__ = ("dtype", "_blocks", "_items", "_size")
+
+    def __init__(self, dtype) -> None:
+        self.dtype = dtype
+        self._blocks: List[np.ndarray] = []
+        self._items: list = []
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def append(self, value) -> None:
+        self._items.append(value)
+        self._size += 1
+
+    def extend(self, values) -> None:
+        block = np.asarray(values, dtype=self.dtype)
+        self._seal()
+        self._blocks.append(block)
+        self._size += len(block)
+
+    def _seal(self) -> None:
+        if self._items:
+            self._blocks.append(np.array(self._items, dtype=self.dtype))
+            self._items = []
+
+    def array(self) -> np.ndarray:
+        self._seal()
+        if len(self._blocks) != 1:
+            self._blocks = [
+                np.concatenate(self._blocks)
+                if self._blocks
+                else np.zeros(0, dtype=self.dtype)
+            ]
+        return self._blocks[0]
+
+
 class MinCostFlowProblem:
     """Builder + solver for a supply/demand min-cost flow instance.
 
     Supplies are positive ``b`` values, demands negative.  Demands are
     treated as capacities: the instance is feasible when every unit of
     supply can reach demand, even if total demand exceeds total supply.
+
+    The instance is kept as columns only: one balance per node
+    (:attr:`supply`) and ``tails`` / ``heads`` (node numbers),
+    ``costs`` and ``capacities`` per arc.  Two front ends fill them:
+
+    * arrays -- :meth:`add_nodes` and :meth:`add_arcs` append blocks of
+      numbered nodes and arcs (the FBP model; its ``node_keys``
+      callback names the nodes for the views);
+    * keys -- :meth:`add_node` and :meth:`add_arc` number hashable node
+      keys in order of first appearance, one node or arc per call, for
+      hand-built instances.
+
+    :attr:`nodes` and :attr:`arcs` are read-only views that build each
+    key or :class:`Arc` when it is read; nothing is kept per arc.
     """
 
-    def __init__(self) -> None:
-        self._supply: Dict[Hashable, float] = {}
-        self.arcs: List[Arc] = []
+    def __init__(
+        self, node_keys: Optional[Callable[[np.ndarray], list]] = None
+    ) -> None:
+        #: ``node_keys(nodes)`` gives the keys of the numbered nodes
+        #: ``nodes`` (an index array), for the views
+        self._node_keys = node_keys
+        self._supply = _Column(np.float64)
+        self._tails = _Column(np.int32)
+        self._heads = _Column(np.int32)
+        self._costs = _Column(np.float64)
+        self._caps = _Column(np.float64)
+        #: the keyed front end's numbering: key -> node number, and back
+        self._index: Dict[Hashable, int] = {}
+        self._names: Dict[int, Hashable] = {}
 
     # ------------------------------------------------------------------
+    # the array front end
+    # ------------------------------------------------------------------
+    def add_nodes(self, supply) -> range:
+        """Append nodes with the given balances; returns their numbers."""
+        start = len(self._supply)
+        self._supply.extend(supply)
+        return range(start, len(self._supply))
+
+    def add_arcs(self, tails, heads, costs, capacities=None) -> range:
+        """Append arcs between node numbers; returns their ids.
+
+        ``capacities`` defaults to uncapacitated."""
+        costs = np.asarray(costs, dtype=np.float64)
+        if np.any(costs < 0):
+            raise ValueError("negative arc costs are not supported")
+        if capacities is None:
+            capacities = np.full(len(costs), INF)
+        elif np.any(np.asarray(capacities) < 0):
+            raise ValueError("negative capacity")
+        start = len(self._costs)
+        self._tails.extend(tails)
+        self._heads.extend(heads)
+        self._costs.extend(costs)
+        self._caps.extend(capacities)
+        return range(start, len(self._costs))
+
+    # ------------------------------------------------------------------
+    # the keyed front end
+    # ------------------------------------------------------------------
+    def _node(self, key: Hashable, supply: float = 0.0) -> int:
+        node = self._index.get(key)
+        if node is None:
+            node = self._index[key] = len(self._supply)
+            self._names[node] = key
+            self._supply.append(0.0 + supply)
+        return node
+
     def add_node(self, key: Hashable, supply: float = 0.0) -> None:
         """Declare a node; positive supply, negative demand, 0 transit."""
-        self._supply[key] = self._supply.get(key, 0.0) + supply
+        if key in self._index:
+            self.supply[self._index[key]] += supply
+        else:
+            self._node(key, supply)
 
     def add_arc(
         self,
@@ -167,87 +281,89 @@ class MinCostFlowProblem:
             raise ValueError("negative arc costs are not supported")
         if capacity < 0:
             raise ValueError("negative capacity")
-        for key in (tail, head):
-            if key not in self._supply:
-                self._supply[key] = 0.0
-        self.arcs.append(Arc(tail, head, cost, capacity))
-        return len(self.arcs) - 1
+        self._tails.append(self._node(tail))
+        self._heads.append(self._node(head))
+        self._costs.append(cost)
+        self._caps.append(capacity)
+        return len(self._costs) - 1
 
-    def add_arcs(
-        self,
-        tails: Sequence[Hashable],
-        heads: Sequence[Hashable],
-        costs,
-        capacities=None,
-    ) -> range:
-        """Bulk :meth:`add_arc`; returns the ``range`` of new arc ids.
-
-        Validation is vectorized; node registration and arc creation
-        keep the exact per-arc (tail, head) order of repeated
-        ``add_arc`` calls, so node numbering — and therefore solver
-        behavior — is identical to the scalar path.
-        """
-        costs = np.asarray(costs, dtype=np.float64)
-        if np.any(costs < 0):
-            raise ValueError("negative arc costs are not supported")
-        if capacities is None:
-            caps = [INF] * len(tails)
-        else:
-            cap_arr = np.asarray(capacities, dtype=np.float64)
-            if np.any(cap_arr < 0):
-                raise ValueError("negative capacity")
-            caps = cap_arr.tolist()
-        start = len(self.arcs)
-        supply = self._supply
-        append = self.arcs.append
-        for t, h, c, cp in zip(tails, heads, costs.tolist(), caps):
-            if t not in supply:
-                supply[t] = 0.0
-            if h not in supply:
-                supply[h] = 0.0
-            append(Arc(t, h, c, cp))
-        return range(start, len(self.arcs))
+    # ------------------------------------------------------------------
+    # the columns and their views
+    # ------------------------------------------------------------------
+    @property
+    def supply(self) -> np.ndarray:
+        """Balance per node, in node order."""
+        return self._supply.array()
 
     @property
-    def nodes(self) -> List[Hashable]:
-        return list(self._supply)
+    def tails(self) -> np.ndarray:
+        """Tail node number per arc, in arc order."""
+        return self._tails.array()
+
+    @property
+    def heads(self) -> np.ndarray:
+        """Head node number per arc, in arc order."""
+        return self._heads.array()
+
+    @property
+    def costs(self) -> np.ndarray:
+        return self._costs.array()
+
+    @property
+    def capacities(self) -> np.ndarray:
+        return self._caps.array()
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self._supply)
+
+    @property
+    def num_arcs(self) -> int:
+        return len(self._costs)
+
+    def keys_of(self, nodes: np.ndarray) -> list:
+        """The keys of the numbered ``nodes`` (a node that no key names
+        reads as its number)."""
+        if self._node_keys is not None:
+            return self._node_keys(nodes)
+        names = self._names
+        return [names.get(i, i) for i in nodes.tolist()]
+
+    @property
+    def nodes(self) -> Records:
+        """The node keys in node order."""
+        return Records(
+            lambda: self.num_nodes,
+            lambda a, b: iter(self.keys_of(np.arange(a, b))),
+        )
+
+    def _arc_rows(self, a: int, b: int):
+        tails = self.keys_of(self.tails[a:b])
+        heads = self.keys_of(self.heads[a:b])
+        costs = self.costs[a:b].tolist()
+        caps = self.capacities[a:b].tolist()
+        return map(Arc, tails, heads, costs, caps)
+
+    @property
+    def arcs(self) -> Records:
+        """The arcs as :class:`Arc` records between node keys."""
+        return Records(lambda: self.num_arcs, self._arc_rows)
 
     def supply_of(self, key: Hashable) -> float:
-        return self._supply.get(key, 0.0)
+        node = self._index.get(key)
+        if node is None and self._node_keys is not None:
+            node = next(
+                (i for i, k in enumerate(self.nodes) if k == key), None
+            )
+        return 0.0 if node is None else float(self.supply[node])
 
     def total_supply(self) -> float:
-        return sum(s for s in self._supply.values() if s > 0)
+        supply = self.supply
+        return sum(supply[supply > 0].tolist())
 
     def total_demand(self) -> float:
-        return -sum(s for s in self._supply.values() if s < 0)
-
-    def as_arrays(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The instance as ``(supply, tails, heads, costs, caps)``.
-
-        Nodes are numbered in declaration order (``supply[i]`` is the
-        balance of the i-th node of :attr:`nodes`); the arc arrays are
-        in :meth:`add_arc` order, with endpoints as node numbers.
-        """
-        index = {k: i for i, k in enumerate(self._supply)}
-        m = len(self.arcs)
-        tails = np.fromiter(
-            (index[a.tail] for a in self.arcs), dtype=np.int64, count=m
-        )
-        heads = np.fromiter(
-            (index[a.head] for a in self.arcs), dtype=np.int64, count=m
-        )
-        costs = np.fromiter(
-            (a.cost for a in self.arcs), dtype=np.float64, count=m
-        )
-        caps = np.fromiter(
-            (a.capacity for a in self.arcs), dtype=np.float64, count=m
-        )
-        supply = np.fromiter(
-            self._supply.values(), dtype=np.float64, count=len(index)
-        )
-        return supply, tails, heads, costs, caps
+        supply = self.supply
+        return -sum(supply[supply < 0].tolist())
 
     # ------------------------------------------------------------------
     def solve(
@@ -264,36 +380,29 @@ class MinCostFlowProblem:
         if budget is None:
             budget = get_default_budget()
         inject(f"solver.{method}")
+        costs = self.costs
         eps = perturbation("solver.costs")
-        saved_arcs = None
         if eps:
             # deterministic numeric perturbation of arc costs (fault
             # harness): alternate -eps/0/+eps by arc index
-            saved_arcs = self.arcs
-            self.arcs = [
-                Arc(a.tail, a.head, max(a.cost + eps * ((i % 3) - 1), 0.0),
-                    a.capacity)
-                for i, a in enumerate(saved_arcs)
-            ]
+            shift = eps * (np.arange(len(costs)) % 3 - 1)
+            costs = np.maximum(costs + shift, 0.0)
         try:
             if method == "lp":
-                result = self._solve_lp(budget)
+                result = self._solve_lp(costs, budget)
             else:
-                result = self._solve_heur()
+                result = self._solve_heur(costs)
         except ReproError as exc:
             incr("mcf.solve_errors")
             incr(f"mcf.solve_errors.{method}")
             if not exc.stage:
                 exc.stage = f"solver.{method}"
             raise
-        finally:
-            if saved_arcs is not None:
-                self.arcs = saved_arcs
 
         stats = result.stats
         stats.method = method
-        stats.nodes = len(self._supply)
-        stats.arcs = len(self.arcs)
+        stats.nodes = self.num_nodes
+        stats.arcs = self.num_arcs
         stats.objective = result.cost if result.feasible else INF
         stats.routed = result.routed
         incr("mcf.solves")
@@ -315,13 +424,16 @@ class MinCostFlowProblem:
         balance is itself far above the absolute 1e-9, which would
         otherwise manufacture spurious micro-sources.
         """
-        return scale_eps(magnitude(self._supply.values()))
+        size = np.abs(self.supply)
+        return scale_eps(float(size[np.isfinite(size)].max(initial=0.0)))
 
     # ------------------------------------------------------------------
     # the node–arc LP on HiGHS
     # ------------------------------------------------------------------
-    def _solve_lp(self, budget: Optional[SolverBudget] = None) -> FlowResult:
-        supply, tails, heads, costs, caps = self.as_arrays()
+    def _solve_lp(
+        self, costs: np.ndarray, budget: Optional[SolverBudget] = None
+    ) -> FlowResult:
+        supply, tails, heads = self.supply, self.tails, self.heads
         eps_supply = self._supply_eps()
         source = supply > eps_supply
         # one row per node: a source ships exactly b, a demand node
@@ -338,7 +450,7 @@ class MinCostFlowProblem:
         if len(cols):
             lp = run_highs(
                 costs[cols],
-                caps[cols],
+                self.capacities[cols],
                 row_lower,
                 row_upper,
                 # (arrays, not lists: at a 50k-cell level the index list
@@ -357,14 +469,12 @@ class MinCostFlowProblem:
         else:
             feasible = not source.any()
         if not feasible:
-            return FlowResult(
-                False, INF, np.zeros(m), list(self.arcs), 0.0, stats
-            )
+            return FlowResult(False, INF, np.zeros(m), self.arcs, 0.0, stats)
         return FlowResult(
             True,
             float(np.dot(flows, costs)),
             flows,
-            list(self.arcs),
+            self.arcs,
             float(supply[source].sum()),
             stats,
         )
@@ -372,7 +482,7 @@ class MinCostFlowProblem:
     # ------------------------------------------------------------------
     # transportation heuristic: feasibility-only fallback
     # ------------------------------------------------------------------
-    def _solve_heur(self) -> FlowResult:
+    def _solve_heur(self, costs: np.ndarray) -> FlowResult:
         """Route a *feasible* (not optimal) flow with Dinic max-flow.
 
         Cost-oblivious: the objective is whatever the max-flow routing
@@ -385,17 +495,21 @@ class MinCostFlowProblem:
 
         dinic = Dinic()
         arc_ids = [
-            dinic.add_edge(arc.tail, arc.head, arc.capacity)
-            for arc in self.arcs
+            dinic.add_edge(t, h, u)
+            for t, h, u in zip(
+                self.tails.tolist(),
+                self.heads.tolist(),
+                self.capacities.tolist(),
+            )
         ]
         eps_supply = self._supply_eps()
         total_supply = 0.0
-        for key, b in self._supply.items():
+        for node, b in enumerate(self.supply.tolist()):
             if b > eps_supply:
-                dinic.add_edge(("__source__",), key, b)
+                dinic.add_edge(("__source__",), node, b)
                 total_supply += b
             elif b < -eps_supply:
-                dinic.add_edge(key, ("__sink__",), -b)
+                dinic.add_edge(node, ("__sink__",), -b)
         routed = (
             dinic.max_flow(("__source__",), ("__sink__",))
             if total_supply > 0
@@ -408,9 +522,7 @@ class MinCostFlowProblem:
             raise SolverNumericsError(
                 "heuristic produced non-finite flow", solver="heur"
             )
-        total_cost = float(
-            sum(f * a.cost for f, a in zip(flows, self.arcs))
-        )
+        total_cost = float(sum(f * c for f, c in zip(flows, costs.tolist())))
         feasible = routed >= total_supply - scale_eps(
             total_supply, base=FEASIBILITY_EPS
         )
@@ -418,7 +530,7 @@ class MinCostFlowProblem:
             feasible,
             total_cost if feasible else INF,
             flows,
-            list(self.arcs),
+            self.arcs,
             routed,
             SolveStats(augmenting_paths=dinic.stats.augmenting_paths),
         )

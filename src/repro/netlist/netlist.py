@@ -31,12 +31,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry import Rect, RectSet
 from repro.netlist.elements import DEFAULT_BOUND, FIXED_PIN, Cell, Net, Pin
+from repro.records import Records
 
 
 @dataclass
@@ -73,29 +74,6 @@ _EMPTY_TABLE = _frozen(
     np.zeros(0),
     np.zeros(0),
 )
-
-
-class _Records(Sequence):
-    """A read-only sequence of records, each built from a netlist's
-    columns when it is asked for (``rows(a, b)`` yields those of rows
-    ``a:b``): no record is kept, so changing one changes nothing."""
-
-    __slots__ = ("_size", "_rows")
-
-    def __init__(self, size: Callable[[], int], rows: Callable) -> None:
-        self._size, self._rows = size, rows
-
-    def __len__(self) -> int:
-        return self._size()
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        k = range(len(self))[i]
-        return next(self._rows(k, k + 1))
-
-    def __iter__(self):
-        return self._rows(0, len(self))
 
 
 class _CsrLists(Sequence):
@@ -393,12 +371,6 @@ class Netlist:
             self._net_by_name = dict(zip(names, range(len(names))))
         return self._net_by_name[name]
 
-    def finalize(self) -> None:
-        """Make the coordinate arrays contiguous float64 storage (what
-        add_cells, set_positions and restore already leave)."""
-        self.x = np.ascontiguousarray(self.x, dtype=np.float64)
-        self.y = np.ascontiguousarray(self.y, dtype=np.float64)
-
     # ------------------------------------------------------------------
     # placement state
     # ------------------------------------------------------------------
@@ -413,7 +385,7 @@ class Netlist:
     @property
     def cells(self) -> Sequence:
         """The cells as :class:`Cell` records, built on demand."""
-        return _Records(lambda: self.num_cells, self._cell_records)
+        return Records(lambda: self.num_cells, self._cell_records)
 
     def _cell_records(self, a: int, b: int):
         table = list(self._bound_code)
@@ -422,6 +394,12 @@ class Netlist:
             zip(self._cell_names[a:b], *columns), a
         ):
             yield Cell(name, w, h, f, table[code], i)
+
+    def movebound_of(self, index: int) -> Optional[str]:
+        """Cell ``index``'s movebound as it was set (``None`` for none),
+        read from the bound code column: what ``set_cells(movebound=)``
+        takes back."""
+        return list(self._bound_code)[self._cell_table[3][index]]
 
     @property
     def cell_names(self) -> List[str]:
@@ -470,7 +448,7 @@ class Netlist:
     @property
     def nets(self) -> Sequence:
         """The nets as :class:`Net` records, built on demand."""
-        return _Records(lambda: self.num_nets, self._net_records)
+        return Records(lambda: self.num_nets, self._net_records)
 
     def _net_records(self, a: int, b: int):
         ptr, cell, dx, dy, weight = self.pin_table()

@@ -40,6 +40,8 @@ import contextlib
 import os
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
+import numpy as np
+
 from repro.netlist import DEFAULT_BOUND
 from repro.obs.tracer import incr
 
@@ -156,47 +158,59 @@ def check_flow_conservation(problem, result, tol: float = 1e-6) -> None:
     semantics: on an infeasible result there is no flow to conserve, so
     only arc-bound sanity is checked.
     """
-    net: Dict = {}
-    for arc, f in zip(problem.arcs, result.flows):
-        f = float(f)
+    flows = np.asarray(result.flows, dtype=np.float64)
+    bad = (flows < -tol) | (flows > problem.capacities + tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        arc, f = problem.arcs[i], float(flows[i])
         if f < -tol:
             _fail(
                 "flow.conservation",
                 f"arc {arc.tail!r}->{arc.head!r} carries negative flow {f}",
             )
-        if f > arc.capacity + tol:
-            _fail(
-                "flow.conservation",
-                f"arc {arc.tail!r}->{arc.head!r} flow {f} exceeds "
-                f"capacity {arc.capacity}",
-            )
-        net[arc.tail] = net.get(arc.tail, 0.0) + f
-        net[arc.head] = net.get(arc.head, 0.0) - f
+        _fail(
+            "flow.conservation",
+            f"arc {arc.tail!r}->{arc.head!r} flow {f} exceeds "
+            f"capacity {arc.capacity}",
+        )
     if not result.feasible:
         return
     scale = max(problem.total_supply(), 1.0)
-    for node in problem.nodes:
-        b = problem.supply_of(node)
-        outflow = net.get(node, 0.0)  # out minus in
-        if b > 0:
-            if abs(outflow - b) > tol * scale:
-                _fail(
-                    "flow.conservation",
-                    f"supply node {node!r}: ships {outflow}, supply {b}",
-                )
-        elif b < 0:
-            absorbed = -outflow
-            if absorbed < -tol * scale or absorbed > -b + tol * scale:
-                _fail(
-                    "flow.conservation",
-                    f"demand node {node!r}: absorbs {absorbed}, "
-                    f"capacity {-b}",
-                )
-        elif abs(outflow) > tol * scale:
-            _fail(
-                "flow.conservation",
-                f"transit node {node!r}: imbalance {outflow}",
-            )
+    n = problem.num_nodes
+    supply = problem.supply
+    # out minus in, per node
+    outflow = np.bincount(problem.tails, flows, n) - np.bincount(
+        problem.heads, flows, n
+    )
+    slack = tol * scale
+    bad = np.where(
+        supply > 0,
+        np.abs(outflow - supply) > slack,
+        np.where(
+            supply < 0,
+            (-outflow < -slack) | (-outflow > -supply + slack),
+            np.abs(outflow) > slack,
+        ),
+    )
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    node = problem.keys_of(np.array([i]))[0]
+    b, out = float(supply[i]), float(outflow[i])
+    if b > 0:
+        _fail(
+            "flow.conservation",
+            f"supply node {node!r}: ships {out}, supply {b}",
+        )
+    if b < 0:
+        _fail(
+            "flow.conservation",
+            f"demand node {node!r}: absorbs {-out}, capacity {-b}",
+        )
+    _fail(
+        "flow.conservation",
+        f"transit node {node!r}: imbalance {out}",
+    )
 
 
 @register("fbp.region_capacity")
@@ -210,8 +224,9 @@ def check_region_capacity(model, result, tol: float = 1e-6) -> None:
     if not result.feasible:
         return
     inflow = model.region_inflow(result)
+    capacity = model.region_capacity
     for key, absorbed in inflow.items():
-        cap = model.region_capacity.get(key, 0.0)
+        cap = capacity.get(key, 0.0)
         if absorbed > cap + tol * max(cap, 1.0):
             _fail(
                 "fbp.region_capacity",

@@ -21,7 +21,6 @@ def small_netlist(die100) -> Netlist:
     nl = Netlist(die100, row_height=1.0, site_width=0.5, name="small")
     for i in range(10):
         nl.add_cell(f"c{i}", 2.0, 1.0, x=50.0, y=50.0)
-    nl.finalize()
     nl.add_net("in", [Pin.terminal(0, 0), Pin(0)])
     for i in range(9):
         nl.add_net(f"n{i}", [Pin(i), Pin(i + 1)])
@@ -59,7 +58,6 @@ def build_random_netlist(
             y=float(rng.uniform(die.y_lo + 2, die.y_hi - 2)),
             movebound=mb,
         )
-    nl.finalize()
     for j in range(num_nets):
         k = int(rng.integers(2, 5))
         members = rng.choice(num_cells, size=k, replace=False)

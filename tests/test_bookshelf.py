@@ -19,7 +19,6 @@ def _build():
     nl.add_cell("a", 2, 2, x=5, y=5, movebound="m")
     nl.add_cell("b", 3, 2, x=30, y=30)
     nl.add_cell("pad_cell", 1, 1, x=0.5, y=0.5, fixed=True)
-    nl.finalize()
     nl.add_net("n1", [Pin(0, 0.5, 0.0), Pin(1)], weight=2.0)
     nl.add_net("n2", [Pin(1), Pin.terminal(50, 40)])
     mbs = MoveBoundSet(die)

@@ -41,7 +41,6 @@ class TestLoaderErrors:
         d = str(tmp_path)
         nl = Netlist(Rect(0, 0, 10, 10), name="m")
         nl.add_cell("a", 1, 1, x=5, y=5)
-        nl.finalize()
         from repro.movebounds import MoveBoundSet
 
         mbs = MoveBoundSet(nl.die)

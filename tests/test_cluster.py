@@ -46,7 +46,6 @@ class TestClustering:
         nl.add_cell("f", 2, 2, fixed=True)
         for i in range(8):
             nl.add_cell(f"c{i}", 1, 1, x=10 + i, y=10)
-        nl.finalize()
         for i in range(8):
             nl.add_net(f"n{i}", [Pin(0), Pin(1 + i)])
         clustering = bestchoice_cluster(nl, cluster_ratio=4.0)
@@ -59,7 +58,6 @@ class TestClustering:
         for i in range(6):
             mb = "a" if i < 3 else "b"
             nl.add_cell(f"c{i}", 1, 1, x=10 + i, y=10, movebound=mb)
-        nl.finalize()
         # heavy connectivity across the movebound boundary
         for i in range(3):
             nl.add_net(f"x{i}", [Pin(i), Pin(i + 3)])
@@ -73,7 +71,6 @@ class TestClustering:
         nl = Netlist(DIE)
         for i in range(4):
             nl.add_cell(f"c{i}", 1, 1, x=10 + i, y=10)
-        nl.finalize()
         for _ in range(5):  # strong 0-1 connection
             nl.add_net(f"s{_}", [Pin(0), Pin(1)])
         nl.add_net("w", [Pin(2), Pin(3)])
@@ -84,7 +81,6 @@ class TestClustering:
         nl = Netlist(DIE)
         for i in range(4):
             nl.add_cell(f"c{i}", 1, 1, x=10 + i, y=10)
-        nl.finalize()
         nl.add_net("ab", [Pin(0), Pin(1)])
         nl.add_net("ab2", [Pin(0), Pin(1)])
         nl.add_net("abc", [Pin(0), Pin(1), Pin(2)])

@@ -26,7 +26,6 @@ def _crowded_netlist():
         nl.add_cell(f"s{i}", 1.0, 1.0,
                     x=float(rng.uniform(20, 39)),
                     y=float(rng.uniform(20, 39)))
-    nl.finalize()
     for j in range(200):  # dense wiring in the corner
         a, b = rng.choice(60, 2, replace=False)
         nl.add_net(f"n{j}", [Pin(int(a)), Pin(int(b))])
@@ -53,7 +52,6 @@ class TestCongestionMap:
     def test_no_nets_no_congestion(self):
         nl = Netlist(DIE)
         nl.add_cell("a", 1, 1, x=5, y=5)
-        nl.finalize()
         cmap = congestion_map(nl, bins=4)
         assert np.all(cmap == 0)
 

@@ -129,7 +129,6 @@ def test_hand_built_edges_and_outside_rectangles():
     for k, (x, y, w, h) in enumerate(cells):
         nl.add_cell(f"c{k}", w, h, x=x, y=y)
     nl.add_cell("f", 2.0, 2.0, x=9.0, y=1.0, fixed=True)
-    nl.finalize()
     nl.blockages = nl.blockages.union(
         RectSet([Rect(0.0, 8.0, 3.0, 10.0), Rect(6.0, 0.0, 8.0, 2.5)])
     )

@@ -24,7 +24,6 @@ class TestBasics:
         nl = Netlist(DIE, row_height=1.0, site_width=0.5)
         a = nl.add_cell("a", 2, 1, x=2, y=0.5)      # far from partner
         b = nl.add_cell("b", 2, 1, x=38, y=9.5, fixed=True)
-        nl.finalize()
         nl.add_net("n", [Pin(a.index), Pin(b.index)])
         before = nl.hpwl()
         report = detailed_place(nl)
@@ -60,7 +59,6 @@ class TestBasics:
 
     def test_empty_design(self):
         nl = Netlist(DIE)
-        nl.finalize()
         report = detailed_place(nl)
         assert report.moves == 0 and report.swaps == 0
 

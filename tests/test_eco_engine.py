@@ -23,6 +23,7 @@ from repro.eco import (
 )
 from repro.geometry import Rect
 from repro.movebounds import MoveBoundSet
+from repro.netlist import Cell
 from repro.obs import get_tracer
 from repro.place import BonnPlaceFBP
 from repro.place.bonnplace import _project_into_bounds
@@ -332,6 +333,36 @@ class TestDegradation:
         )
         with pytest.raises(PipelineStageError, match="fallback"):
             engine.apply(_good_delta(nl))
+        assert _state_fingerprint(nl, engine.bounds) == before
+
+    def test_movebound_rollback_builds_no_cell_record(
+        self, placed, monkeypatch
+    ):
+        """A rejected movebound delta reads and restores the raw
+        movebounds through the netlist's code column: its rollback
+        builds no Cell record, and every position and movebound comes
+        back bit for bit."""
+        nl, bounds = placed
+        before = _state_fingerprint(nl, bounds)
+        x, y = nl.x.copy(), nl.y.copy()
+        delta = _good_delta(nl)
+        install_fault_plan("eco.apply=stage")
+        engine = EcoEngine(
+            nl, bounds, options=EcoOptions(allow_fallback=False)
+        )
+        made = []
+        real = Cell.__init__
+
+        def counted(self, *args, **kw):
+            made.append(1)
+            real(self, *args, **kw)
+
+        monkeypatch.setattr(Cell, "__init__", counted)
+        with pytest.raises(PipelineStageError):
+            engine.apply(delta)
+        monkeypatch.setattr(Cell, "__init__", real)
+        assert made == []
+        assert nl.x.tobytes() == x.tobytes() and nl.y.tobytes() == y.tobytes()
         assert _state_fingerprint(nl, engine.bounds) == before
 
     def test_net_weight_rollback_restores_weights_and_positions(

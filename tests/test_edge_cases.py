@@ -24,7 +24,6 @@ DIE = Rect(0, 0, 50, 50)
 class TestDegenerateNetlists:
     def test_empty_netlist_places(self):
         nl = Netlist(DIE)
-        nl.finalize()
         res = BonnPlaceFBP().place(nl, MoveBoundSet(DIE))
         assert res.hpwl == 0.0
         assert res.legality.is_legal
@@ -32,7 +31,6 @@ class TestDegenerateNetlists:
     def test_single_cell(self):
         nl = Netlist(DIE)
         nl.add_cell("only", 2, 1, x=25, y=25)
-        nl.finalize()
         res = BonnPlaceFBP().place(nl, MoveBoundSet(DIE))
         assert res.legality.is_legal
 
@@ -40,7 +38,6 @@ class TestDegenerateNetlists:
         nl = Netlist(DIE)
         for i in range(5):
             nl.add_cell(f"f{i}", 2, 1, x=5 + 4 * i, y=10.5, fixed=True)
-        nl.finalize()
         nl.add_net("n", [Pin(0), Pin(4)])
         before = nl.hpwl()
         res = BonnPlaceFBP().place(nl, MoveBoundSet(DIE))
@@ -50,7 +47,6 @@ class TestDegenerateNetlists:
         nl = Netlist(DIE)
         for i in range(20):
             nl.add_cell(f"c{i}", 2, 1, x=25, y=25)
-        nl.finalize()
         res = BonnPlaceFBP().place(nl, MoveBoundSet(DIE))
         assert res.legality.is_legal
 
@@ -60,7 +56,6 @@ class TestDegenerateNetlists:
         nl = Netlist(DIE)
         nl.add_cell("a", 1, 1, x=10, y=10)
         nl.add_cell("b", 1, 1, x=40, y=40)
-        nl.finalize()
         x, y = solve_qp(nl)
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
 
@@ -68,7 +63,6 @@ class TestDegenerateNetlists:
         """A net whose pins all sit on one cell is harmless."""
         nl = Netlist(DIE)
         nl.add_cell("a", 1, 1, x=10, y=10)
-        nl.finalize()
         nl.add_net("loop", [Pin(0, -0.2, 0), Pin(0, 0.2, 0)])
         solve_qp(nl)
         assert nl.hpwl() == pytest.approx(0.4)
@@ -79,7 +73,6 @@ class TestInfeasibilityInjection:
         nl = Netlist(Rect(0, 0, 10, 10))
         for i in range(120):
             nl.add_cell(f"c{i}", 2, 1, x=5, y=5)
-        nl.finalize()
         with pytest.raises(PlacementError):
             BonnPlaceFBP().place(nl, MoveBoundSet(nl.die))
 
@@ -89,7 +82,6 @@ class TestInfeasibilityInjection:
         bounds.add_rects("m", [Rect(0, 0, 4, 4)])
         for i in range(30):
             nl.add_cell(f"c{i}", 2, 1, x=25, y=25, movebound="m")
-        nl.finalize()
         report = check_feasibility(nl, bounds)
         assert not report.feasible
         assert report.witness == frozenset({"m"})
@@ -99,7 +91,6 @@ class TestInfeasibilityInjection:
         nl.add_blockage(Rect(0, 0, 50, 48))  # almost everything blocked
         for i in range(60):
             nl.add_cell(f"c{i}", 2, 1, x=25, y=49)
-        nl.finalize()
         report = check_feasibility(nl, MoveBoundSet(DIE))
         assert not report.feasible
 
@@ -111,7 +102,6 @@ class TestInfeasibilityInjection:
         bounds.add_rects("m", [Rect(0, 0, 4, 4)])
         for i in range(30):
             nl.add_cell(f"c{i}", 2, 1, x=25, y=25, movebound="m")
-        nl.finalize()
         dec = decompose_regions(DIE, bounds)
         grid = Grid(DIE, 2, 2)
         grid.build_regions(dec)
@@ -130,7 +120,6 @@ class TestBoundaryGeometry:
             nl.add_cell(f"c{i}", 2, 1, x=25, y=25, movebound="edge")
         for i in range(30):
             nl.add_cell(f"d{i}", 2, 1, x=25, y=25)
-        nl.finalize()
         for i in range(19):
             nl.add_net(f"n{i}", [Pin(i), Pin(i + 1)])
         res = BonnPlaceFBP().place(nl, bounds)
@@ -144,7 +133,6 @@ class TestBoundaryGeometry:
         bounds = MoveBoundSet(DIE)
         bounds.add_rects("tiny", [Rect(0, 0, 3, 10)])
         nl.add_cell("wide", 8, 1, x=25, y=25, movebound="tiny")
-        nl.finalize()
         with pytest.raises(Exception):
             BonnPlaceFBP().place(nl, bounds)
 
@@ -153,7 +141,6 @@ class TestBoundaryGeometry:
         bounds = MoveBoundSet(DIE)
         bounds.add_rects("x", [DIE], EXCLUSIVE)
         nl.add_cell("c", 2, 1, x=25, y=25)  # default cell: nowhere to go
-        nl.finalize()
         report = check_feasibility(nl, bounds)
         assert not report.feasible
 
@@ -167,7 +154,6 @@ class TestBoundaryGeometry:
         )
         for i in range(60):
             nl.add_cell(f"c{i}", 2, 1, x=25, y=25, movebound="split")
-        nl.finalize()
         res = BonnPlaceFBP().place(nl, bounds)
         assert res.legality.is_legal
         in_a = in_b = 0
@@ -184,7 +170,6 @@ class TestLegalizeEdgeCases:
         nl = Netlist(Rect(0, 0, 40, 1), row_height=1.0, site_width=0.5)
         for i in range(10):
             nl.add_cell(f"c{i}", 2, 1, x=20, y=0.5)
-        nl.finalize()
         legalize_with_movebounds(nl)
         assert check_legality(nl).is_legal
 
@@ -201,7 +186,6 @@ class TestLegalizeEdgeCases:
                         y=float(rng.uniform(0.5, 9.5)))
             total += w
             i += 1
-        nl.finalize()
         legalize_with_movebounds(nl)
         rep = check_legality(nl)
         assert rep.overlaps == 0 and rep.out_of_die == 0

@@ -27,7 +27,6 @@ def _instance(seed=0, num_cells=200, bound_rect=None):
     for i in range(num_cells):
         mb = "m" if bound_rect is not None and i < num_cells // 4 else None
         nl.add_cell(f"c{i}", 2.0, 1.0, movebound=mb)
-    nl.finalize()
     for j in range(num_cells // 2):
         a, b = rng.choice(num_cells, 2, replace=False)
         nl.add_net(f"n{j}", [Pin(int(a)), Pin(int(b))])

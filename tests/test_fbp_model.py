@@ -95,7 +95,6 @@ class TestStructure:
             nl.add_cell(f"m{i}", 1, 1, x=10, y=10, movebound="m")
         for i in range(10):
             nl.add_cell(f"d{i}", 1, 1, x=80, y=80)
-        nl.finalize()
         dec = decompose_regions(DIE, mbs)
         grid = Grid(DIE, 4, 4)
         grid.build_regions(dec)
@@ -121,7 +120,6 @@ class TestTheorem3:
         nl = Netlist(DIE)
         for i in range(60):
             nl.add_cell(f"c{i}", 2, 1, x=50, y=50, movebound="m")
-        nl.finalize()
         dec = decompose_regions(DIE, mbs)
         grid = Grid(DIE, 4, 4)
         grid.build_regions(dec)
@@ -141,7 +139,6 @@ class TestTheorem3:
             n_mb = int(rng.integers(10, 200))
             for i in range(n_mb):
                 nl.add_cell(f"c{i}", 2, 1, x=50, y=50, movebound="m")
-            nl.finalize()
             dec = decompose_regions(DIE, mbs)
             grid = Grid(DIE, 4, 4)
             grid.build_regions(dec)
@@ -185,7 +182,6 @@ class TestFixedCellUsage:
     def test_macro_consumes_capacity(self):
         nl = Netlist(DIE)
         nl.add_cell("macro", 20, 20, x=12.5, y=12.5, fixed=True)
-        nl.finalize()
         grid = Grid(DIE, 4, 4)
         dec = decompose_regions(DIE, MoveBoundSet(DIE))
         grid.build_regions(dec)
@@ -194,3 +190,44 @@ class TestFixedCellUsage:
         # the macro spans window (0,0) entirely? 20x20 at (2.5..22.5)
         w00 = grid.window(0, 0)
         assert usage[(w00.index, 0)] > 0
+
+
+class TestMemory:
+    """The model is arrays: what a build keeps alive is a few dozen
+    bytes per arc, and a finished place keeps no per-cell dict."""
+
+    def test_finest_build_retains_at_most_100_bytes_per_arc(
+        self, monkeypatch
+    ):
+        import tracemalloc
+
+        import repro.fbp.partitioner as partitioner
+        from repro.place import BonnPlaceFBP, BonnPlaceOptions
+        from repro.workloads import NetlistSpec, generate_netlist
+
+        # the size of the pipeline benchmark's flat3k instances
+        nl, _logical = generate_netlist(
+            NetlistSpec("mem3k", 3000, utilization=0.5), seed=11
+        )
+        real = partitioner.build_fbp_model
+        builds = []
+
+        def traced(*args, **kw):
+            tracemalloc.start()
+            try:
+                model = real(*args, **kw)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            builds.append((kept, model.stats.num_arcs))
+            return model
+
+        monkeypatch.setattr(partitioner, "build_fbp_model", traced)
+        placer = BonnPlaceFBP(BonnPlaceOptions(legalize=False))
+        placer.place(nl, MoveBoundSet(nl.die))
+        kept, arcs = builds[-1]  # the finest level
+        assert arcs > 5000
+        assert kept <= 100 * arcs, f"{kept / arcs:.0f} B per arc"
+        for report in placer.level_reports:
+            held = vars(report.realization).values()
+            assert not any(isinstance(v, dict) for v in held)

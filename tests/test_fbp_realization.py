@@ -169,7 +169,6 @@ class TestFanInRounding:
                         x=wx * 10 + 1.5 + (k % 4) * 2.4,
                         y=wy * 10 + 0.5 + k // 4,
                     )
-        nl.finalize()
         bounds = MoveBoundSet(die)
         grid = Grid(die, 3, 3)
         grid.build_regions(decompose_regions(die, bounds, nl.blockages))

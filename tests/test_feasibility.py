@@ -24,7 +24,6 @@ def _netlist_with(counts):
         for _ in range(num):
             nl.add_cell(f"c{i}", size, 1.0, movebound=mb)
             i += 1
-    nl.finalize()
     return nl
 
 
@@ -81,7 +80,6 @@ class TestFeasible:
         nl = Netlist(DIE)
         for i in range(200):
             nl.add_cell(f"f{i}", 2, 1, fixed=True, movebound="m")
-        nl.finalize()
         assert check_feasibility(nl, mbs).feasible
 
 

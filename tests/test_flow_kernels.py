@@ -45,7 +45,7 @@ def grid_ns_instance(seed):
 
 def keyed(supply, tails, heads, costs, caps):
     """The array instance as a :class:`MinCostFlowProblem` whose
-    ``as_arrays()`` gives back the very same arrays."""
+    columns are the very same arrays."""
     problem = MinCostFlowProblem()
     for i, b in enumerate(supply.tolist()):
         problem.add_node(i, b)

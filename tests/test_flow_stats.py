@@ -132,7 +132,6 @@ class TestFBPInstanceGolden:
             nl.add_cell(
                 f"f{i}", 2.0, 1.0, x=60.0 + 5 * i, y=40.0 + 10 * i
             )
-        nl.finalize()
         dec = decompose_regions(DIE, bounds, nl.blockages)
         grid = Grid(DIE, 2, 2)
         grid.build_regions(dec)

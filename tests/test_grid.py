@@ -135,7 +135,6 @@ def _clip_instance(seed):
             y=rng.uniform(die.y_lo + h / 2, die.y_hi - h / 2),
             fixed=True,
         )
-    nl.finalize()
     return nl, decompose_regions(die, bounds, nl.blockages)
 
 
@@ -302,7 +301,6 @@ class TestCells:
         nl = Netlist(DIE)
         nl.add_cell("a", 1, 1, x=10, y=10)
         nl.add_cell("b", 1, 1, x=90, y=90)
-        nl.finalize()
         assign = grid4.assign_cells(nl)
         assert assign[0] == grid4.window(0, 0).index
         assert assign[1] == grid4.window(3, 3).index

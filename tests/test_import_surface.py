@@ -198,7 +198,6 @@ lp = highs.run_highs(one, one, one, 2 * one, [0, 1], [0], one, False, None, "lp"
 assert lp.feasible and lp.x.tolist() == [1.0]
 nl = Netlist(Rect(0, 0, 10, 10))
 nl.add_cell("a", 1, 1, x=5, y=5)
-nl.finalize()
 nl.add_net("n", [Pin(0), Pin.terminal(2, 8)])
 for limit in (4000, 0):
     solver.DIRECT_SOLVE_LIMIT = limit

@@ -15,7 +15,6 @@ def _netlist(positions, widths=None):
     widths = widths or [2.0] * len(positions)
     for i, ((x, y), w) in enumerate(zip(positions, widths)):
         nl.add_cell(f"c{i}", w, 1.0, x=x, y=y)
-    nl.finalize()
     return nl
 
 
@@ -69,7 +68,6 @@ class TestCapacityAndErrors:
     def test_macro_rejected(self):
         nl = Netlist(DIE, row_height=1.0)
         nl.add_cell("macro", 5, 3, x=10, y=5)
-        nl.finalize()
         segs = build_segments(nl)
         with pytest.raises(ValueError):
             abacus_legalize(nl, [0], segs)
@@ -126,7 +124,6 @@ def _grid_netlist(seed, n, die, blockages=0, pile=0.0, widths=(1.0, 1.5, 2.0)):
         x=np.round(x * 64) / 64,
         y=np.round(y * 64) / 64,
     )
-    nl.finalize()
     pitch = die.width / (blockages + 1)
     for k in range(1, blockages + 1):
         x0 = die.x_lo + round(pitch * k * 4) / 4

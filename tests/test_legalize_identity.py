@@ -231,7 +231,6 @@ def fragmented_abacus():
         x=rng.uniform(1.0, 9.0, n),
         y=rng.uniform(0.5, 4.0, n),
     )
-    nl.finalize()
     for k in range(1, 10):
         nl.add_blockage(Rect(6.0 * k, 0.0, 6.0 * k + 0.5, 12.0))
     return nl
@@ -258,7 +257,6 @@ def tight_abacus(fill: float = 0.93, seed: int = 1):
         x=rng.uniform(1.0, die.x_hi - 1.0, n),
         y=rng.uniform(0.5, rows - 0.5, n),
     )
-    nl.finalize()
     for k in range(1, cols):
         nl.add_blockage(Rect(6.0 * k, 0.0, 6.0 * k + 0.5, float(rows)))
     return nl
@@ -503,7 +501,6 @@ def test_median_target_counts_duplicate_pins():
     m = nl.add_cell("m", 2, 1, x=20, y=2.5)
     left = [nl.add_cell(f"l{i}", 2, 1, x=10, y=0.5, fixed=True) for i in range(2)]
     right = [nl.add_cell(f"r{i}", 2, 1, x=30, y=0.5, fixed=True) for i in range(3)]
-    nl.finalize()
     nl.add_net(
         "dup",
         [Pin(m.index, -0.5, 0.0), Pin(m.index, 0.5, 0.0)]

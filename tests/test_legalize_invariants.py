@@ -174,7 +174,6 @@ def test_row_arrays_grow_when_a_segment_fills_up(rows_made):
     nl = Netlist(Rect(0, 0, 40, 9), row_height=1.0, site_width=0.5)
     for r in range(9):
         nl.add_cell(f"c{r}", 2, 1, x=3.0 + 4 * (r % 2), y=r + 0.5)
-    nl.finalize()
     for r in range(9):
         nl.add_net(f"n{r}", [Pin(r), Pin.terminal(30.0, 4.5)])
     slots = _Rows(nl, build_segments(nl)).cells.shape[1]
@@ -282,7 +281,6 @@ def test_abacus_assignment_never_holds_the_bound_matrix(monkeypatch):
         x=rng.uniform(1, 99, n),
         y=rng.uniform(0.5, 39.5, n),
     )
-    nl.finalize()
     for k in range(1, 5):
         nl.add_blockage(Rect(20.0 * k, 0.0, 20.0 * k + 0.5, 40.0))
     segs = build_segments(nl)
@@ -358,7 +356,6 @@ def test_overlap_sweep_is_the_same_in_any_block_size(block, monkeypatch):
             y=float(rng.integers(1, 12)) - 0.5,
             fixed=i % 7 == 0,
         )
-    nl.finalize()
     monkeypatch.setattr(checks, "_SWEEP_BLOCK", block)
     for max_pairs in (0, 5, 50, 10**6):
         want = unchunked_overlaps(nl, max_pairs)

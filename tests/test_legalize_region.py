@@ -30,7 +30,6 @@ class TestTetris:
         nl = Netlist(Rect(0, 0, 4, 1), row_height=1.0, site_width=0.5)
         for i in range(4):
             nl.add_cell(f"c{i}", 2, 1, x=2, y=0.5)
-        nl.finalize()
         segs = build_segments(nl)
         with pytest.raises(ValueError):
             tetris_legalize(nl, [0, 1, 2, 3], segs)
@@ -124,14 +123,12 @@ class TestLegalityChecks:
         nl = Netlist(DIE, row_height=1.0, site_width=0.5)
         nl.add_cell("a", 2, 1, x=1, y=0.5)
         nl.add_cell("b", 2, 1, x=3.5, y=0.5)
-        nl.finalize()
         assert check_legality(nl).is_legal
 
     def test_overlap_detected(self):
         nl = Netlist(DIE, row_height=1.0)
         nl.add_cell("a", 2, 1, x=1, y=0.5)
         nl.add_cell("b", 2, 1, x=2, y=0.5)
-        nl.finalize()
         rep = check_legality(nl)
         assert rep.overlaps == 1
         assert rep.overlap_pairs == [(0, 1)]
@@ -140,39 +137,33 @@ class TestLegalityChecks:
         nl = Netlist(DIE, row_height=1.0)
         nl.add_cell("a", 2, 1, x=1, y=0.5)
         nl.add_cell("b", 2, 1, x=3, y=0.5)
-        nl.finalize()
         assert check_legality(nl).overlaps == 0
 
     def test_off_row_detected(self):
         nl = Netlist(DIE, row_height=1.0)
         nl.add_cell("a", 2, 1, x=1, y=0.7)
-        nl.finalize()
         assert check_legality(nl).off_row == 1
 
     def test_out_of_die_detected(self):
         nl = Netlist(DIE, row_height=1.0)
         nl.add_cell("a", 2, 1, x=0.5, y=0.5)  # pokes left
-        nl.finalize()
         assert check_legality(nl).out_of_die == 1
 
     def test_on_blockage_detected(self):
         nl = Netlist(DIE, row_height=1.0)
         nl.add_blockage(Rect(0, 0, 10, 10))
         nl.add_cell("a", 2, 1, x=5, y=5.5)
-        nl.finalize()
         assert check_legality(nl).on_blockage == 1
 
     def test_fixed_pair_ignored(self):
         nl = Netlist(DIE, row_height=1.0)
         nl.add_cell("a", 2, 1, x=1, y=0.5, fixed=True)
         nl.add_cell("b", 2, 1, x=1.5, y=0.5, fixed=True)
-        nl.finalize()
         assert check_legality(nl).overlaps == 0
 
     def test_summary_strings(self):
         nl = Netlist(DIE, row_height=1.0)
         nl.add_cell("a", 2, 1, x=1, y=0.5)
-        nl.finalize()
         assert check_legality(nl).summary() == "legal"
         nl.y[0] = 0.7
         assert "off_row=1" in check_legality(nl).summary()

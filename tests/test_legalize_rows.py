@@ -43,7 +43,6 @@ class TestSegments:
     def test_fixed_cells_are_obstacles(self):
         nl = _netlist()
         nl.add_cell("macro", 4, 10, x=10, y=5, fixed=True)
-        nl.finalize()
         segs = build_segments(nl)
         assert total_segment_capacity(segs) == pytest.approx(160)
 
@@ -73,7 +72,6 @@ class TestCapacityModel:
         nl.add_cell("a", 3, 1)
         nl.add_cell("b", 1, 1)
         nl.add_cell("macro", 8, 4)  # taller than a row: excluded
-        nl.finalize()
         assert max_std_cell_width(nl) == 3
 
     def test_usable_discounts_per_segment(self):

@@ -22,7 +22,6 @@ def _netlist(cells):
     nl = Netlist(DIE)
     for i, (x, y, w, h) in enumerate(cells):
         nl.add_cell(f"c{i}", w, h, x=x, y=y)
-    nl.finalize()
     return nl
 
 
@@ -51,7 +50,6 @@ class TestDensityMap:
     def test_fixed_cell_excluded_from_usage(self):
         nl = Netlist(DIE)
         nl.add_cell("f", 2, 2, x=5, y=5, fixed=True)
-        nl.finalize()
         dmap = DensityMap(nl, 5, 5)
         assert dmap.usage.sum() == pytest.approx(0.0)
         assert dmap.capacity.sum() == pytest.approx(96.0)

@@ -116,7 +116,6 @@ class TestViolations:
         nl.add_cell("in", 2, 2, x=5, y=5, movebound="m")
         nl.add_cell("out", 2, 2, x=50, y=50, movebound="m")
         nl.add_cell("free", 2, 2, x=80, y=80)
-        nl.finalize()
         return nl
 
     def test_containment_violation(self):
@@ -144,5 +143,4 @@ class TestViolations:
         s.add_rects("m", [Rect(0, 0, 10, 10)])
         nl = Netlist(DIE)
         nl.add_cell("f", 2, 2, x=50, y=50, fixed=True, movebound="m")
-        nl.finalize()
         assert s.violations(nl) == []

@@ -13,7 +13,6 @@ def nl():
     n.add_cell("a", 2, 1, x=1, y=1)
     n.add_cell("b", 2, 1, x=9, y=9)
     n.add_cell("pad", 1, 1, x=0.5, y=0.5, fixed=True)
-    n.finalize()
     return n
 
 

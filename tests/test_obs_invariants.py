@@ -46,7 +46,6 @@ def _movebound_instance():
     nl.add_cell("m0", 2.0, 1.0, x=10.0, y=10.0, movebound="left")
     for i in range(3):
         nl.add_cell(f"f{i}", 2.0, 1.0, x=70.0 + i, y=70.0)
-    nl.finalize()
     return nl, bounds
 
 
@@ -154,7 +153,10 @@ class TestRegionCapacity:
         inflow = model.region_inflow(result)
         key = max(inflow, key=inflow.get)
         assert inflow[key] > 0
-        model.region_capacity[key] = inflow[key] / 2
+        # (the capacities are the model's region_cap column; the
+        # region_capacity mapping is a read-only view of it)
+        node = list(model.region_capacity).index(key)
+        model.region_cap[node] = inflow[key] / 2
         with pytest.raises(InvariantViolation) as exc:
             run_check("fbp.region_capacity", model, result)
         assert exc.value.check == "fbp.region_capacity"

@@ -398,7 +398,6 @@ def _window_cluster(n: int, seed: int, window: Rect, coincident: bool):
         x=window.x_lo + at[:, 0] * window.width,
         y=window.y_lo + at[:, 1] * window.height,
     )
-    nl.finalize()
     return nl
 
 

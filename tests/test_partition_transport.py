@@ -22,7 +22,6 @@ def _netlist(cells):
     nl = Netlist(DIE)
     for i, (x, y, w, mb) in enumerate(cells):
         nl.add_cell(f"c{i}", w, 1.0, x=x, y=y, movebound=mb)
-    nl.finalize()
     return nl
 
 

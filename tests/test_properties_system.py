@@ -56,7 +56,6 @@ def instances(draw):
             y=float(rng.uniform(1, 59)),
             movebound=mb,
         )
-    nl.finalize()
     for j in range(num_cells // 2):
         k = int(rng.integers(2, 4))
         members = rng.choice(num_cells, size=k, replace=False)
@@ -119,7 +118,6 @@ def _boundary_instance(side, delta):
             f"f{i}", 2.0, 1.0,
             x=float(rng.uniform(1, 59)), y=float(rng.uniform(1, 59)),
         )
-    nl.finalize()
     return nl, bounds
 
 

@@ -15,7 +15,6 @@ def chain_netlist():
     nl = Netlist(DIE)
     a = nl.add_cell("a", 1, 1, x=5, y=5)
     b = nl.add_cell("b", 1, 1, x=5, y=5)
-    nl.finalize()
     nl.add_net("n1", [Pin.terminal(0, 0), Pin(a.index)])
     nl.add_net("n2", [Pin(a.index), Pin(b.index)])
     nl.add_net("n3", [Pin(b.index), Pin.terminal(10, 10)])
@@ -47,7 +46,6 @@ class TestStarCliqueEquivalence:
         for i in range(6):
             nl.add_cell(f"c{i}", 1, 1,
                         x=float(rng.uniform(1, 9)), y=float(rng.uniform(1, 9)))
-        nl.finalize()
         nl.add_net("big", [Pin(i) for i in range(6)])
         nl.add_net("anchor", [Pin(0), Pin.terminal(0, 0)])
         nl.add_net("anchor2", [Pin(5), Pin.terminal(10, 10)])
@@ -81,7 +79,6 @@ class TestSystemAssembly:
     def test_pin_offsets_affect_solution(self):
         nl = Netlist(DIE)
         a = nl.add_cell("a", 2, 1, x=5, y=5)
-        nl.finalize()
         nl.add_net("n", [Pin(a.index, 1.0, 0.0), Pin.terminal(6, 5)])
         x, _ = solve_qp(nl)
         # pin at center+1 should land on 6 -> center at 5
@@ -145,7 +142,6 @@ class TestB2B:
         for i in range(30):
             nl.add_cell(f"c{i}", 0.5, 0.5,
                         x=float(rng.uniform(1, 9)), y=float(rng.uniform(1, 9)))
-        nl.finalize()
         for j in range(25):
             members = rng.choice(30, size=3, replace=False)
             nl.add_net(f"n{j}", [Pin(int(c)) for c in members])
@@ -177,7 +173,6 @@ def _oracle_netlist():
             x=float(rng.uniform(1, 9)), y=float(rng.uniform(1, 9)),
             fixed=i in (2, 6),
         )
-    nl.finalize()
     nl.x[4], nl.y[4] = nl.x[3], nl.y[3]  # b2b: coinciding pins
     # b2b: net "ties" has two lowest and two highest pins on x
     nl.x[1] = nl.x[7] = 1.5

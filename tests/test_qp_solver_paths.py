@@ -47,7 +47,6 @@ class TestBackends:
     def test_empty_system(self):
         nl = Netlist(DIE)
         nl.add_cell("f", 1, 1, fixed=True)
-        nl.finalize()
         x, y = solve_qp(nl)  # zero unknowns: no crash
         assert len(x) == 1
 
@@ -58,7 +57,6 @@ class TestBackends:
         nl.add_cell("a", 1, 1, x=10, y=10)
         nl.add_cell("b", 1, 1, x=20, y=20)
         nl.add_cell("f", 1, 1, x=50, y=50, fixed=True)
-        nl.finalize()
         with pytest.raises(SolverNumericsError) as info:
             solve_qp(nl, QPOptions(regularization=0.0))
         assert info.value.stage == "qp"

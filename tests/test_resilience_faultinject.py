@@ -264,7 +264,6 @@ def _write_instances(tmp_path):
     nl = Netlist(DIE, name="feas")
     for i in range(60):
         nl.add_cell(f"c{i}", 2.0, 1.0)
-    nl.finalize()
     nl.x[:] = rng.uniform(5, 95, nl.num_cells)
     nl.y[:] = rng.uniform(5, 95, nl.num_cells)
     save_instance(str(tmp_path), nl, MoveBoundSet(DIE))
@@ -272,7 +271,6 @@ def _write_instances(tmp_path):
     bad = Netlist(DIE, name="infeas")
     for i in range(80):
         bad.add_cell(f"c{i}", 2.0, 1.0, movebound="tiny")
-    bad.finalize()
     bad.x[:] = np.linspace(1, 99, bad.num_cells)
     bad.y[:] = 50.0
     mbs = MoveBoundSet(DIE)

@@ -43,7 +43,6 @@ def _netlist(cells=(("c0", 2.0, 1.0, None),)):
     nl = Netlist(DIE)
     for name, w, h, mb in cells:
         nl.add_cell(name, w, h, movebound=mb)
-    nl.finalize()
     return nl
 
 
@@ -193,7 +192,6 @@ def _write_feasible_instance(tmp_path):
     nl = Netlist(DIE, name="feas")
     for i in range(60):
         nl.add_cell(f"c{i}", 2.0, 1.0)
-    nl.finalize()
     nl.x[:] = rng.uniform(5, 95, nl.num_cells)
     nl.y[:] = rng.uniform(5, 95, nl.num_cells)
     save_instance(str(tmp_path), nl, MoveBoundSet(DIE))
@@ -205,7 +203,6 @@ def _write_infeasible_instance(tmp_path):
     nl = Netlist(DIE, name="infeas")
     for i in range(80):
         nl.add_cell(f"c{i}", 2.0, 1.0, movebound="tiny")
-    nl.finalize()
     nl.x[:] = np.linspace(1, 99, nl.num_cells)
     nl.y[:] = 50.0
     mbs = MoveBoundSet(DIE)

@@ -39,7 +39,6 @@ def _netlist_with(counts):
         for _ in range(num):
             nl.add_cell(f"c{i}", size, 1.0, movebound=mb)
             i += 1
-    nl.finalize()
     return nl
 
 

@@ -37,7 +37,6 @@ def _netlist(num_cells, *, fixed=False, movebound=None, name="rt"):
             f"c{i}", 1.0, 1.0, fixed=fixed, movebound=movebound,
             x=float(i), y=float(2 * i),
         )
-    nl.finalize()
     return nl
 
 
@@ -128,7 +127,6 @@ class TestDegenerateNetlists:
         for i in range(6):
             nl.add_cell(f"b{i}", 1.0, 1.0, movebound="mbB",
                         x=30.0 + i, y=30.0)
-        nl.finalize()
         mbs = MoveBoundSet(DIE)
         # inclusive bounds are allowed to overlap (paper §II)
         mbs.add_rects("mbA", [Rect(0, 0, 60, 60)])

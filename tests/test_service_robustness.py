@@ -178,7 +178,6 @@ def _write_instance(path, name, cells=30, seed=0):
         nl.add_cell(f"c{i}", 2.0, 1.0)
     for i in range(0, cells - 2, 2):
         nl.add_net(f"n{i}", [Pin(i), Pin(i + 1), Pin((i + 7) % cells)])
-    nl.finalize()
     nl.x[:] = rng.uniform(5, 95, nl.num_cells)
     nl.y[:] = rng.uniform(5, 95, nl.num_cells)
     os.makedirs(str(path), exist_ok=True)

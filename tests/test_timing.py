@@ -16,7 +16,6 @@ def _chain_netlist():
     nl = Netlist(DIE)
     a = nl.add_cell("a", 1, 1, x=10, y=10)
     b = nl.add_cell("b", 1, 1, x=30, y=10)
-    nl.finalize()
     nl.add_net("pi", [Pin.terminal(0, 10), Pin(a.index)])     # delay 10
     nl.add_net("ab", [Pin(a.index), Pin(b.index)])            # delay 20
     nl.add_net("po", [Pin(b.index), Pin.terminal(60, 10)])    # delay 30
@@ -44,7 +43,6 @@ class TestSTA:
         a = nl.add_cell("a", 1, 1, x=10, y=10)
         b = nl.add_cell("b", 1, 1, x=50, y=10)   # long branch
         c = nl.add_cell("c", 1, 1, x=12, y=10)   # short branch
-        nl.finalize()
         nl.add_net("pi", [Pin.terminal(0, 10), Pin(a.index)])
         long_net = nl.add_net("long", [Pin(a.index), Pin(b.index)])
         short_net = nl.add_net("short", [Pin(a.index), Pin(c.index)])
@@ -57,7 +55,6 @@ class TestSTA:
         nl = Netlist(DIE)
         a = nl.add_cell("a", 1, 1, x=10, y=10)
         b = nl.add_cell("b", 1, 1, x=20, y=10)
-        nl.finalize()
         nl.add_net("ab", [Pin(a.index), Pin(b.index)])
         nl.add_net("ba", [Pin(b.index), Pin(a.index)])  # cycle
         report = analyze_timing(nl)
@@ -66,7 +63,6 @@ class TestSTA:
 
     def test_empty_netlist(self):
         nl = Netlist(DIE)
-        nl.finalize()
         report = analyze_timing(nl)
         assert report.critical_path == 0.0
 

@@ -44,7 +44,6 @@ class TestRenderers:
 
     def test_placement_empty_netlist(self):
         nl = Netlist(DIE)
-        nl.finalize()
         out = render_placement(nl, width=20, height=8)
         assert len(out.splitlines()) == 8
 
@@ -57,6 +56,5 @@ class TestRenderers:
     def test_placement_cell_on_die_edge(self):
         nl = Netlist(DIE)
         nl.add_cell("edge", 1, 1, x=100, y=100)  # exactly on the corner
-        nl.finalize()
         out = render_placement(nl, width=10, height=10)
         assert any(ch not in " \n" for ch in out)

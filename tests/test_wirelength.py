@@ -20,7 +20,6 @@ def _net_at(points, weight=1.0):
     pins = []
     for x, y in points:
         pins.append(Pin.terminal(x, y))
-    nl.finalize()
     net = nl.add_net("n", pins, weight)
     return nl, net
 
@@ -78,7 +77,6 @@ class TestReport:
         nl = Netlist(DIE)
         nl.add_cell("a", 1, 1, x=10, y=10)
         nl.add_cell("b", 1, 1, x=20, y=10)
-        nl.finalize()
         nl.add_net("n1", [Pin(0), Pin(1)], weight=2.0)
         report = wirelength_report(nl)
         assert report.hpwl == pytest.approx(20)
@@ -92,7 +90,6 @@ class TestReport:
             nl.add_cell(f"c{i}", 1, 1,
                         x=float(rng.uniform(0, 99)),
                         y=float(rng.uniform(0, 99)))
-        nl.finalize()
         nl.add_net("big", [Pin(i) for i in range(12)])
         report = wirelength_report(nl)
         assert report.rsmt_over_hpwl > 1.0
